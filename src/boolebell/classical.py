@@ -25,14 +25,13 @@ Setting angles are kept as raw reals and never reduced modulo 2 pi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 from typing import Iterable, Literal
 
 import numpy as np
 
-from .datasets import (DichotomicDataset, check_boole_triple,
-                       check_boole_triple_anticorrelated)
-from .reports import InequalityReport
+from .datasets import (BOOLE_TRIPLE, BOOLE_TRIPLE_ANTICORRELATED,
+                       DichotomicDataset)
+from .reports import count_violated
 
 Birthplace = Literal["a", "b", "c"]
 MuKind = Literal["uniform", "delta_equal", "delta_opposite"]
@@ -175,21 +174,26 @@ def sample_pair(model: FactorizableModel, a: float, b: float,
     return DichotomicDataset(np.column_stack([s1, s2]))
 
 
-def analytic_correlation(model: FactorizableModel, a: float, b: float) -> float:
-    """Exact pair correlation E(a, b) of the model.
+def correlation_law(mu_kind: str, d):
+    """Exact pair correlation of the model as a function of the setting
+    difference d = a - b, for a float or elementwise for an array.
 
-    uniform:        -cos(a - b) / 2
-    delta_equal:    1 - (4/pi) |sin((a - b) / 2)|
-    delta_opposite: (4/pi) |cos((a - b) / 2)| - 1
+    uniform:        -cos(d) / 2
+    delta_equal:    1 - (4/pi) |sin(d / 2)|
+    delta_opposite: (4/pi) |cos(d / 2)| - 1
     """
+    if mu_kind == "uniform":
+        return -np.cos(d) / 2.0
+    if mu_kind == "delta_equal":
+        return 1.0 - (4.0 / np.pi) * abs(np.sin(d / 2.0))
+    return (4.0 / np.pi) * abs(np.cos(d / 2.0)) - 1.0
+
+
+def analytic_correlation(model: FactorizableModel, a: float, b: float) -> float:
+    """Exact pair correlation E(a, b) of the model (see ``correlation_law``)."""
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("angles must be finite")
-    d = a - b
-    if model.mu_kind == "uniform":
-        return float(-np.cos(d) / 2.0)
-    if model.mu_kind == "delta_equal":
-        return float(1.0 - (4.0 / np.pi) * abs(np.sin(d / 2.0)))
-    return float((4.0 / np.pi) * abs(np.cos(d / 2.0)) - 1.0)
+    return float(correlation_law(model.mu_kind, a - b))
 
 
 def common_parameter_fit(model: FactorizableModel, a: float, b: float, c: float):
@@ -252,16 +256,38 @@ class SweepSummary:
         }
 
 
-def _scan_family(report: InequalityReport, angles, best: WorstWitness | None,
-                 ) -> tuple[int, WorstWitness | None]:
-    violated = 0
-    for cl in report.clauses:
-        if not cl.satisfied:
-            violated = 1
-        if best is None or cl.slack < best.slack:
-            best = WorstWitness(tuple(float(x) for x in angles),
-                                cl.description, cl.lhs, cl.rhs, cl.slack)
-    return violated, best
+def _scan(family, angles, cols) -> tuple[int, WorstWitness]:
+    """Points with a violated clause, and the first clause of minimal slack
+    in (point, clause) order, rebuilt as a single-point report."""
+    slacks = family.slacks(*cols)
+    row, col = np.unravel_index(int(np.argmin(slacks)), slacks.shape)
+    cl = family.report(*(x[row] for x in cols)).clauses[col]
+    return count_violated(slacks), WorstWitness(
+        tuple(float(x[row]) for x in angles), cl.description, cl.lhs, cl.rhs, cl.slack)
+
+
+def _chsh_scan(emat: np.ndarray) -> tuple[int, float, tuple[int, int, int, int]]:
+    """Violation count, maximum and first argmax in (a, b, c, d) order of
+    |E(a,b) - E(a,c) + E(d,b) + E(d,c)| over the grid, one n^3 slab per a.
+
+    emat is symmetric (every law is an even function of a - b); the sum is
+    formed as ((E[a,b] - E[a,c]) + E[b,d]) + E[c,d], the association of the
+    full n^4 tensor, so every value is bit-identical to it.
+    """
+    n = len(emat)
+    slab = np.empty((n, n, n))
+    count, best, where = 0, -1.0, (0, 0, 0, 0)
+    for a in range(n):
+        np.add((emat[a, :, None] - emat[a, None, :])[:, :, None], emat[:, None, :],
+               out=slab)
+        slab += emat[None, :, :]
+        np.abs(slab, out=slab)
+        count += int(np.count_nonzero(slab > 2.0 + 1e-12))
+        top = float(slab.max())
+        if top > best:
+            best = top
+            where = (a, *(int(i) for i in np.unravel_index(int(slab.argmax()), slab.shape)))
+    return count, best, where
 
 
 def model_inequality_sweep(model: FactorizableModel, grid: Iterable[float],
@@ -270,57 +296,35 @@ def model_inequality_sweep(model: FactorizableModel, grid: Iterable[float],
     |E(a,b) +- E(a,c)| <= 1 -+ E(b,c) (anti-correlated convention, the form
     relevant to pair experiments mimicking a spin singlet) together with the
     direct Boole family, and for every quadruple the CHSH combination
-    E(a,b) - E(a,c) + E(d,b) + E(d,c)."""
-    angles = [float(x) for x in grid]
-    if not angles:
+    E(a,b) - E(a,c) + E(d,b) + E(d,c).
+
+    Triples are the ``combinations_with_replacement`` of the grid, in that
+    order; a worst witness is the first clause of minimal slack.  Memory is
+    O(n^3) in the number n of angles.
+    """
+    angles = np.array([float(x) for x in grid])
+    if not angles.size:
         raise ValueError("grid must contain at least one angle")
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("angles must be finite")
+    emat = correlation_law(model.mu_kind, angles[:, None] - angles[None, :])
+    n = len(angles)
+    r = np.arange(n)
+    ia, ib, ic = np.nonzero((r[:, None, None] <= r[None, :, None])
+                            & (r[None, :, None] <= r[None, None, :]))
+    triples = (angles[ia], angles[ib], angles[ic])
+    cols = (emat[ia, ib], emat[ia, ic], emat[ib, ic])
+    bell_count, worst_bell = _scan(BOOLE_TRIPLE_ANTICORRELATED, triples, cols)
+    boole_count, worst_boole = _scan(BOOLE_TRIPLE, triples, cols)
 
-    def e(x, y):
-        return analytic_correlation(model, x, y)
-
-    n_triples = 0
-    bell_count = 0
-    boole_count = 0
-    worst_bell: WorstWitness | None = None
-    worst_boole: WorstWitness | None = None
-    for a, b, c in combinations_with_replacement(angles, 3):
-        n_triples += 1
-        eab, eac, ebc = e(a, b), e(a, c), e(b, c)
-        v, worst_bell = _scan_family(
-            check_boole_triple_anticorrelated(eab, eac, ebc), (a, b, c), worst_bell)
-        bell_count += v
-        v, worst_boole = _scan_family(
-            check_boole_triple(eab, eac, ebc), (a, b, c), worst_boole)
-        boole_count += v
-
-    n_quads = 0
-    chsh_count = 0
-    chsh_max = 0.0
-    worst_chsh: WorstWitness | None = None
+    n_quads, chsh_count, chsh_max, worst_chsh = 0, 0, 0.0, None
     if chsh:
-        arr = np.array(angles)
-        # pairwise correlations on the grid, vectorized per kind
-        diff = arr[:, None] - arr[None, :]
-        if model.mu_kind == "uniform":
-            emat = -np.cos(diff) / 2.0
-        elif model.mu_kind == "delta_equal":
-            emat = 1.0 - (4.0 / np.pi) * np.abs(np.sin(diff / 2.0))
-        else:
-            emat = (4.0 / np.pi) * np.abs(np.cos(diff / 2.0)) - 1.0
-        n = len(angles)
-        # emat is symmetric (every kind is an even function of a - b)
-        combo = (emat[:, :, None, None] - emat[:, None, :, None]
-                 + emat[None, :, None, :] + emat[None, None, :, :])
-        # combo[a, b, c, d] = E(a,b) - E(a,c) + E(d,b) + E(d,c)
         n_quads = n ** 4
-        abs_combo = np.abs(combo)
-        chsh_count = int(np.count_nonzero(abs_combo > 2.0 + 1e-12))
-        chsh_max = float(abs_combo.max())
-        ia, ib, ic, id_ = np.unravel_index(int(abs_combo.argmax()), combo.shape)
+        chsh_count, chsh_max, quad = _chsh_scan(emat)
         worst_chsh = WorstWitness(
-            (angles[ia], angles[ib], angles[ic], angles[id_]),
+            tuple(float(angles[i]) for i in quad),
             "|E(a,b) - E(a,c) + E(d,b) + E(d,c)| <= 2",
             chsh_max, 2.0, 2.0 - chsh_max)
-    return SweepSummary(model.mu_kind, n_triples, bell_count, worst_bell,
+    return SweepSummary(model.mu_kind, len(ia), bell_count, worst_bell,
                         boole_count, worst_boole, n_quads, chsh_count,
                         chsh_max, worst_chsh)

@@ -57,7 +57,7 @@ def _render_table(envelope: dict) -> str:
 
 def _emit(envelope: dict, args, csv_text: str | None = None) -> None:
     if args.format == "json":
-        text = json.dumps(envelope, indent=2, default=float) + "\n"
+        text = json.dumps(envelope, indent=2, default=float, allow_nan=False) + "\n"
     elif args.format == "table":
         text = _render_table(envelope)
     else:
@@ -346,50 +346,36 @@ def cmd_epr_pipeline(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    start, stop, step = args.grid
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)
+            and step > 0):
+        raise CliError("--grid needs finite START and STOP and a positive finite STEP")
+    if args.points < 1:
+        raise CliError(f"--points must be at least 1, got {args.points}")
+    rad = args.radians
     if args.what == "factorizable":
         model = classical.FactorizableModel(_MU[args.mu])
-        start, stop, step = args.grid
-        grid = [_to_rad(v, args.radians)
-                for v in np.arange(start, stop + 1e-9, step)]
+        grid = [_to_rad(v, rad) for v in np.arange(start, stop + 1e-9, step)]
         summary = classical.model_inequality_sweep(model, grid, chsh=not args.no_chsh)
         _emit({"scenario": "sweep-factorizable",
                "params": {"mu": model.mu_kind, "grid": list(args.grid),
-                          "radians": args.radians},
+                          "radians": rad},
                "values": summary.to_dict(), "reports": {}}, args)
     elif args.what == "extended-eprb":
-        step = _to_rad(args.grid[2] if args.grid else 10.0, args.radians)
-        thetas = np.arange(0.0, 2.0 * np.pi - 1e-9, step)
-        worst = math.inf
-        violations = 0
-        for tb in thetas:
-            for tc in thetas:
-                c1 = math.cos(tb)
-                c2 = math.cos(tc - tb)
-                rep = tables.ebbi_check(1.0, -c1, -c1 * c2, c2)
-                slack = rep.worst_clause().slack
-                worst = min(worst, slack)
-                if not rep.all_satisfied:
-                    violations += 1
+        # half-open [START, STOP): 0 360 STEP covers the circle once
+        thetas = np.arange(_to_rad(start, rad), _to_rad(stop, rad) - 1e-9,
+                           _to_rad(step, rad))
+        s = quantum.extended_eprb_sweep(thetas)
         _emit({"scenario": "sweep-extended-eprb",
-               "params": {"step_deg": args.grid[2] if args.grid else 10.0},
-               "values": {"points": int(len(thetas) ** 2),
-                          "violations": violations, "worst_slack": worst},
+               "params": {"step_deg": step},
+               "values": {"points": s.points, "violations": s.violations,
+                          "worst_slack": s.worst_slack},
                "reports": {}}, args)
     else:  # leggett-garg
-        n = args.points
-        ts = np.linspace(0.0, np.pi, n)
-        violations = 0
-        worst = math.inf
-        for wt2 in ts:
-            for wt3 in ts:
-                p = lg.LGParams(1.0, 0.0, wt2, wt3)
-                rep = lg.lg_inequality_check(*lg.lg_triple_correlations(p))
-                worst = min(worst, rep.worst_clause().slack)
-                if not rep.all_satisfied:
-                    violations += 1
+        s = lg.lg_sweep(args.points)
         _emit({"scenario": "sweep-leggett-garg",
-               "params": {"points": n},
-               "values": {"violations": violations, "worst_slack": worst},
+               "params": {"points": args.points},
+               "values": {"violations": s.violations, "worst_slack": s.worst_slack},
                "reports": {}}, args)
 
 

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .reports import InequalityReport, make_clause, make_report
+from .reports import (BOOLE_ORDER, ClauseFamily, InequalityReport, boole_terms,
+                      make_clause, make_report, six_descriptions, weak_terms)
 
 _RANGE_TOL = 1e-12
 
@@ -112,24 +113,31 @@ def _require_in_unit_interval(name_value_pairs):
             raise ValueError(f"{name}={value} outside [-1, 1]")
 
 
+BOOLE_TRIPLE = ClauseFamily(
+    "boole_triple", six_descriptions("|F{i}{j} {s} F{i}{k}| <= 1 {s} F{j}{k}", BOOLE_ORDER),
+    lambda f12, f13, f23: boole_terms(f12, f13, f23, 1.0))
+
+# Negating all three correlations maps the direct family onto the
+# anticorrelated one bit for bit: |-x - y| = |x + y| and 1 + (-z) = 1 - z.
+BOOLE_TRIPLE_ANTICORRELATED = ClauseFamily(
+    "boole_triple_anticorrelated",
+    six_descriptions("|F{i}{j} {s} F{i}{k}| <= 1 {t} F{j}{k} (anticorrelated convention)",
+                     BOOLE_ORDER),
+    lambda f12, f13, f23: boole_terms(-f12, -f13, -f23, 1.0))
+
+PAIR_BOUND = ClauseFamily(
+    "pair_bound",
+    six_descriptions("|{i} {s} {j}| <= 3 - |{k}|", (("F", "Fhat", "Ftilde"),
+                                                     ("F", "Ftilde", "Fhat"),
+                                                     ("Ftilde", "Fhat", "F"))),
+    lambda f, fhat, ftilde: weak_terms(f, fhat, ftilde, 3.0))
+
+
 def check_boole_triple(f12: float, f13: float, f23: float) -> InequalityReport:
     """Six-clause Boole family |Fij +- Fik| <= 1 +- Fjk for pair averages of
     one set of triples.  Mathematically unviolable for triple-derived data."""
     _require_in_unit_interval([("F12", f12), ("F13", f13), ("F23", f23)])
-    vals = {(1, 2): f12, (1, 3): f13, (2, 3): f23}
-
-    def v(i, j):
-        return vals[(i, j)] if i < j else vals[(j, i)]
-
-    clauses = []
-    for (i, j, k) in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
-        for sign, s in ((+1, "+"), (-1, "-")):
-            clauses.append(make_clause(
-                f"|F{i}{j} {s} F{i}{k}| <= 1 {s} F{j}{k}",
-                abs(v(i, j) + sign * v(i, k)),
-                1.0 + sign * v(j, k),
-            ))
-    return make_report("boole_triple", clauses)
+    return BOOLE_TRIPLE.report(f12, f13, f23)
 
 
 def check_boole_triple_anticorrelated(f12: float, f13: float, f23: float) -> InequalityReport:
@@ -142,40 +150,14 @@ def check_boole_triple_anticorrelated(f12: float, f13: float, f23: float) -> Ine
     relabelings.
     """
     _require_in_unit_interval([("F12", f12), ("F13", f13), ("F23", f23)])
-    vals = {(1, 2): f12, (1, 3): f13, (2, 3): f23}
-
-    def v(i, j):
-        return vals[(i, j)] if i < j else vals[(j, i)]
-
-    clauses = []
-    for (i, j, k) in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
-        for sign, s, t in ((+1, "+", "-"), (-1, "-", "+")):
-            clauses.append(make_clause(
-                f"|F{i}{j} {s} F{i}{k}| <= 1 {t} F{j}{k} (anticorrelated convention)",
-                abs(v(i, j) + sign * v(i, k)),
-                1.0 - sign * v(j, k),
-            ))
-    return make_report("boole_triple_anticorrelated", clauses)
+    return BOOLE_TRIPLE_ANTICORRELATED.report(f12, f13, f23)
 
 
 def check_pair_bound(f: float, fhat: float, ftilde: float) -> InequalityReport:
     """Correct bound when the three pair averages come from three unrelated
     runs: |F +- Fhat| <= 3 - |Ftilde| and the two symbol interchanges."""
     _require_in_unit_interval([("F", f), ("Fhat", fhat), ("Ftilde", ftilde)])
-    named = (("F", f), ("Fhat", fhat), ("Ftilde", ftilde))
-    clauses = []
-    for (na, va), (nb, vb), (nc, vc) in (
-        (named[0], named[1], named[2]),
-        (named[0], named[2], named[1]),
-        (named[2], named[1], named[0]),
-    ):
-        for sign, s in ((+1, "+"), (-1, "-")):
-            clauses.append(make_clause(
-                f"|{na} {s} {nb}| <= 3 - |{nc}|",
-                abs(va + sign * vb),
-                3.0 - abs(vc),
-            ))
-    return make_report("pair_bound", clauses)
+    return PAIR_BOUND.report(f, fhat, ftilde)
 
 
 def check_chsh(f13: float, f23: float, f14: float, f24: float) -> InequalityReport:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import DichotomicDataset
-from .reports import InequalityReport, make_report
-from .tables import ebbi_check
+from .reports import GridSweep, InequalityReport, grid_sweep, make_report
+from .tables import EBBI, ebbi_check
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,22 @@ def lg_inequality_check(k12: float, k13: float, k23: float) -> InequalityReport:
             raise ValueError(f"{name}={value} outside [-1, 1]")
     inner = ebbi_check(1.0, k12, k13, k23)
     return make_report("leggett_garg", inner.clauses)
+
+
+def lg_sweep(points: int) -> GridSweep:
+    """The triple inequality family over the grid omega*dt2, omega*dt3 in
+    linspace(0, pi, points)^2 (dt1 = 0), from the closed-form correlations
+    of ``lg_triple_correlations``, a block of omega*dt2 rows at a time."""
+    if points < 1:
+        raise ValueError(f"need at least one grid point per axis, got {points}")
+    cos2 = np.cos(2.0 * np.linspace(0.0, np.pi, points))
+
+    def block(rows):
+        row_cos2 = cos2[rows]
+        c2, c3 = np.repeat(row_cos2, points), np.tile(cos2, len(row_cos2))
+        return EBBI.slacks(1.0, c2, c3 * c2, c3)
+
+    return grid_sweep(block, points, points)
 
 
 def sample_triples(p: LGParams, m: int, seed: int) -> DichotomicDataset:

@@ -28,8 +28,9 @@ import numpy as np
 
 from .datasets import (InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated)
-from .reports import make_clause, make_report
-from .tables import (CompatibilityResult, ExpansionCoeffs3, FuncTable2,
+from .reports import (ClauseFamily, GridSweep, boole_terms, grid_sweep,
+                      make_clause, make_report, six_descriptions)
+from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
                      FuncTable3, expand2, expand3, marginals_compatible)
 
 HERMITIAN_TOL = 1e-12
@@ -448,6 +449,21 @@ def extended_eprb_prob3_closed(theta_a: float, theta_b: float, theta_c: float,
     return ProbabilityTable(3, p)
 
 
+def extended_eprb_sweep(thetas) -> GridSweep:
+    """The ``ebbi`` family on the coefficients (1, -cba, -cba ccb, ccb) of
+    ``extended_eprb_prob3_closed`` with theta_a = 0, over every
+    (theta_b, theta_c) in thetas x thetas, a block of theta_b rows at a time."""
+    thetas = np.asarray(thetas, dtype=float)
+
+    def block(rows):
+        tb, tc = (x.ravel() for x in np.meshgrid(thetas[rows], thetas, indexing="ij"))
+        cba = np.cos(tb)
+        ccb = np.cos(tc - tb)
+        return EBBI.slacks(1.0, -cba, -cba * ccb, ccb)
+
+    return grid_sweep(block, len(thetas), len(thetas))
+
+
 def extended_eprb_prob3_chain(a, b, c) -> ProbabilityTable:
     """Projector-chain route for arbitrary unit vectors: the left particle is
     analyzed along a, the right particle along b then c."""
@@ -544,6 +560,16 @@ def separable_mixture(components) -> DensityMatrix:
     return DensityMatrix(mat, 2)
 
 
+# (AB, AC | BC), (AB, BC | AC), (AC, BC | AB): the Boole order with <A1C2> in
+# the 12 slot and <A1B2> in the 13 slot.
+SEPARABLE = ClauseFamily(
+    "separable", six_descriptions("|{i} {s} {j}| <= 1 {s} {k}",
+                                  (("<A1B2>", "<A1C2>", "<B1C2>"),
+                                   ("<A1B2>", "<B1C2>", "<A1C2>"),
+                                   ("<A1C2>", "<B1C2>", "<A1B2>"))),
+    lambda t_ab, t_ac, t_bc: boole_terms(t_ac, t_ab, t_bc, 1.0))
+
+
 def separable_bound_check(components, a, b, c) -> InequalityReport:
     """Correlation bounds |<A1 B2> +- <A1 C2>| <= 1 +- <B1 C2> (and the symbol
     permutations) for mixtures of product states whose two subsystems agree,
@@ -569,35 +595,13 @@ def separable_bound_check(components, a, b, c) -> InequalityReport:
     t_ab = float(np.sum(w * means["A"] * means["B"]))
     t_ac = float(np.sum(w * means["A"] * means["C"]))
     t_bc = float(np.sum(w * means["B"] * means["C"]))
-    named = (("<A1B2>", t_ab), ("<A1C2>", t_ac), ("<B1C2>", t_bc))
-    clauses = []
-    for (na, va), (nb, vb), (nc, vc) in (
-        (named[0], named[1], named[2]),
-        (named[0], named[2], named[1]),
-        (named[1], named[2], named[0]),
-    ):
-        for sign, s in ((+1, "+"), (-1, "-")):
-            clauses.append(make_clause(
-                f"|{na} {s} {nb}| <= 1 {s} {nc}",
-                abs(va + sign * vb), 1.0 + sign * vc))
-    return make_report("separable", clauses)
+    return separable_clause_report(t_ab, t_ac, t_bc)
 
 
 def separable_clause_report(t_ab: float, t_ac: float, t_bc: float) -> InequalityReport:
     """The same clause family evaluated on externally supplied correlations,
     for testing whether given correlations could come from such a mixture."""
-    named = (("<A1B2>", t_ab), ("<A1C2>", t_ac), ("<B1C2>", t_bc))
-    clauses = []
-    for (na, va), (nb, vb), (nc, vc) in (
-        (named[0], named[1], named[2]),
-        (named[0], named[2], named[1]),
-        (named[1], named[2], named[0]),
-    ):
-        for sign, s in ((+1, "+"), (-1, "-")):
-            clauses.append(make_clause(
-                f"|{na} {s} {nb}| <= 1 {s} {nc}",
-                abs(va + sign * vb), 1.0 + sign * vc))
-    return make_report("separable", clauses)
+    return SEPARABLE.report(t_ab, t_ac, t_bc)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ cannot produce false violations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
+
+import numpy as np
 
 SLACK_TOL = 1e-12
 
@@ -63,3 +66,81 @@ def make_clause(description: str, lhs: float, rhs: float) -> Clause:
 def make_report(family: str, clauses: Iterable[Clause]) -> InequalityReport:
     clauses = tuple(clauses)
     return InequalityReport(family, clauses, all(c.satisfied for c in clauses))
+
+
+@dataclass(frozen=True)
+class ClauseFamily:
+    """A clause family written once.  ``terms(*inputs)`` returns one
+    ``(lhs, rhs)`` pair per description, built from abs, +, - and * only, so
+    the same IEEE operations run on floats (``report``) and elementwise on
+    numpy arrays of N points (``slacks``: an N x k matrix, no ``Clause``)."""
+
+    name: str
+    descriptions: tuple[str, ...]
+    terms: Callable
+
+    def report(self, *inputs) -> InequalityReport:
+        return make_report(self.name, [
+            make_clause(d, lhs, rhs)
+            for d, (lhs, rhs) in zip(self.descriptions, self.terms(*inputs))])
+
+    def slacks(self, *inputs) -> np.ndarray:
+        return np.stack([rhs - lhs for lhs, rhs in self.terms(*inputs)], axis=-1)
+
+
+BOOLE_ORDER = ((1, 2, 3), (3, 1, 2), (2, 3, 1))
+
+
+def six_descriptions(template: str, triples) -> tuple[str, ...]:
+    """``template`` formatted with each (i, j, k) of ``triples`` and the sign
+    s, + before -; t is the opposite of s."""
+    return tuple(template.format(i=i, j=j, k=k, s=s, t=t)
+                 for i, j, k in triples for s, t in (("+", "-"), ("-", "+")))
+
+
+def boole_terms(x12, x13, x23, bound):
+    """|x_ij +- x_ik| <= bound +- x_jk for (i, j, k) in BOOLE_ORDER."""
+    return ((abs(x12 + x13), bound + x23), (abs(x12 - x13), bound - x23),
+            (abs(x13 + x23), bound + x12), (abs(x13 - x23), bound - x12),
+            (abs(x23 + x12), bound + x13), (abs(x23 - x12), bound - x13))
+
+
+def weak_terms(x, y, z, bound):
+    """|x +- y| <= bound - |z|, |x +- z| <= bound - |y|, |z +- y| <= bound - |x|:
+    the bound left for three pair values from unrelated runs."""
+    return ((abs(x + y), bound - abs(z)), (abs(x - y), bound - abs(z)),
+            (abs(x + z), bound - abs(y)), (abs(x - z), bound - abs(y)),
+            (abs(z + y), bound - abs(x)), (abs(z - y), bound - abs(x)))
+
+
+@dataclass(frozen=True)
+class GridSweep:
+    """A clause family over a grid: points, points with a violated clause,
+    and the smallest slack of any clause at any point."""
+
+    points: int
+    violations: int
+    worst_slack: float
+
+
+def count_violated(slacks: np.ndarray) -> int:
+    """Rows of an N x k slack matrix with at least one violated clause."""
+    return int(np.count_nonzero(~(slacks >= -SLACK_TOL).all(axis=-1)))
+
+
+GRID_BLOCK = 1 << 15   # points per slack block: bounds a grid sweep's memory
+
+
+def grid_sweep(block, rows: int, row_len: int) -> GridSweep:
+    """Summary of a rows x row_len grid whose ``block(row_slice)`` returns
+    the slack matrix of those whole rows; about GRID_BLOCK points are
+    evaluated at a time.  An empty grid is an error."""
+    if rows * row_len == 0:
+        raise ValueError("grid must contain at least one point")
+    step = max(1, GRID_BLOCK // row_len)
+    violations, worst = 0, math.inf
+    for start in range(0, rows, step):
+        slacks = block(slice(start, start + step))
+        violations += count_violated(slacks)
+        worst = min(worst, float(slacks.min()))
+    return GridSweep(rows * row_len, violations, worst)

@@ -29,7 +29,9 @@ from itertools import product
 
 import numpy as np
 
-from .reports import SLACK_TOL, InequalityReport, make_clause, make_report
+from .reports import (BOOLE_ORDER, SLACK_TOL, ClauseFamily, InequalityReport,
+                      boole_terms, make_clause, make_report, six_descriptions,
+                      weak_terms)
 
 SIGNS = (1.0, -1.0)
 
@@ -202,6 +204,27 @@ def theorem1_check(c: ExpansionCoeffs2) -> InequalityReport:
     return make_report("theorem1", clauses)
 
 
+def _ebbi_terms(e0, e12, e13, e23):
+    lower = -3.0 * e0
+    return ((abs(e12), e0), (abs(e13), e0), (abs(e23), e0),
+            *boole_terms(e12, e13, e23, e0),
+            (lower, -e12 - e13 - e23), (lower, -e12 + e13 + e23),
+            (lower, e12 - e13 + e23), (lower, e12 + e13 - e23),
+            (lower, e12 + e13 - e23), (lower, e12 - e13 + e23),
+            (lower, -e12 + e13 + e23), (lower, -e12 - e13 - e23))
+
+
+# |e_ij| <= e0, the six |e_ij +- e_ik| <= e0 +- e_jk, then the -3 e0 bound
+# for the sign patterns (s1, s2, s3) in product order.
+EBBI = ClauseFamily(
+    "ebbi",
+    tuple(f"|e{i}{j}| <= e0" for i, j in ((1, 2), (1, 3), (2, 3)))
+    + six_descriptions("|e{i}{j} {s} e{i}{k}| <= e0 {s} e{j}{k}", BOOLE_ORDER)
+    + tuple(f"-3 e0 <= -(s1 s2) e12 - (s1 s3) e13 - (s2 s3) e23 at ({''.join(p)})"
+            for p in product("+-", repeat=3)),
+    _ebbi_terms)
+
+
 def ebbi_check(e0: float, e12: float, e13: float, e23: float) -> InequalityReport:
     """Pair-coefficient bounds obeyed by every non-negative three-variable
     function: |e_ij| <= e0 (preconditions), the six clauses
@@ -209,28 +232,7 @@ def ebbi_check(e0: float, e12: float, e13: float, e23: float) -> InequalityRepor
     eight sign patterns."""
     if not np.isfinite(e0) or e0 < 0.0:
         raise ValueError(f"e0 must be non-negative, got {e0}")
-    vals = {(1, 2): e12, (1, 3): e13, (2, 3): e23}
-
-    def v(i, j):
-        return vals[(i, j)] if i < j else vals[(j, i)]
-
-    clauses = [
-        make_clause(f"|e{i}{j}| <= e0", abs(vals[(i, j)]), e0)
-        for (i, j) in ((1, 2), (1, 3), (2, 3))
-    ]
-    for (i, j, k) in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
-        for sign, s in ((+1, "+"), (-1, "-")):
-            clauses.append(make_clause(
-                f"|e{i}{j} {s} e{i}{k}| <= e0 {s} e{j}{k}",
-                abs(v(i, j) + sign * v(i, k)),
-                e0 + sign * v(j, k)))
-    for s1, s2, s3 in product((+1, -1), repeat=3):
-        pattern = "".join("+" if s > 0 else "-" for s in (s1, s2, s3))
-        clauses.append(make_clause(
-            f"-3 e0 <= -(s1 s2) e12 - (s1 s3) e13 - (s2 s3) e23 at ({pattern})",
-            -3.0 * e0,
-            -(s1 * s2 * e12) - (s1 * s3 * e13) - (s2 * s3 * e23)))
-    return make_report("ebbi", clauses)
+    return EBBI.report(e0, e12, e13, e23)
 
 
 def construct_g3(a0: float, a12: float, a13: float, a23: float) -> FuncTable3:
@@ -249,6 +251,19 @@ def construct_g3(a0: float, a12: float, a13: float, a23: float) -> FuncTable3:
     return FuncTable3(arr)
 
 
+_E_INTERCHANGES = (("e", "ehat", "etilde"), ("e", "etilde", "ehat"), ("etilde", "ehat", "e"))
+
+THEOREM3 = ClauseFamily(
+    "theorem3", six_descriptions("|{i} {s} {j}| <= 3 e0 - |{k}|", _E_INTERCHANGES),
+    lambda e, ehat, etilde, e0: weak_terms(e, ehat, etilde, 3.0 * e0))
+
+# The interchange order (e, ehat | etilde), (e, etilde | ehat), (etilde, ehat | e)
+# is the Boole order with e in the 13 slot and ehat in the 12 slot.
+MARGINAL_COMPATIBILITY = ClauseFamily(
+    "marginal_compatibility", six_descriptions("|{i} {s} {j}| <= e0 {s} {k}", _E_INTERCHANGES),
+    lambda e, ehat, etilde, e0: boole_terms(ehat, e, etilde, e0))
+
+
 def theorem3_check(e: float, ehat: float, etilde: float, e0: float) -> InequalityReport:
     """Bounds for three unrelated non-negative pair functions sharing e0 and
     carrying no single-variable terms: |e +- ehat| <= 3 e0 - |etilde| plus the
@@ -258,18 +273,7 @@ def theorem3_check(e: float, ehat: float, etilde: float, e0: float) -> Inequalit
     for name, value in (("e", e), ("ehat", ehat), ("etilde", etilde)):
         if abs(value) > e0 + SLACK_TOL:
             raise ValueError(f"|{name}|={abs(value)} exceeds e0={e0}")
-    named = (("e", e), ("ehat", ehat), ("etilde", etilde))
-    clauses = []
-    for (na, va), (nb, vb), (nc, vc) in (
-        (named[0], named[1], named[2]),
-        (named[0], named[2], named[1]),
-        (named[2], named[1], named[0]),
-    ):
-        for sign, s in ((+1, "+"), (-1, "-")):
-            clauses.append(make_clause(
-                f"|{na} {s} {nb}| <= 3 e0 - |{nc}|",
-                abs(va + sign * vb), 3.0 * e0 - abs(vc)))
-    return make_report("theorem3", clauses)
+    return THEOREM3.report(e, ehat, etilde, e0)
 
 
 @dataclass(frozen=True)
@@ -282,21 +286,6 @@ class CompatibilityResult:
         return {"compatible": self.compatible,
                 "failures": list(self.failures),
                 "clause_report": self.clause_report.to_dict()}
-
-
-def _pair_clause_family(e: float, ehat: float, etilde: float, e0: float) -> InequalityReport:
-    named = (("e", e), ("ehat", ehat), ("etilde", etilde))
-    clauses = []
-    for (na, va), (nb, vb), (nc, vc) in (
-        (named[0], named[1], named[2]),
-        (named[0], named[2], named[1]),
-        (named[2], named[1], named[0]),
-    ):
-        for sign, s in ((+1, "+"), (-1, "-")):
-            clauses.append(make_clause(
-                f"|{na} {s} {nb}| <= e0 {s} {nc}",
-                abs(va + sign * vb), e0 + sign * vc))
-    return make_report("marginal_compatibility", clauses)
 
 
 def marginals_compatible(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
@@ -324,7 +313,7 @@ def marginals_compatible(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
     ):
         if abs(a - b) > MATCH_TOL:
             failures.append(f"coefficient mismatch {desc}: {a} vs {b}")
-    report = _pair_clause_family(c.e12, chat.e12, ctilde.e12, c.e0)
+    report = MARGINAL_COMPATIBILITY.report(c.e12, chat.e12, ctilde.e12, c.e0)
     for clause in report.violated_clauses():
         failures.append(f"clause failed: {clause.description} "
                         f"(lhs={clause.lhs}, rhs={clause.rhs})")

@@ -1,12 +1,17 @@
 """CLI subcommands: envelope schema, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import boolebell
 from boolebell.cli import main
 from boolebell.datasets import DichotomicDataset, write_dataset_csv
 
@@ -131,6 +136,27 @@ class TestSubcommands:
                                 "--points", "12"])
         assert env["values"]["violations"] == 0
 
+    def test_sweep_extended_eprb_reads_start_and_stop(self, capsys):
+        env = run_json(capsys, ["sweep", "--what", "extended-eprb",
+                                "--grid", "100", "120", "10"])
+        assert env["values"]["points"] == 4   # [100, 120) holds 100 and 110
+        env = run_json(capsys, ["sweep", "--what", "extended-eprb",
+                                "--grid", "0", "360", "30"])
+        assert env["values"]["points"] == 144
+        assert env["values"]["violations"] == 0
+
+    def test_sweep_chsh_memory_is_cubic(self, tmp_path):
+        # 73 angles: the n^4 tensor alone would take 227 MB
+        probe = ("import resource, subprocess, sys\n"
+                 "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+                 "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(boolebell.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe, sys.executable, "-m", "boolebell.cli",
+             "sweep", "--what", "factorizable", "--grid", "0", "720", "10"],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert int(out.stdout) < 100 * 1024   # ru_maxrss is in KiB on Linux
+
 
 class TestCliBehavior:
     def test_violation_is_not_an_error_exit(self, capsys):
@@ -173,6 +199,27 @@ class TestCliBehavior:
                                 "--angles", "0", "1.0471975511965976",
                                 "2.0943951023931953", "--radians"])
         assert env["values"]["E"] == pytest.approx(-0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["--what", "leggett-garg", "--points", "0"],
+        ["--what", "leggett-garg", "--points", "-3"],
+        ["--what", "factorizable", "--grid", "0", "720", "0"],
+        ["--what", "extended-eprb", "--grid", "0", "360", "-10"],
+        ["--what", "factorizable", "--grid", "0", "720", "nan"],
+        ["--what", "extended-eprb", "--grid", "0", "inf", "10"],
+    ])
+    def test_invalid_sweep_is_one_error_line(self, capsys, argv):
+        assert main(["sweep", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_json_output_is_strict(self, capsys):
+        from argparse import Namespace
+        from boolebell.cli import _emit
+        with pytest.raises(ValueError):
+            _emit({"values": {"x": float("inf")}}, Namespace(format="json", out=None))
 
     def test_csv_rejected_for_reports(self, capsys):
         assert main(["ebbi", "check", "--e", "1", "0", "0", "0",
