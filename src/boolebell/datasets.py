@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .reports import (BOOLE_ORDER, ClauseFamily, InequalityReport, boole_terms,
-                      make_clause, make_report, six_descriptions, weak_terms)
+                      six_descriptions, weak_terms)
 
 _RANGE_TOL = 1e-12
 
@@ -133,6 +134,17 @@ PAIR_BOUND = ClauseFamily(
     lambda f, fhat, ftilde: weak_terms(f, fhat, ftilde, 3.0))
 
 
+# (u, v, w) in product order; the F24 sign is u v w
+_CHSH_SIGNS = tuple(product((+1, -1), repeat=3))
+
+CHSH = ClauseFamily(
+    "chsh",
+    tuple("|({}F13) - ({}F23) + ({}F14) + ({}F24)| <= 2".format(
+        *("+" if s > 0 else "-" for s in (u, v, w, u * v * w))) for u, v, w in _CHSH_SIGNS),
+    lambda f13, f23, f14, f24: tuple(
+        (abs(u * f13 - v * f23 + w * f14 + u * v * w * f24), 2.0) for u, v, w in _CHSH_SIGNS))
+
+
 def check_boole_triple(f12: float, f13: float, f23: float) -> InequalityReport:
     """Six-clause Boole family |Fij +- Fik| <= 1 +- Fjk for pair averages of
     one set of triples.  Mathematically unviolable for triple-derived data."""
@@ -169,16 +181,7 @@ def check_chsh(f13: float, f23: float, f14: float, f24: float) -> InequalityRepo
     """
     _require_in_unit_interval(
         [("F13", f13), ("F23", f23), ("F14", f14), ("F24", f24)])
-    clauses = []
-    for u in (+1, -1):
-        for v in (+1, -1):
-            for w in (+1, -1):
-                x = u * v * w
-                desc = (f"|({'+' if u > 0 else '-'}F13) - ({'+' if v > 0 else '-'}F23)"
-                        f" + ({'+' if w > 0 else '-'}F14) + ({'+' if x > 0 else '-'}F24)| <= 2")
-                clauses.append(make_clause(
-                    desc, abs(u * f13 - v * f23 + w * f14 + x * f24), 2.0))
-    return make_report("chsh", clauses)
+    return CHSH.report(f13, f23, f14, f24)
 
 
 def write_dataset_csv(ds: DichotomicDataset, path: str | Path) -> None:

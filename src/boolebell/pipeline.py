@@ -17,7 +17,8 @@ arithmetic or physical impossibility.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,8 @@ class TripleProcessSource:
                 any(v not in (1, 2, 3) for v in slots.values()):
             raise ValueError("slots must map setting ids to distinct values in 1..3")
         self.slots = dict(slots)
-        signs = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1],
-                          [-1, 1, 1], [-1, 1, -1], [-1, -1, 1], [-1, -1, -1]],
-                         dtype=np.int8)
-        self.rows = signs
+        # the sign pattern of each flat table position, variable 1 slowest
+        self.rows = np.array(list(product((1, -1), repeat=3)), dtype=np.int8)
 
     def draw(self, left: Setting, right: Setting, rng: np.random.Generator,
              count: int):
@@ -259,6 +258,8 @@ class ThreeSettingsReport:
     boole_anticorrelated: InequalityReport | None
     verdict_direct: str | None
     verdict_anticorrelated: str | None
+    # the event pairs the report was computed from; not part of to_dict
+    raw: RawDataset = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -282,7 +283,8 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
                        ) -> ThreeSettingsReport:
     """Schedule the setting pairs (a,b), (a,c), (b,c), generate M event
     pairs, window-filter each setting pair and evaluate the inequality
-    families on the three filtered correlations.
+    families on the three filtered correlations.  The generated events are
+    returned with the report (``raw``).
 
     The pair-bound check holds for any three correlations.  The two Boole
     checks test the triples hypothesis in the direct and in the
@@ -309,7 +311,7 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     if empties:
         return ThreeSettingsReport(
             {"a": angle_a, "b": angle_b, "c": angle_c}, window, counts, None,
-            tuple(empties), None, None, None, None, None)
+            tuple(empties), None, None, None, None, None, raw)
     f_ab, f_ac, f_bc = corr["ab"], corr["ac"], corr["bc"]
     direct = check_boole_triple(f_ab, f_ac, f_bc)
     anti = check_boole_triple_anticorrelated(f_ab, f_ac, f_bc)
@@ -321,4 +323,4 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     return ThreeSettingsReport(
         {"a": angle_a, "b": angle_b, "c": angle_c}, window, counts, corr, (),
         check_pair_bound(f_ab, f_ac, f_bc), direct, anti,
-        verdict(direct), verdict(anti))
+        verdict(direct), verdict(anti), raw)

@@ -21,6 +21,7 @@ angle from the z-axis within the xz-plane, u(theta) = (sin t, 0, cos t).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Sequence
 
@@ -31,7 +32,8 @@ from .datasets import (InequalityReport, check_boole_triple,
 from .reports import (ClauseFamily, GridSweep, boole_terms, grid_sweep,
                       make_clause, make_report, six_descriptions)
 from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
-                     FuncTable3, expand2, expand3, marginals_compatible)
+                     FuncTable3, expand2, expand3, marginals_compatible,
+                     sign_dict, sign_index, sign_transform)
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -129,23 +131,18 @@ class ProbabilityTable:
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
+    def grid(self) -> np.ndarray:
+        return self.p.reshape((2,) * self.n)
+
     def value(self, *signs: int) -> float:
         if len(signs) != self.n:
             raise ValueError(f"expected {self.n} signs")
-        idx = 0
-        for s in signs:
-            idx = (idx << 1) | (0 if s > 0 else 1)
-        return float(self.p[idx])
+        return float(self.grid()[sign_index(signs)])
 
     def pair_correlation(self, i: int, j: int) -> float:
         """sum_S Si Sj P(S) for 1-based particle indices i < j."""
-        grid = self.p.reshape([2] * self.n)
-        total = 0.0
-        for idx in product(range(2), repeat=self.n):
-            si = 1.0 if idx[i - 1] == 0 else -1.0
-            sj = 1.0 if idx[j - 1] == 0 else -1.0
-            total += si * sj * grid[idx]
-        return total
+        return float(sign_transform(self.grid())[
+            tuple(int(k in (i, j)) for k in range(1, self.n + 1))])
 
     def to_func_table2(self) -> FuncTable2:
         if self.n != 2:
@@ -158,14 +155,7 @@ class ProbabilityTable:
         return FuncTable3(self.p.reshape(2, 2, 2))
 
     def to_dict(self) -> dict:
-        out = {}
-        for idx in product(range(2), repeat=self.n):
-            key = "".join("+" if b == 0 else "-" for b in idx)
-            flat = 0
-            for b in idx:
-                flat = (flat << 1) | b
-            out[key] = float(self.p[flat])
-        return out
+        return sign_dict(self.grid())
 
 
 def op_on(op2: np.ndarray, particle: int, n: int) -> np.ndarray:
@@ -234,21 +224,39 @@ def correlation_operator(u, v) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Filtering chains on one spin
+# Projector chains, and filtering chains on one spin
 # ---------------------------------------------------------------------------
+
+def _chain_table(rho: DensityMatrix, stages, word, state_first: bool = False,
+                 ) -> ProbabilityTable:
+    """Outcome table of a projector chain on rho, one entry per sign pattern
+    of the stages (stage 1 slowest).
+
+    Each stage is a (direction, particle) pair whose projectors M(+1), M(-1)
+    are built once; ``word`` lists the stages in the order the chain
+    multiplies them, left to right.  The entry is Tr rho (M M .. M), or
+    Tr (rho M M .. M) with ``state_first``; the two orders round differently,
+    and each caller keeps the one its table has always been computed in.
+    """
+    spins = max(k for _, k in stages)
+    if rho.n != spins:
+        raise ValueError(f"the chain acts on {spins} spin(s), the state has {rho.n}")
+    projs = [[projector(s, d) if spins == 1 else op_on(projector(s, d), k, spins)
+              for s in (+1, -1)] for d, k in stages]
+    p = np.empty(2 ** len(stages))
+    for flat, pattern in enumerate(product(range(2), repeat=len(stages))):
+        chain = [projs[k][pattern[k]] for k in word]
+        if state_first:
+            p[flat] = np.trace(reduce(np.matmul, chain, rho.matrix)).real
+        else:
+            p[flat] = np.trace(rho.matrix @ reduce(np.matmul, chain)).real
+    return ProbabilityTable(len(stages), p)
+
 
 def filter_prob2(rho1: DensityMatrix, a, b) -> ProbabilityTable:
     """Two-stage filtering on one spin: P(S1,S2) from the projector chain
     Tr rho M(S1,a) M(S2,b) M(S1,a)."""
-    if rho1.n != 1:
-        raise ValueError("filtering acts on a single spin")
-    p = np.empty(4)
-    for i1, s1 in enumerate((+1, -1)):
-        m1 = projector(s1, a)
-        for i2, s2 in enumerate((+1, -1)):
-            m2 = projector(s2, b)
-            p[(i1 << 1) | i2] = np.trace(rho1.matrix @ m1 @ m2 @ m1).real
-    return ProbabilityTable(2, p)
+    return _chain_table(rho1, ((a, 1), (b, 1)), (0, 1, 0), state_first=True)
 
 
 def filter_prob2_closed(x, a, b) -> ProbabilityTable:
@@ -257,27 +265,14 @@ def filter_prob2_closed(x, a, b) -> ProbabilityTable:
     x = np.asarray(x, dtype=float)
     a, b = as_direction(a), as_direction(b)
     xa, ab = float(x @ a), float(a @ b)
-    p = np.empty(4)
-    for i1, s1 in enumerate((+1, -1)):
-        for i2, s2 in enumerate((+1, -1)):
-            p[(i1 << 1) | i2] = (1.0 + s1 * xa + s2 * xa * ab + s1 * s2 * ab) / 4.0
-    return ProbabilityTable(2, p)
+    e = np.array([[1.0, xa * ab],          # e0, e2
+                  [xa, ab]])               # e1, e12
+    return ProbabilityTable(2, sign_transform(e).ravel() / 4.0)
 
 
 def filter_prob3(rho1: DensityMatrix, a, b, c) -> ProbabilityTable:
     """Three-stage filtering chain Tr rho M(S1,a) M(S2,b) M(S3,c) M(S2,b) M(S1,a)."""
-    if rho1.n != 1:
-        raise ValueError("filtering acts on a single spin")
-    p = np.empty(8)
-    for i1, s1 in enumerate((+1, -1)):
-        m1 = projector(s1, a)
-        for i2, s2 in enumerate((+1, -1)):
-            m2 = projector(s2, b)
-            for i3, s3 in enumerate((+1, -1)):
-                m3 = projector(s3, c)
-                chain = m1 @ m2 @ m3 @ m2 @ m1
-                p[(i1 << 2) | (i2 << 1) | i3] = np.trace(rho1.matrix @ chain).real
-    return ProbabilityTable(3, p)
+    return _chain_table(rho1, ((a, 1), (b, 1), (c, 1)), (0, 1, 2, 1, 0))
 
 
 def filter_prob3_closed(x, a, b, c) -> ProbabilityTable:
@@ -286,15 +281,9 @@ def filter_prob3_closed(x, a, b, c) -> ProbabilityTable:
     x = np.asarray(x, dtype=float)
     a, b, c = as_direction(a), as_direction(b), as_direction(c)
     xa, ab, bc = float(x @ a), float(a @ b), float(b @ c)
-    p = np.empty(8)
-    for i1, s1 in enumerate((+1, -1)):
-        for i2, s2 in enumerate((+1, -1)):
-            for i3, s3 in enumerate((+1, -1)):
-                p[(i1 << 2) | (i2 << 1) | i3] = (
-                    1.0 + s1 * xa + s2 * xa * ab + s3 * xa * ab * bc
-                    + s1 * s2 * ab + s1 * s3 * ab * bc + s2 * s3 * bc
-                    + s1 * s2 * s3 * xa * bc) / 8.0
-    return ProbabilityTable(3, p)
+    e = np.array([[[1.0, xa * ab * bc], [xa * ab, bc]],      # e0, e3; e2, e23
+                  [[xa, ab * bc], [ab, xa * bc]]])           # e1, e13; e12, e123
+    return ProbabilityTable(3, sign_transform(e).ravel() / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +292,7 @@ def filter_prob3_closed(x, a, b, c) -> ProbabilityTable:
 
 def singlet_pair_table(u, v) -> ProbabilityTable:
     """Joint outcome probabilities for the singlet measured along (u, v)."""
-    rho = singlet()
-    p = np.empty(4)
-    for i1, s1 in enumerate((+1, -1)):
-        m1 = op_on(projector(s1, u), 1, 2)
-        for i2, s2 in enumerate((+1, -1)):
-            m2 = op_on(projector(s2, v), 2, 2)
-            p[(i1 << 1) | i2] = np.trace(rho.matrix @ m1 @ m2).real
-    return ProbabilityTable(2, p)
+    return _chain_table(singlet(), ((u, 1), (v, 2)), (0, 1), state_first=True)
 
 
 def eprb_pair_tables(a, b, c) -> tuple[ProbabilityTable, ProbabilityTable, ProbabilityTable]:
@@ -421,12 +403,9 @@ def extended_eprb_prob3(theta_a: float, theta_b: float, theta_c: float,
     The squared amplitudes are verified to sum to 1 before the table is
     returned.
     """
-    p = np.empty(8)
-    for i1, s1 in enumerate((+1, -1)):
-        for i2, s2 in enumerate((+1, -1)):
-            for i3, s3 in enumerate((+1, -1)):
-                amp = extended_eprb_amplitude(s1, s2, s3, theta_a, theta_b, theta_c)
-                p[(i1 << 2) | (i2 << 1) | i3] = amp * amp
+    amps = np.array([extended_eprb_amplitude(s1, s2, s3, theta_a, theta_b, theta_c)
+                     for s1, s2, s3 in product((+1, -1), repeat=3)])
+    p = amps * amps
     total = float(p.sum())
     if abs(total - 1.0) > 1e-12:
         raise AssertionError(f"amplitude normalization broken: sum {total}")
@@ -440,13 +419,9 @@ def extended_eprb_prob3_closed(theta_a: float, theta_b: float, theta_c: float,
     cba = cos(theta_b - theta_a), ccb = cos(theta_c - theta_b)."""
     cba = np.cos(theta_b - theta_a)
     ccb = np.cos(theta_c - theta_b)
-    p = np.empty(8)
-    for i1, s1 in enumerate((+1, -1)):
-        for i2, s2 in enumerate((+1, -1)):
-            for i3, s3 in enumerate((+1, -1)):
-                p[(i1 << 2) | (i2 << 1) | i3] = (
-                    1.0 - s1 * s2 * cba - s1 * s3 * cba * ccb + s2 * s3 * ccb) / 8.0
-    return ProbabilityTable(3, p)
+    e = np.array([[[1.0, 0.0], [0.0, ccb]],                # e0, e3; e2, e23
+                  [[0.0, -cba * ccb], [-cba, 0.0]]])       # e1, e13; e12, e123
+    return ProbabilityTable(3, sign_transform(e).ravel() / 8.0)
 
 
 def extended_eprb_sweep(thetas) -> GridSweep:
@@ -467,17 +442,7 @@ def extended_eprb_sweep(thetas) -> GridSweep:
 def extended_eprb_prob3_chain(a, b, c) -> ProbabilityTable:
     """Projector-chain route for arbitrary unit vectors: the left particle is
     analyzed along a, the right particle along b then c."""
-    rho = singlet()
-    p = np.empty(8)
-    for i1, s1 in enumerate((+1, -1)):
-        m1 = op_on(projector(s1, a), 1, 2)
-        for i2, s2 in enumerate((+1, -1)):
-            m2 = op_on(projector(s2, b), 2, 2)
-            for i3, s3 in enumerate((+1, -1)):
-                m3 = op_on(projector(s3, c), 2, 2)
-                chain = m1 @ m2 @ m3 @ m2 @ m1
-                p[(i1 << 2) | (i2 << 1) | i3] = np.trace(rho.matrix @ chain).real
-    return ProbabilityTable(3, p)
+    return _chain_table(singlet(), ((a, 1), (b, 2), (c, 2)), (0, 1, 2, 1, 0))
 
 
 def extended_eprb_prob4(a, b, c, d) -> tuple[ProbabilityTable, dict[str, float]]:
@@ -486,20 +451,8 @@ def extended_eprb_prob4(a, b, c, d) -> tuple[ProbabilityTable, dict[str, float]]
     M(S1,a) M(S4,d) M(S2,b) M(S3,c) M(S2,b) M(S4,d) M(S1,a); any reordering is
     a different experiment.  Returns the table and its six pair correlations.
     """
-    rho = singlet()
-    p = np.empty(16)
-    for i1, s1 in enumerate((+1, -1)):
-        m1 = op_on(projector(s1, a), 1, 2)
-        for i4, s4 in enumerate((+1, -1)):
-            m4 = op_on(projector(s4, d), 1, 2)
-            for i2, s2 in enumerate((+1, -1)):
-                m2 = op_on(projector(s2, b), 2, 2)
-                for i3, s3 in enumerate((+1, -1)):
-                    m3 = op_on(projector(s3, c), 2, 2)
-                    chain = m1 @ m4 @ m2 @ m3 @ m2 @ m4 @ m1
-                    idx = (i1 << 3) | (i2 << 2) | (i3 << 1) | i4
-                    p[idx] = np.trace(rho.matrix @ chain).real
-    table = ProbabilityTable(4, p)
+    table = _chain_table(singlet(), ((a, 1), (b, 2), (c, 2), (d, 1)),
+                         (0, 3, 1, 2, 1, 3, 0))
     pairs = {f"E{i}{j}": table.pair_correlation(i, j)
              for (i, j) in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))}
     return table, pairs
@@ -624,10 +577,7 @@ class CommutatorDiagnostics:
     def to_dict(self) -> dict:
         return {
             "commutator_norms": dict(self.commutator_norms),
-            "uncertainty": [
-                {"pair": u.pair, "lhs": u.lhs, "rhs": u.rhs, "satisfied": u.satisfied}
-                for u in self.uncertainty
-            ],
+            "uncertainty": [u.__dict__.copy() for u in self.uncertainty],
         }
 
 

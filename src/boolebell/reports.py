@@ -27,13 +27,7 @@ class Clause:
     slack: float
 
     def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-        }
+        return self.__dict__.copy()
 
 
 @dataclass(frozen=True)

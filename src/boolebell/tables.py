@@ -20,115 +20,143 @@ build such a table when they are.  ``LambdaModel`` covers the factorized
 single-parameter mixtures whose pair tables always pass that test.
 
 Tables are indexed with 0 <-> S=+1 and 1 <-> S=-1, variable 1 slowest.
+Every expansion, synthesis and closed form goes through ``sign_transform``,
+which maps a table to its coefficients on the same grid and back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache, reduce
+from itertools import combinations, product
+from typing import ClassVar
 
 import numpy as np
 
 from .reports import (BOOLE_ORDER, SLACK_TOL, ClauseFamily, InequalityReport,
-                      boole_terms, make_clause, make_report, six_descriptions,
-                      weak_terms)
-
-SIGNS = (1.0, -1.0)
+                      boole_terms, six_descriptions, weak_terms)
 
 NONNEG_TOL = 1e-12
 MATCH_TOL = 1e-12
 
+# ---------------------------------------------------------------------------
+# The sign grid {+1,-1}^n: index 0 <-> S=+1, variable 1 slowest, keys "+-..";
+# coefficient e_T sits where the index is 1 exactly for the variables in T.
+# ---------------------------------------------------------------------------
 
-def _sign_key(idx: tuple[int, ...]) -> str:
-    return "".join("+" if i == 0 else "-" for i in idx)
+@cache
+def _sign_matrix(n: int) -> np.ndarray:
+    """H (x) .. (x) H for n variables: entry [T, S] is prod_{i in T} S_i."""
+    return reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * n, np.ones((1, 1)))
+
+
+def sign_transform(values) -> np.ndarray:
+    """e_T = sum_S (prod_{i in T} S_i) f(S) for f on a 2x..x2 sign grid, as
+    one matmul; the result lies on the same grid.  Applying it twice gives
+    2^n f, so f = sign_transform(e) / 2^n is the synthesis."""
+    f = np.asarray(values, dtype=float)
+    return (_sign_matrix(f.ndim) @ f.reshape(-1)).reshape(f.shape)
+
+
+def sign_index(signs) -> tuple[int, ...]:
+    """Grid index of the sign pattern (S1, .., Sn)."""
+    return tuple(0 if s > 0 else 1 for s in signs)
+
+
+@cache
+def _sign_keys(n: int) -> tuple[str, ...]:
+    """The keys "+-.." of an n-variable sign grid, in grid order."""
+    return tuple("".join(s) for s in product("+-", repeat=n))
+
+
+def sign_dict(grid: np.ndarray) -> dict:
+    """{"+-..": value} over a sign grid, in grid order."""
+    return dict(zip(_sign_keys(grid.ndim), grid.ravel().tolist()))
+
+
+# flat grid positions of the coefficients in field order (e0, e1, .., e12, ..),
+# keyed by the table size: subsets by size, then lexicographically
+_FIELD_INDEX = {2 ** n: np.array([sum(1 << (n - i) for i in t) for r in range(n + 1)
+                                  for t in combinations(range(1, n + 1), r)])
+                for n in (2, 3)}
 
 
 @dataclass(frozen=True)
-class FuncTable2:
-    """Real function of (S1, S2), stored as a 2x2 array."""
+class _SignTable:
+    """Real function on the sign grid of n variables, a 2x..x2 array."""
 
     values: np.ndarray
+    n: ClassVar[int]
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (2, 2):
-            raise ValueError("FuncTable2 needs a 2x2 array")
+        if arr.shape != (2,) * self.n:
+            raise ValueError(f"{type(self).__name__} needs a {'x'.join('2' * self.n)} array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("table entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    def value(self, s1: int, s2: int) -> float:
-        return float(self.values[(1 - s1) // 2, (1 - s2) // 2])
 
     def is_nonnegative(self, tol: float = NONNEG_TOL) -> bool:
         return bool(np.min(self.values) >= -tol)
 
     def to_dict(self) -> dict:
-        return {_sign_key(idx): float(self.values[idx])
-                for idx in product(range(2), repeat=2)}
+        return sign_dict(self.values)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FuncTable2":
-        arr = np.empty((2, 2))
-        for idx in product(range(2), repeat=2):
-            arr[idx] = d[_sign_key(idx)]
-        return cls(arr)
+    def from_dict(cls, d: dict) -> _SignTable:
+        return cls(np.array([d[k] for k in _sign_keys(cls.n)],
+                            dtype=float).reshape((2,) * cls.n))
 
 
-@dataclass(frozen=True)
-class FuncTable3:
+class FuncTable2(_SignTable):
+    """Real function of (S1, S2), stored as a 2x2 array."""
+
+    n = 2
+
+    def value(self, s1: int, s2: int) -> float:
+        return float(self.values[sign_index((s1, s2))])
+
+
+class FuncTable3(_SignTable):
     """Real function of (S1, S2, S3), stored as a 2x2x2 array."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (2, 2, 2):
-            raise ValueError("FuncTable3 needs a 2x2x2 array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("table entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+    n = 3
 
     def value(self, s1: int, s2: int, s3: int) -> float:
-        return float(self.values[(1 - s1) // 2, (1 - s2) // 2, (1 - s3) // 2])
-
-    def is_nonnegative(self, tol: float = NONNEG_TOL) -> bool:
-        return bool(np.min(self.values) >= -tol)
+        return float(self.values[sign_index((s1, s2, s3))])
 
     def marginals(self) -> tuple[FuncTable2, FuncTable2, FuncTable2]:
         """Pair marginals over (S1,S2), (S1,S3), (S2,S3)."""
-        v = self.values
-        return (FuncTable2(v.sum(axis=2)),
-                FuncTable2(v.sum(axis=1)),
-                FuncTable2(v.sum(axis=0)))
+        return tuple(FuncTable2(self.values.sum(axis=ax)) for ax in (2, 1, 0))
 
+
+class _Coeffs:
     def to_dict(self) -> dict:
-        return {_sign_key(idx): float(self.values[idx])
-                for idx in product(range(2), repeat=3)}
+        return self.__dict__.copy()
+
+    def grid(self) -> np.ndarray:
+        """The coefficients on the sign grid."""
+        values = list(vars(self).values())
+        flat = np.empty(len(values))
+        flat[_FIELD_INDEX[len(values)]] = values
+        return flat.reshape((2,) * (len(values).bit_length() - 1))
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FuncTable3":
-        arr = np.empty((2, 2, 2))
-        for idx in product(range(2), repeat=3):
-            arr[idx] = d[_sign_key(idx)]
-        return cls(arr)
+    def from_grid(cls, e: np.ndarray):
+        return cls(*e.reshape(-1)[_FIELD_INDEX[e.size]].tolist())
 
 
 @dataclass(frozen=True)
-class ExpansionCoeffs2:
+class ExpansionCoeffs2(_Coeffs):
     e0: float
     e1: float
     e2: float
     e12: float
 
-    def to_dict(self) -> dict:
-        return {"e0": self.e0, "e1": self.e1, "e2": self.e2, "e12": self.e12}
-
 
 @dataclass(frozen=True)
-class ExpansionCoeffs3:
+class ExpansionCoeffs3(_Coeffs):
     e0: float
     e1: float
     e2: float
@@ -138,70 +166,34 @@ class ExpansionCoeffs3:
     e23: float
     e123: float
 
-    def to_dict(self) -> dict:
-        return {"e0": self.e0, "e1": self.e1, "e2": self.e2, "e3": self.e3,
-                "e12": self.e12, "e13": self.e13, "e23": self.e23,
-                "e123": self.e123}
-
 
 def expand2(f: FuncTable2) -> ExpansionCoeffs2:
     """Signed sums of the table: e_T = sum_S (prod_{i in T} S_i) f(S)."""
-    e0 = e1 = e2 = e12 = 0.0
-    for i1, i2 in product(range(2), repeat=2):
-        s1, s2 = SIGNS[i1], SIGNS[i2]
-        v = float(f.values[i1, i2])
-        e0 += v
-        e1 += s1 * v
-        e2 += s2 * v
-        e12 += s1 * s2 * v
-    return ExpansionCoeffs2(e0, e1, e2, e12)
+    return ExpansionCoeffs2.from_grid(sign_transform(f.values))
 
 
 def synth2(c: ExpansionCoeffs2) -> FuncTable2:
     """Inverse of expand2: f = (e0 + S1 e1 + S2 e2 + S1 S2 e12) / 4."""
-    arr = np.empty((2, 2))
-    for i1, i2 in product(range(2), repeat=2):
-        s1, s2 = SIGNS[i1], SIGNS[i2]
-        arr[i1, i2] = (c.e0 + s1 * c.e1 + s2 * c.e2 + s1 * s2 * c.e12) / 4.0
-    return FuncTable2(arr)
+    return FuncTable2(sign_transform(c.grid()) / 4.0)
 
 
 def expand3(f: FuncTable3) -> ExpansionCoeffs3:
-    acc = dict(e0=0.0, e1=0.0, e2=0.0, e3=0.0,
-               e12=0.0, e13=0.0, e23=0.0, e123=0.0)
-    for i1, i2, i3 in product(range(2), repeat=3):
-        s1, s2, s3 = SIGNS[i1], SIGNS[i2], SIGNS[i3]
-        v = float(f.values[i1, i2, i3])
-        acc["e0"] += v
-        acc["e1"] += s1 * v
-        acc["e2"] += s2 * v
-        acc["e3"] += s3 * v
-        acc["e12"] += s1 * s2 * v
-        acc["e13"] += s1 * s3 * v
-        acc["e23"] += s2 * s3 * v
-        acc["e123"] += s1 * s2 * s3 * v
-    return ExpansionCoeffs3(**acc)
+    return ExpansionCoeffs3.from_grid(sign_transform(f.values))
 
 
 def synth3(c: ExpansionCoeffs3) -> FuncTable3:
-    arr = np.empty((2, 2, 2))
-    for i1, i2, i3 in product(range(2), repeat=3):
-        s1, s2, s3 = SIGNS[i1], SIGNS[i2], SIGNS[i3]
-        arr[i1, i2, i3] = (c.e0 + s1 * c.e1 + s2 * c.e2 + s3 * c.e3
-                           + s1 * s2 * c.e12 + s1 * s3 * c.e13
-                           + s2 * s3 * c.e23 + s1 * s2 * s3 * c.e123) / 8.0
-    return FuncTable3(arr)
+    return FuncTable3(sign_transform(c.grid()) / 8.0)
+
+
+THEOREM1 = ClauseFamily(
+    "theorem1", ("0 <= e0", "|e1 + e2| <= e0 + e12", "|e1 - e2| <= e0 - e12"),
+    lambda e0, e1, e2, e12: ((0.0, e0), (abs(e1 + e2), e0 + e12), (abs(e1 - e2), e0 - e12)))
 
 
 def theorem1_check(c: ExpansionCoeffs2) -> InequalityReport:
     """Necessary and sufficient conditions for synth2(c) to be non-negative:
     0 <= e0 and |e1 +- e2| <= e0 +- e12."""
-    clauses = [make_clause("0 <= e0", 0.0, c.e0)]
-    for sign, s in ((+1, "+"), (-1, "-")):
-        clauses.append(make_clause(
-            f"|e1 {s} e2| <= e0 {s} e12",
-            abs(c.e1 + sign * c.e2), c.e0 + sign * c.e12))
-    return make_report("theorem1", clauses)
+    return THEOREM1.report(c.e0, c.e1, c.e2, c.e12)
 
 
 def _ebbi_terms(e0, e12, e13, e23):
@@ -244,11 +236,7 @@ def construct_g3(a0: float, a12: float, a13: float, a23: float) -> FuncTable3:
         bad = report.violated_clauses()[0]
         raise ValueError(f"inadmissible coefficients, violated: {bad.description} "
                          f"(lhs={bad.lhs}, rhs={bad.rhs})")
-    arr = np.empty((2, 2, 2))
-    for i1, i2, i3 in product(range(2), repeat=3):
-        s1, s2, s3 = SIGNS[i1], SIGNS[i2], SIGNS[i3]
-        arr[i1, i2, i3] = (a0 + s1 * s2 * a12 + s1 * s3 * a13 + s2 * s3 * a23) / 8.0
-    return FuncTable3(arr)
+    return synth3(ExpansionCoeffs3(a0, 0.0, 0.0, 0.0, a12, a13, a23, 0.0))
 
 
 _E_INTERCHANGES = (("e", "ehat", "etilde"), ("e", "etilde", "ehat"), ("etilde", "ehat", "e"))
@@ -328,6 +316,10 @@ class IncompatibleMarginalsError(ValueError):
         self.failures = failures
 
 
+# flat grid positions of the sign patterns with S1 S2 S3 = +1
+_EVEN = tuple(i for i in range(8) if bin(i).count("1") % 2 == 0)
+
+
 @dataclass(frozen=True)
 class Reconstruction:
     table: FuncTable3
@@ -350,17 +342,11 @@ def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
     if not compat.compatible:
         raise IncompatibleMarginalsError(compat.failures)
     c, chat, ctilde = expand2(f), expand2(fhat), expand2(ftilde)
-    e0, e1, e2, e3 = c.e0, c.e1, c.e2, chat.e2
-    e12, e13, e23 = c.e12, chat.e12, ctilde.e12
-
-    lo, hi = -np.inf, np.inf
-    for s1, s2, s3 in product((+1.0, -1.0), repeat=3):
-        base = (e0 + s1 * e1 + s2 * e2 + s3 * e3
-                + s1 * s2 * e12 + s1 * s3 * e13 + s2 * s3 * e23)
-        if s1 * s2 * s3 > 0:
-            lo = max(lo, -base)
-        else:
-            hi = min(hi, base)
+    fixed = (c.e0, c.e1, c.e2, chat.e2, c.e12, chat.e12, ctilde.e12)
+    # 8 f(S) = base(S) + S1 S2 S3 e123 must be non-negative entrywise
+    base = sign_transform(ExpansionCoeffs3(*fixed, 0.0).grid()).ravel().tolist()
+    lo = max(-base[i] for i in _EVEN)
+    hi = min(base[i] for i in range(8) if i not in _EVEN)
     if lo > hi + NONNEG_TOL:
         raise IncompatibleMarginalsError(
             (f"empty admissible interval for the triple coefficient "
@@ -369,8 +355,8 @@ def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
         e123 = 0.0
     else:
         e123 = (lo + hi) / 2.0
-    table = synth3(ExpansionCoeffs3(e0, e1, e2, e3, e12, e13, e23, e123))
-    return Reconstruction(table, e123, (float(lo), float(hi)))
+    table = synth3(ExpansionCoeffs3(*fixed, e123))
+    return Reconstruction(table, e123, (lo, hi))
 
 
 @dataclass(frozen=True)

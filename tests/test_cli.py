@@ -140,10 +140,33 @@ class TestSubcommands:
         env = run_json(capsys, ["sweep", "--what", "extended-eprb",
                                 "--grid", "100", "120", "10"])
         assert env["values"]["points"] == 4   # [100, 120) holds 100 and 110
+        assert env["params"] == {"grid": [100.0, 120.0, 10.0], "radians": False}
         env = run_json(capsys, ["sweep", "--what", "extended-eprb",
                                 "--grid", "0", "360", "30"])
         assert env["values"]["points"] == 144
         assert env["values"]["violations"] == 0
+
+    def test_events_out_writes_the_events_of_the_run(self, capsys, tmp_path, monkeypatch):
+        from boolebell import pipeline
+        calls = []
+        generate = pipeline.generate_events
+        monkeypatch.setattr(pipeline, "generate_events",
+                            lambda *a, **k: calls.append(a) or generate(*a, **k))
+        events = tmp_path / "events.csv"
+        run_json(capsys, ["epr-pipeline", "--source", "pair:opposite",
+                          "--angles", "0", "60", "120", "--window", "0.5",
+                          "--jitter", "1", "--jitter-exponent", "2",
+                          "--samples", "600", "--seed", "11",
+                          "--events-out", str(events)])
+        assert len(calls) == 1
+        # the log the CLI used to write, from a second generation of the schedule
+        a, b, c = (pipeline.Setting(i, np.radians(v)) for i, v in zip("abc", (0, 60, 120)))
+        schedule = [pipeline.SettingPair(a, b), pipeline.SettingPair(a, c),
+                    pipeline.SettingPair(b, c)]
+        reference = tmp_path / "reference.csv"
+        generate(calls[0][0], schedule, 600, pipeline.TimingModel(1.0, 2.0), 11
+                 ).write_csv(reference)
+        assert events.read_bytes() == reference.read_bytes()
 
     def test_sweep_chsh_memory_is_cubic(self, tmp_path):
         # 73 angles: the n^4 tensor alone would take 227 MB
@@ -214,6 +237,34 @@ class TestCliBehavior:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--what", "factorizable", "--grid", "0", "1e6", "1"],
+        ["--what", "factorizable", "--grid", "0", "300", "1"],
+        ["--what", "extended-eprb", "--grid", "0", "1e12", "1"],
+        ["--what", "extended-eprb", "--grid", "0", "1e308", "1e-300"],
+        ["--what", "leggett-garg", "--points", "100000000"],
+    ])
+    def test_oversized_sweep_is_refused_before_allocating(self, capsys, monkeypatch, argv):
+        from boolebell import classical, leggett_garg, quantum
+
+        def boom(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+        for owner, name in ((np, "arange"), (np, "linspace"),
+                            (classical, "model_inequality_sweep"),
+                            (quantum, "extended_eprb_sweep"), (leggett_garg, "lg_sweep")):
+            monkeypatch.setattr(owner, name, boom)
+        assert main(["sweep", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "limited to" in lines[0]
+
+    def test_sweep_limits_admit_their_largest_grid(self):
+        from boolebell import cli
+        assert cli.MAX_FACTORIZABLE_ANGLES == len(np.arange(0, 299 + 1e-9, 1))
+        assert cli.MAX_AXIS_POINTS == boolebell.reports.GRID_BLOCK
 
     def test_json_output_is_strict(self, capsys):
         from argparse import Namespace

@@ -16,7 +16,7 @@ from boolebell import classical as cl
 from boolebell import leggett_garg as lg
 from boolebell import quantum, reports, tables
 from boolebell.datasets import (check_boole_triple,
-                                check_boole_triple_anticorrelated,
+                                check_boole_triple_anticorrelated, check_chsh,
                                 check_pair_bound)
 from boolebell.reports import GridSweep, make_clause, make_report
 
@@ -66,6 +66,27 @@ def ref_named(family, names, values, order, template, rhs):
             clauses.append(make_clause(template.format(na=na, nb=nb, nc=nc, s=s),
                                        abs(va + sign * vb), rhs(sign, vc)))
     return make_report(family, clauses)
+
+
+def ref_theorem1(e0, e1, e2, e12):
+    clauses = [make_clause("0 <= e0", 0.0, e0)]
+    for sign, s in ((+1, "+"), (-1, "-")):
+        clauses.append(make_clause(f"|e1 {s} e2| <= e0 {s} e12",
+                                   abs(e1 + sign * e2), e0 + sign * e12))
+    return make_report("theorem1", clauses)
+
+
+def ref_chsh(f13, f23, f14, f24):
+    clauses = []
+    for u in (+1, -1):
+        for v in (+1, -1):
+            for w in (+1, -1):
+                x = u * v * w
+                desc = (f"|({'+' if u > 0 else '-'}F13) - ({'+' if v > 0 else '-'}F23)"
+                        f" + ({'+' if w > 0 else '-'}F14) + ({'+' if x > 0 else '-'}F24)| <= 2")
+                clauses.append(make_clause(
+                    desc, abs(u * f13 - v * f23 + w * f14 + x * f24), 2.0))
+    return make_report("chsh", clauses)
 
 
 INTERCHANGES = ((0, 1, 2), (0, 2, 1), (2, 1, 0))
@@ -151,6 +172,14 @@ class TestKernel:
                 assert tables.MARGINAL_COMPATIBILITY.report(*p, e0) == ref_named(
                     "marginal_compatibility", E_NAMES, p, INTERCHANGES,
                     "|{na} {s} {nb}| <= e0 {s} {nc}", lambda sign, z: e0 + sign * z)
+
+    def test_theorem1_and_chsh_match_clause_loops(self):
+        for p in POINTS:
+            for e0 in (1.0, 0.0, 2.0):
+                c = tables.ExpansionCoeffs2(e0, *p)
+                assert tables.theorem1_check(c) == ref_theorem1(e0, *p)
+            for f24 in (p[0], -0.0, 1.0, -0.3):
+                assert check_chsh(*p, f24) == ref_chsh(*p, f24)
 
     def test_array_slacks_equal_report_slacks(self):
         cols = np.array(POINTS, dtype=float).T
