@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import DichotomicDataset
+from .datasets import DichotomicDataset, _require_in_unit_interval
 from .reports import GridSweep, InequalityReport, grid_sweep, make_report
-from .tables import EBBI, ebbi_check
+from .tables import EBBI, draw_rows, ebbi_check
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,7 @@ def lg_pair_correlations(p: LGParams) -> tuple[float, float, float]:
 def lg_inequality_check(k12: float, k13: float, k23: float) -> InequalityReport:
     """Three-variable inequality family on temporal correlations, the bound
     obeyed by any consistent joint triple distribution (e0 = 1)."""
-    for name, value in (("K12", k12), ("K13", k13), ("K23", k23)):
-        if not np.isfinite(value) or abs(value) > 1.0 + 1e-12:
-            raise ValueError(f"{name}={value} outside [-1, 1]")
+    _require_in_unit_interval([("K12", k12), ("K13", k13), ("K23", k23)])
     inner = ebbi_check(1.0, k12, k13, k23)
     return make_report("leggett_garg", inner.clauses)
 
@@ -156,13 +154,9 @@ def sample_triples(p: LGParams, m: int, seed: int) -> DichotomicDataset:
     if m < 1:
         raise ValueError("need at least one sample")
     probs = np.abs(evolve_triple(p).amplitudes) ** 2
-    probs = probs / probs.sum()
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    idx = np.searchsorted(cdf, rng.random(m), side="right")
     rows = np.array([basis[1:] for basis in BASIS], dtype=np.int8)
-    return DichotomicDataset(rows[idx])
+    return DichotomicDataset(draw_rows(probs / probs.sum(), rows,
+                                       np.random.default_rng(seed), m))
 
 
 def pair_substitution_witness(omega: float = 1.0) -> dict:

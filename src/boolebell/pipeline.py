@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from .datasets import (DichotomicDataset, InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated, check_pair_bound,
                        correlation)
 from .seeds import spawn_seeds
-from .tables import FuncTable3
+from .tables import FuncTable3, draw_rows, sign_rows
 
 EVENT_PERIOD = 1.0
 
@@ -69,19 +68,6 @@ class TimingModel:
         return self.jitter * u * np.abs(np.sin(hidden - setting_angle)) ** self.exponent
 
 
-@dataclass(frozen=True)
-class CoincidenceConfig:
-    """Coincidence window W (positive or infinite) and the requested setting
-    pair."""
-
-    window: float
-    setting_filter: tuple[str, str]
-
-    def __post_init__(self):
-        if not (self.window > 0.0):
-            raise ValueError("window must be positive (math.inf allowed)")
-
-
 class TripleProcessSource:
     """Emits pairs by drawing a complete triple from a fixed non-negative
     three-variable table and projecting it onto the scheduled setting pair.
@@ -95,19 +81,14 @@ class TripleProcessSource:
         if total <= 0.0:
             raise ValueError("triple table must have positive mass")
         self.probs = np.clip(flat / total, 0.0, None)
-        self.cdf = np.cumsum(self.probs)
-        self.cdf[-1] = 1.0
         if sorted(slots.values()) != sorted(set(slots.values())) or \
                 any(v not in (1, 2, 3) for v in slots.values()):
             raise ValueError("slots must map setting ids to distinct values in 1..3")
         self.slots = dict(slots)
-        # the sign pattern of each flat table position, variable 1 slowest
-        self.rows = np.array(list(product((1, -1), repeat=3)), dtype=np.int8)
 
     def draw(self, left: Setting, right: Setting, rng: np.random.Generator,
              count: int):
-        idx = np.searchsorted(self.cdf, rng.random(count), side="right")
-        triples = self.rows[idx]
+        triples = draw_rows(self.probs, sign_rows(3), rng, count)
         s1 = triples[:, self.slots[left.id] - 1]
         s2 = triples[:, self.slots[right.id] - 1]
         hidden = rng.uniform(0.0, 2.0 * np.pi, count)
@@ -121,13 +102,9 @@ class SingletSource:
              count: int):
         cos = np.cos(left.angle - right.angle)
         p = np.array([1.0 - cos, 1.0 + cos, 1.0 + cos, 1.0 - cos]) / 4.0
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, rng.random(count), side="right")
-        s1 = np.where(idx < 2, 1, -1).astype(np.int8)
-        s2 = np.where(idx % 2 == 0, 1, -1).astype(np.int8)
+        pairs = draw_rows(p, sign_rows(2), rng, count)
         hidden = rng.uniform(0.0, 2.0 * np.pi, count)
-        return s1, s2, hidden, hidden
+        return pairs[:, 0], pairs[:, 1], hidden, hidden
 
 
 class PairModelSource:
@@ -147,22 +124,22 @@ class PairModelSource:
 
 @dataclass(frozen=True)
 class RawDataset:
-    """M time-tagged event pairs, stored column-wise."""
+    """M time-tagged event pairs, stored column-wise as read-only numpy
+    arrays; the setting ids are string columns."""
 
     s1: np.ndarray
     t1: np.ndarray
-    id1: tuple[str, ...]
+    id1: np.ndarray
     angle1: np.ndarray
     s2: np.ndarray
     t2: np.ndarray
-    id2: tuple[str, ...]
+    id2: np.ndarray
     angle2: np.ndarray
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("raw dataset must contain at least one pair")
-        for name in ("s1", "t1", "angle1", "s2", "t2", "angle2"):
-            arr = getattr(self, name)
+        for arr in vars(self).values():
             arr.setflags(write=False)
 
     @property
@@ -175,11 +152,10 @@ class RawDataset:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["alpha", "station", "s", "t", "setting_id", "angle"])
-            for i in range(self.m):
-                writer.writerow([i + 1, 1, int(self.s1[i]), repr(float(self.t1[i])),
-                                 self.id1[i], repr(float(self.angle1[i]))])
-                writer.writerow([i + 1, 2, int(self.s2[i]), repr(float(self.t2[i])),
-                                 self.id2[i], repr(float(self.angle2[i]))])
+            columns = (arr.tolist() for arr in vars(self).values())
+            for i, (s1, t1, id1, a1, s2, t2, id2, a2) in enumerate(zip(*columns), 1):
+                writer.writerow([i, 1, s1, repr(t1), id1, repr(a1)])
+                writer.writerow([i, 2, s2, repr(t2), id2, repr(a2)])
 
 
 def generate_events(source, schedule: list[SettingPair], m: int,
@@ -204,43 +180,34 @@ def generate_events(source, schedule: list[SettingPair], m: int,
 
     s1 = np.empty(m, dtype=np.int8)
     s2 = np.empty(m, dtype=np.int8)
-    t1 = np.empty(m)
-    t2 = np.empty(m)
-    id1 = np.empty(m, dtype=object)
-    id2 = np.empty(m, dtype=object)
-    angle1 = np.empty(m)
-    angle2 = np.empty(m)
+    d1 = np.empty(m)
+    d2 = np.empty(m)
     for p, pair in enumerate(schedule):
         mask = assignment == p
         count = int(mask.sum())
         if count == 0:
             continue
         rng = np.random.default_rng(children[p])
-        a1, a2, h1, h2 = source.draw(pair.left, pair.right, rng, count)
-        d1 = timing.delays(h1, pair.left.angle, rng)
-        d2 = timing.delays(h2, pair.right.angle, rng)
-        alphas = np.nonzero(mask)[0]
-        s1[mask] = a1
-        s2[mask] = a2
-        t1[mask] = (alphas + 1) * EVENT_PERIOD + d1
-        t2[mask] = (alphas + 1) * EVENT_PERIOD + d2
-        id1[mask] = pair.left.id
-        id2[mask] = pair.right.id
-        angle1[mask] = pair.left.angle
-        angle2[mask] = pair.right.angle
-    return RawDataset(s1, t1, tuple(id1.tolist()), angle1,
-                      s2, t2, tuple(id2.tolist()), angle2)
+        s1[mask], s2[mask], h1, h2 = source.draw(pair.left, pair.right, rng, count)
+        d1[mask] = timing.delays(h1, pair.left.angle, rng)
+        d2[mask] = timing.delays(h2, pair.right.angle, rng)
+    periods = np.arange(1, m + 1) * EVENT_PERIOD
+    id1, id2 = (np.array(ids)[assignment] for ids in zip(*(p.key for p in schedule)))
+    angle1, angle2 = (np.array(angles)[assignment] for angles in
+                      zip(*((p.left.angle, p.right.angle) for p in schedule)))
+    return RawDataset(s1, periods + d1, id1, angle1, s2, periods + d2, id2, angle2)
 
 
-def coincidence_filter(raw: RawDataset, cfg: CoincidenceConfig,
-                       ) -> DichotomicDataset | None:
-    """Keep the pairs whose settings match the filter and whose detection
-    times differ by at most the window.  Returns None when nothing survives
-    (the explicit empty-selection signal)."""
-    want_left, want_right = cfg.setting_filter
-    mask = np.fromiter(((l == want_left and r == want_right)
-                        for l, r in zip(raw.id1, raw.id2)), bool, raw.m)
-    mask &= np.abs(raw.t1 - raw.t2) <= cfg.window
+def coincidence_filter(raw: RawDataset, window: float,
+                       setting_filter: tuple[str, str]) -> DichotomicDataset | None:
+    """Keep the pairs whose settings match the filter (left id, right id)
+    and whose detection times differ by at most the window W (positive or
+    infinite).  Returns None when nothing survives (the explicit
+    empty-selection signal)."""
+    if not (window > 0.0):
+        raise ValueError("window must be positive (math.inf allowed)")
+    left, right = setting_filter
+    mask = (raw.id1 == left) & (raw.id2 == right) & (np.abs(raw.t1 - raw.t2) <= window)
     if not np.any(mask):
         return None
     return DichotomicDataset(np.column_stack([raw.s1[mask], raw.s2[mask]]))
@@ -279,8 +246,7 @@ class ThreeSettingsReport:
 
 def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
                        source, timing: TimingModel, m: int, window: float,
-                       seed: int, schedule_mode: str = "round_robin",
-                       ) -> ThreeSettingsReport:
+                       seed: int) -> ThreeSettingsReport:
     """Schedule the setting pairs (a,b), (a,c), (b,c), generate M event
     pairs, window-filter each setting pair and evaluate the inequality
     families on the three filtered correlations.  The generated events are
@@ -291,17 +257,14 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     anti-correlated variable convention; a failure means that hypothesis is
     rejected for the data, nothing more.
     """
-    a = Setting("a", angle_a)
-    b = Setting("b", angle_b)
-    c = Setting("c", angle_c)
+    angles = {"a": angle_a, "b": angle_b, "c": angle_c}
+    a, b, c = (Setting(name, angle) for name, angle in angles.items())
     schedule = [SettingPair(a, b), SettingPair(a, c), SettingPair(b, c)]
-    raw = generate_events(source, schedule, m, timing, seed, schedule_mode)
-    counts = {}
-    corr = {}
-    empties = []
+    raw = generate_events(source, schedule, m, timing, seed)
+    counts, corr, empties = {}, {}, []
     for pair in schedule:
         key = "".join(pair.key)
-        ds = coincidence_filter(raw, CoincidenceConfig(window, pair.key))
+        ds = coincidence_filter(raw, window, pair.key)
         if ds is None:
             counts[key] = 0
             empties.append(key)
@@ -309,9 +272,8 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
             counts[key] = ds.m
             corr[key] = correlation(ds, 1, 2).value
     if empties:
-        return ThreeSettingsReport(
-            {"a": angle_a, "b": angle_b, "c": angle_c}, window, counts, None,
-            tuple(empties), None, None, None, None, None, raw)
+        return ThreeSettingsReport(angles, window, counts, None, tuple(empties),
+                                   None, None, None, None, None, raw)
     f_ab, f_ac, f_bc = corr["ab"], corr["ac"], corr["bc"]
     direct = check_boole_triple(f_ab, f_ac, f_bc)
     anti = check_boole_triple_anticorrelated(f_ab, f_ac, f_bc)
@@ -321,6 +283,6 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
             else "triples hypothesis rejected"
 
     return ThreeSettingsReport(
-        {"a": angle_a, "b": angle_b, "c": angle_c}, window, counts, corr, (),
+        angles, window, counts, corr, (),
         check_pair_bound(f_ab, f_ac, f_bc), direct, anti,
         verdict(direct), verdict(anti), raw)

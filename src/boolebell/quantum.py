@@ -46,28 +46,12 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
-@dataclass(frozen=True)
-class UnitVector3:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        # tolerance on the squared norm, matching 1e-12 on the norm itself
-        if abs(self.x ** 2 + self.y ** 2 + self.z ** 2 - 1.0) > 2.0 * UNIT_TOL:
-            raise ValueError(f"({self.x}, {self.y}, {self.z}) is not a unit vector")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-
 def as_direction(v) -> np.ndarray:
     """Validate and return a 3-component unit vector as a numpy array."""
-    if isinstance(v, UnitVector3):
-        return v.as_array()
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"direction must have 3 components, got shape {arr.shape}")
+    # tolerance on the squared norm, matching 1e-12 on the norm itself
     if abs(float(arr @ arr) - 1.0) > 2.0 * UNIT_TOL:
         raise ValueError(f"{arr} is not a unit vector (norm {np.linalg.norm(arr)})")
     return arr
@@ -131,6 +115,11 @@ class ProbabilityTable:
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.p, other.p)
+
     def grid(self) -> np.ndarray:
         return self.p.reshape((2,) * self.n)
 
@@ -191,14 +180,6 @@ def singlet() -> DensityMatrix:
 def maximally_mixed(n: int) -> DensityMatrix:
     dim = 2 ** n
     return DensityMatrix(np.eye(dim, dtype=complex) / dim, n)
-
-
-def bloch_vector(rho1: DensityMatrix) -> np.ndarray:
-    if rho1.n != 1:
-        raise ValueError("bloch_vector needs a single-spin state")
-    return np.array([expectation(rho1, SIGMA_X),
-                     expectation(rho1, SIGMA_Y),
-                     expectation(rho1, SIGMA_Z)])
 
 
 def spin_half_state(x) -> DensityMatrix:

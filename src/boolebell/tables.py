@@ -74,6 +74,22 @@ def sign_dict(grid: np.ndarray) -> dict:
     return dict(zip(_sign_keys(grid.ndim), grid.ravel().tolist()))
 
 
+@cache
+def sign_rows(n: int) -> np.ndarray:
+    """The sign patterns (S1, .., Sn) as read-only int8 rows, in grid order."""
+    rows = np.array(list(product((1, -1), repeat=n)), dtype=np.int8)
+    rows.setflags(write=False)
+    return rows
+
+
+def draw_rows(probs, rows: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw count rows i.i.d., row k with probability probs[k], by inverse
+    CDF over one uniform per draw."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return rows[np.searchsorted(cdf, rng.random(count), side="right")]
+
+
 # flat grid positions of the coefficients in field order (e0, e1, .., e12, ..),
 # keyed by the table size: subsets by size, then lexicographically
 _FIELD_INDEX = {2 ** n: np.array([sum(1 << (n - i) for i in t) for r in range(n + 1)
@@ -96,6 +112,11 @@ class _SignTable:
             raise ValueError("table entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
 
     def is_nonnegative(self, tol: float = NONNEG_TOL) -> bool:
         return bool(np.min(self.values) >= -tol)
@@ -196,14 +217,15 @@ def theorem1_check(c: ExpansionCoeffs2) -> InequalityReport:
     return THEOREM1.report(c.e0, c.e1, c.e2, c.e12)
 
 
+# (s1 s2, s1 s3, s2 s3) for the sign patterns (s1, s2, s3) in product order
+_EBBI_SIGNS = tuple((s1 * s2, s1 * s3, s2 * s3) for s1, s2, s3 in product((1, -1), repeat=3))
+
+
 def _ebbi_terms(e0, e12, e13, e23):
     lower = -3.0 * e0
     return ((abs(e12), e0), (abs(e13), e0), (abs(e23), e0),
             *boole_terms(e12, e13, e23, e0),
-            (lower, -e12 - e13 - e23), (lower, -e12 + e13 + e23),
-            (lower, e12 - e13 + e23), (lower, e12 + e13 - e23),
-            (lower, e12 + e13 - e23), (lower, e12 - e13 + e23),
-            (lower, -e12 + e13 + e23), (lower, -e12 - e13 - e23))
+            *[(lower, -s12 * e12 - s13 * e13 - s23 * e23) for s12, s13, s23 in _EBBI_SIGNS])
 
 
 # |e_ij| <= e0, the six |e_ij +- e_ik| <= e0 +- e_jk, then the -3 e0 bound
@@ -286,9 +308,14 @@ def marginals_compatible(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
     e2=etilde1, ehat2=etilde2); and the pair coefficients satisfy
     |e +- ehat| <= e0 +- etilde together with its two interchanges.
     """
-    c, chat, ctilde = expand2(f), expand2(fhat), expand2(ftilde)
+    return _compatibility((f, fhat, ftilde), [expand2(t) for t in (f, fhat, ftilde)])
+
+
+def _compatibility(tables, coeffs) -> CompatibilityResult:
+    """``marginals_compatible`` on tables whose expansions are known."""
+    c, chat, ctilde = coeffs
     failures = []
-    for name, table in (("f", f), ("fhat", fhat), ("ftilde", ftilde)):
+    for name, table in zip(("f", "fhat", "ftilde"), tables):
         if not table.is_nonnegative():
             failures.append(f"{name} has a negative entry "
                             f"(min {float(np.min(table.values))})")
@@ -338,10 +365,10 @@ def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
     admissible interval contains 0 and to the interval midpoint otherwise,
     and the interval is returned alongside the table.
     """
-    compat = marginals_compatible(f, fhat, ftilde)
+    c, chat, ctilde = coeffs = [expand2(t) for t in (f, fhat, ftilde)]
+    compat = _compatibility((f, fhat, ftilde), coeffs)
     if not compat.compatible:
         raise IncompatibleMarginalsError(compat.failures)
-    c, chat, ctilde = expand2(f), expand2(fhat), expand2(ftilde)
     fixed = (c.e0, c.e1, c.e2, chat.e2, c.e12, chat.e12, ctilde.e12)
     # 8 f(S) = base(S) + S1 S2 S3 e123 must be non-negative entrywise
     base = sign_transform(ExpansionCoeffs3(*fixed, 0.0).grid()).ravel().tolist()

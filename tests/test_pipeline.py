@@ -35,8 +35,16 @@ class TestGeneration:
         raw = pl.generate_events(source, standard_schedule(), 99,
                                  pl.TimingModel(), seed=1)
         assert raw.m == 99
-        assert raw.id1[:3] == ("a", "a", "b")
-        assert raw.id2[:3] == ("b", "c", "c")
+        assert tuple(raw.id1[:3]) == ("a", "a", "b")
+        assert tuple(raw.id2[:3]) == ("b", "c", "c")
+
+    def test_columns_are_read_only_arrays(self):
+        raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 12,
+                                 pl.TimingModel(), seed=1)
+        for name, col in vars(raw).items():
+            assert isinstance(col, np.ndarray) and col.shape == (12,), name
+            assert col.dtype != object and not col.flags.writeable, name
+        assert raw.angle2[1] == 2 * np.pi / 3
 
     def test_zero_delay_times_are_periods(self):
         source = pl.SingletSource()
@@ -89,22 +97,21 @@ class TestCoincidenceFilter:
         source, _ = make_triple_source()
         raw = pl.generate_events(source, standard_schedule(), 90,
                                  pl.TimingModel(), seed=5)
-        ds = pl.coincidence_filter(raw, pl.CoincidenceConfig(math.inf, ("a", "b")))
+        ds = pl.coincidence_filter(raw, math.inf, ("a", "b"))
         assert ds is not None and ds.m == 30
 
     def test_tiny_window_zero_delays(self):
         source, _ = make_triple_source()
         raw = pl.generate_events(source, standard_schedule(), 30,
                                  pl.TimingModel(), seed=6)
-        ds = pl.coincidence_filter(raw, pl.CoincidenceConfig(1e-9, ("a", "b")))
+        ds = pl.coincidence_filter(raw, 1e-9, ("a", "b"))
         assert ds is not None and ds.m == 10
 
     def test_empty_selection_signal(self):
         source, _ = make_triple_source()
         raw = pl.generate_events(source, standard_schedule(), 9,
                                  pl.TimingModel(), seed=7)
-        assert pl.coincidence_filter(
-            raw, pl.CoincidenceConfig(math.inf, ("c", "a"))) is None
+        assert pl.coincidence_filter(raw, math.inf, ("c", "a")) is None
 
     def test_monotone_in_window(self):
         source = pl.PairModelSource(cl.FactorizableModel("uniform"))
@@ -112,14 +119,16 @@ class TestCoincidenceFilter:
         raw = pl.generate_events(source, standard_schedule(), 600, timing, seed=8)
         kept = []
         for w in (0.05, 0.2, 0.5, math.inf):
-            ds = pl.coincidence_filter(raw, pl.CoincidenceConfig(w, ("a", "b")))
+            ds = pl.coincidence_filter(raw, w, ("a", "b"))
             kept.append(0 if ds is None else ds.m)
         assert kept == sorted(kept)
         assert kept[0] < kept[-1]  # jitter actually rejects some pairs
 
     def test_window_validation(self):
+        raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 3,
+                                 pl.TimingModel(), seed=0)
         with pytest.raises(ValueError):
-            pl.CoincidenceConfig(0.0, ("a", "b"))
+            pl.coincidence_filter(raw, 0.0, ("a", "b"))
 
 
 class TestRunThreeSettings:

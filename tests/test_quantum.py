@@ -124,6 +124,13 @@ class TestDiagProb:
                 assert np.all(p.p >= -1e-12)
                 assert float(p.p.sum()) == pytest.approx(1.0, abs=1e-10)
 
+    def test_tables_compare_by_value(self):
+        p = q.diag_prob(q.singlet())
+        assert q.ProbabilityTable(2, p.p.copy()) == p
+        assert q.diag_prob(q.maximally_mixed(2)) != p
+        assert q.ProbabilityTable(1, np.array([0.5, 0.5])) != q.diag_prob(q.maximally_mixed(2))
+        assert p != p.to_func_table2()
+
 
 class TestFilterChains:
     def test_aligned_preparation(self):

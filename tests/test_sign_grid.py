@@ -314,3 +314,26 @@ class TestProjectorChains:
             q.extended_eprb_prob4(a, b, c, d)
         with pytest.raises(AssertionError):
             q.filter_prob3_closed(POLARIZATIONS[-1], a, b, c)
+
+
+class TestSignRowSampler:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_follow_the_grid_order(self, n):
+        rows = tables.sign_rows(n)
+        assert rows.dtype == np.int8 and not rows.flags.writeable
+        assert [tables.sign_index(r) for r in rows] == list(product(range(2), repeat=n))
+
+    def test_draw_is_the_inverse_cdf_of_one_uniform_per_row(self):
+        probs = np.array([0.1, 0.0, 0.25, 0.65])
+        got = tables.draw_rows(probs, tables.sign_rows(2), np.random.default_rng(4), 1000)
+        u = np.random.default_rng(4).random(1000)
+        idx = np.searchsorted(np.cumsum(probs), u, side="right")
+        assert np.array_equal(got, tables.sign_rows(2)[idx])
+        assert not np.any(np.all(got == (1, -1), axis=1))  # zero-probability row
+
+    def test_rounding_never_draws_past_the_last_row(self):
+        # cumulative sums that fall short of 1 still map every uniform to a row
+        probs = np.full(3, 0.333)
+        rows = np.arange(3)
+        rng = np.random.default_rng(5)
+        assert set(tables.draw_rows(probs, rows, rng, 20_000).tolist()) == {0, 1, 2}

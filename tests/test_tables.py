@@ -4,6 +4,7 @@ and the factorized mixture class."""
 import numpy as np
 import pytest
 
+from boolebell import tables
 from boolebell import (ExpansionCoeffs2, FuncTable2,
                        FuncTable3, IncompatibleMarginalsError, LambdaModel,
                        bell_pair_tables, bell_triple_table, construct_g3,
@@ -275,6 +276,24 @@ class TestReconstruct:
                 got = False
             assert got == expected
 
+    def test_each_pair_table_is_expanded_once(self, monkeypatch):
+        calls = []
+
+        def counting_expand2(f):
+            calls.append(f)
+            return expand2(f)
+
+        monkeypatch.setattr(tables, "expand2", counting_expand2)
+        reconstruct_f3(*tables_from_pair_coeffs(0.5, 0.5, 0.5))
+        assert len(calls) == 3
+
+    def test_refusal_names_the_compatibility_failures(self):
+        for coeffs in ((-0.9, -0.9, -0.9), (1.0, -1.0, 1.0)):
+            tabs = tables_from_pair_coeffs(*coeffs)
+            with pytest.raises(IncompatibleMarginalsError) as err:
+                reconstruct_f3(*tabs)
+            assert err.value.failures == marginals_compatible(*tabs).failures
+
     def test_midpoint_fallback_interval_exposed(self):
         rec = reconstruct_f3(*tables_from_pair_coeffs(1.0, 1.0, 1.0))
         lo, hi = rec.e123_interval
@@ -346,3 +365,12 @@ class TestJsonRoundtrip:
         assert np.allclose(FuncTable3.from_dict(t.to_dict()).values, t.values)
         assert set(t.to_dict()) == {
             "+++", "++-", "+-+", "+--", "-++", "-+-", "--+", "---"}
+
+    def test_tables_compare_by_value(self):
+        rng = np.random.default_rng(3)
+        t2, t3 = FuncTable2(rng.random((2, 2))), FuncTable3(rng.random((2, 2, 2)))
+        assert FuncTable2.from_dict(t2.to_dict()) == t2
+        assert FuncTable3.from_dict(t3.to_dict()) == t3
+        assert FuncTable3(t3.values + 1.0) != t3
+        assert FuncTable2(np.zeros((2, 2))) != FuncTable3(np.zeros((2, 2, 2)))
+        assert t2 != t2.to_dict()
