@@ -21,7 +21,7 @@ import numpy as np
 from . import classical, leggett_garg as lg, pipeline, quantum, tables
 from .datasets import (check_boole_triple, check_boole_triple_anticorrelated,
                        check_chsh, check_pair_bound, correlation,
-                       read_dataset_csv)
+                       dataset_csv_text, read_dataset_csv)
 from .reports import GRID_BLOCK
 
 
@@ -107,6 +107,8 @@ def cmd_ebbi(args) -> None:
 
 def cmd_theorem(args) -> None:
     which = args.which
+    if which != "reconstruct" and args.coeffs is None:
+        raise CliError(f"--coeffs is required for --which {which}")
     if which == "1":
         e0, e1, e2, e12 = args.coeffs
         c = tables.ExpansionCoeffs2(e0, e1, e2, e12)
@@ -138,11 +140,17 @@ def cmd_theorem(args) -> None:
             raise CliError("--tables FILE is required for reconstruct")
         spec = json.loads(Path(args.tables).read_text())
         f, fhat, ftilde = (tables.FuncTable2.from_dict(spec[k]) for k in ("f", "fhat", "ftilde"))
-        compat = tables.marginals_compatible(f, fhat, ftilde)
+        try:
+            rec = tables.reconstruct_f3(f, fhat, ftilde)
+        except tables.IncompatibleMarginalsError as exc:
+            if exc.compatibility is None:   # compatible, yet no triple table
+                raise
+            rec, compat = None, exc.compatibility
+        else:
+            compat = rec.compatibility
         values: dict = {"compatible": compat.compatible,
                         "failures": list(compat.failures)}
-        if compat.compatible:
-            rec = tables.reconstruct_f3(f, fhat, ftilde)
+        if rec is not None:
             values["table"] = rec.table.to_dict()
             values["e123"] = rec.e123
             values["e123_interval"] = list(rec.e123_interval)
@@ -280,14 +288,7 @@ def cmd_factorizable(args) -> None:
     ds = classical.sample_pair(model, a, b, args.seed, args.samples)
     emp = correlation(ds, 1, 2).value
     sigma = math.sqrt(max(1.0 - analytic ** 2, 1e-30) / args.samples)
-    csv_text = None
-    if args.format == "csv":
-        import io
-        buf = io.StringIO()
-        buf.write("s1,s2\n")
-        for row in ds.data:
-            buf.write(f"{'+1' if row[0] > 0 else '-1'},{'+1' if row[1] > 0 else '-1'}\n")
-        csv_text = buf.getvalue()
+    csv_text = dataset_csv_text(ds.data, newline="\n") if args.format == "csv" else None
     _emit({"scenario": "factorizable",
            "params": {"mu": model.mu_kind, "angles": list(args.angles),
                       "radians": args.radians, "samples": args.samples,
@@ -393,6 +394,23 @@ def cmd_sweep(args) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boolebell",
@@ -496,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default="inf",
                    help="coincidence window in event periods, or 'inf'")
     p.add_argument("--samples", type=int, default=30000)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--jitter-exponent", type=float, default=0.0)
+    p.add_argument("--jitter", type=_non_negative_float, default=0.0)
+    p.add_argument("--jitter-exponent", type=_finite_float, default=0.0)
     p.add_argument("--events-out", default=None,
                    help="also write the raw event log CSV to this path")
     common(p, seed=True)

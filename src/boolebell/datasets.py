@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ class DichotomicDataset:
     run_label: str | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int8)
+        arr = np.asarray(self.data)
         if arr.ndim != 2:
             raise ValueError("data must be a 2-d array of shape (M, n)")
         m, n = arr.shape
@@ -45,8 +45,10 @@ class DichotomicDataset:
             raise ValueError("dataset must contain at least one tuple")
         if n not in (2, 3, 4):
             raise ValueError(f"tuple arity must be 2, 3 or 4, got {n}")
+        # checked before the cast, which would map 1.5 to 1 and 255 to -1
         if not np.all(np.abs(arr) == 1):
             raise ValueError("every entry must be exactly +1 or -1")
+        arr = arr.astype(np.int8, copy=False)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -184,13 +186,30 @@ def check_chsh(f13: float, f23: float, f14: float, f24: float) -> InequalityRepo
     return CHSH.report(f13, f23, f14, f24)
 
 
+def dataset_csv_text(data: np.ndarray, newline: str = "\r\n") -> str:
+    """CSV text of +-1 rows: the header s1..sn, then one line per row with
+    the values written +1/-1.  Every line has the same width, so the text is
+    one fixed-width byte string per sign pattern, gathered by row."""
+    n = data.shape[1]
+    header = ",".join(f"s{i}" for i in range(1, n + 1)) + newline
+    # sign patterns in product((+1, -1)) order: pattern k has S_i = -1
+    # where bit n - i of k is set
+    lines = np.array([",".join("+1" if s > 0 else "-1" for s in signs) + newline
+                      for signs in product((1, -1), repeat=n)], dtype=bytes)
+    pattern = (data < 0) @ (1 << np.arange(n - 1, -1, -1))
+    return header + lines[pattern].tobytes().decode("ascii")
+
+
 def write_dataset_csv(ds: DichotomicDataset, path: str | Path) -> None:
     """CSV format: mandatory header s1..sn, one row per tuple, values +1/-1."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"s{i}" for i in range(1, ds.n + 1)])
-        for row in ds.data:
-            writer.writerow(["+1" if s > 0 else "-1" for s in row])
+        fh.write(dataset_csv_text(ds.data))
+
+
+# how csv cells parse; any other cell goes through int() and, if it is an
+# integer other than +-1, becomes 0, which DichotomicDataset rejects
+_CELL_VALUES = {"1": 1, "+1": 1, "-1": -1}
+_OTHER = 2
 
 
 def read_dataset_csv(path: str | Path, run_label: str | None = None) -> DichotomicDataset:
@@ -202,14 +221,23 @@ def read_dataset_csv(path: str | Path, run_label: str | None = None) -> Dichotom
         n = len(header)
         if header != [f"s{i}" for i in range(1, n + 1)]:
             raise ValueError(f"{path}: header must be s1..s{n}, got {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n:
-                raise ValueError(f"{path}:{lineno}: expected {n} columns")
-            try:
-                rows.append([int(cell) for cell in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer value") from exc
+        rows = list(reader)
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    wrong_width = np.flatnonzero(widths != n)
+    # the rows before the first one of the wrong width; lines are numbered
+    # from 2, the header being line 1
+    good = len(rows) if wrong_width.size == 0 else int(wrong_width[0])
+    cells = list(chain.from_iterable(rows[:good]))
+    values = np.fromiter(map(_CELL_VALUES.get, cells, repeat(_OTHER)),
+                         dtype=np.int8, count=len(cells))
+    for k in np.flatnonzero(values == _OTHER).tolist():
+        try:
+            value = int(cells[k])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{k // n + 2}: non-integer value") from exc
+        values[k] = value if value in (1, -1) else 0
+    if good < len(rows):
+        raise ValueError(f"{path}:{good + 2}: expected {n} columns")
     if not rows:
         raise ValueError(f"{path}: dataset must contain at least one row")
-    return DichotomicDataset(np.array(rows, dtype=np.int8), run_label=run_label)
+    return DichotomicDataset(values.reshape(good, n), run_label=run_label)

@@ -17,6 +17,8 @@ arithmetic or physical impossibility.
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,12 +26,16 @@ import numpy as np
 
 from .classical import FactorizableModel, sample_pair_arrays, station_orientations
 from .datasets import (DichotomicDataset, InequalityReport, check_boole_triple,
-                       check_boole_triple_anticorrelated, check_pair_bound,
-                       correlation)
+                       check_boole_triple_anticorrelated, check_pair_bound)
 from .seeds import spawn_seeds
 from .tables import FuncTable3, draw_rows, sign_rows
 
 EVENT_PERIOD = 1.0
+# event pairs rendered per write by RawDataset.write_csv
+WRITE_BLOCK = 4096
+# event pairs per bincount in run_three_settings: the block's temporaries
+# stay well inside the CPU caches
+REDUCE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,8 @@ class TimingModel:
     exponent: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.jitter) and math.isfinite(self.exponent)):
+            raise ValueError("jitter and exponent must be finite")
         if self.jitter < 0.0:
             raise ValueError("jitter must be non-negative")
 
@@ -65,7 +73,15 @@ class TimingModel:
         u = rng.random(hidden.size)
         if self.jitter == 0.0:
             return np.zeros(hidden.size)
-        return self.jitter * u * np.abs(np.sin(hidden - setting_angle)) ** self.exponent
+        # (jitter * u) * |sin(hidden - setting)| ** exponent, in place; `**=`
+        # keeps the fast paths (square, sqrt, ..) that `**` takes
+        u *= self.jitter
+        sin = np.subtract(hidden, setting_angle)
+        np.sin(sin, out=sin)
+        np.abs(sin, out=sin)
+        sin **= self.exponent
+        u *= sin
+        return u
 
 
 class TripleProcessSource:
@@ -125,7 +141,9 @@ class PairModelSource:
 @dataclass(frozen=True)
 class RawDataset:
     """M time-tagged event pairs, stored column-wise as read-only numpy
-    arrays; the setting ids are string columns."""
+    arrays; the setting ids are string columns.  ``pair`` is each event
+    pair's index into the schedule it was generated from (rows with one
+    index share their setting ids and angles); the CSV log leaves it out."""
 
     s1: np.ndarray
     t1: np.ndarray
@@ -135,6 +153,7 @@ class RawDataset:
     t2: np.ndarray
     id2: np.ndarray
     angle2: np.ndarray
+    pair: np.ndarray
 
     def __post_init__(self):
         if self.m < 1:
@@ -149,13 +168,29 @@ class RawDataset:
     def write_csv(self, path: str | Path) -> None:
         """One line per event record (two per pair):
         alpha,station,s,t,setting_id,angle."""
+        codes, first, inverse = np.unique(self.pair, return_index=True, return_inverse=True)
+        for col in (self.id1, self.angle1, self.id2, self.angle2):
+            if not np.array_equal(col[first][inverse], col, equal_nan=col.dtype.kind == "f"):
+                raise ValueError("event pairs with one schedule index must share their settings")
+        # the ",setting_id,angle" tail of each station and schedule index,
+        # rendered once by the csv module, which quotes ids where needed
+        tails1, tails2 = {}, {}
+        for code, i in zip(codes.tolist(), first.tolist()):
+            for tails, ids, angles in ((tails1, self.id1, self.angle1),
+                                       (tails2, self.id2, self.angle2)):
+                tail = io.StringIO()
+                csv.writer(tail).writerow(["", ids[i], repr(angles[i].item())])
+                tails[code] = tail.getvalue()
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "station", "s", "t", "setting_id", "angle"])
-            columns = (arr.tolist() for arr in vars(self).values())
-            for i, (s1, t1, id1, a1, s2, t2, id2, a2) in enumerate(zip(*columns), 1):
-                writer.writerow([i, 1, s1, repr(t1), id1, repr(a1)])
-                writer.writerow([i, 2, s2, repr(t2), id2, repr(a2)])
+            csv.writer(fh).writerow(["alpha", "station", "s", "t", "setting_id", "angle"])
+            for lo in range(0, self.m, WRITE_BLOCK):
+                block = slice(lo, lo + WRITE_BLOCK)
+                fh.write("".join([
+                    f"{i},1,{s1},{t1!r}{tails1[p]}{i},2,{s2},{t2!r}{tails2[p]}"
+                    for i, s1, t1, s2, t2, p in zip(
+                        range(lo + 1, lo + WRITE_BLOCK + 1),
+                        *(col[block].tolist() for col in
+                          (self.s1, self.t1, self.s2, self.t2, self.pair)))]))
 
 
 def generate_events(source, schedule: list[SettingPair], m: int,
@@ -173,29 +208,35 @@ def generate_events(source, schedule: list[SettingPair], m: int,
         raise ValueError(f"unknown schedule mode {schedule_mode!r}")
     n_pairs = len(schedule)
     children = spawn_seeds(seed, n_pairs + 1)
+    code = np.min_scalar_type(n_pairs - 1)
     if schedule_mode == "round_robin":
-        assignment = np.arange(m) % n_pairs
+        assignment = np.tile(np.arange(n_pairs, dtype=code), -(-m // n_pairs))[:m]
     else:
-        assignment = np.random.default_rng(children[-1]).integers(0, n_pairs, m)
+        assignment = np.random.default_rng(children[-1]).integers(0, n_pairs, m).astype(code)
 
     s1 = np.empty(m, dtype=np.int8)
     s2 = np.empty(m, dtype=np.int8)
-    d1 = np.empty(m)
-    d2 = np.empty(m)
+    # detection time = alpha * period + delay
+    t1 = np.arange(1, m + 1) * EVENT_PERIOD
+    t2 = t1.copy()
     for p, pair in enumerate(schedule):
-        mask = assignment == p
-        count = int(mask.sum())
-        if count == 0:
+        rows = np.flatnonzero(assignment == p)
+        if rows.size == 0:
             continue
         rng = np.random.default_rng(children[p])
-        s1[mask], s2[mask], h1, h2 = source.draw(pair.left, pair.right, rng, count)
-        d1[mask] = timing.delays(h1, pair.left.angle, rng)
-        d2[mask] = timing.delays(h2, pair.right.angle, rng)
-    periods = np.arange(1, m + 1) * EVENT_PERIOD
-    id1, id2 = (np.array(ids)[assignment] for ids in zip(*(p.key for p in schedule)))
-    angle1, angle2 = (np.array(angles)[assignment] for angles in
+        s1[rows], s2[rows], h1, h2 = source.draw(pair.left, pair.right, rng, rows.size)
+        t1[rows] += timing.delays(h1, pair.left.angle, rng)
+        t2[rows] += timing.delays(h2, pair.right.angle, rng)
+    del rows, h1, h2    # the last setting pair's draws, freed before the columns
+    id1, id2 = (np.take(np.array(ids), assignment) for ids in zip(*(p.key for p in schedule)))
+    angle1, angle2 = (np.take(np.array(angles), assignment) for angles in
                       zip(*((p.left.angle, p.right.angle) for p in schedule)))
-    return RawDataset(s1, periods + d1, id1, angle1, s2, periods + d2, id2, angle2)
+    return RawDataset(s1, t1, id1, angle1, s2, t2, id2, angle2, assignment)
+
+
+def _check_window(window: float) -> None:
+    if not (window > 0.0):
+        raise ValueError("window must be positive (math.inf allowed)")
 
 
 def coincidence_filter(raw: RawDataset, window: float,
@@ -204,8 +245,7 @@ def coincidence_filter(raw: RawDataset, window: float,
     and whose detection times differ by at most the window W (positive or
     infinite).  Returns None when nothing survives (the explicit
     empty-selection signal)."""
-    if not (window > 0.0):
-        raise ValueError("window must be positive (math.inf allowed)")
+    _check_window(window)
     left, right = setting_filter
     mask = (raw.id1 == left) & (raw.id2 == right) & (np.abs(raw.t1 - raw.t2) <= window)
     if not np.any(mask):
@@ -244,6 +284,28 @@ class ThreeSettingsReport:
         }
 
 
+def _coincidence_counts(raw: RawDataset, window: float, n_pairs: int) -> np.ndarray:
+    """Coincidences per schedule index and outcome pair, in one pass: an
+    (n_pairs, 4) table of the counts of (S1, S2) = (-,-), (-,+), (+,-), (+,+)
+    among the event pairs with |t1 - t2| <= window.  A NaN gap fails the
+    comparison and is dropped, as in ``coincidence_filter``."""
+    # codes 4 pair + 2 [S1 > 0] + [S2 > 0]; code 4 n_pairs is the discard bin
+    discard = 4 * n_pairs
+    counts = np.zeros(discard + 1, dtype=np.int64)
+    for lo in range(0, raw.m, REDUCE_BLOCK):
+        block = slice(lo, lo + REDUCE_BLOCK)
+        codes = raw.pair[block].astype(np.min_scalar_type(discard))
+        codes <<= 1
+        codes += raw.s1[block] > 0
+        codes <<= 1
+        codes += raw.s2[block] > 0
+        gap = np.subtract(raw.t1[block], raw.t2[block])
+        np.abs(gap, out=gap)
+        np.putmask(codes, ~(gap <= window), discard)
+        counts += np.bincount(codes, minlength=discard + 1)
+    return counts[:-1].reshape(n_pairs, 4)
+
+
 def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
                        source, timing: TimingModel, m: int, window: float,
                        seed: int) -> ThreeSettingsReport:
@@ -252,25 +314,29 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     families on the three filtered correlations.  The generated events are
     returned with the report (``raw``).
 
+    All three setting pairs are reduced in one pass over the events; the
+    counts and the integer correlation numerators are exact, so the values
+    equal those of ``coincidence_filter`` and ``correlation`` per pair.
+
     The pair-bound check holds for any three correlations.  The two Boole
     checks test the triples hypothesis in the direct and in the
     anti-correlated variable convention; a failure means that hypothesis is
     rejected for the data, nothing more.
     """
+    _check_window(window)
     angles = {"a": angle_a, "b": angle_b, "c": angle_c}
     a, b, c = (Setting(name, angle) for name, angle in angles.items())
     schedule = [SettingPair(a, b), SettingPair(a, c), SettingPair(b, c)]
     raw = generate_events(source, schedule, m, timing, seed)
     counts, corr, empties = {}, {}, []
-    for pair in schedule:
+    table = _coincidence_counts(raw, window, len(schedule)).tolist()
+    for pair, (mm, mp, pm, pp) in zip(schedule, table):
         key = "".join(pair.key)
-        ds = coincidence_filter(raw, window, pair.key)
-        if ds is None:
-            counts[key] = 0
+        counts[key] = kept = mm + mp + pm + pp
+        if kept == 0:
             empties.append(key)
         else:
-            counts[key] = ds.m
-            corr[key] = correlation(ds, 1, 2).value
+            corr[key] = (mm + pp - mp - pm) / kept
     if empties:
         return ThreeSettingsReport(angles, window, counts, None, tuple(empties),
                                    None, None, None, None, None, raw)

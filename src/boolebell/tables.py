@@ -84,10 +84,15 @@ def sign_rows(n: int) -> np.ndarray:
 
 def draw_rows(probs, rows: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw count rows i.i.d., row k with probability probs[k], by inverse
-    CDF over one uniform per draw."""
+    CDF over one uniform per draw: the row index is the number of CDF
+    entries at or below the uniform."""
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    return rows[np.searchsorted(cdf, rng.random(count), side="right")]
+    u = rng.random(count)
+    index = np.zeros(count, dtype=np.min_scalar_type(cdf.size - 1))
+    for edge in cdf[:-1]:
+        index += u >= edge
+    return rows[index]
 
 
 # flat grid positions of the coefficients in field order (e0, e1, .., e12, ..),
@@ -336,11 +341,15 @@ def _compatibility(tables, coeffs) -> CompatibilityResult:
 
 
 class IncompatibleMarginalsError(ValueError):
-    """Raised when three pair tables admit no common non-negative triple table."""
+    """Raised when three pair tables admit no common non-negative triple
+    table.  ``compatibility`` is the failed compatibility result, or None
+    when the tables passed it and no admissible triple coefficient exists."""
 
-    def __init__(self, failures: tuple[str, ...]):
+    def __init__(self, failures: tuple[str, ...],
+                 compatibility: CompatibilityResult | None = None):
         super().__init__("; ".join(failures))
         self.failures = failures
+        self.compatibility = compatibility
 
 
 # flat grid positions of the sign patterns with S1 S2 S3 = +1
@@ -352,6 +361,8 @@ class Reconstruction:
     table: FuncTable3
     e123: float
     e123_interval: tuple[float, float]
+    # the compatibility result the reconstruction was built on
+    compatibility: CompatibilityResult
 
 
 def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
@@ -368,7 +379,7 @@ def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
     c, chat, ctilde = coeffs = [expand2(t) for t in (f, fhat, ftilde)]
     compat = _compatibility((f, fhat, ftilde), coeffs)
     if not compat.compatible:
-        raise IncompatibleMarginalsError(compat.failures)
+        raise IncompatibleMarginalsError(compat.failures, compat)
     fixed = (c.e0, c.e1, c.e2, chat.e2, c.e12, chat.e12, ctilde.e12)
     # 8 f(S) = base(S) + S1 S2 S3 e123 must be non-negative entrywise
     base = sign_transform(ExpansionCoeffs3(*fixed, 0.0).grid()).ravel().tolist()
@@ -383,7 +394,7 @@ def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
     else:
         e123 = (lo + hi) / 2.0
     table = synth3(ExpansionCoeffs3(*fixed, e123))
-    return Reconstruction(table, e123, (lo, hi))
+    return Reconstruction(table, e123, (lo, hi), compat)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,23 @@ class TestSubcommands:
         assert env["values"]["compatible"] is True
         assert "table" in env["values"]
 
+    @pytest.mark.parametrize("e, compatible", [(0.5, True), (-0.9, False)])
+    def test_theorem_reconstruct_expands_each_table_once(self, capsys, tmp_path,
+                                                          monkeypatch, e, compatible):
+        from boolebell import ExpansionCoeffs2, synth2, tables
+        path = tmp_path / "tabs.json"
+        path.write_text(json.dumps({name: synth2(ExpansionCoeffs2(1, 0, 0, e)).to_dict()
+                                    for name in ("f", "fhat", "ftilde")}))
+        calls = []
+        expand2 = tables.expand2
+        monkeypatch.setattr(tables, "expand2", lambda t: calls.append(t) or expand2(t))
+        env = run_json(capsys, ["theorem", "--which", "reconstruct", "--tables", str(path)])
+        assert len(calls) == 3
+        assert env["values"]["compatible"] is compatible
+        assert ("table" in env["values"]) is compatible
+        assert bool(env["values"]["failures"]) is not compatible
+        assert env["reports"]["compatibility"]["all_satisfied"] is compatible
+
     def test_quantum_singlet(self, capsys):
         env = run_json(capsys, ["quantum", "--scenario", "singlet",
                                 "--a", "0", "0", "1", "--b", "1", "0", "0"])
@@ -265,6 +282,41 @@ class TestCliBehavior:
         from boolebell import cli
         assert cli.MAX_FACTORIZABLE_ANGLES == len(np.arange(0, 299 + 1e-9, 1))
         assert cli.MAX_AXIS_POINTS == boolebell.reports.GRID_BLOCK
+
+    @pytest.mark.parametrize("which", ["1", "3", "construct"])
+    def test_theorem_without_coeffs_is_one_error_line(self, capsys, which):
+        assert main(["theorem", "--which", which]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --coeffs is required for --which {which}\n"
+
+    @pytest.mark.parametrize("cell", ["257", "255"])
+    def test_dataset_cell_out_of_int8_range_is_one_error_line(self, capsys, tmp_path, cell):
+        path = tmp_path / "ds.csv"
+        path.write_text(f"s1,s2\n1,-1\n{cell},1\n")
+        assert main(["dataset", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: every entry must be exactly +1 or -1\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--jitter", "inf"), ("--jitter", "nan"), ("--jitter", "-1"),
+        ("--jitter-exponent", "nan"), ("--jitter-exponent", "inf"),
+        ("--jitter-exponent", "-inf"), ("--jitter", "x")])
+    def test_pipeline_floats_are_checked_at_parse_time(self, capsys, monkeypatch, flag, value):
+        from boolebell import pipeline
+
+        def boom(*args, **kwargs):
+            raise AssertionError("ran the pipeline")
+        monkeypatch.setattr(pipeline, "run_three_settings", boom)
+        with pytest.raises(SystemExit) as exc:
+            main(["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120",
+                  "--window", "0.3", "--seed", "1", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+        assert captured.out == ""
 
     def test_json_output_is_strict(self, capsys):
         from argparse import Namespace

@@ -16,6 +16,18 @@ class TestDatasetConstruction:
         with pytest.raises(ValueError, match="exactly"):
             DichotomicDataset(np.array([[1, 0], [1, -1]]))
 
+    @pytest.mark.parametrize("bad", [1.5, -0.5, 255, -255, 257, np.nan])
+    def test_values_are_checked_before_the_int8_cast(self, bad):
+        # an int8 cast would turn 1.5 into 1 and 255 into -1
+        with pytest.raises(ValueError, match="exactly"):
+            DichotomicDataset(np.array([[1, bad], [1, -1]]))
+
+    def test_exact_unit_values_of_any_dtype_are_accepted(self):
+        for dtype in (np.int64, np.float64, np.int8):
+            ds = DichotomicDataset(np.array([[1, -1], [-1, 1]], dtype=dtype))
+            assert ds.data.dtype == np.int8
+            assert ds.data.tolist() == [[1, -1], [-1, 1]]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             DichotomicDataset(np.empty((0, 3), dtype=np.int8))
@@ -214,6 +226,35 @@ class TestCsv:
         assert set(text[1].split(",")) <= {"+1", "-1"}
         back = read_dataset_csv(path)
         assert np.array_equal(back.data, ds.data)
+
+    @pytest.mark.parametrize("body, rows", [
+        ('"+1",-1\n1,"-1"\n', [[1, -1], [1, -1]]),      # quoted cells
+        (" 1,-1 \n+1, -1\n", [[1, -1], [1, -1]]),       # surrounding spaces
+        ("1,-1\r\n-1,1\r\n", [[1, -1], [-1, 1]]),       # CRLF line ends
+    ])
+    def test_reader_accepts(self, tmp_path, body, rows):
+        path = tmp_path / "ds.csv"
+        path.write_text("s1,s2\n" + body, newline="")
+        assert read_dataset_csv(path).data.tolist() == rows
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,-1\n\n1,1\n", r"ds.csv:3: expected 2 columns$"),       # blank line
+        ("1,-1\n1,-1,1\n", r"ds.csv:3: expected 2 columns$"),
+        ("1,-1\n1.0,1\n", r"ds.csv:3: non-integer value$"),
+        ("1,x\n1,1,1\n", r"ds.csv:2: non-integer value$"),           # first bad row wins
+        ("1,1,1\n1,x\n", r"ds.csv:2: expected 2 columns$"),
+        ("1_0,1\n", r"^every entry must be exactly \+1 or -1$"),     # int("1_0") == 10
+        ("0,1\n", r"^every entry must be exactly \+1 or -1$"),
+        ("257,1\n", r"^every entry must be exactly \+1 or -1$"),
+        ("1,255\n", r"^every entry must be exactly \+1 or -1$"),
+        ("1,99999999999999999999\n", r"^every entry must be exactly \+1 or -1$"),
+        ("", r"ds.csv: dataset must contain at least one row$"),
+    ])
+    def test_reader_rejects(self, tmp_path, body, message):
+        path = tmp_path / "ds.csv"
+        path.write_text("s1,s2\n" + body, newline="")
+        with pytest.raises(ValueError, match=message):
+            read_dataset_csv(path)
 
     def test_header_mandatory(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,5 +1,6 @@
 """Event generation, coincidence filtering and the three-setting runner."""
 
+import csv
 import math
 
 import numpy as np
@@ -83,6 +84,37 @@ class TestGeneration:
         keys = set(zip(raw.id1, raw.id2))
         assert keys == {("a", "b"), ("a", "c"), ("b", "c")}
 
+    def test_csv_log_matches_the_row_by_row_writer(self, tmp_path):
+        # ids that the csv module must quote, a random schedule and more
+        # pairs than one write block
+        a, b = pl.Setting("x,1", 0.1), pl.Setting('say "b"', 2)
+        schedule = [pl.SettingPair(a, b), pl.SettingPair(b, a), pl.SettingPair(a, a)]
+        raw = pl.generate_events(pl.SingletSource(), schedule, pl.WRITE_BLOCK + 7,
+                                 pl.TimingModel(0.7, 2.7), seed=9, schedule_mode="random")
+        raw.write_csv(tmp_path / "events.csv")
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["alpha", "station", "s", "t", "setting_id", "angle"])
+            columns = (raw.s1, raw.t1, raw.id1, raw.angle1, raw.s2, raw.t2, raw.id2, raw.angle2)
+            for i, (s1, t1, id1, a1, s2, t2, id2, a2) in enumerate(
+                    zip(*(col.tolist() for col in columns)), 1):
+                writer.writerow([i, 1, s1, repr(t1), id1, repr(a1)])
+                writer.writerow([i, 2, s2, repr(t2), id2, repr(a2)])
+        assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_csv_log_refuses_settings_that_disagree_with_the_pair_index(self, tmp_path):
+        raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 6,
+                                 pl.TimingModel(), seed=1)
+        columns = vars(raw) | {"id2": np.array(["b", "c", "c", "b", "c", "a"])}
+        with pytest.raises(ValueError, match="share their settings"):
+            pl.RawDataset(**columns).write_csv(tmp_path / "events.csv")
+
+    @pytest.mark.parametrize("jitter, exponent", [
+        (math.inf, 2.0), (math.nan, 2.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)])
+    def test_timing_model_rejects_non_finite_values(self, jitter, exponent):
+        with pytest.raises(ValueError, match="finite"):
+            pl.TimingModel(jitter, exponent)
+
     def test_validation(self):
         source = pl.SingletSource()
         with pytest.raises(ValueError):
@@ -131,7 +163,58 @@ class TestCoincidenceFilter:
             pl.coincidence_filter(raw, 0.0, ("a", "b"))
 
 
+SOURCES = {
+    "singlet": pl.SingletSource(),
+    "triple": make_triple_source()[0],
+    **{kind: pl.PairModelSource(cl.FactorizableModel(kind))
+       for kind in ("uniform", "delta_equal", "delta_opposite")},
+}
+
+
 class TestRunThreeSettings:
+    # with 60 pairs and seed 27, the 0.02 window empties exactly one setting
+    # pair for every source
+    @pytest.mark.parametrize("window", [math.inf, 0.3, 0.02])
+    @pytest.mark.parametrize("name", list(SOURCES))
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_reduction_matches_the_filter_oracle(self, monkeypatch, block, name, window):
+        if block:   # reduce in several blocks, the last one short
+            monkeypatch.setattr(pl, "REDUCE_BLOCK", block)
+        rep = pl.run_three_settings(0.0, 1.0, 2.0, SOURCES[name], pl.TimingModel(1.0, 0.0),
+                                    60, window, seed=27)
+        counts, corr, empties = {}, {}, []
+        for pair in (("a", "b"), ("a", "c"), ("b", "c")):
+            ds = pl.coincidence_filter(rep.raw, window, pair)
+            key = "".join(pair)
+            counts[key] = 0 if ds is None else ds.m
+            if ds is None:
+                empties.append(key)
+            else:
+                corr[key] = correlation(ds, 1, 2).value
+        assert rep.counts == counts
+        assert rep.empty_pairs == tuple(empties)
+        assert rep.correlations == (None if empties else corr)
+        assert len(empties) == (1 if window == 0.02 else 0)
+
+    def test_reduction_drops_nan_gaps_like_the_filter(self):
+        # a NaN setting angle makes every delay at that setting NaN, so the
+        # pairs (a, b) and (a, c) have NaN gaps even under an infinite window
+        rep = pl.run_three_settings(math.nan, 1.0, 2.0, SOURCES["triple"],
+                                    pl.TimingModel(1.0, 1.0), 60, math.inf, seed=27)
+        assert np.isnan(rep.raw.t1[rep.raw.id1 == "a"]).all()
+        assert pl.coincidence_filter(rep.raw, math.inf, ("a", "b")) is None
+        assert rep.empty_pairs == ("ab", "ac")
+        assert rep.counts == {"ab": 0, "ac": 0, "bc": 20}
+
+    def test_window_is_checked_before_generation(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("generated events for an invalid window")
+        monkeypatch.setattr(pl, "generate_events", boom)
+        for window in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="window must be positive"):
+                pl.run_three_settings(0.0, 1.0, 2.0, pl.SingletSource(),
+                                      pl.TimingModel(), 30, window, seed=0)
+
     def test_triple_source_consistent(self):
         rng = np.random.default_rng(9)
         for trial in range(10):

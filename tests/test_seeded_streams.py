@@ -14,6 +14,7 @@ import pytest
 
 from boolebell import pipeline as pl
 from boolebell.cli import main
+from boolebell.datasets import DichotomicDataset, write_dataset_csv
 
 SEED = "2009"
 INF = ("inf",)
@@ -52,6 +53,39 @@ PIPELINE_DIGESTS = {
         "bf0830a698c07d6bd087944a666fb8d00b52b8a2fb926737a01e2ebb94482e8f",
         "e9deaa39a158169dbe6a05d265ec50631a49fb36692e6d1e2e4eb04c0bd72fba"),
 }
+# --window 0.3 --jitter 0.5 --jitter-exponent 2.7: a non-integer exponent
+# does not take numpy's integer-power fast paths, and a jitter other than 1
+# pins the scaling of the delays
+FRACTIONAL_EXPONENT = ("0.3", "--jitter", "0.5", "--jitter-exponent", "2.7")
+FRACTIONAL_EXPONENT_DIGESTS = {
+    "singlet": (
+        "0523727b9b769cf008ccefb7f60915220d0c1b44b019e7024b5a6404d7ad29fe",
+        "2d99a7bd1f80f33b51d2fd8179fe20be74a6bc5faedf19910fc8c2028e6ce0c0"),
+    "triple": (
+        "4b3d5fe16d0325346f4e2fa72c50ebed86d90dbe9b934935d8baa7f058f90e34",
+        "6de35a454b6f6a81f9133d5c8be972f756a82b331edc4338134d7e2b33ad507f"),
+    "pair:uniform": (
+        "9b667f74d20880f6486ca3f4894dec9ebde576431495a32bae6e5a16f7b755ae",
+        "7be39d8d6f78d97f2197e1ade4c36532d117db33e2037f300ae875b2d86ff3de"),
+    "pair:equal": (
+        "4e94e0cf4f62d8f2dbde103148d18d774e8cf3afece2601b9458505d5d0516de",
+        "22a57975a0bcd67e07f396c6ee13c9f8857cea0e2f0a66fec90bb21bc6c87dff"),
+    "pair:opposite": (
+        "e186e5f14368d73620d8a760f8b9bf7b97895be3bb6d85f95d99a74c39f90094",
+        "17a61813164fb14e99b583fe6bb8ab9057d4a11f6a31780780382d812466fd8e"),
+}
+# factorizable --format csv, angles 0 60, 3,000 samples
+FACTORIZABLE_CSV_DIGESTS = {
+    "uniform": "9c838e88af3962d6ba7df730092bb4f65c7c8cf98d2f6ece74fadc1a93385ca4",
+    "equal": "575708c83786a6a62ef0ba33ea19764204838355eb8c577137a0d3fc40a51457",
+    "opposite": "71a513bfcd0a19dd96e1d0e408d053c76ea968e1cbf120cf9924bf538072a23b",
+}
+# write_dataset_csv of 2,000 seeded rows of arity n
+DATASET_CSV_DIGESTS = {
+    2: "ad0ed068ff3cd75231860984015608487709bcf039a26b759ad56a91f36a5d73",
+    3: "e50ebd84794d7286cfd4c1f6f4b46092d4abe6a4a67c34d910442867126e678b",
+    4: "ad626decd5887782e33a570ea5251ea318b7dec772729c0b05a362fb98974d5d",
+}
 LEGGETT_GARG_DIGEST = "6352de1fcc7263fa274ed8604f2a475f61107527696d53355b70f8812bdfef13"
 RANDOM_SCHEDULE_DIGEST = "1c06efb79eeac1696ec8fc8d1531ba04cae45fdb83dd92d8d3985849a67928bb"
 
@@ -60,14 +94,39 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("source, window", list(PIPELINE_DIGESTS),
-                         ids=[f"{s}-{w[0]}" for s, w in PIPELINE_DIGESTS])
-def test_epr_pipeline_outputs_are_pinned(tmp_path, source, window):
+def pipeline_digests(tmp_path, source, window) -> tuple[str, str]:
     out, events = tmp_path / "out.json", tmp_path / "events.csv"
     assert main(["epr-pipeline", "--source", source, "--angles", "0", "60", "120",
                  "--samples", "3000", "--seed", SEED, "--window", *window,
                  "--out", str(out), "--events-out", str(events)]) == 0
-    assert (sha256(out), sha256(events)) == PIPELINE_DIGESTS[source, window]
+    return sha256(out), sha256(events)
+
+
+@pytest.mark.parametrize("source, window", list(PIPELINE_DIGESTS),
+                         ids=[f"{s}-{w[0]}" for s, w in PIPELINE_DIGESTS])
+def test_epr_pipeline_outputs_are_pinned(tmp_path, source, window):
+    assert pipeline_digests(tmp_path, source, window) == PIPELINE_DIGESTS[source, window]
+
+
+@pytest.mark.parametrize("source", list(FRACTIONAL_EXPONENT_DIGESTS))
+def test_epr_pipeline_fractional_exponent_is_pinned(tmp_path, source):
+    assert (pipeline_digests(tmp_path, source, FRACTIONAL_EXPONENT)
+            == FRACTIONAL_EXPONENT_DIGESTS[source])
+
+
+@pytest.mark.parametrize("mu", list(FACTORIZABLE_CSV_DIGESTS))
+def test_factorizable_csv_is_pinned(tmp_path, mu):
+    out = tmp_path / "samples.csv"
+    assert main(["factorizable", "--mu", mu, "--angles", "0", "60", "--samples", "3000",
+                 "--seed", SEED, "--format", "csv", "--out", str(out)]) == 0
+    assert sha256(out) == FACTORIZABLE_CSV_DIGESTS[mu]
+
+
+@pytest.mark.parametrize("n", list(DATASET_CSV_DIGESTS))
+def test_dataset_csv_is_pinned(tmp_path, n):
+    rng = np.random.default_rng(int(SEED))
+    write_dataset_csv(DichotomicDataset(rng.choice([-1, 1], (2000, n))), tmp_path / "ds.csv")
+    assert sha256(tmp_path / "ds.csv") == DATASET_CSV_DIGESTS[n]
 
 
 def test_leggett_garg_samples_are_pinned(tmp_path):
