@@ -139,15 +139,21 @@ def sample_pair_arrays(model: FactorizableModel, a: float, b: float,
         raise ValueError("need at least one sample")
     phi = rng.uniform(0.0, 2.0 * np.pi, count)
     r = rng.uniform(-1.0, 1.0, count)
-    s1 = np.where(np.cos(phi - a) - r >= 0.0, 1, -1).astype(np.int8)
+    s1 = _threshold_signs(phi - a, r)
     if model.mu_kind == "uniform":
-        r2 = rng.uniform(-1.0, 1.0, count)
-        s2 = np.where(np.cos(phi + np.pi - b) - r2 >= 0.0, 1, -1).astype(np.int8)
+        s2 = _threshold_signs(phi + np.pi - b, rng.uniform(-1.0, 1.0, count))
     elif model.mu_kind == "delta_equal":
-        s2 = np.where(np.cos(phi - b) - r >= 0.0, 1, -1).astype(np.int8)
-    else:  # delta_opposite
-        s2 = np.where(np.cos(phi - b) + r >= 0.0, 1, -1).astype(np.int8)
+        s2 = _threshold_signs(phi - b, r)
+    else:  # delta_opposite: cos(phi - b) + r >= 0, i.e. cos(phi - b) >= -r
+        s2 = _threshold_signs(phi - b, np.negative(r, out=r))
     return phi, s1, s2
+
+
+def _threshold_signs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """int8 outcomes, +1 where cos(x) >= r and -1 elsewhere; the cosine is
+    taken in place in x.  For doubles cos(x) >= r equals cos(x) - r >= 0."""
+    np.cos(x, out=x)
+    return np.where(x >= r, np.int8(1), np.int8(-1))
 
 
 def station_orientations(model: FactorizableModel, phi: np.ndarray,

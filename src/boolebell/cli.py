@@ -322,20 +322,20 @@ def cmd_epr_pipeline(args) -> None:
                                          args.samples, window, args.seed)
     if args.events_out:
         report.raw.write_csv(args.events_out)
-    d = report.to_dict()
+    reports = {name: getattr(report, name)
+               for name in ("pair_bound", "boole_direct", "boole_anticorrelated")}
     _emit({"scenario": "epr-pipeline",
            "params": {"source": args.source, "angles": list(args.angles),
                       "radians": args.radians, "window": args.window,
                       "samples": args.samples, "seed": args.seed,
                       "jitter": args.jitter,
                       "jitter_exponent": args.jitter_exponent},
-           "values": {"counts": d["counts"], "correlations": d["correlations"],
-                      "empty_pairs": d["empty_pairs"],
-                      "verdict_direct": d["verdict_direct"],
-                      "verdict_anticorrelated": d["verdict_anticorrelated"]},
-           "reports": {"pair_bound": d["pair_bound"],
-                       "boole_direct": d["boole_direct"],
-                       "boole_anticorrelated": d["boole_anticorrelated"]}}, args)
+           "values": {"counts": report.counts, "correlations": report.correlations,
+                      "empty_pairs": list(report.empty_pairs),
+                      "verdict_direct": report.verdict_direct,
+                      "verdict_anticorrelated": report.verdict_anticorrelated},
+           "reports": {name: rep.to_dict() if rep else None
+                       for name, rep in reports.items()}}, args)
 
 
 # model_inequality_sweep peaks at about 37 n^3 bytes for n angles (measured for
@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ebbi", help="pair-coefficient inequality family for "
                                     "three-variable non-negative functions")
     p.add_argument("mode", nargs="?", default="check", choices=("check",))
-    p.add_argument("--e", type=float, nargs=4, required=True,
+    p.add_argument("--e", type=_finite_float, nargs=4, required=True,
                    metavar=("E0", "E12", "E13", "E23"))
     common(p)
     p.set_defaults(func=cmd_ebbi)
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "marginal reconstruction")
     p.add_argument("--which", choices=("1", "3", "construct", "reconstruct"),
                    required=True)
-    p.add_argument("--coeffs", type=float, nargs=4, default=None)
+    p.add_argument("--coeffs", type=_finite_float, nargs=4, default=None)
     p.add_argument("--tables", default=None,
                    help="JSON file with keys f, fhat, ftilde (reconstruct)")
     common(p)
@@ -460,12 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True,
                    choices=("singlet", "filter2", "filter3", "substitution",
                             "separable", "commutators"))
-    p.add_argument("--x", type=float, nargs=3, default=(0.0, 0.0, 0.0),
+    p.add_argument("--x", type=_finite_float, nargs=3, default=(0.0, 0.0, 0.0),
                    help="polarization vector of the filtered spin")
-    p.add_argument("--a", type=float, nargs=3, default=(0.0, 0.0, 1.0))
-    p.add_argument("--b", type=float, nargs=3, default=(1.0, 0.0, 0.0))
-    p.add_argument("--c", type=float, nargs=3, default=(0.0, 1.0, 0.0))
-    p.add_argument("--angles", type=float, nargs=3, default=(0.0, 60.0, 120.0),
+    p.add_argument("--a", type=_finite_float, nargs=3, default=(0.0, 0.0, 1.0))
+    p.add_argument("--b", type=_finite_float, nargs=3, default=(1.0, 0.0, 0.0))
+    p.add_argument("--c", type=_finite_float, nargs=3, default=(0.0, 1.0, 0.0))
+    p.add_argument("--angles", type=_finite_float, nargs=3, default=(0.0, 60.0, 120.0),
                    help="coplanar setting angles (substitution scenario)")
     common(p)
     p.set_defaults(func=cmd_quantum)
@@ -473,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("leggett-garg", help="three-probe temporal "
                                             "correlations, closed form and "
                                             "sampled")
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--dt", type=float, nargs=3, required=True,
+    p.add_argument("--omega", type=_finite_float, required=True)
+    p.add_argument("--dt", type=_finite_float, nargs=3, required=True,
                    metavar=("DT1", "DT2", "DT3"))
     p.add_argument("--samples", type=int, default=0)
     common(p, seed=True)
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extended-eprb", help="two-sided analyzer chains on "
                                              "the singlet: triples (3 angles) "
                                              "or quadruples (4 angles)")
-    p.add_argument("--angles", type=float, nargs="+", required=True)
+    p.add_argument("--angles", type=_finite_float, nargs="+", required=True)
     common(p)
     p.set_defaults(func=cmd_extended_eprb)
 
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "vs sampled correlation")
     p.add_argument("--mu", choices=("uniform", "equal", "opposite"),
                    required=True)
-    p.add_argument("--angles", type=float, nargs=2, required=True)
+    p.add_argument("--angles", type=_finite_float, nargs=2, required=True)
     p.add_argument("--samples", type=int, default=100000)
     common(p, seed=True)
     p.set_defaults(func=cmd_factorizable)
@@ -510,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "triples-hypothesis checks")
     p.add_argument("--source", required=True,
                    help="triple | singlet | pair:uniform | pair:equal | pair:opposite")
-    p.add_argument("--angles", type=float, nargs=3, required=True)
+    p.add_argument("--angles", type=_finite_float, nargs=3, required=True)
     p.add_argument("--window", default="inf",
                    help="coincidence window in event periods, or 'inf'")
     p.add_argument("--samples", type=int, default=30000)

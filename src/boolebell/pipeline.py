@@ -141,46 +141,56 @@ class PairModelSource:
 @dataclass(frozen=True)
 class RawDataset:
     """M time-tagged event pairs, stored column-wise as read-only numpy
-    arrays; the setting ids are string columns.  ``pair`` is each event
-    pair's index into the schedule it was generated from (rows with one
-    index share their setting ids and angles); the CSV log leaves it out."""
+    arrays, and the schedule they were generated from.  ``pair`` is each
+    event pair's index into ``schedule``, the one store of the settings:
+    ``id1``, ``angle1``, ``id2`` and ``angle2`` are per-pair columns derived
+    from it on each read.  The CSV log leaves ``pair`` out."""
 
     s1: np.ndarray
     t1: np.ndarray
-    id1: np.ndarray
-    angle1: np.ndarray
     s2: np.ndarray
     t2: np.ndarray
-    id2: np.ndarray
-    angle2: np.ndarray
     pair: np.ndarray
+    schedule: tuple[SettingPair, ...]
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("raw dataset must contain at least one pair")
-        for arr in vars(self).values():
+        if self.pair.min() < 0 or self.pair.max() >= len(self.schedule):
+            raise ValueError("pair indices must index the schedule")
+        for arr in (self.s1, self.t1, self.s2, self.t2, self.pair):
             arr.setflags(write=False)
 
     @property
     def m(self) -> int:
         return self.s1.size
 
+    def _settings(self, station: int) -> tuple[np.ndarray, np.ndarray]:
+        """The setting ids and angles of station 1 or 2, one per schedule entry."""
+        sides = [pair.left if station == 1 else pair.right for pair in self.schedule]
+        return np.array([s.id for s in sides]), np.array([s.angle for s in sides])
+
+    def _per_pair(self, station: int, field: int) -> np.ndarray:
+        col = self._settings(station)[field][self.pair]
+        col.setflags(write=False)
+        return col
+
+    id1 = property(lambda self: self._per_pair(1, 0))
+    angle1 = property(lambda self: self._per_pair(1, 1))
+    id2 = property(lambda self: self._per_pair(2, 0))
+    angle2 = property(lambda self: self._per_pair(2, 1))
+
     def write_csv(self, path: str | Path) -> None:
         """One line per event record (two per pair):
         alpha,station,s,t,setting_id,angle."""
-        codes, first, inverse = np.unique(self.pair, return_index=True, return_inverse=True)
-        for col in (self.id1, self.angle1, self.id2, self.angle2):
-            if not np.array_equal(col[first][inverse], col, equal_nan=col.dtype.kind == "f"):
-                raise ValueError("event pairs with one schedule index must share their settings")
-        # the ",setting_id,angle" tail of each station and schedule index,
+        # the ",setting_id,angle" tail of each station and schedule entry,
         # rendered once by the csv module, which quotes ids where needed
-        tails1, tails2 = {}, {}
-        for code, i in zip(codes.tolist(), first.tolist()):
-            for tails, ids, angles in ((tails1, self.id1, self.angle1),
-                                       (tails2, self.id2, self.angle2)):
+        tails1, tails2 = [], []
+        for station, tails in ((1, tails1), (2, tails2)):
+            for setting_id, angle in zip(*self._settings(station)):
                 tail = io.StringIO()
-                csv.writer(tail).writerow(["", ids[i], repr(angles[i].item())])
-                tails[code] = tail.getvalue()
+                csv.writer(tail).writerow(["", setting_id, repr(angle.item())])
+                tails.append(tail.getvalue())
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(["alpha", "station", "s", "t", "setting_id", "angle"])
             for lo in range(0, self.m, WRITE_BLOCK):
@@ -227,11 +237,7 @@ def generate_events(source, schedule: list[SettingPair], m: int,
         s1[rows], s2[rows], h1, h2 = source.draw(pair.left, pair.right, rng, rows.size)
         t1[rows] += timing.delays(h1, pair.left.angle, rng)
         t2[rows] += timing.delays(h2, pair.right.angle, rng)
-    del rows, h1, h2    # the last setting pair's draws, freed before the columns
-    id1, id2 = (np.take(np.array(ids), assignment) for ids in zip(*(p.key for p in schedule)))
-    angle1, angle2 = (np.take(np.array(angles), assignment) for angles in
-                      zip(*((p.left.angle, p.right.angle) for p in schedule)))
-    return RawDataset(s1, t1, id1, angle1, s2, t2, id2, angle2, assignment)
+    return RawDataset(s1, t1, s2, t2, assignment, tuple(schedule))
 
 
 def _check_window(window: float) -> None:
@@ -241,13 +247,13 @@ def _check_window(window: float) -> None:
 
 def coincidence_filter(raw: RawDataset, window: float,
                        setting_filter: tuple[str, str]) -> DichotomicDataset | None:
-    """Keep the pairs whose settings match the filter (left id, right id)
-    and whose detection times differ by at most the window W (positive or
-    infinite).  Returns None when nothing survives (the explicit
-    empty-selection signal)."""
+    """Keep the pairs of every schedule entry whose key is the filter (left
+    id, right id) and whose detection times differ by at most the window W
+    (positive or infinite).  Returns None when nothing survives (the
+    explicit empty-selection signal)."""
     _check_window(window)
-    left, right = setting_filter
-    mask = (raw.id1 == left) & (raw.id2 == right) & (np.abs(raw.t1 - raw.t2) <= window)
+    entries = [k for k, pair in enumerate(raw.schedule) if pair.key == tuple(setting_filter)]
+    mask = np.isin(raw.pair, entries) & (np.abs(raw.t1 - raw.t2) <= window)
     if not np.any(mask):
         return None
     return DichotomicDataset(np.column_stack([raw.s1[mask], raw.s2[mask]]))
@@ -265,23 +271,8 @@ class ThreeSettingsReport:
     boole_anticorrelated: InequalityReport | None
     verdict_direct: str | None
     verdict_anticorrelated: str | None
-    # the event pairs the report was computed from; not part of to_dict
+    # the event pairs the report was computed from
     raw: RawDataset = field(repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "angles": dict(self.angles),
-            "window": self.window,
-            "counts": dict(self.counts),
-            "correlations": dict(self.correlations) if self.correlations else None,
-            "empty_pairs": list(self.empty_pairs),
-            "pair_bound": self.pair_bound.to_dict() if self.pair_bound else None,
-            "boole_direct": self.boole_direct.to_dict() if self.boole_direct else None,
-            "boole_anticorrelated": (self.boole_anticorrelated.to_dict()
-                                     if self.boole_anticorrelated else None),
-            "verdict_direct": self.verdict_direct,
-            "verdict_anticorrelated": self.verdict_anticorrelated,
-        }
 
 
 def _coincidence_counts(raw: RawDataset, window: float, n_pairs: int) -> np.ndarray:

@@ -52,7 +52,7 @@ def as_direction(v) -> np.ndarray:
     if arr.shape != (3,):
         raise ValueError(f"direction must have 3 components, got shape {arr.shape}")
     # tolerance on the squared norm, matching 1e-12 on the norm itself
-    if abs(float(arr @ arr) - 1.0) > 2.0 * UNIT_TOL:
+    if not abs(float(arr @ arr) - 1.0) <= 2.0 * UNIT_TOL:   # NaN fails too
         raise ValueError(f"{arr} is not a unit vector (norm {np.linalg.norm(arr)})")
     return arr
 
@@ -87,6 +87,8 @@ class DensityMatrix:
         dim = 2 ** self.n
         if mat.shape != (dim, dim):
             raise ValueError(f"state of {self.n} spins needs shape ({dim}, {dim})")
+        if not np.isfinite(mat).all():
+            raise ValueError("state entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
             raise ValueError("state is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > TRACE_TOL or abs(np.trace(mat).imag) > TRACE_TOL:
@@ -108,7 +110,7 @@ class ProbabilityTable:
         arr = np.asarray(self.p, dtype=float)
         if arr.shape != (2 ** self.n,):
             raise ValueError(f"need {2 ** self.n} entries for n={self.n}")
-        if np.min(arr) < -1e-12 or np.max(arr) > 1.0 + 1e-12:
+        if not (np.min(arr) >= -1e-12 and np.max(arr) <= 1.0 + 1e-12):   # NaN fails too
             raise ValueError("entries must lie in [0, 1]")
         if abs(float(arr.sum()) - 1.0) > 1e-10:
             raise ValueError(f"entries must sum to 1, got {float(arr.sum())}")
@@ -187,7 +189,7 @@ def spin_half_state(x) -> DensityMatrix:
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("polarization vector needs 3 components")
-    if float(x @ x) > 1.0 + 1e-12:
+    if not float(x @ x) <= 1.0 + 1e-12:   # NaN fails too
         raise ValueError(f"polarization vector must satisfy |x| <= 1, got {x}")
     mat = (ID2 + x[0] * SIGMA_X + x[1] * SIGMA_Y + x[2] * SIGMA_Z) / 2.0
     return DensityMatrix(mat, 1)

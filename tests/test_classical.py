@@ -110,6 +110,22 @@ class TestSampling:
         ds = cl.sample_pair(m, 1.2, 1.2, seed=4, count=2000)
         assert np.all(ds.data[:, 0] == ds.data[:, 1])
 
+    @pytest.mark.parametrize("kind", ["uniform", "delta_equal", "delta_opposite"])
+    def test_int8_outcomes_match_the_difference_rule(self, kind):
+        # the signs compare cos(x) >= r; the rule as stated is cos(x) - r >= 0
+        a, b, count = 0.3, 2.2, 50_000
+        phi, s1, s2 = cl.sample_pair_arrays(cl.FactorizableModel(kind), a, b,
+                                            np.random.default_rng(6), count)
+        rng = np.random.default_rng(6)
+        assert np.array_equal(phi, rng.uniform(0.0, 2.0 * np.pi, count))
+        r = rng.uniform(-1.0, 1.0, count)
+        diff2 = {"uniform": np.cos(phi + np.pi - b) - rng.uniform(-1.0, 1.0, count),
+                 "delta_equal": np.cos(phi - b) - r,
+                 "delta_opposite": np.cos(phi - b) + r}[kind]
+        assert s1.dtype == s2.dtype == np.int8
+        assert np.array_equal(s1, np.where(np.cos(phi - a) - r >= 0.0, 1, -1))
+        assert np.array_equal(s2, np.where(diff2 >= 0.0, 1, -1))
+
     def test_seed_determinism(self):
         m = cl.FactorizableModel("delta_opposite")
         a = cl.sample_pair(m, 0.1, 0.9, seed=5, count=500)

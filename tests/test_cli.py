@@ -318,6 +318,34 @@ class TestCliBehavior:
         assert len(errors) == 1 and f"argument {flag}:" in errors[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["epr-pipeline", "--source", "singlet", "--angles", "nan", "60", "120", "--seed", "1",
+          "--samples", "300", "--jitter", "1", "--window", "0.5"], "--angles"),
+        (["quantum", "--scenario", "substitution", "--angles", "0", "inf", "120"], "--angles"),
+        (["extended-eprb", "--angles", "0", "60", "inf"], "--angles"),
+        (["factorizable", "--mu", "equal", "--angles", "nan", "0", "--seed", "1"], "--angles"),
+        (["leggett-garg", "--omega", "nan", "--dt", "0", "1", "1", "--seed", "1"], "--omega"),
+        (["leggett-garg", "--omega", "1", "--dt", "0", "inf", "1", "--seed", "1"], "--dt"),
+        (["ebbi", "check", "--e", "1", "nan", "0", "0"], "--e"),
+        (["theorem", "--which", "1", "--coeffs", "1", "0", "0", "inf"], "--coeffs"),
+        (["quantum", "--scenario", "filter2", "--x", "nan", "0", "0"], "--x"),
+        (["quantum", "--scenario", "singlet", "--a", "0", "nan", "1"], "--a"),
+        (["quantum", "--scenario", "singlet", "--b", "inf", "0", "0"], "--b"),
+        (["quantum", "--scenario", "commutators", "--c", "0", "nan", "0"], "--c"),
+    ])
+    def test_float_flags_are_checked_for_finiteness_at_parse_time(self, capsys, tmp_path,
+                                                                  argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out"),
+                  *(["--events-out", str(tmp_path / "events.csv")]
+                    if argv[0] == "epr-pipeline" else [])])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: must be finite" in errors[0]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []   # neither the output nor the event log
+
     def test_json_output_is_strict(self, capsys):
         from argparse import Namespace
         from boolebell.cli import _emit

@@ -42,10 +42,22 @@ class TestGeneration:
     def test_columns_are_read_only_arrays(self):
         raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 12,
                                  pl.TimingModel(), seed=1)
-        for name, col in vars(raw).items():
+        stored = ("s1", "t1", "s2", "t2", "pair")
+        assert set(vars(raw)) == {*stored, "schedule"}
+        for name in (*stored, "id1", "angle1", "id2", "angle2"):
+            col = getattr(raw, name)
             assert isinstance(col, np.ndarray) and col.shape == (12,), name
             assert col.dtype != object and not col.flags.writeable, name
         assert raw.angle2[1] == 2 * np.pi / 3
+        assert raw.schedule == tuple(standard_schedule())
+
+    def test_settings_are_stored_once_per_schedule_entry(self):
+        # s1, s2 and pair take a byte each, t1 and t2 eight: the setting ids
+        # and angles of the three entries live in the schedule alone
+        raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 1000,
+                                 pl.TimingModel(), seed=1)
+        stored = sum(col.nbytes for col in vars(raw).values() if isinstance(col, np.ndarray))
+        assert stored == 19 * raw.m
 
     def test_zero_delay_times_are_periods(self):
         source = pl.SingletSource()
@@ -102,13 +114,6 @@ class TestGeneration:
                 writer.writerow([i, 2, s2, repr(t2), id2, repr(a2)])
         assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    def test_csv_log_refuses_settings_that_disagree_with_the_pair_index(self, tmp_path):
-        raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 6,
-                                 pl.TimingModel(), seed=1)
-        columns = vars(raw) | {"id2": np.array(["b", "c", "c", "b", "c", "a"])}
-        with pytest.raises(ValueError, match="share their settings"):
-            pl.RawDataset(**columns).write_csv(tmp_path / "events.csv")
-
     @pytest.mark.parametrize("jitter, exponent", [
         (math.inf, 2.0), (math.nan, 2.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)])
     def test_timing_model_rejects_non_finite_values(self, jitter, exponent):
@@ -122,6 +127,10 @@ class TestGeneration:
         with pytest.raises(ValueError):
             pl.generate_events(source, standard_schedule(), 0,
                                pl.TimingModel(), seed=0)
+        ones = np.ones(2, dtype=np.int8)
+        with pytest.raises(ValueError, match="index the schedule"):
+            pl.RawDataset(ones, np.ones(2), ones, np.ones(2), np.array([0, 3]),
+                          tuple(standard_schedule()))
 
 
 class TestCoincidenceFilter:
@@ -155,6 +164,19 @@ class TestCoincidenceFilter:
             kept.append(0 if ds is None else ds.m)
         assert kept == sorted(kept)
         assert kept[0] < kept[-1]  # jitter actually rejects some pairs
+
+    def test_schedule_entries_sharing_a_key_are_all_kept(self):
+        a = pl.Setting("a", 0.0)
+        schedule = [pl.SettingPair(a, pl.Setting("b", 1.0)),
+                    pl.SettingPair(a, pl.Setting("c", 2.0)),
+                    pl.SettingPair(a, pl.Setting("b", 2.0))]
+        raw = pl.generate_events(pl.SingletSource(), schedule, 90, pl.TimingModel(1.0, 1.0),
+                                 seed=3)
+        ds = pl.coincidence_filter(raw, 0.5, ("a", "b"))
+        # the per-pair id match the filter selected with before
+        mask = (raw.id1 == "a") & (raw.id2 == "b") & (np.abs(raw.t1 - raw.t2) <= 0.5)
+        assert set(raw.pair[mask].tolist()) == {0, 2}
+        assert np.array_equal(ds.data, np.column_stack([raw.s1[mask], raw.s2[mask]]))
 
     def test_window_validation(self):
         raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 3,

@@ -42,6 +42,29 @@ class TestPauli:
             q.pauli_dot([1, 1, 0])
 
 
+class TestNonFiniteInputs:
+    """Each tolerance check fails on NaN, so a NaN input is refused."""
+
+    def test_direction(self):
+        with pytest.raises(ValueError, match="not a unit vector"):
+            q.as_direction([np.nan, 0.0, 1.0])
+
+    def test_spin_half_state(self):
+        with pytest.raises(ValueError, match=r"\|x\| <= 1"):
+            q.spin_half_state([0.0, np.nan, 0.0])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_density_matrix(self, entry):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[0, 1] = mat[1, 0] = entry
+        with pytest.raises(ValueError, match="must be finite"):
+            q.DensityMatrix(mat, 1)
+
+    def test_probability_table(self):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            q.ProbabilityTable(1, np.array([np.nan, 1.0]))
+
+
 class TestProjector:
     def test_z_projectors(self):
         assert np.allclose(q.projector(+1, [0, 0, 1]), np.diag([1, 0]))
