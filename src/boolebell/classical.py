@@ -31,7 +31,7 @@ import numpy as np
 
 from .datasets import (BOOLE_TRIPLE, BOOLE_TRIPLE_ANTICORRELATED,
                        DichotomicDataset)
-from .reports import count_violated
+from .reports import SLACK_TOL, count_violated
 
 Birthplace = Literal["a", "b", "c"]
 MuKind = Literal["uniform", "delta_equal", "delta_opposite"]
@@ -269,7 +269,7 @@ def _chsh_scan(emat: np.ndarray) -> tuple[int, float, tuple[int, int, int, int]]
                out=slab)
         slab += emat[None, :, :]
         np.abs(slab, out=slab)
-        count += int(np.count_nonzero(slab > 2.0 + 1e-12))
+        count += int(np.count_nonzero(slab > 2.0 + SLACK_TOL))
         top = float(slab.max())
         if top > best:
             best = top

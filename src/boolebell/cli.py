@@ -2,10 +2,12 @@
 
 Output is a JSON envelope {scenario, params, values, reports} validating
 against ``schemas/report.schema.json``; ``--format table`` renders the same
-content as text, ``--format csv`` is available for sample dumps.  An
-inequality violation is a reported finding, not an error: the exit status is
-nonzero only for invalid invocations.  All randomized scenarios require an
-explicit ``--seed``.
+content as text, and ``factorizable --format csv`` writes the sampled pairs.
+Each subcommand declares only the flags it reads, so an invalid invocation
+exits 2 at argument parsing, before any work is done.  An inequality
+violation is a reported finding, not an error: the exit status is nonzero
+only for invalid invocations.  All randomized scenarios require an explicit
+``--seed``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from . import classical, leggett_garg as lg, pipeline, quantum, tables
 from .datasets import (check_boole_triple, check_boole_triple_anticorrelated,
                        check_chsh, check_pair_bound, correlation,
                        dataset_csv_text, read_dataset_csv)
-from .reports import GRID_BLOCK
+from .reports import GRID_BLOCK, SLACK_TOL
 
 
 class CliError(Exception):
@@ -56,15 +59,14 @@ def _render_table(envelope: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(envelope: dict, args, csv_text: str | None = None) -> None:
+def _emit(result: dict | str, args) -> None:
+    """Write a handler's envelope as JSON or a table, or the csv it rendered."""
     if args.format == "json":
-        text = json.dumps(envelope, indent=2, default=float, allow_nan=False) + "\n"
+        text = json.dumps(result, indent=2, default=float, allow_nan=False) + "\n"
     elif args.format == "table":
-        text = _render_table(envelope)
+        text = _render_table(result)
     else:
-        if csv_text is None:
-            raise CliError("csv format is only available for sample/event dumps")
-        text = csv_text
+        text = result
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -75,7 +77,7 @@ def _emit(envelope: dict, args, csv_text: str | None = None) -> None:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_dataset(args) -> None:
+def cmd_dataset(args) -> dict:
     ds = read_dataset_csv(args.input)
     pairs = [(i, j) for i in range(1, ds.n + 1) for j in range(i + 1, ds.n + 1)]
     corr = {f"F{i}{j}": correlation(ds, i, j).value for i, j in pairs}
@@ -88,24 +90,24 @@ def cmd_dataset(args) -> None:
     elif ds.n == 4:
         reports["chsh"] = check_chsh(corr["F13"], corr["F23"],
                                      corr["F14"], corr["F24"]).to_dict()
-    _emit({"scenario": "dataset", "params": {"input": args.input, "n": ds.n,
-                                             "m": ds.m},
-           "values": corr, "reports": reports}, args)
+    return {"scenario": "dataset", "params": {"input": args.input, "n": ds.n,
+                                              "m": ds.m},
+            "values": corr, "reports": reports}
 
 
-def cmd_ebbi(args) -> None:
+def cmd_ebbi(args) -> dict:
     e0, e12, e13, e23 = args.e
     report = tables.ebbi_check(e0, e12, e13, e23)
     reports = {"ebbi": report.to_dict()}
     if e0 > 0:
         reports["boole_anticorrelated"] = check_boole_triple_anticorrelated(
             e12 / e0, e13 / e0, e23 / e0).to_dict()
-    _emit({"scenario": "ebbi",
-           "params": {"e0": e0, "e12": e12, "e13": e13, "e23": e23},
-           "values": {}, "reports": reports}, args)
+    return {"scenario": "ebbi",
+            "params": {"e0": e0, "e12": e12, "e13": e13, "e23": e23},
+            "values": {}, "reports": reports}
 
 
-def cmd_theorem(args) -> None:
+def cmd_theorem(args) -> dict:
     which = args.which
     if which != "reconstruct" and args.coeffs is None:
         raise CliError(f"--coeffs is required for --which {which}")
@@ -113,28 +115,24 @@ def cmd_theorem(args) -> None:
         e0, e1, e2, e12 = args.coeffs
         c = tables.ExpansionCoeffs2(e0, e1, e2, e12)
         rep = tables.theorem1_check(c)
-        _emit({"scenario": "theorem-1",
-               "params": c.to_dict(),
-               "values": {"table": tables.synth2(c).to_dict()},
-               "reports": {"theorem1": rep.to_dict()}}, args)
+        return {"scenario": "theorem-1",
+                "params": c.to_dict(),
+                "values": {"table": tables.synth2(c).to_dict()},
+                "reports": {"theorem1": rep.to_dict()}}
     elif which == "3":
         e, ehat, etilde, e0 = args.coeffs
         rep = tables.theorem3_check(e, ehat, etilde, e0)
-        _emit({"scenario": "theorem-3",
-               "params": {"e": e, "ehat": ehat, "etilde": etilde, "e0": e0},
-               "values": {}, "reports": {"theorem3": rep.to_dict()}}, args)
+        return {"scenario": "theorem-3",
+                "params": {"e": e, "ehat": ehat, "etilde": etilde, "e0": e0},
+                "values": {}, "reports": {"theorem3": rep.to_dict()}}
     elif which == "construct":
         a0, a12, a13, a23 = args.coeffs
-        try:
-            table = tables.construct_g3(a0, a12, a13, a23)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        _emit({"scenario": "theorem-construct",
-               "params": {"a0": a0, "a12": a12, "a13": a13, "a23": a23},
-               "values": {"table": table.to_dict(),
-                          "min_entry": float(np.min(table.values))},
-               "reports": {"ebbi": tables.ebbi_check(a0, a12, a13, a23).to_dict()}},
-              args)
+        table = tables.construct_g3(a0, a12, a13, a23)
+        return {"scenario": "theorem-construct",
+                "params": {"a0": a0, "a12": a12, "a13": a13, "a23": a23},
+                "values": {"table": table.to_dict(),
+                           "min_entry": float(np.min(table.values))},
+                "reports": {"ebbi": tables.ebbi_check(a0, a12, a13, a23).to_dict()}}
     else:  # reconstruct
         if not args.tables:
             raise CliError("--tables FILE is required for reconstruct")
@@ -154,23 +152,23 @@ def cmd_theorem(args) -> None:
             values["table"] = rec.table.to_dict()
             values["e123"] = rec.e123
             values["e123_interval"] = list(rec.e123_interval)
-        _emit({"scenario": "theorem-reconstruct", "params": {"tables": args.tables},
-               "values": values,
-               "reports": {"compatibility": compat.clause_report.to_dict()}}, args)
+        return {"scenario": "theorem-reconstruct", "params": {"tables": args.tables},
+                "values": values,
+                "reports": {"compatibility": compat.clause_report.to_dict()}}
 
 
-def cmd_quantum(args) -> None:
+def cmd_quantum(args) -> dict:
     rad = args.radians
     if args.scenario == "singlet":
         a = quantum.as_direction(args.a)
         b = quantum.as_direction(args.b)
         rho = quantum.singlet()
         e = quantum.expectation(rho, quantum.correlation_operator(a, b))
-        _emit({"scenario": "quantum-singlet",
-               "params": {"a": list(a), "b": list(b)},
-               "values": {"correlation": e, "minus_a_dot_b": float(-(a @ b)),
-                          "table": quantum.singlet_pair_table(a, b).to_dict()},
-               "reports": {}}, args)
+        return {"scenario": "quantum-singlet",
+                "params": {"a": list(a), "b": list(b)},
+                "values": {"correlation": e, "minus_a_dot_b": float(-(a @ b)),
+                           "table": quantum.singlet_pair_table(a, b).to_dict()},
+                "reports": {}}
     elif args.scenario in ("filter2", "filter3"):
         x = np.asarray(args.x, dtype=float)
         rho = quantum.spin_half_state(x)
@@ -180,44 +178,44 @@ def cmd_quantum(args) -> None:
         else:
             chain = quantum.filter_prob3(rho, args.a, args.b, args.c)
             closed = quantum.filter_prob3_closed(x, args.a, args.b, args.c)
-        _emit({"scenario": f"quantum-{args.scenario}",
-               "params": {"x": list(x), "a": args.a, "b": args.b,
-                          **({"c": args.c} if args.scenario == "filter3" else {})},
-               "values": {"chain": chain.to_dict(), "closed_form": closed.to_dict(),
-                          "max_gap": float(np.max(np.abs(chain.p - closed.p)))},
-               "reports": {}}, args)
+        return {"scenario": f"quantum-{args.scenario}",
+                "params": {"x": list(x), "a": args.a, "b": args.b,
+                           **({"c": args.c} if args.scenario == "filter3" else {})},
+                "values": {"chain": chain.to_dict(), "closed_form": closed.to_dict(),
+                           "max_gap": float(np.max(np.abs(chain.p - closed.p)))},
+                "reports": {}}
     elif args.scenario == "substitution":
         ta, tb, tc = (_to_rad(v, rad) for v in args.angles)
         dirs = [quantum.coplanar_direction(t) for t in (ta, tb, tc)]
         rep = quantum.eprb_substitution_report(*dirs)
-        _emit({"scenario": "quantum-substitution",
-               "params": {"angles": list(args.angles), "radians": rad},
-               "values": {"E": rep.e, "Ehat": rep.ehat, "Etilde": rep.etilde,
-                          "marginals_direct": rep.marginals_direct.to_dict(),
-                          "marginals_anticorrelated":
-                              rep.marginals_anticorrelated.to_dict()},
-               "reports": {"boole_direct": rep.boole_direct.to_dict(),
-                           "boole_anticorrelated":
-                               rep.boole_anticorrelated.to_dict()}}, args)
+        return {"scenario": "quantum-substitution",
+                "params": {"angles": list(args.angles), "radians": rad},
+                "values": {"E": rep.e, "Ehat": rep.ehat, "Etilde": rep.etilde,
+                           "marginals_direct": rep.marginals_direct.to_dict(),
+                           "marginals_anticorrelated":
+                               rep.marginals_anticorrelated.to_dict()},
+                "reports": {"boole_direct": rep.boole_direct.to_dict(),
+                            "boole_anticorrelated":
+                                rep.boole_anticorrelated.to_dict()}}
     elif args.scenario == "commutators":
         diag = quantum.commutator_diagnostics(args.a, args.b, args.c,
                                               quantum.singlet())
-        _emit({"scenario": "quantum-commutators",
-               "params": {"a": args.a, "b": args.b, "c": args.c,
-                          "state": "singlet"},
-               "values": diag.to_dict(), "reports": {}}, args)
+        return {"scenario": "quantum-commutators",
+                "params": {"a": args.a, "b": args.b, "c": args.c,
+                           "state": "singlet"},
+                "values": diag.to_dict(), "reports": {}}
     else:  # separable
         up = quantum.spin_half_state([0.0, 0.0, 1.0])
         down = quantum.spin_half_state([0.0, 0.0, -1.0])
         comps = [(0.5, up), (0.5, down)]
         rep = quantum.separable_bound_check(comps, args.a, args.b, args.c)
-        _emit({"scenario": "quantum-separable",
-               "params": {"components": "equal mix of up/up and down/down",
-                          "a": args.a, "b": args.b, "c": args.c},
-               "values": {}, "reports": {"separable": rep.to_dict()}}, args)
+        return {"scenario": "quantum-separable",
+                "params": {"components": "equal mix of up/up and down/down",
+                           "a": args.a, "b": args.b, "c": args.c},
+                "values": {}, "reports": {"separable": rep.to_dict()}}
 
 
-def cmd_leggett_garg(args) -> None:
+def cmd_leggett_garg(args) -> dict:
     p = lg.LGParams(args.omega, *args.dt)
     e12, e13, e23 = lg.lg_triple_correlations(p)
     pe, pehat, petilde = lg.lg_pair_correlations(p)
@@ -232,71 +230,71 @@ def cmd_leggett_garg(args) -> None:
             "E13": correlation(ds, 1, 3).value,
             "E23": correlation(ds, 2, 3).value,
         }
-    _emit({"scenario": "leggett-garg",
-           "params": {"omega": args.omega, "dt": list(args.dt),
-                      "samples": args.samples, "seed": args.seed},
-           "values": values,
-           "reports": {"triple": lg.lg_inequality_check(e12, e13, e23).to_dict(),
-                       "pair_substitution":
-                           lg.lg_inequality_check(pe, pehat, petilde).to_dict()}},
-          args)
+    return {"scenario": "leggett-garg",
+            "params": {"omega": args.omega, "dt": list(args.dt),
+                       "samples": args.samples, "seed": args.seed},
+            "values": values,
+            "reports": {"triple": lg.lg_inequality_check(e12, e13, e23).to_dict(),
+                        "pair_substitution":
+                            lg.lg_inequality_check(pe, pehat, petilde).to_dict()}}
 
 
-def cmd_extended_eprb(args) -> None:
+def cmd_extended_eprb(args) -> dict:
     rad = args.radians
     angles = [_to_rad(v, rad) for v in args.angles]
     if len(angles) == 3:
         table, coeffs = quantum.extended_eprb_prob3(*angles)
         rep = tables.ebbi_check(1.0, coeffs.e12, coeffs.e13, coeffs.e23)
-        _emit({"scenario": "extended-eprb",
-               "params": {"angles": list(args.angles), "radians": rad},
-               "values": {"table": table.to_dict(), "coeffs": coeffs.to_dict()},
-               "reports": {"ebbi": rep.to_dict()}}, args)
+        return {"scenario": "extended-eprb",
+                "params": {"angles": list(args.angles), "radians": rad},
+                "values": {"table": table.to_dict(), "coeffs": coeffs.to_dict()},
+                "reports": {"ebbi": rep.to_dict()}}
     elif len(angles) == 4:
         dirs = [quantum.coplanar_direction(t) for t in angles]
         table, pairs = quantum.extended_eprb_prob4(*dirs)
         closed = quantum.chsh_pair_correlations_closed(*dirs)
         rep = quantum.check_chsh_quadruple(pairs)
-        _emit({"scenario": "extended-eprb",
-               "params": {"angles": list(args.angles), "radians": rad},
-               "values": {"pair_correlations": pairs, "closed_forms": closed},
-               "reports": {"chsh": rep.to_dict()}}, args)
+        return {"scenario": "extended-eprb",
+                "params": {"angles": list(args.angles), "radians": rad},
+                "values": {"pair_correlations": pairs, "closed_forms": closed},
+                "reports": {"chsh": rep.to_dict()}}
     else:
         raise CliError("--angles takes 3 (triple) or 4 (quadruple) values")
 
 
-def cmd_allergy(args) -> None:
+def cmd_allergy(args) -> dict:
     gamma = (classical.allergy_gamma_triples if args.variant == "triples"
              else classical.allergy_gamma_pairs)(args.days, seed=args.seed)
     bound = -1.0
-    _emit({"scenario": "allergy",
-           "params": {"variant": args.variant, "days": args.days,
-                      "seed": args.seed},
-           "values": {"gamma": gamma, "triples_bound": bound,
-                      "bound_applies": args.variant == "triples",
-                      "apparent_violation": gamma < bound - 1e-12},
-           "reports": {}}, args)
+    return {"scenario": "allergy",
+            "params": {"variant": args.variant, "days": args.days,
+                       "seed": args.seed},
+            "values": {"gamma": gamma, "triples_bound": bound,
+                       "bound_applies": args.variant == "triples",
+                       "apparent_violation": gamma < bound - SLACK_TOL},
+            "reports": {}}
 
 
 _MU = {"uniform": "uniform", "equal": "delta_equal", "opposite": "delta_opposite"}
 
 
-def cmd_factorizable(args) -> None:
+def cmd_factorizable(args) -> dict | str:
     model = classical.FactorizableModel(_MU[args.mu])
     a, b = (_to_rad(v, args.radians) for v in args.angles)
-    analytic = classical.analytic_correlation(model, a, b)
     ds = classical.sample_pair(model, a, b, args.seed, args.samples)
+    if args.format == "csv":
+        return dataset_csv_text(ds.data, newline="\n")
+    analytic = classical.analytic_correlation(model, a, b)
     emp = correlation(ds, 1, 2).value
     sigma = math.sqrt(max(1.0 - analytic ** 2, 1e-30) / args.samples)
-    csv_text = dataset_csv_text(ds.data, newline="\n") if args.format == "csv" else None
-    _emit({"scenario": "factorizable",
-           "params": {"mu": model.mu_kind, "angles": list(args.angles),
-                      "radians": args.radians, "samples": args.samples,
-                      "seed": args.seed},
-           "values": {"analytic": analytic, "empirical": emp,
-                      "abs_error": abs(emp - analytic),
-                      "four_sigma": 4.0 * sigma},
-           "reports": {}}, args, csv_text=csv_text)
+    return {"scenario": "factorizable",
+            "params": {"mu": model.mu_kind, "angles": list(args.angles),
+                       "radians": args.radians, "samples": args.samples,
+                       "seed": args.seed},
+            "values": {"analytic": analytic, "empirical": emp,
+                       "abs_error": abs(emp - analytic),
+                       "four_sigma": 4.0 * sigma},
+            "reports": {}}
 
 
 def _make_source(spec: str):
@@ -305,17 +303,13 @@ def _make_source(spec: str):
     if spec == "triple":
         table = tables.construct_g3(1.0, 0.25, 0.25, 0.25)
         return pipeline.TripleProcessSource(table, {"a": 1, "b": 2, "c": 3})
-    if spec.startswith("pair:"):
-        kind = spec.split(":", 1)[1]
-        if kind not in _MU:
-            raise CliError(f"unknown pair model {kind!r}; use uniform/equal/opposite")
-        return pipeline.PairModelSource(classical.FactorizableModel(_MU[kind]))
-    raise CliError(f"unknown source {spec!r}")
+    kind = _MU[spec.removeprefix("pair:")]
+    return pipeline.PairModelSource(classical.FactorizableModel(kind))
 
 
-def cmd_epr_pipeline(args) -> None:
+def cmd_epr_pipeline(args) -> dict:
     a, b, c = (_to_rad(v, args.radians) for v in args.angles)
-    window = math.inf if args.window in ("inf", "INF") else float(args.window)
+    window = float(args.window)
     timing = pipeline.TimingModel(args.jitter, args.jitter_exponent)
     source = _make_source(args.source)
     report = pipeline.run_three_settings(a, b, c, source, timing,
@@ -324,18 +318,18 @@ def cmd_epr_pipeline(args) -> None:
         report.raw.write_csv(args.events_out)
     reports = {name: getattr(report, name)
                for name in ("pair_bound", "boole_direct", "boole_anticorrelated")}
-    _emit({"scenario": "epr-pipeline",
-           "params": {"source": args.source, "angles": list(args.angles),
-                      "radians": args.radians, "window": args.window,
-                      "samples": args.samples, "seed": args.seed,
-                      "jitter": args.jitter,
-                      "jitter_exponent": args.jitter_exponent},
-           "values": {"counts": report.counts, "correlations": report.correlations,
-                      "empty_pairs": list(report.empty_pairs),
-                      "verdict_direct": report.verdict_direct,
-                      "verdict_anticorrelated": report.verdict_anticorrelated},
-           "reports": {name: rep.to_dict() if rep else None
-                       for name, rep in reports.items()}}, args)
+    return {"scenario": "epr-pipeline",
+            "params": {"source": args.source, "angles": list(args.angles),
+                       "radians": args.radians, "window": args.window,
+                       "samples": args.samples, "seed": args.seed,
+                       "jitter": args.jitter,
+                       "jitter_exponent": args.jitter_exponent},
+            "values": {"counts": report.counts, "correlations": report.correlations,
+                       "empty_pairs": list(report.empty_pairs),
+                       "verdict_direct": report.verdict_direct,
+                       "verdict_anticorrelated": report.verdict_anticorrelated},
+            "reports": {name: rep.to_dict() if rep else None
+                        for name, rep in reports.items()}}
 
 
 # model_inequality_sweep peaks at about 37 n^3 bytes for n angles (measured for
@@ -346,13 +340,11 @@ MAX_FACTORIZABLE_ANGLES = 300
 MAX_AXIS_POINTS = GRID_BLOCK
 
 
-def cmd_sweep(args) -> None:
+def cmd_sweep(args) -> dict:
     start, stop, step = args.grid
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)
             and step > 0):
         raise CliError("--grid needs finite START and STOP and a positive finite STEP")
-    if args.points < 1:
-        raise CliError(f"--points must be at least 1, got {args.points}")
     # points per axis, counted before anything is allocated
     if args.what == "factorizable":   # STOP included
         count, limit = (stop - start) / step + 1, MAX_FACTORIZABLE_ANGLES
@@ -368,26 +360,26 @@ def cmd_sweep(args) -> None:
         model = classical.FactorizableModel(_MU[args.mu])
         grid = [_to_rad(v, rad) for v in np.arange(start, stop + 1e-9, step)]
         summary = classical.model_inequality_sweep(model, grid, chsh=not args.no_chsh)
-        _emit({"scenario": "sweep-factorizable",
-               "params": {"mu": model.mu_kind, "grid": list(args.grid),
-                          "radians": rad},
-               "values": summary.to_dict(), "reports": {}}, args)
+        return {"scenario": "sweep-factorizable",
+                "params": {"mu": model.mu_kind, "grid": list(args.grid),
+                           "radians": rad},
+                "values": summary.to_dict(), "reports": {}}
     elif args.what == "extended-eprb":
         # half-open [START, STOP): 0 360 STEP covers the circle once
         thetas = np.arange(_to_rad(start, rad), _to_rad(stop, rad) - 1e-9,
                            _to_rad(step, rad))
         s = quantum.extended_eprb_sweep(thetas)
-        _emit({"scenario": "sweep-extended-eprb",
-               "params": {"grid": list(args.grid), "radians": rad},
-               "values": {"points": s.points, "violations": s.violations,
-                          "worst_slack": s.worst_slack},
-               "reports": {}}, args)
+        return {"scenario": "sweep-extended-eprb",
+                "params": {"grid": list(args.grid), "radians": rad},
+                "values": {"points": s.points, "violations": s.violations,
+                           "worst_slack": s.worst_slack},
+                "reports": {}}
     else:  # leggett-garg
         s = lg.lg_sweep(args.points)
-        _emit({"scenario": "sweep-leggett-garg",
-               "params": {"points": args.points},
-               "values": {"violations": s.violations, "worst_slack": s.worst_slack},
-               "reports": {}}, args)
+        return {"scenario": "sweep-leggett-garg",
+                "params": {"points": args.points},
+                "values": {"violations": s.violations, "worst_slack": s.worst_slack},
+                "reports": {}}
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +403,32 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every negative float as a value: argparse alone takes only -N and
+    -N.N, so -1e2, -inf and -nan would be refused as unknown options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boolebell",
         description="Inequality checks for dichotomic data, non-negative "
                     "function tables, small spin systems and classical "
                     "counterexample models.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # every subparser is its own parser instance, so it needs the class too
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, seed=False):
-        p.add_argument("--format", choices=("json", "table", "csv"),
-                       default="json")
+    def common(p, seed=False, radians=False, csv=False):
+        p.add_argument("--format", default="json",
+                       choices=("json", "table", "csv") if csv else ("json", "table"))
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--radians", action="store_true",
-                       help="interpret angles as radians instead of degrees")
+        if radians:
+            p.add_argument("--radians", action="store_true",
+                           help="interpret angles as radians instead of degrees")
         if seed:
             p.add_argument("--seed", type=int, required=True,
                            help="explicit RNG seed (reproducibility contract)")
@@ -467,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_finite_float, nargs=3, default=(0.0, 1.0, 0.0))
     p.add_argument("--angles", type=_finite_float, nargs=3, default=(0.0, 60.0, 120.0),
                    help="coplanar setting angles (substitution scenario)")
-    common(p)
+    common(p, radians=True)
     p.set_defaults(func=cmd_quantum)
 
     p = sub.add_parser("leggett-garg", help="three-probe temporal "
@@ -484,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "the singlet: triples (3 angles) "
                                              "or quadruples (4 angles)")
     p.add_argument("--angles", type=_finite_float, nargs="+", required=True)
-    common(p)
+    common(p, radians=True)
     p.set_defaults(func=cmd_extended_eprb)
 
     p = sub.add_parser("allergy", help="city/parity outcome table collected "
@@ -498,18 +502,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorizable", help="threshold pair model: analytic "
                                             "vs sampled correlation")
-    p.add_argument("--mu", choices=("uniform", "equal", "opposite"),
-                   required=True)
+    p.add_argument("--mu", choices=tuple(_MU), required=True)
     p.add_argument("--angles", type=_finite_float, nargs=2, required=True)
     p.add_argument("--samples", type=int, default=100000)
-    common(p, seed=True)
+    common(p, seed=True, radians=True, csv=True)
     p.set_defaults(func=cmd_factorizable)
 
     p = sub.add_parser("epr-pipeline", help="time-tagged pair generation, "
                                             "coincidence filtering and "
                                             "triples-hypothesis checks")
     p.add_argument("--source", required=True,
-                   help="triple | singlet | pair:uniform | pair:equal | pair:opposite")
+                   choices=("triple", "singlet", *(f"pair:{kind}" for kind in _MU)))
     p.add_argument("--angles", type=_finite_float, nargs=3, required=True)
     p.add_argument("--window", default="inf",
                    help="coincidence window in event periods, or 'inf'")
@@ -518,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter-exponent", type=_finite_float, default=0.0)
     p.add_argument("--events-out", default=None,
                    help="also write the raw event log CSV to this path")
-    common(p, seed=True)
+    common(p, seed=True, radians=True)
     p.set_defaults(func=cmd_epr_pipeline)
 
     p = sub.add_parser("sweep", help="grid sweeps: factorizable clause "
@@ -526,23 +529,21 @@ def build_parser() -> argparse.ArgumentParser:
                                      "temporal-correlation grid")
     p.add_argument("--what", choices=("factorizable", "extended-eprb",
                                       "leggett-garg"), required=True)
-    p.add_argument("--mu", choices=("uniform", "equal", "opposite"),
-                   default="opposite")
+    p.add_argument("--mu", choices=tuple(_MU), default="opposite")
     p.add_argument("--grid", type=float, nargs=3, default=(0.0, 720.0, 30.0),
                    metavar=("START", "STOP", "STEP"))
     p.add_argument("--no-chsh", action="store_true")
     p.add_argument("--points", type=int, default=50)
-    common(p)
+    common(p, radians=True)
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        _emit(args.func(args), args)
     except (CliError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,11 @@ window, then feeds the per-setting correlations to the inequality checks.
 A Boole-family failure on windowed pair data is reported as the rejection of
 the triples hypothesis for the corresponding convention, never as an
 arithmetic or physical impossibility.
+
+Every run takes an explicit seed.  ``generate_events`` spawns one child seed
+per schedule entry, plus one for a random schedule, from
+``numpy.random.SeedSequence(seed)``; the children depend only on the seed and
+the schedule length, so equal seeds give bit-identical event logs.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import numpy as np
 from .classical import FactorizableModel, sample_pair_arrays, station_orientations
 from .datasets import (DichotomicDataset, InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated, check_pair_bound)
-from .seeds import spawn_seeds
 from .tables import FuncTable3, draw_rows, sign_rows
 
 EVENT_PERIOD = 1.0
@@ -217,7 +221,7 @@ def generate_events(source, schedule: list[SettingPair], m: int,
     if schedule_mode not in ("round_robin", "random"):
         raise ValueError(f"unknown schedule mode {schedule_mode!r}")
     n_pairs = len(schedule)
-    children = spawn_seeds(seed, n_pairs + 1)
+    children = np.random.SeedSequence(int(seed)).spawn(n_pairs + 1)
     code = np.min_scalar_type(n_pairs - 1)
     if schedule_mode == "round_robin":
         assignment = np.tile(np.arange(n_pairs, dtype=code), -(-m // n_pairs))[:m]

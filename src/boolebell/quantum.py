@@ -381,18 +381,12 @@ def extended_eprb_amplitude(s1: int, s2: int, s3: int,
 def extended_eprb_prob3(theta_a: float, theta_b: float, theta_c: float,
                         ) -> tuple[ProbabilityTable, ExpansionCoeffs3]:
     """Triple-outcome probabilities for coplanar settings, built from the path
-    amplitudes, plus the expansion coefficients of the table.
-
-    The squared amplitudes are verified to sum to 1 before the table is
-    returned.
-    """
+    amplitudes, plus the expansion coefficients of the table.  The squared
+    amplitudes sum to 1; ``ProbabilityTable`` checks the sum and the range
+    of every entry."""
     amps = np.array([extended_eprb_amplitude(s1, s2, s3, theta_a, theta_b, theta_c)
                      for s1, s2, s3 in product((+1, -1), repeat=3)])
-    p = amps * amps
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise AssertionError(f"amplitude normalization broken: sum {total}")
-    table = ProbabilityTable(3, p)
+    table = ProbabilityTable(3, amps * amps)
     return table, expand3(table.to_func_table3())
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands: envelope schema, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -26,6 +27,18 @@ def run_json(capsys, argv):
     envelope = json.loads(out)
     jsonschema.validate(envelope, SCHEMA)
     return envelope
+
+
+def parse_error(capsys, argv):
+    """The one `error:` line of an invocation refused at argument parsing."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    return errors[0]
 
 
 class TestSubcommands:
@@ -353,8 +366,71 @@ class TestCliBehavior:
             _emit({"values": {"x": float("inf")}}, Namespace(format="json", out=None))
 
     def test_csv_rejected_for_reports(self, capsys):
-        assert main(["ebbi", "check", "--e", "1", "0", "0", "0",
-                     "--format", "csv"]) == 2
+        error = parse_error(capsys, ["ebbi", "check", "--e", "1", "0", "0", "0",
+                                     "--format", "csv"])
+        assert "argument --format: invalid choice: 'csv'" in error
+
+    def test_each_subcommand_declares_only_the_flags_it_reads(self):
+        from boolebell.cli import build_parser
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+
+        def option(name, flag):
+            return next((a for a in subparsers[name]._actions if flag in a.option_strings),
+                        None)
+        assert {name for name in subparsers if option(name, "--radians")} == {
+            "quantum", "extended-eprb", "factorizable", "epr-pipeline", "sweep"}
+        assert {name for name in subparsers
+                if "csv" in option(name, "--format").choices} == {"factorizable"}
+
+    def test_unread_csv_format_writes_no_event_log(self, capsys, tmp_path, monkeypatch):
+        from boolebell import pipeline
+
+        def boom(*args, **kwargs):
+            raise AssertionError("ran the pipeline")
+        monkeypatch.setattr(pipeline, "run_three_settings", boom)
+        events = tmp_path / "e.csv"
+        parse_error(capsys, ["epr-pipeline", "--source", "singlet", "--angles", "0", "60",
+                             "120", "--samples", "300", "--seed", "1", "--format", "csv",
+                             "--events-out", str(events)])
+        assert not events.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["leggett-garg", "--omega", "1", "--dt", "0", "1", "1", "--samples", "1000000",
+          "--seed", "1", "--radians"], "--radians"),
+        (["ebbi", "check", "--e", "1", "0", "0", "0", "--radians"], "--radians"),
+        (["sweep", "--what", "factorizable", "--format", "csv"], "--format"),
+        (["sweep", "--what", "leggett-garg", "--format", "csv"], "--format"),
+    ])
+    def test_unread_flags_are_refused_before_any_work(self, capsys, monkeypatch, argv, flag):
+        from boolebell import classical, leggett_garg, quantum
+
+        def boom(*args, **kwargs):
+            raise AssertionError("did the work")
+        for owner, name in ((leggett_garg, "sample_triples"), (leggett_garg, "lg_sweep"),
+                            (classical, "model_inequality_sweep"),
+                            (quantum, "extended_eprb_sweep")):
+            monkeypatch.setattr(owner, name, boom)
+        error = parse_error(capsys, argv)
+        assert (f"unrecognized arguments: {flag}" in error
+                or f"argument {flag}: invalid choice" in error)
+
+    @pytest.mark.parametrize("argv", [
+        ["epr-pipeline", "--source", "pair:bogus", "--angles", "0", "1", "2", "--seed", "1"],
+        ["epr-pipeline", "--source", "bogus", "--angles", "0", "1", "2", "--seed", "1"],
+        ["sweep", "--what", "factorizable", "--mu", "delta_equal"],
+    ])
+    def test_unknown_models_are_bad_choices(self, capsys, argv):
+        assert "invalid choice" in parse_error(capsys, argv)
+
+    def test_negative_floats_in_exponent_form(self, capsys):
+        env = run_json(capsys, ["extended-eprb", "--angles", "0", "60", "-1e2"])
+        assert env["params"]["angles"] == [0.0, 60.0, -100.0]
+        env = run_json(capsys, ["factorizable", "--mu", "equal", "--angles", "-1E-3", "-.5e1",
+                                "--samples", "10", "--seed", "1"])
+        assert env["params"]["angles"] == [-0.001, -5.0]
+        assert parse_error(capsys, ["extended-eprb", "--angles", "0", "60", "-inf"]).endswith(
+            "argument --angles: must be finite, got '-inf'")
 
     def test_csv_sample_dump(self, capsys):
         code = main(["factorizable", "--mu", "equal", "--angles", "10", "10",

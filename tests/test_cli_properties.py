@@ -1,0 +1,229 @@
+"""Property tests for the CLI's exit contract.
+
+An invocation inside every subcommand's domain exits 0 with a strict,
+schema-valid JSON envelope.  An invocation the parser must refuse (a flag the
+subcommand does not declare, a non-finite float, a value outside a choice
+list) exits 2 with exactly one `error:` line and nothing on stdout.  Any
+invocation the parser accepts ends in one of those two ways, never in a
+traceback.  Sizes stay small and the examples are derandomized, so the suite
+is fast and repeatable.
+"""
+
+import contextlib
+import io
+import json
+import math
+from importlib import resources
+
+import jsonschema
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from boolebell.cli import main
+
+SCHEMA = jsonschema.Draft202012Validator(json.loads(
+    resources.files("boolebell.schemas").joinpath("report.schema.json").read_text()))
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
+
+SUBCOMMANDS = ("ebbi", "theorem", "quantum", "leggett-garg", "extended-eprb", "allergy",
+               "factorizable", "epr-pipeline", "sweep")
+RADIANS = {"quantum", "extended-eprb", "factorizable", "epr-pipeline", "sweep"}
+NON_FINITE = ("nan", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999")
+BAD_CHOICES = ("", "bogus", "JSON", "pair:", "delta_equal", "2")
+# flags (or flag values) and the subcommands that declare them
+DECLARED_BY = (("--bogus", ()), ("--format=csv", ("factorizable",)),
+               ("--events-out=e.csv", ("epr-pipeline",)), ("--radians", RADIANS),
+               ("--no-chsh", ("sweep",)))
+
+
+class Argv(list):
+    """An argv under construction that records which tokens hold floats
+    and which hold choice values."""
+
+    def __init__(self, command):
+        super().__init__([command])
+        self.floats, self.choices = [], [0]
+
+    def add(self, flag, *values, kind=None):
+        self.append(flag)
+        for value in values:
+            if kind == "float":
+                self.floats.append(len(self))
+            elif kind == "choice":
+                self.choices.append(len(self))
+            self.append(value)
+
+
+def floats(lo, hi):
+    # repr, so tiny and huge values reach the parser in exponent form
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False).map(repr)
+
+
+def unit_vectors():
+    return st.tuples(st.floats(0, math.pi), st.floats(0, 2 * math.pi)).map(
+        lambda a: [repr(math.sin(a[0]) * math.cos(a[1])),
+                   repr(math.sin(a[0]) * math.sin(a[1])), repr(math.cos(a[0]))])
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1).map(str)
+
+
+@st.composite
+def valid_argv(draw, command):
+    """An invocation inside the domain of `command`, at small sizes."""
+    argv = Argv(command)
+    if command == "ebbi":
+        if draw(st.booleans()):
+            argv.choices.append(len(argv))
+            argv.append("check")
+        e0 = draw(st.floats(0, 10))
+        argv.add("--e", repr(e0), *(repr(e0 * draw(st.floats(-1, 1))) for _ in range(3)),
+                 kind="float")
+    elif command == "theorem":
+        which = draw(st.sampled_from(("1", "3", "construct")))
+        argv.add("--which", which, kind="choice")
+        e0 = draw(st.floats(0, 10))
+        if which == "construct":
+            # inside the region: a mixture of the four deterministic vertices
+            weights = draw(st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(any))
+            vertices = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+            pair = [e0 * sum(w * v[k] for w, v in zip(weights, vertices)) / sum(weights)
+                    for k in range(3)]
+        else:
+            pair = [e0 * draw(st.floats(-1, 1)) for _ in range(3)]
+        coeffs = [e0, *pair] if which != "3" else [*pair, e0]
+        argv.add("--coeffs", *map(repr, coeffs), kind="float")
+    elif command == "quantum":
+        argv.add("--scenario", draw(st.sampled_from(
+            ("singlet", "filter2", "filter3", "substitution", "separable", "commutators"))),
+            kind="choice")
+        r = draw(st.floats(0, 1))
+        argv.add("--x", *(repr(r * float(v)) for v in draw(unit_vectors())), kind="float")
+        for flag in ("--a", "--b", "--c"):
+            argv.add(flag, *draw(unit_vectors()), kind="float")
+        argv.add("--angles", *(draw(floats(-720, 720)) for _ in range(3)), kind="float")
+    elif command == "leggett-garg":
+        argv.add("--omega", draw(floats(-10, 10)), kind="float")
+        argv.add("--dt", *(draw(floats(0, 10)) for _ in range(3)), kind="float")
+        argv.add("--samples", str(draw(st.integers(0, 200))))
+        argv.add("--seed", draw(SEEDS))
+    elif command == "extended-eprb":
+        n = draw(st.sampled_from((3, 4)))
+        argv.add("--angles", *(draw(floats(-720, 720)) for _ in range(n)), kind="float")
+    elif command == "allergy":
+        argv.add("--variant", draw(st.sampled_from(("triples", "pairs"))), kind="choice")
+        argv.add("--days", str(draw(st.integers(1, 50))))
+        if draw(st.booleans()):
+            argv.add("--seed", draw(SEEDS))
+    elif command == "factorizable":
+        argv.add("--mu", draw(st.sampled_from(("uniform", "equal", "opposite"))),
+                 kind="choice")
+        argv.add("--angles", draw(floats(-720, 720)), draw(floats(-720, 720)), kind="float")
+        argv.add("--samples", str(draw(st.integers(1, 200))))
+        argv.add("--seed", draw(SEEDS))
+    elif command == "epr-pipeline":
+        argv.add("--source", draw(st.sampled_from(
+            ("triple", "singlet", "pair:uniform", "pair:equal", "pair:opposite"))),
+            kind="choice")
+        argv.add("--angles", *(draw(floats(-720, 720)) for _ in range(3)), kind="float")
+        argv.add("--window", draw(st.just("inf") | floats(0.01, 5)))
+        argv.add("--jitter", draw(floats(0, 2)), kind="float")
+        argv.add("--jitter-exponent", draw(floats(0, 4)), kind="float")
+        argv.add("--samples", str(draw(st.integers(1, 200))))
+        argv.add("--seed", draw(SEEDS))
+    else:  # sweep
+        what = draw(st.sampled_from(("factorizable", "extended-eprb", "leggett-garg")))
+        argv.add("--what", what, kind="choice")
+        if what == "leggett-garg":
+            argv.add("--points", str(draw(st.integers(1, 30))))
+        else:
+            start, step = draw(st.floats(-360, 360)), draw(st.floats(5, 90))
+            argv.add("--grid", repr(start), repr(start + step * draw(st.integers(1, 8))),
+                     repr(step), kind="float")
+            if what == "factorizable":
+                argv.add("--mu", draw(st.sampled_from(("uniform", "equal", "opposite"))),
+                         kind="choice")
+                if draw(st.booleans()):
+                    argv.append("--no-chsh")
+    if command in RADIANS and draw(st.booleans()):
+        argv.append("--radians")
+    return argv
+
+
+@st.composite
+def loose_argv(draw, command):
+    """An invocation the parser accepts, with any finite floats and small
+    integers of either sign.  The sweep grid stays as drawn: a loose grid can
+    ask for the full 32,768 points per axis, which is valid but slow."""
+    argv = draw(valid_argv(command))
+    grid = argv.index("--grid") if "--grid" in argv else len(argv)
+    for i in argv.floats:
+        if not grid < i <= grid + 3:
+            argv[i] = draw(floats(-1e308, 1e308))
+    for i, token in enumerate(argv[:-1]):
+        if token in ("--samples", "--days", "--points"):
+            argv[i + 1] = str(draw(st.integers(-3, 60)))
+    return argv
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
+def assert_envelope(out):
+    envelope = json.loads(out, parse_constant=_refuse_constant)
+    SCHEMA.validate(envelope)
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@PROPERTY
+@given(data=st.data())
+def test_valid_invocations_exit_0_with_strict_json(command, data):
+    argv = data.draw(valid_argv(command))
+    code, out, err = run(argv)
+    assert code == 0, err
+    assert_envelope(out)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@PROPERTY
+@given(data=st.data())
+def test_invalid_invocations_exit_2_with_one_error_line(command, data):
+    draw = data.draw
+    argv = draw(valid_argv(command))
+    mutation = draw(st.sampled_from(("flag", "float", "choice")))
+    if mutation == "float" and argv.floats:
+        argv[draw(st.sampled_from(argv.floats))] = draw(st.sampled_from(NON_FINITE))
+    elif mutation == "choice":
+        argv[draw(st.sampled_from(argv.choices))] = draw(st.sampled_from(BAD_CHOICES))
+    else:
+        undeclared = [flag for flag, owners in DECLARED_BY if command not in owners]
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(undeclared)))
+    assert_one_error_line(*run(argv))
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@PROPERTY
+@given(data=st.data())
+def test_accepted_invocations_never_end_in_a_traceback(command, data):
+    code, out, err = run(data.draw(loose_argv(command)))
+    if code == 0:
+        assert_envelope(out)
+    else:
+        assert_one_error_line(code, out, err)

@@ -64,6 +64,15 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             q.ProbabilityTable(1, np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_extended_eprb_prob3(self, angle):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            q.extended_eprb_prob3(0.0, angle, 1.0)
+
+    def test_extended_eprb_prob3_huge_angles_stay_normalized(self):
+        table, _ = q.extended_eprb_prob3(1e300, -1e300, 1e300)
+        assert float(table.p.sum()) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestProjector:
     def test_z_projectors(self):
