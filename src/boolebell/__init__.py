@@ -15,7 +15,7 @@ from .datasets import (DichotomicDataset, PairCorrelation, ReducedDataset,
 from .reports import SLACK_TOL, Clause, InequalityReport, make_clause, make_report
 from .tables import (CompatibilityResult, ExpansionCoeffs2, ExpansionCoeffs3,
                      FuncTable2, FuncTable3, IncompatibleMarginalsError,
-                     LambdaModel, Reconstruction, bell_pair_tables,
+                     LambdaModel, Reconstruction, SignTable, bell_pair_tables,
                      bell_triple_table, construct_g3, ebbi_check, expand2,
                      expand3, marginals_compatible, reconstruct_f3, synth2,
                      synth3, theorem1_check, theorem3_check)
@@ -26,7 +26,7 @@ __all__ = [
     "reduce_dataset", "correlation", "check_boole_triple",
     "check_boole_triple_anticorrelated", "check_pair_bound", "check_chsh",
     "read_dataset_csv", "write_dataset_csv",
-    "FuncTable2", "FuncTable3", "ExpansionCoeffs2", "ExpansionCoeffs3",
+    "SignTable", "FuncTable2", "FuncTable3", "ExpansionCoeffs2", "ExpansionCoeffs3",
     "expand2", "synth2", "expand3", "synth3", "theorem1_check", "ebbi_check",
     "construct_g3", "theorem3_check", "marginals_compatible",
     "reconstruct_f3", "Reconstruction", "CompatibilityResult",

@@ -386,11 +386,15 @@ def cmd_sweep(args) -> dict:
 # parser
 # ---------------------------------------------------------------------------
 
-def _finite_float(text: str) -> float:
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _finite_float(text: str) -> float:
+    value = _float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
@@ -401,6 +405,13 @@ def _non_negative_float(text: str) -> float:
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value
+
+
+def _window(text: str) -> str:
+    """A positive float or inf, returned as typed: the envelope echoes it."""
+    if not _float(text) > 0.0:   # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be positive or inf, got {text!r}")
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -514,11 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True,
                    choices=("triple", "singlet", *(f"pair:{kind}" for kind in _MU)))
     p.add_argument("--angles", type=_finite_float, nargs=3, required=True)
-    p.add_argument("--window", default="inf",
+    p.add_argument("--window", type=_window, default="inf",
                    help="coincidence window in event periods, or 'inf'")
     p.add_argument("--samples", type=int, default=30000)
     p.add_argument("--jitter", type=_non_negative_float, default=0.0)
-    p.add_argument("--jitter-exponent", type=_finite_float, default=0.0)
+    p.add_argument("--jitter-exponent", type=_non_negative_float, default=0.0)
     p.add_argument("--events-out", default=None,
                    help="also write the raw event log CSV to this path")
     common(p, seed=True, radians=True)

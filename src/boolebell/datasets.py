@@ -25,6 +25,7 @@ import numpy as np
 
 from .reports import (BOOLE_ORDER, ClauseFamily, InequalityReport, boole_terms,
                       six_descriptions, weak_terms)
+from .tables import sign_codes, sign_rows
 
 _RANGE_TOL = 1e-12
 
@@ -192,12 +193,9 @@ def dataset_csv_text(data: np.ndarray, newline: str = "\r\n") -> str:
     one fixed-width byte string per sign pattern, gathered by row."""
     n = data.shape[1]
     header = ",".join(f"s{i}" for i in range(1, n + 1)) + newline
-    # sign patterns in product((+1, -1)) order: pattern k has S_i = -1
-    # where bit n - i of k is set
     lines = np.array([",".join("+1" if s > 0 else "-1" for s in signs) + newline
-                      for signs in product((1, -1), repeat=n)], dtype=bytes)
-    pattern = (data < 0) @ (1 << np.arange(n - 1, -1, -1))
-    return header + lines[pattern].tobytes().decode("ascii")
+                      for signs in sign_rows(n).tolist()], dtype=bytes)
+    return header + lines[sign_codes(*data.T)].tobytes().decode("ascii")
 
 
 def write_dataset_csv(ds: DichotomicDataset, path: str | Path) -> None:

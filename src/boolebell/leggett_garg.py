@@ -22,7 +22,7 @@ import numpy as np
 
 from .datasets import DichotomicDataset, _require_in_unit_interval
 from .reports import GridSweep, InequalityReport, grid_sweep, make_report
-from .tables import EBBI, draw_rows, ebbi_check
+from .tables import EBBI, SignTable, draw_rows, ebbi_check, sign_codes
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ BASIS: tuple[tuple[int, int, int, int], ...] = (
     (+1, +1, -1, +1),
     (-1, -1, +1, -1),
 )
+# the probe triples of BASIS, in its order
+_PROBE_ROWS = np.array([basis[1:] for basis in BASIS], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,10 @@ def lg_triple_correlations(p: LGParams) -> tuple[float, float, float]:
 
 def lg_triple_correlations_from_state(amps: LGAmplitudes) -> tuple[float, float, float]:
     """The same correlations computed directly from the wave function."""
-    probs = amps.triple_probabilities()
-    e12 = sum(s[0] * s[1] * pr for s, pr in probs.items())
-    e13 = sum(s[0] * s[2] * pr for s, pr in probs.items())
-    e23 = sum(s[1] * s[2] * pr for s, pr in probs.items())
-    return float(e12), float(e13), float(e23)
+    probs = np.zeros(8)
+    probs[sign_codes(*_PROBE_ROWS.T)] = np.abs(amps.amplitudes) ** 2
+    table = SignTable(probs.reshape(2, 2, 2))
+    return tuple(table.pair_correlation(i, j) for i, j in ((1, 2), (1, 3), (2, 3)))
 
 
 def lg_pair_correlations(p: LGParams) -> tuple[float, float, float]:
@@ -154,8 +155,7 @@ def sample_triples(p: LGParams, m: int, seed: int) -> DichotomicDataset:
     if m < 1:
         raise ValueError("need at least one sample")
     probs = np.abs(evolve_triple(p).amplitudes) ** 2
-    rows = np.array([basis[1:] for basis in BASIS], dtype=np.int8)
-    return DichotomicDataset(draw_rows(probs / probs.sum(), rows,
+    return DichotomicDataset(draw_rows(probs / probs.sum(), _PROBE_ROWS,
                                        np.random.default_rng(seed), m))
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .classical import FactorizableModel, sample_pair_arrays, station_orientations
 from .datasets import (DichotomicDataset, InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated, check_pair_bound)
-from .tables import FuncTable3, draw_rows, sign_rows
+from .tables import FuncTable3, draw_rows, sign_codes, sign_rows
 
 EVENT_PERIOD = 1.0
 # event pairs rendered per write by RawDataset.write_csv
@@ -69,8 +69,8 @@ class TimingModel:
     def __post_init__(self):
         if not (math.isfinite(self.jitter) and math.isfinite(self.exponent)):
             raise ValueError("jitter and exponent must be finite")
-        if self.jitter < 0.0:
-            raise ValueError("jitter must be non-negative")
+        if self.jitter < 0.0 or self.exponent < 0.0:
+            raise ValueError("jitter and exponent must be non-negative")
 
     def delays(self, hidden: np.ndarray, setting_angle: float,
                rng: np.random.Generator) -> np.ndarray:
@@ -280,25 +280,23 @@ class ThreeSettingsReport:
 
 
 def _coincidence_counts(raw: RawDataset, window: float, n_pairs: int) -> np.ndarray:
-    """Coincidences per schedule index and outcome pair, in one pass: an
-    (n_pairs, 4) table of the counts of (S1, S2) = (-,-), (-,+), (+,-), (+,+)
-    among the event pairs with |t1 - t2| <= window.  A NaN gap fails the
+    """Coincidences per schedule index and outcome pair, in one pass: one
+    2x2 count grid of (S1, S2) per schedule index, in sign-grid order, over
+    the event pairs with |t1 - t2| <= window.  A NaN gap fails the
     comparison and is dropped, as in ``coincidence_filter``."""
-    # codes 4 pair + 2 [S1 > 0] + [S2 > 0]; code 4 n_pairs is the discard bin
+    # codes 4 pair + sign_codes(S1, S2); code 4 n_pairs is the discard bin
     discard = 4 * n_pairs
     counts = np.zeros(discard + 1, dtype=np.int64)
     for lo in range(0, raw.m, REDUCE_BLOCK):
         block = slice(lo, lo + REDUCE_BLOCK)
         codes = raw.pair[block].astype(np.min_scalar_type(discard))
-        codes <<= 1
-        codes += raw.s1[block] > 0
-        codes <<= 1
-        codes += raw.s2[block] > 0
+        codes *= 4
+        codes += sign_codes(raw.s1[block], raw.s2[block])
         gap = np.subtract(raw.t1[block], raw.t2[block])
         np.abs(gap, out=gap)
         np.putmask(codes, ~(gap <= window), discard)
         counts += np.bincount(codes, minlength=discard + 1)
-    return counts[:-1].reshape(n_pairs, 4)
+    return counts[:-1].reshape(n_pairs, 2, 2)
 
 
 def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
@@ -325,7 +323,7 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     raw = generate_events(source, schedule, m, timing, seed)
     counts, corr, empties = {}, {}, []
     table = _coincidence_counts(raw, window, len(schedule)).tolist()
-    for pair, (mm, mp, pm, pp) in zip(schedule, table):
+    for pair, ((pp, pm), (mp, mm)) in zip(schedule, table):
         key = "".join(pair.key)
         counts[key] = kept = mm + mp + pm + pp
         if kept == 0:

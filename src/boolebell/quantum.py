@@ -32,8 +32,7 @@ from .datasets import (InequalityReport, check_boole_triple,
 from .reports import (ClauseFamily, GridSweep, boole_terms, grid_sweep,
                       make_clause, make_report, six_descriptions)
 from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
-                     FuncTable3, expand2, expand3, marginals_compatible,
-                     sign_dict, sign_index, sign_transform)
+                     SignTable, expand2, marginals_compatible, sign_transform)
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -99,54 +98,21 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
-    """Probabilities over the 2^n sign patterns, particle 1 slowest."""
+class ProbabilityTable(SignTable):
+    """Probabilities over the 2^n sign patterns, particle 1 slowest, given
+    flat in grid order; ``p`` is the flat read-only view."""
 
-    n: int
-    p: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
-        if arr.shape != (2 ** self.n,):
-            raise ValueError(f"need {2 ** self.n} entries for n={self.n}")
+    def __init__(self, n: int, p):
+        arr = np.asarray(p, dtype=float)
+        if arr.shape != (2 ** n,):
+            raise ValueError(f"need {2 ** n} entries for n={n}")
         if not (np.min(arr) >= -1e-12 and np.max(arr) <= 1.0 + 1e-12):   # NaN fails too
             raise ValueError("entries must lie in [0, 1]")
         if abs(float(arr.sum()) - 1.0) > 1e-10:
             raise ValueError(f"entries must sum to 1, got {float(arr.sum())}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
+        super().__init__(arr.reshape((2,) * n))
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.p, other.p)
-
-    def grid(self) -> np.ndarray:
-        return self.p.reshape((2,) * self.n)
-
-    def value(self, *signs: int) -> float:
-        if len(signs) != self.n:
-            raise ValueError(f"expected {self.n} signs")
-        return float(self.grid()[sign_index(signs)])
-
-    def pair_correlation(self, i: int, j: int) -> float:
-        """sum_S Si Sj P(S) for 1-based particle indices i < j."""
-        return float(sign_transform(self.grid())[
-            tuple(int(k in (i, j)) for k in range(1, self.n + 1))])
-
-    def to_func_table2(self) -> FuncTable2:
-        if self.n != 2:
-            raise ValueError("not a two-variable table")
-        return FuncTable2(self.p.reshape(2, 2))
-
-    def to_func_table3(self) -> FuncTable3:
-        if self.n != 3:
-            raise ValueError("not a three-variable table")
-        return FuncTable3(self.p.reshape(2, 2, 2))
-
-    def to_dict(self) -> dict:
-        return sign_dict(self.grid())
+    p = property(lambda self: self.values.reshape(-1))
 
 
 def op_on(op2: np.ndarray, particle: int, n: int) -> np.ndarray:
@@ -348,7 +314,7 @@ def _flip_first_variable(t: FuncTable2) -> FuncTable2:
 
 
 def eprb_substitution_report(a, b, c) -> SubstitutionReport:
-    f, fhat, ftilde = (t.to_func_table2() for t in eprb_pair_tables(a, b, c))
+    f, fhat, ftilde = eprb_pair_tables(a, b, c)
     e, ehat, etilde = expand2(f).e12, expand2(fhat).e12, expand2(ftilde).e12
     return SubstitutionReport(
         e, ehat, etilde,
@@ -365,45 +331,23 @@ def eprb_substitution_report(a, b, c) -> SubstitutionReport:
 # Extended pair-source experiments: triples and quadruples
 # ---------------------------------------------------------------------------
 
-def extended_eprb_amplitude(s1: int, s2: int, s3: int,
-                            theta_a: float, theta_b: float, theta_c: float) -> float:
-    """Path amplitude for outcome (S1, S2, S3) of the singlet experiment in
-    which the right particle passes two analyzer stages (b then c)."""
-    sba = np.sin((theta_b - theta_a) / 2.0)
-    cba = np.cos((theta_b - theta_a) / 2.0)
-    scb = np.sin((theta_c - theta_b) / 2.0)
-    ccb = np.cos((theta_c - theta_b) / 2.0)
-    first = ((1 + s1 * s2) * sba + s2 * (1 - s1 * s2) * cba) / (2.0 * np.sqrt(2.0))
-    second = ((1 + s2 * s3) * ccb + s2 * (1 - s2 * s3) * scb) / 2.0
-    return float(first * second)
-
-
 def extended_eprb_prob3(theta_a: float, theta_b: float, theta_c: float,
                         ) -> tuple[ProbabilityTable, ExpansionCoeffs3]:
-    """Triple-outcome probabilities for coplanar settings, built from the path
-    amplitudes, plus the expansion coefficients of the table.  The squared
-    amplitudes sum to 1; ``ProbabilityTable`` checks the sum and the range
-    of every entry."""
-    amps = np.array([extended_eprb_amplitude(s1, s2, s3, theta_a, theta_b, theta_c)
-                     for s1, s2, s3 in product((+1, -1), repeat=3)])
-    table = ProbabilityTable(3, amps * amps)
-    return table, expand3(table.to_func_table3())
-
-
-def extended_eprb_prob3_closed(theta_a: float, theta_b: float, theta_c: float,
-                               ) -> ProbabilityTable:
-    """Closed form (1 - S1S2 cba - S1S3 cba ccb + S2S3 ccb)/8 with
-    cba = cos(theta_b - theta_a), ccb = cos(theta_c - theta_b)."""
+    """Triple-outcome probabilities for coplanar settings, in closed form
+    P = (1 - S1S2 cba - S1S3 cba ccb + S2S3 ccb)/8 with
+    cba = cos(theta_b - theta_a) and ccb = cos(theta_c - theta_b), and the
+    table's expansion coefficients.  ``ProbabilityTable`` checks the range
+    and the sum of the entries."""
     cba = np.cos(theta_b - theta_a)
     ccb = np.cos(theta_c - theta_b)
     e = np.array([[[1.0, 0.0], [0.0, ccb]],                # e0, e3; e2, e23
                   [[0.0, -cba * ccb], [-cba, 0.0]]])       # e1, e13; e12, e123
-    return ProbabilityTable(3, sign_transform(e).ravel() / 8.0)
+    return ProbabilityTable(3, sign_transform(e).ravel() / 8.0), ExpansionCoeffs3.from_grid(e)
 
 
 def extended_eprb_sweep(thetas) -> GridSweep:
     """The ``ebbi`` family on the coefficients (1, -cba, -cba ccb, ccb) of
-    ``extended_eprb_prob3_closed`` with theta_a = 0, over every
+    ``extended_eprb_prob3`` with theta_a = 0, over every
     (theta_b, theta_c) in thetas x thetas, a block of theta_b rows at a time."""
     thetas = np.asarray(thetas, dtype=float)
 

@@ -19,9 +19,12 @@ are the three pair marginals of one non-negative three-variable table, and
 build such a table when they are.  ``LambdaModel`` covers the factorized
 single-parameter mixtures whose pair tables always pass that test.
 
-Tables are indexed with 0 <-> S=+1 and 1 <-> S=-1, variable 1 slowest.
-Every expansion, synthesis and closed form goes through ``sign_transform``,
-which maps a table to its coefficients on the same grid and back.
+``SignTable`` is the one table type: a function on {+1,-1}^n as a 2x..x2
+array indexed with 0 <-> S=+1 and 1 <-> S=-1, variable 1 slowest.
+``sign_index`` and ``sign_codes`` are the one map from sign patterns to grid
+positions.  Every expansion, synthesis and closed form goes through
+``sign_transform``, which maps a table to its coefficients on the same grid
+and back.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, product
-from typing import ClassVar
 
 import numpy as np
 
@@ -74,6 +76,16 @@ def sign_dict(grid: np.ndarray) -> dict:
     return dict(zip(_sign_keys(grid.ndim), grid.ravel().tolist()))
 
 
+def sign_codes(*columns) -> np.ndarray:
+    """Flat grid index of each row of the +-1 columns (S1, .., Sn): S_i = -1
+    sets the bit of weight 2^(n-i)."""
+    codes = np.zeros(np.shape(columns[0]), dtype=np.min_scalar_type(2 ** len(columns) - 1))
+    for col in columns:
+        codes <<= 1
+        codes |= col < 0
+    return codes
+
+
 @cache
 def sign_rows(n: int) -> np.ndarray:
     """The sign patterns (S1, .., Sn) as read-only int8 rows, in grid order."""
@@ -103,25 +115,37 @@ _FIELD_INDEX = {2 ** n: np.array([sum(1 << (n - i) for i in t) for r in range(n 
 
 
 @dataclass(frozen=True)
-class _SignTable:
-    """Real function on the sign grid of n variables, a 2x..x2 array."""
+class SignTable:
+    """Real function on the sign grid of n variables: a read-only 2x..x2
+    float array, n its number of axes.  Subclasses may fix n."""
 
     values: np.ndarray
-    n: ClassVar[int]
+
+    n = property(lambda self: self.values.ndim)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", arr)
         if arr.shape != (2,) * self.n:
             raise ValueError(f"{type(self).__name__} needs a {'x'.join('2' * self.n)} array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("table entries must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return np.array_equal(self.values, other.values)
+
+    def value(self, *signs: int) -> float:
+        if len(signs) != self.n:
+            raise ValueError(f"expected {self.n} signs")
+        return float(self.values[sign_index(signs)])
+
+    def pair_correlation(self, i: int, j: int) -> float:
+        """sum_S Si Sj f(S) for 1-based variable indices i < j."""
+        return float(sign_transform(self.values)[
+            tuple(int(k in (i, j)) for k in range(1, self.n + 1))])
 
     def is_nonnegative(self, tol: float = NONNEG_TOL) -> bool:
         return bool(np.min(self.values) >= -tol)
@@ -130,27 +154,21 @@ class _SignTable:
         return sign_dict(self.values)
 
     @classmethod
-    def from_dict(cls, d: dict) -> _SignTable:
-        return cls(np.array([d[k] for k in _sign_keys(cls.n)],
-                            dtype=float).reshape((2,) * cls.n))
+    def from_dict(cls, d: dict) -> SignTable:
+        n = len(next(iter(d)))
+        return cls(np.array([d[k] for k in _sign_keys(n)], dtype=float).reshape((2,) * n))
 
 
-class FuncTable2(_SignTable):
+class FuncTable2(SignTable):
     """Real function of (S1, S2), stored as a 2x2 array."""
 
     n = 2
 
-    def value(self, s1: int, s2: int) -> float:
-        return float(self.values[sign_index((s1, s2))])
 
-
-class FuncTable3(_SignTable):
+class FuncTable3(SignTable):
     """Real function of (S1, S2, S3), stored as a 2x2x2 array."""
 
     n = 3
-
-    def value(self, s1: int, s2: int, s3: int) -> float:
-        return float(self.values[sign_index((s1, s2, s3))])
 
     def marginals(self) -> tuple[FuncTable2, FuncTable2, FuncTable2]:
         """Pair marginals over (S1,S2), (S1,S3), (S2,S3)."""
@@ -352,10 +370,6 @@ class IncompatibleMarginalsError(ValueError):
         self.compatibility = compatibility
 
 
-# flat grid positions of the sign patterns with S1 S2 S3 = +1
-_EVEN = tuple(i for i in range(8) if bin(i).count("1") % 2 == 0)
-
-
 @dataclass(frozen=True)
 class Reconstruction:
     table: FuncTable3
@@ -382,9 +396,9 @@ def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
         raise IncompatibleMarginalsError(compat.failures, compat)
     fixed = (c.e0, c.e1, c.e2, chat.e2, c.e12, chat.e12, ctilde.e12)
     # 8 f(S) = base(S) + S1 S2 S3 e123 must be non-negative entrywise
-    base = sign_transform(ExpansionCoeffs3(*fixed, 0.0).grid()).ravel().tolist()
-    lo = max(-base[i] for i in _EVEN)
-    hi = min(base[i] for i in range(8) if i not in _EVEN)
+    base = sign_transform(ExpansionCoeffs3(*fixed, 0.0).grid()).ravel()
+    even = sign_rows(3).prod(axis=1) > 0
+    lo, hi = float(np.max(-base[even])), float(np.min(base[~even]))
     if lo > hi + NONNEG_TOL:
         raise IncompatibleMarginalsError(
             (f"empty admissible interval for the triple coefficient "

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -439,3 +440,39 @@ class TestCliBehavior:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "s1,s2"
         assert len(out.splitlines()) == 51
+
+    def test_overflowing_clause_is_one_error_line_naming_it(self, capsys):
+        assert main(["ebbi", "--e", "1e308", "1e308", "1e308", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: clause '|e12 + e13| <= e0 + e23' is not finite: "
+                                "lhs=inf, rhs=inf\n")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--window", "abc"), ("--window", "0"), ("--window", "-1"), ("--window", "nan"),
+        ("--window", "-inf"), ("--jitter-exponent", "-400"), ("--jitter-exponent", "-1e-3")])
+    def test_window_and_exponent_are_checked_at_parse_time(self, capsys, tmp_path,
+                                                           monkeypatch, flag, value):
+        from boolebell import pipeline
+
+        def boom(*args, **kwargs):
+            raise AssertionError("ran the pipeline")
+        monkeypatch.setattr(pipeline, "run_three_settings", boom)
+        events = tmp_path / "e.csv"
+        error = parse_error(capsys, ["epr-pipeline", "--source", "singlet", "--angles", "0",
+                                     "60", "120", "--seed", "1", "--jitter", "1",
+                                     "--events-out", str(events), flag, value])
+        assert f"argument {flag}:" in error
+        assert not events.exists()
+
+    @pytest.mark.parametrize("window, value", [("INF", math.inf), ("1e400", math.inf),
+                                               ("0.30", 0.3)])
+    def test_window_text_is_echoed_as_typed(self, capsys, monkeypatch, window, value):
+        from boolebell import pipeline
+        run = pipeline.run_three_settings
+        windows = []
+        monkeypatch.setattr(pipeline, "run_three_settings",
+                            lambda *args: windows.append(args[6]) or run(*args))
+        env = run_json(capsys, ["epr-pipeline", "--source", "singlet", "--angles", "0", "60",
+                                "120", "--samples", "30", "--seed", "1", "--window", window])
+        assert env["params"]["window"] == window and windows == [value]

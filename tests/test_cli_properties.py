@@ -5,8 +5,10 @@ schema-valid JSON envelope.  An invocation the parser must refuse (a flag the
 subcommand does not declare, a non-finite float, a value outside a choice
 list) exits 2 with exactly one `error:` line and nothing on stdout.  Any
 invocation the parser accepts ends in one of those two ways, never in a
-traceback.  Sizes stay small and the examples are derandomized, so the suite
-is fast and repeatable.
+traceback.  Input files (`dataset` CSVs, `theorem --which reconstruct`
+tables) are drawn too and written to a scratch directory, as is the output
+of `--out`; `--format table` is drawn alongside JSON.  Sizes stay small and
+the examples are derandomized, so the suite is fast and repeatable.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import io
 import json
 import math
 from importlib import resources
+from itertools import product
 
 import jsonschema
 import pytest
@@ -25,8 +28,8 @@ SCHEMA = jsonschema.Draft202012Validator(json.loads(
     resources.files("boolebell.schemas").joinpath("report.schema.json").read_text()))
 PROPERTY = settings(max_examples=10, deadline=None, derandomize=True)
 
-SUBCOMMANDS = ("ebbi", "theorem", "quantum", "leggett-garg", "extended-eprb", "allergy",
-               "factorizable", "epr-pipeline", "sweep")
+SUBCOMMANDS = ("dataset", "ebbi", "theorem", "quantum", "leggett-garg", "extended-eprb",
+               "allergy", "factorizable", "epr-pipeline", "sweep")
 RADIANS = {"quantum", "extended-eprb", "factorizable", "epr-pipeline", "sweep"}
 NON_FINITE = ("nan", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999")
 BAD_CHOICES = ("", "bogus", "JSON", "pair:", "delta_equal", "2")
@@ -36,13 +39,19 @@ DECLARED_BY = (("--bogus", ()), ("--format=csv", ("factorizable",)),
                ("--no-chsh", ("sweep",)))
 
 
+# the name --out writes to, inside the scratch directory
+OUT = "out.txt"
+
+
 class Argv(list):
     """An argv under construction that records which tokens hold floats
-    and which hold choice values."""
+    and which hold choice values, the input files it names (name -> text)
+    and its output format."""
 
     def __init__(self, command):
         super().__init__([command])
         self.floats, self.choices = [], [0]
+        self.files, self.format = {}, "json"
 
     def add(self, flag, *values, kind=None):
         self.append(flag)
@@ -68,11 +77,46 @@ def unit_vectors():
 SEEDS = st.integers(0, 2 ** 32 - 1).map(str)
 
 
+def pair_tables_json(draw, loose):
+    """Three pair tables f, fhat, ftilde as reconstruct reads them: the pair
+    marginals of one non-negative triple table, or three unrelated
+    non-negative tables (compatible or not); loose tables hold any finite
+    floats."""
+    if loose:
+        entries = draw(st.lists(st.floats(-1e308, 1e308), min_size=12, max_size=12))
+        grids = [entries[k:k + 4] for k in (0, 4, 8)]
+    elif draw(st.booleans()):
+        g = draw(st.lists(st.floats(0, 1), min_size=8, max_size=8))
+        g = [[[g[4 * i + 2 * j + k] for k in range(2)] for j in range(2)] for i in range(2)]
+        grids = ([g[i][j][0] + g[i][j][1] for i in range(2) for j in range(2)],
+                 [g[i][0][k] + g[i][1][k] for i in range(2) for k in range(2)],
+                 [g[0][j][k] + g[1][j][k] for j in range(2) for k in range(2)])
+    else:
+        grids = [draw(st.lists(st.floats(0, 1), min_size=4, max_size=4)) for _ in range(3)]
+    keys = ["".join(p) for p in product("+-", repeat=2)]
+    return json.dumps({name: dict(zip(keys, grid))
+                       for name, grid in zip(("f", "fhat", "ftilde"), grids)})
+
+
+def dataset_csv(draw, loose):
+    """A dataset CSV of arity 2-4 whose cells read +1 or -1; a loose one may
+    also hold cells of other integers, other text, or a short row."""
+    n = draw(st.integers(2, 4))
+    cells = ("1", "+1", "-1") + (("0", "2", "257", "-129", "x", "", "1.0") if loose else ())
+    rows = draw(st.lists(st.lists(st.sampled_from(cells), min_size=n - loose, max_size=n),
+                         min_size=1, max_size=30))
+    return "\n".join([",".join(f"s{i}" for i in range(1, n + 1)), *map(",".join, rows)]) + "\n"
+
+
 @st.composite
-def valid_argv(draw, command):
-    """An invocation inside the domain of `command`, at small sizes."""
+def valid_argv(draw, command, loose=False):
+    """An invocation inside the domain of `command`, at small sizes; with
+    `loose`, its input files may lie outside that domain."""
     argv = Argv(command)
-    if command == "ebbi":
+    if command == "dataset":
+        argv.files["data.csv"] = dataset_csv(draw, loose)
+        argv.add("--input", "data.csv")
+    elif command == "ebbi":
         if draw(st.booleans()):
             argv.choices.append(len(argv))
             argv.append("check")
@@ -80,19 +124,23 @@ def valid_argv(draw, command):
         argv.add("--e", repr(e0), *(repr(e0 * draw(st.floats(-1, 1))) for _ in range(3)),
                  kind="float")
     elif command == "theorem":
-        which = draw(st.sampled_from(("1", "3", "construct")))
+        which = draw(st.sampled_from(("1", "3", "construct", "reconstruct")))
         argv.add("--which", which, kind="choice")
-        e0 = draw(st.floats(0, 10))
-        if which == "construct":
-            # inside the region: a mixture of the four deterministic vertices
-            weights = draw(st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(any))
-            vertices = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-            pair = [e0 * sum(w * v[k] for w, v in zip(weights, vertices)) / sum(weights)
-                    for k in range(3)]
+        if which == "reconstruct":
+            argv.files["tables.json"] = pair_tables_json(draw, loose)
+            argv.add("--tables", "tables.json")
         else:
-            pair = [e0 * draw(st.floats(-1, 1)) for _ in range(3)]
-        coeffs = [e0, *pair] if which != "3" else [*pair, e0]
-        argv.add("--coeffs", *map(repr, coeffs), kind="float")
+            e0 = draw(st.floats(0, 10))
+            if which == "construct":
+                # inside the region: a mixture of the four deterministic vertices
+                weights = draw(st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(any))
+                vertices = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+                pair = [e0 * sum(w * v[k] for w, v in zip(weights, vertices)) / sum(weights)
+                        for k in range(3)]
+            else:
+                pair = [e0 * draw(st.floats(-1, 1)) for _ in range(3)]
+            coeffs = [e0, *pair] if which != "3" else [*pair, e0]
+            argv.add("--coeffs", *map(repr, coeffs), kind="float")
     elif command == "quantum":
         argv.add("--scenario", draw(st.sampled_from(
             ("singlet", "filter2", "filter3", "substitution", "separable", "commutators"))),
@@ -147,6 +195,11 @@ def valid_argv(draw, command):
                     argv.append("--no-chsh")
     if command in RADIANS and draw(st.booleans()):
         argv.append("--radians")
+    if draw(st.booleans()):
+        argv.format = draw(st.sampled_from(("json", "table")))
+        argv.add("--format", argv.format, kind="choice")
+    if draw(st.booleans()):
+        argv.add("--out", OUT)
     return argv
 
 
@@ -155,7 +208,7 @@ def loose_argv(draw, command):
     """An invocation the parser accepts, with any finite floats and small
     integers of either sign.  The sweep grid stays as drawn: a loose grid can
     ask for the full 32,768 points per axis, which is valid but slow."""
-    argv = draw(valid_argv(command))
+    argv = draw(valid_argv(command, loose=True))
     grid = argv.index("--grid") if "--grid" in argv else len(argv)
     for i in argv.floats:
         if not grid < i <= grid + 3:
@@ -166,23 +219,37 @@ def loose_argv(draw, command):
     return argv
 
 
-def run(argv):
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+def run(argv, workdir):
+    """Exit code, output and stderr of argv, with its input files written to
+    workdir first; the text of the --out file counts as output."""
+    for name, text in argv.files.items():
+        (workdir / name).write_text(text)
+    out_file = workdir / OUT
+    out_file.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = main([str(workdir / t) if t in (OUT, *argv.files) else t for t in argv])
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    written = out_file.read_text() if out_file.exists() else ""
+    return code, out.getvalue() + written, err.getvalue()
 
 
 def _refuse_constant(name):
     raise AssertionError(f"{name} is not strict JSON")
 
 
-def assert_envelope(out):
-    envelope = json.loads(out, parse_constant=_refuse_constant)
-    SCHEMA.validate(envelope)
+def assert_envelope(out, fmt):
+    if fmt == "table":
+        assert out.startswith("scenario: ") and out.endswith("\n")
+    else:
+        SCHEMA.validate(json.loads(out, parse_constant=_refuse_constant))
 
 
 def assert_one_error_line(code, out, err):
@@ -194,17 +261,17 @@ def assert_one_error_line(code, out, err):
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 @PROPERTY
 @given(data=st.data())
-def test_valid_invocations_exit_0_with_strict_json(command, data):
+def test_valid_invocations_exit_0_with_strict_json(command, data, workdir):
     argv = data.draw(valid_argv(command))
-    code, out, err = run(argv)
+    code, out, err = run(argv, workdir)
     assert code == 0, err
-    assert_envelope(out)
+    assert_envelope(out, argv.format)
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 @PROPERTY
 @given(data=st.data())
-def test_invalid_invocations_exit_2_with_one_error_line(command, data):
+def test_invalid_invocations_exit_2_with_one_error_line(command, data, workdir):
     draw = data.draw
     argv = draw(valid_argv(command))
     mutation = draw(st.sampled_from(("flag", "float", "choice")))
@@ -215,15 +282,16 @@ def test_invalid_invocations_exit_2_with_one_error_line(command, data):
     else:
         undeclared = [flag for flag, owners in DECLARED_BY if command not in owners]
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(undeclared)))
-    assert_one_error_line(*run(argv))
+    assert_one_error_line(*run(argv, workdir))
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 @PROPERTY
 @given(data=st.data())
-def test_accepted_invocations_never_end_in_a_traceback(command, data):
-    code, out, err = run(data.draw(loose_argv(command)))
+def test_accepted_invocations_never_end_in_a_traceback(command, data, workdir):
+    argv = data.draw(loose_argv(command))
+    code, out, err = run(argv, workdir)
     if code == 0:
-        assert_envelope(out)
+        assert_envelope(out, argv.format)
     else:
         assert_one_error_line(code, out, err)

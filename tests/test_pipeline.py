@@ -120,6 +120,11 @@ class TestGeneration:
         with pytest.raises(ValueError, match="finite"):
             pl.TimingModel(jitter, exponent)
 
+    @pytest.mark.parametrize("jitter, exponent", [(-1.0, 2.0), (1.0, -400.0), (1.0, -1e-9)])
+    def test_timing_model_rejects_negative_values(self, jitter, exponent):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            pl.TimingModel(jitter, exponent)
+
     def test_validation(self):
         source = pl.SingletSource()
         with pytest.raises(ValueError):
@@ -217,6 +222,18 @@ class TestRunThreeSettings:
         assert rep.empty_pairs == tuple(empties)
         assert rep.correlations == (None if empties else corr)
         assert len(empties) == (1 if window == 0.02 else 0)
+
+    def test_counts_are_sign_grids_per_schedule_entry(self):
+        raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 300,
+                                 pl.TimingModel(1.0, 1.0), seed=3)
+        counts = pl._coincidence_counts(raw, 0.5, 3)
+        assert counts.shape == (3, 2, 2)
+        kept = np.abs(raw.t1 - raw.t2) <= 0.5
+        for p in range(3):
+            for i, s1 in enumerate((1, -1)):
+                for j, s2 in enumerate((1, -1)):
+                    assert counts[p, i, j] == np.count_nonzero(
+                        kept & (raw.pair == p) & (raw.s1 == s1) & (raw.s2 == s2))
 
     def test_reduction_drops_nan_gaps_like_the_filter(self):
         # a NaN setting angle makes every delay at that setting NaN, so the

@@ -4,7 +4,8 @@ experiments, separable bounds and commutator diagnostics."""
 import numpy as np
 import pytest
 
-from boolebell import ebbi_check, expand2, expand3, marginals_compatible
+from boolebell import (FuncTable2, FuncTable3, ebbi_check, expand2, expand3,
+                       marginals_compatible)
 from boolebell import quantum as q
 
 
@@ -161,7 +162,7 @@ class TestDiagProb:
         assert q.ProbabilityTable(2, p.p.copy()) == p
         assert q.diag_prob(q.maximally_mixed(2)) != p
         assert q.ProbabilityTable(1, np.array([0.5, 0.5])) != q.diag_prob(q.maximally_mixed(2))
-        assert p != p.to_func_table2()
+        assert p != FuncTable2(p.values)
 
 
 class TestFilterChains:
@@ -214,8 +215,7 @@ class TestFilterChains:
             x = rng.normal(size=3)
             x *= rng.random() / np.linalg.norm(x)
             a, b, c = (random_direction(rng) for _ in range(3))
-            coeffs = expand3(q.filter_prob3(q.spin_half_state(x), a, b, c)
-                             .to_func_table3())
+            coeffs = expand3(q.filter_prob3(q.spin_half_state(x), a, b, c))
             ab, bc = float(a @ b), float(b @ c)
             assert coeffs.e12 == pytest.approx(ab, abs=1e-12)
             assert coeffs.e23 == pytest.approx(bc, abs=1e-12)
@@ -233,7 +233,7 @@ class TestEprbTables:
         rng = np.random.default_rng(7)
         for _ in range(30):
             a, b, c = (random_direction(rng) for _ in range(3))
-            f, fhat, ftilde = (t.to_func_table2() for t in q.eprb_pair_tables(a, b, c))
+            f, fhat, ftilde = q.eprb_pair_tables(a, b, c)
             for table, u, v in ((f, a, b), (fhat, a, c), (ftilde, b, c)):
                 cf = expand2(table)
                 assert cf.e12 == pytest.approx(-float(u @ v), abs=1e-12)
@@ -243,7 +243,7 @@ class TestEprbTables:
     def test_symmetric_spread_is_compatible(self):
         dirs = [q.coplanar_direction(t) for t in
                 (0.0, 2 * np.pi / 3, 4 * np.pi / 3)]
-        f, fhat, ftilde = (t.to_func_table2() for t in q.eprb_pair_tables(*dirs))
+        f, fhat, ftilde = q.eprb_pair_tables(*dirs)
         assert expand2(f).e12 == pytest.approx(0.5, abs=1e-12)
         assert marginals_compatible(f, fhat, ftilde).compatible
 
@@ -337,13 +337,11 @@ class TestExtendedTriple:
         rng = np.random.default_rng(11)
         for _ in range(100):
             ta, tb, tc = rng.uniform(0, 2 * np.pi, 3)
-            amp_table, _ = q.extended_eprb_prob3(ta, tb, tc)
-            closed = q.extended_eprb_prob3_closed(ta, tb, tc)
+            closed, _ = q.extended_eprb_prob3(ta, tb, tc)
             chain = q.extended_eprb_prob3_chain(q.coplanar_direction(ta),
                                                 q.coplanar_direction(tb),
                                                 q.coplanar_direction(tc))
-            assert np.max(np.abs(amp_table.p - closed.p)) <= 1e-12
-            assert np.max(np.abs(amp_table.p - chain.p)) <= 1e-12
+            assert np.max(np.abs(closed.p - chain.p)) <= 1e-12
 
     def test_first_pair_marginal_matches_pair_experiment(self):
         rng = np.random.default_rng(12)
@@ -351,7 +349,7 @@ class TestExtendedTriple:
             ta, tb, tc = rng.uniform(0, 2 * np.pi, 3)
             table, coeffs = q.extended_eprb_prob3(ta, tb, tc)
             assert coeffs.e12 == pytest.approx(-np.cos(tb - ta), abs=1e-12)
-            marg = table.to_func_table3().marginals()[0]
+            marg = FuncTable3(table.values).marginals()[0]
             pair = q.singlet_pair_table(q.coplanar_direction(ta),
                                         q.coplanar_direction(tb))
             assert np.max(np.abs(marg.values - pair.p.reshape(2, 2))) <= 1e-12

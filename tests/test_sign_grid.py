@@ -294,7 +294,7 @@ class TestProjectorChains:
                 assert np.allclose(q.filter_prob3_closed(x, a, b, c).p,
                                    ref_filter3_closed(x, a, b, c), rtol=0, atol=TOL)
         for angles in RNG.uniform(0, 7, (50, 3)):
-            assert np.allclose(q.extended_eprb_prob3_closed(*angles).p,
+            assert np.allclose(q.extended_eprb_prob3(*angles)[0].p,
                                ref_extended3_closed(*angles), rtol=0, atol=TOL)
 
     def test_chain_tables_do_not_use_the_transform(self, monkeypatch):
@@ -304,6 +304,7 @@ class TestProjectorChains:
         def boom(values):
             raise AssertionError("the projector chain called the sign transform")
         monkeypatch.setattr(q, "sign_transform", boom)
+        monkeypatch.setattr(tables, "sign_transform", boom)
         a, b, c, d = DIRECTIONS[-1]
         rho = q.spin_half_state(POLARIZATIONS[-1])
         q.filter_prob2(rho, a, b)
@@ -337,3 +338,47 @@ class TestSignRowSampler:
         rows = np.arange(3)
         rng = np.random.default_rng(5)
         assert set(tables.draw_rows(probs, rows, rng, 20_000).tolist()) == {0, 1, 2}
+
+
+class TestSignCodes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_codes_are_the_flat_sign_index(self, n):
+        rows = np.concatenate([tables.sign_rows(n),
+                               RNG.choice(np.array([1, -1], dtype=np.int8), (200, n))])
+        codes = tables.sign_codes(*rows.T)
+        assert codes.shape == (rows.shape[0],)
+        assert codes.tolist() == [np.ravel_multi_index(tables.sign_index(r), (2,) * n)
+                                  for r in rows]
+        assert np.array_equal(codes[:2 ** n], np.arange(2 ** n))
+
+
+class TestSignTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_n_is_read_from_the_array(self, n):
+        values = RNG.uniform(-1, 1, (2,) * n)
+        table = tables.SignTable(values)
+        assert table.n == n and not table.values.flags.writeable
+        assert tables.SignTable.from_dict(table.to_dict()) == table
+        for signs in product(SIGNS, repeat=n):
+            assert table.value(*signs) == values[tables.sign_index(signs)]
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                assert table.pair_correlation(i, j) == pytest.approx(
+                    ref_pair_correlation(values.ravel(), n, i, j), abs=TOL)
+
+    def test_subclasses_fix_n(self):
+        with pytest.raises(ValueError, match="FuncTable2 needs a 2x2 array"):
+            tables.FuncTable2(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="SignTable needs a 2x2x2 array"):
+            tables.SignTable(np.zeros((2, 3, 2)))
+        with pytest.raises(ValueError, match="expected 3 signs"):
+            tables.FuncTable3(np.zeros((2, 2, 2))).value(1, 1)
+        assert tables.FuncTable2.n == 2 and tables.FuncTable3.n == 3
+
+    def test_probability_tables_are_sign_tables(self):
+        table = q.ProbabilityTable(3, np.arange(8.0) / 28.0)
+        assert isinstance(table, tables.SignTable) and table.n == 3
+        assert table.values.shape == (2, 2, 2)
+        assert not table.p.flags.writeable
+        assert np.shares_memory(table.p, table.values)
+        assert table != tables.SignTable(table.values)

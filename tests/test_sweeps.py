@@ -263,3 +263,15 @@ class TestGridSweeps:
             quantum.extended_eprb_sweep(np.array([]))
         with pytest.raises(ValueError):
             lg.lg_sweep(0)
+
+
+class TestNonFiniteClauses:
+    @pytest.mark.parametrize("lhs, rhs", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 0.0),
+                                          (1e308, -1e308)])
+    def test_make_clause_names_the_clause(self, lhs, rhs):
+        with pytest.raises(ValueError, match=r"clause 'x <= y' is not finite"):
+            make_clause("x <= y", lhs, rhs)
+
+    def test_overflowing_family_names_its_clause(self):
+        with pytest.raises(ValueError, match=r"clause '\|e12 \+ e13\| <= e0 \+ e23'"):
+            tables.ebbi_check(1e308, 1e308, 1e308, 1e308)
