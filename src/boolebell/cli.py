@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +138,11 @@ def cmd_theorem(args) -> dict:
         if not args.tables:
             raise CliError("--tables FILE is required for reconstruct")
         spec = json.loads(Path(args.tables).read_text())
-        f, fhat, ftilde = (tables.FuncTable2.from_dict(spec[k]) for k in ("f", "fhat", "ftilde"))
+        keys = ("f", "fhat", "ftilde")
+        if not (isinstance(spec, dict) and all(isinstance(spec.get(k), dict) for k in keys)):
+            raise CliError("--tables needs a JSON object holding the tables f, fhat and "
+                           "ftilde, each an object of sign keys")
+        f, fhat, ftilde = (tables.FuncTable2.from_dict(spec[k]) for k in keys)
         try:
             rec = tables.reconstruct_f3(f, fhat, ftilde)
         except tables.IncompatibleMarginalsError as exc:
@@ -424,7 +429,12 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and returned by every
+    later one, so ``main`` pays for it once.  It is shared: callers must not
+    mutate it.  Each parse fills a fresh namespace, and the handler is named
+    by the subcommand (``cmd_<command>``), not stored in the parser."""
     parser = _Parser(
         prog="boolebell",
         description="Inequality checks for dichotomic data, non-negative "
@@ -448,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "CSV dataset of +-1 tuples")
     p.add_argument("--input", required=True)
     common(p)
-    p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("ebbi", help="pair-coefficient inequality family for "
                                     "three-variable non-negative functions")
@@ -456,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=_finite_float, nargs=4, required=True,
                    metavar=("E0", "E12", "E13", "E23"))
     common(p)
-    p.set_defaults(func=cmd_ebbi)
 
     p = sub.add_parser("theorem", help="two-variable criterion, three-run "
                                        "bound, explicit construction, "
@@ -467,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tables", default=None,
                    help="JSON file with keys f, fhat, ftilde (reconstruct)")
     common(p)
-    p.set_defaults(func=cmd_theorem)
 
     p = sub.add_parser("quantum", help="spin-1/2 scenarios: singlet, "
                                        "filtering chains, substitution trap, "
@@ -483,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=_finite_float, nargs=3, default=(0.0, 60.0, 120.0),
                    help="coplanar setting angles (substitution scenario)")
     common(p, radians=True)
-    p.set_defaults(func=cmd_quantum)
 
     p = sub.add_parser("leggett-garg", help="three-probe temporal "
                                             "correlations, closed form and "
@@ -493,14 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("DT1", "DT2", "DT3"))
     p.add_argument("--samples", type=int, default=0)
     common(p, seed=True)
-    p.set_defaults(func=cmd_leggett_garg)
 
     p = sub.add_parser("extended-eprb", help="two-sided analyzer chains on "
                                              "the singlet: triples (3 angles) "
                                              "or quadruples (4 angles)")
     p.add_argument("--angles", type=_finite_float, nargs="+", required=True)
     common(p, radians=True)
-    p.set_defaults(func=cmd_extended_eprb)
 
     p = sub.add_parser("allergy", help="city/parity outcome table collected "
                                        "as triples or as pairs")
@@ -509,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="optional random day schedule; default alternates parity")
     common(p)
-    p.set_defaults(func=cmd_allergy)
 
     p = sub.add_parser("factorizable", help="threshold pair model: analytic "
                                             "vs sampled correlation")
@@ -517,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=_finite_float, nargs=2, required=True)
     p.add_argument("--samples", type=int, default=100000)
     common(p, seed=True, radians=True, csv=True)
-    p.set_defaults(func=cmd_factorizable)
 
     p = sub.add_parser("epr-pipeline", help="time-tagged pair generation, "
                                             "coincidence filtering and "
@@ -533,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events-out", default=None,
                    help="also write the raw event log CSV to this path")
     common(p, seed=True, radians=True)
-    p.set_defaults(func=cmd_epr_pipeline)
 
     p = sub.add_parser("sweep", help="grid sweeps: factorizable clause "
                                      "families, analyzer-chain coefficients, "
@@ -546,15 +547,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-chsh", action="store_true")
     p.add_argument("--points", type=int, default=50)
     common(p, radians=True)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a rebinding of a cmd_* function is always seen
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        _emit(args.func(args), args)
+        _emit(handler(args), args)
     except (CliError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -114,6 +114,11 @@ class ProbabilityTable(SignTable):
 
     p = property(lambda self: self.values.reshape(-1))
 
+    @classmethod
+    def from_dict(cls, d: dict) -> ProbabilityTable:
+        grid = SignTable.from_dict(d).values
+        return cls(grid.ndim, grid.reshape(-1))
+
 
 def op_on(op2: np.ndarray, particle: int, n: int) -> np.ndarray:
     """Embed a single-spin operator on the given particle (1-based) of n."""

@@ -155,8 +155,22 @@ class SignTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> SignTable:
+        """Inverse of ``to_dict``: n is the key length, and the keys must be
+        exactly the 2^n sign keys."""
+        if not d:
+            raise ValueError(f"{cls.__name__} needs the 2^n sign keys, got none")
         n = len(next(iter(d)))
-        return cls(np.array([d[k] for k in _sign_keys(n)], dtype=float).reshape((2,) * n))
+        keys = _sign_keys(n)
+        if d.keys() != set(keys):
+            missing = [k for k in keys if k not in d] or "none"
+            extra = [k for k in d if k not in keys] or "none"
+            raise ValueError(f"{cls.__name__} needs exactly the {len(keys)} sign keys of "
+                             f"length {n}: missing {missing}, extra {extra}")
+        try:
+            flat = [float(d[k]) for k in keys]
+        except TypeError:
+            raise ValueError(f"{cls.__name__} entries must be numbers") from None
+        return cls(np.reshape(flat, (2,) * n))
 
 
 class FuncTable2(SignTable):

@@ -17,6 +17,7 @@ import boolebell
 from boolebell.cli import main
 from boolebell.datasets import DichotomicDataset, write_dataset_csv
 
+UNIFORM_TABLE = {"++": 0.25, "+-": 0.25, "-+": 0.25, "--": 0.25}
 SCHEMA = json.loads(resources.files("boolebell.schemas")
                     .joinpath("report.schema.json").read_text())
 
@@ -476,3 +477,89 @@ class TestCliBehavior:
         env = run_json(capsys, ["epr-pipeline", "--source", "singlet", "--angles", "0", "60",
                                 "120", "--samples", "30", "--seed", "1", "--window", window])
         assert env["params"]["window"] == window and windows == [value]
+
+    @pytest.mark.parametrize("spec", [
+        {"f": {"++": 0.25}, "fhat": UNIFORM_TABLE, "ftilde": UNIFORM_TABLE},   # a sign key
+        {"f": UNIFORM_TABLE, "ftilde": UNIFORM_TABLE},                        # a table
+        [UNIFORM_TABLE] * 3,                                                  # not an object
+        {"f": {}, "fhat": UNIFORM_TABLE, "ftilde": UNIFORM_TABLE},            # no keys
+        {"f": dict(UNIFORM_TABLE, **{"+x": 0}), "fhat": UNIFORM_TABLE,
+         "ftilde": UNIFORM_TABLE},                                            # an extra key
+        {"f": [0.25] * 4, "fhat": UNIFORM_TABLE, "ftilde": UNIFORM_TABLE},    # a list table
+        {"f": dict(UNIFORM_TABLE, **{"--": {}}), "fhat": UNIFORM_TABLE,
+         "ftilde": UNIFORM_TABLE},                                            # not a number
+    ])
+    def test_malformed_tables_file_is_one_error_line(self, capsys, tmp_path, spec):
+        path = tmp_path / "tabs.json"
+        path.write_text(json.dumps(spec))
+        assert main(["theorem", "--which", "reconstruct", "--tables", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+    def test_python_m_runs_the_cli(self, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(boolebell.__file__).parents[1]))
+        argv = ["ebbi", "--e", "1", "-0.5", "0.5", "-0.5"]
+        ok = subprocess.run([sys.executable, "-m", "boolebell", *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+        assert main(argv) == 0
+        assert (ok.returncode, ok.stdout, ok.stderr) == (0, capsys.readouterr().out, "")
+        for bad in (["ebbi", "--e", "1", "0", "0"],             # refused at parsing
+                    ["ebbi", "--e", "1", "2", "0", "0"]):       # refused by the handler
+            out = subprocess.run([sys.executable, "-m", "boolebell", *bad], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert out.returncode == 2 and out.stdout == ""
+            assert len([line for line in out.stderr.splitlines() if "error:" in line]) == 1
+
+
+class TestSharedParser:
+    """main reuses one parser; no parse may see what an earlier one set."""
+
+    def test_one_parser_per_process(self):
+        from boolebell.cli import build_parser
+        assert build_parser() is build_parser()
+
+    def test_main_builds_no_parser_after_the_first_call(self, capsys, monkeypatch):
+        from boolebell import cli
+        argv = ["ebbi", "--e", "1", "0", "0", "0"]
+        main(argv)
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        for _ in range(3):
+            assert main(argv) == 0
+        assert built == []
+
+    def test_non_default_values_do_not_leak(self, capsys, tmp_path):
+        env = run_json(capsys, ["sweep", "--what", "leggett-garg", "--points", "7"])
+        assert env["params"]["points"] == 7
+        env = run_json(capsys, ["sweep", "--what", "leggett-garg"])
+        assert env["params"]["points"] == 50
+        argv = ["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120",
+                "--samples", "300", "--seed", "1"]
+        events = tmp_path / "events.csv"
+        run_json(capsys, [*argv, "--events-out", str(events)])
+        events.unlink()
+        run_json(capsys, argv)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parse_error_leaves_no_trace(self, capsys):
+        argv = ["epr-pipeline", "--source", "pair:equal", "--angles", "0", "60", "120",
+                "--window", "0.5", "--jitter", "1", "--samples", "300", "--seed", "4"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        # --samples and --jitter are parsed before --window is refused
+        parse_error(capsys, [*argv, "--samples", "9", "--jitter", "2", "--window", "0"])
+        assert main(argv) == 0
+        assert capsys.readouterr() == first
+
+    def test_a_rebound_handler_is_called(self, capsys, monkeypatch):
+        from boolebell import cli
+        main(["ebbi", "--e", "1", "0", "0", "0"])
+        capsys.readouterr()
+        calls = []
+        handler = cli.cmd_ebbi
+        monkeypatch.setattr(cli, "cmd_ebbi", lambda args: calls.append(args) or handler(args))
+        run_json(capsys, ["ebbi", "--e", "1", "0", "0", "0"])
+        assert len(calls) == 1

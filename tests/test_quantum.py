@@ -164,6 +164,18 @@ class TestDiagProb:
         assert q.ProbabilityTable(1, np.array([0.5, 0.5])) != q.diag_prob(q.maximally_mixed(2))
         assert p != FuncTable2(p.values)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dict_round_trip(self, n):
+        p = q.diag_prob(random_density(np.random.default_rng(n), n))
+        back = q.ProbabilityTable.from_dict(p.to_dict())
+        assert type(back) is q.ProbabilityTable and back == p
+
+    def test_from_dict_keeps_the_probability_checks(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            q.ProbabilityTable.from_dict({"+": 0.5, "-": 0.6})
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            q.ProbabilityTable.from_dict({"+": 1.5, "-": -0.5})
+
 
 class TestFilterChains:
     def test_aligned_preparation(self):

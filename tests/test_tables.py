@@ -374,3 +374,14 @@ class TestJsonRoundtrip:
         assert FuncTable3(t3.values + 1.0) != t3
         assert FuncTable2(np.zeros((2, 2))) != FuncTable3(np.zeros((2, 2, 2)))
         assert t2 != t2.to_dict()
+
+    @pytest.mark.parametrize("d, message", [
+        ({}, "got none"),
+        ({"++": 0.25}, r"missing \['\+-', '-\+', '--'\], extra none"),
+        ({"++": 0, "+-": 0, "-+": 0, "--": 0, "+x": 0}, r"missing none, extra \['\+x'\]"),
+        ({"++": 0, "+-": 0, "-+": 0, "-": 0}, r"missing \['--'\], extra \['-'\]"),
+        ({"++": 0, "+-": 0, "-+": 0, "--": {}}, "entries must be numbers"),
+    ])
+    def test_from_dict_refuses_other_keys_naming_them(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            FuncTable2.from_dict(d)
