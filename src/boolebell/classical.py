@@ -24,6 +24,7 @@ Setting angles are kept as raw reals and never reduced modulo 2 pi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
@@ -189,9 +190,11 @@ def correlation_law(mu_kind: str, d):
 
 def analytic_correlation(model: FactorizableModel, a: float, b: float) -> float:
     """Exact pair correlation E(a, b) of the model (see ``correlation_law``)."""
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("angles must be finite")
-    return float(correlation_law(model.mu_kind, a - b))
+    # Python float arithmetic overflows to inf without a numpy warning
+    d = float(a) - float(b)
+    if not math.isfinite(d):
+        raise ValueError(f"angles and their difference must be finite, got a={a}, b={b}")
+    return float(correlation_law(model.mu_kind, d))
 
 
 def common_parameter_fit(model: FactorizableModel, a: float, b: float, c: float):

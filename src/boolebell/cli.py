@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, leggett_garg as lg, pipeline, quantum, tables
-from .datasets import (check_boole_triple, check_boole_triple_anticorrelated,
-                       check_chsh, check_pair_bound, correlation,
-                       dataset_csv_text, read_dataset_csv)
+from .datasets import (_require_in_unit_interval, check_boole_triple,
+                       check_boole_triple_anticorrelated, check_chsh,
+                       check_pair_bound, correlation, dataset_csv_text,
+                       read_dataset_csv)
 from .reports import GRID_BLOCK, SLACK_TOL
 
 
@@ -101,8 +102,10 @@ def cmd_ebbi(args) -> dict:
     report = tables.ebbi_check(e0, e12, e13, e23)
     reports = {"ebbi": report.to_dict()}
     if e0 > 0:
+        ratios = (e12 / e0, e13 / e0, e23 / e0)
+        _require_in_unit_interval(zip(("--e E12/E0", "--e E13/E0", "--e E23/E0"), ratios))
         reports["boole_anticorrelated"] = check_boole_triple_anticorrelated(
-            e12 / e0, e13 / e0, e23 / e0).to_dict()
+            *ratios).to_dict()
     return {"scenario": "ebbi",
             "params": {"e0": e0, "e12": e12, "e13": e13, "e23": e23},
             "values": {}, "reports": reports}
@@ -256,8 +259,8 @@ def cmd_extended_eprb(args) -> dict:
                 "reports": {"ebbi": rep.to_dict()}}
     elif len(angles) == 4:
         dirs = [quantum.coplanar_direction(t) for t in angles]
-        table, pairs = quantum.extended_eprb_prob4(*dirs)
-        closed = quantum.chsh_pair_correlations_closed(*dirs)
+        pairs = quantum.extended_eprb_prob4_chain(*dirs)[1]
+        closed = quantum.extended_eprb_prob4(*dirs)[1]
         rep = quantum.check_chsh_quadruple(pairs)
         return {"scenario": "extended-eprb",
                 "params": {"angles": list(args.angles), "radians": rad},

@@ -16,13 +16,14 @@ them, which only refutes the substitution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import DichotomicDataset, _require_in_unit_interval
 from .reports import GridSweep, InequalityReport, grid_sweep, make_report
-from .tables import EBBI, SignTable, draw_rows, ebbi_check, sign_codes
+from .tables import EBBI, SignTable, chain_coeffs, draw_rows, ebbi_check, sign_codes
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,11 @@ class LGParams:
             raise ValueError("parameters must be finite")
         if self.dt1 < 0 or self.dt2 < 0 or self.dt3 < 0:
             raise ValueError("time intervals must be non-negative")
+        # bounds every phase taken below, in Python floats, which overflow to
+        # inf without a numpy warning
+        if not math.isfinite(2.0 * float(self.omega) * sum(map(float, vals[1:]))):
+            raise ValueError(f"the total phase 2 omega (dt1 + dt2 + dt3) must be finite, "
+                             f"got omega={self.omega}, dt={vals[1:]}")
 
 
 # Basis order of the eight nonzero amplitudes: (system, probe1, probe2, probe3)
@@ -100,11 +106,12 @@ def evolve_triple(p: LGParams) -> LGAmplitudes:
 
 
 def lg_triple_correlations(p: LGParams) -> tuple[float, float, float]:
-    """Closed-form probe-pair correlations of the triple experiment:
-    E12 = cos 2w dt2, E13 = cos 2w dt3 cos 2w dt2, E23 = cos 2w dt3."""
-    c2 = float(np.cos(2.0 * p.omega * p.dt2))
-    c3 = float(np.cos(2.0 * p.omega * p.dt3))
-    return c2, c3 * c2, c3
+    """Closed-form probe-pair correlations (E12, E13, E23) of the triple
+    experiment, read off its +-1 chain: c0 = cos 2w dt1, links
+    (cos 2w dt2, cos 2w dt3)."""
+    c1, c2, c3 = (np.cos(2.0 * p.omega * dt) for dt in (p.dt1, p.dt2, p.dt3))
+    e = chain_coeffs(c1, (c2, c3))
+    return float(e[1, 1, 0]), float(e[1, 0, 1]), float(e[0, 1, 1])
 
 
 def lg_triple_correlations_from_state(amps: LGAmplitudes) -> tuple[float, float, float]:

@@ -32,7 +32,8 @@ import numpy as np
 from .classical import FactorizableModel, sample_pair_arrays, station_orientations
 from .datasets import (DichotomicDataset, InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated, check_pair_bound)
-from .tables import FuncTable3, draw_rows, sign_codes, sign_rows
+from .tables import (FuncTable3, chain_coeffs, draw_rows, sign_codes, sign_rows,
+                     sign_transform)
 
 EVENT_PERIOD = 1.0
 # event pairs rendered per write by RawDataset.write_csv
@@ -116,13 +117,19 @@ class TripleProcessSource:
 
 
 class SingletSource:
-    """Emits singlet pairs: P(S1, S2) = (1 - S1 S2 cos(angle_left - angle_right)) / 4."""
+    """Emits singlet pairs from the +-1 chain with c0 = 0 and link
+    -cos(angle_left - angle_right):
+    P(S1, S2) = (1 - S1 S2 cos(angle_left - angle_right)) / 4."""
 
     def draw(self, left: Setting, right: Setting, rng: np.random.Generator,
              count: int):
-        cos = np.cos(left.angle - right.angle)
-        p = np.array([1.0 - cos, 1.0 + cos, 1.0 + cos, 1.0 - cos]) / 4.0
-        pairs = draw_rows(p, sign_rows(2), rng, count)
+        # Python float arithmetic overflows to inf without a numpy warning
+        d = float(left.angle) - float(right.angle)
+        if not math.isfinite(d):
+            raise ValueError(f"singlet setting angles and their difference must be "
+                             f"finite, got {left.angle} and {right.angle}")
+        e = chain_coeffs(0.0, (-np.cos(d),))
+        pairs = draw_rows(sign_transform(e).ravel() / 4.0, sign_rows(2), rng, count)
         hidden = rng.uniform(0.0, 2.0 * np.pi, count)
         return pairs[:, 0], pairs[:, 1], hidden, hidden
 

@@ -11,7 +11,8 @@ two-spin singlet and its pair correlations, one-particle filtering chains of
 two and three stages with their closed forms, the two-sided extended
 pair-source experiments that produce genuine triples and quadruples, mixtures
 of product states and the correlation bound they obey, and commutator /
-uncertainty-product diagnostics.
+uncertainty-product diagnostics.  The closed forms come from
+``tables.chain_coeffs``; the projector chains stay as their oracles.
 
 Basis convention: particle 1 is the slowest-varying index, and index 0 of
 each factor is the S=+1 state.  Coplanar settings are parametrized by the
@@ -20,9 +21,10 @@ angle from the z-axis within the xz-plane, u(theta) = (sin t, 0, cos t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +34,8 @@ from .datasets import (InequalityReport, check_boole_triple,
 from .reports import (ClauseFamily, GridSweep, boole_terms, grid_sweep,
                       make_clause, make_report, six_descriptions)
 from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
-                     SignTable, expand2, marginals_compatible, sign_transform)
+                     SignTable, chain_coeffs, expand2, marginals_compatible,
+                     sign_transform)
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -50,9 +53,11 @@ def as_direction(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"direction must have 3 components, got shape {arr.shape}")
-    # tolerance on the squared norm, matching 1e-12 on the norm itself
-    if not abs(float(arr @ arr) - 1.0) <= 2.0 * UNIT_TOL:   # NaN fails too
-        raise ValueError(f"{arr} is not a unit vector (norm {np.linalg.norm(arr)})")
+    # components are bounded before squaring, which could overflow; the
+    # tolerance on the squared norm matches 1e-12 on the norm itself
+    if not (np.max(np.abs(arr)) <= 1.0 + UNIT_TOL
+            and abs(float(arr @ arr) - 1.0) <= 2.0 * UNIT_TOL):   # NaN fails too
+        raise ValueError(f"{arr} is not a unit vector (norm {math.hypot(*arr)})")
     return arr
 
 
@@ -160,7 +165,9 @@ def spin_half_state(x) -> DensityMatrix:
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("polarization vector needs 3 components")
-    if not float(x @ x) <= 1.0 + 1e-12:   # NaN fails too
+    # components are bounded before squaring, which could overflow
+    if not (np.max(np.abs(x)) <= 1.0 + 1e-12
+            and float(x @ x) <= 1.0 + 1e-12):   # NaN fails too
         raise ValueError(f"polarization vector must satisfy |x| <= 1, got {x}")
     mat = (ID2 + x[0] * SIGMA_X + x[1] * SIGMA_Y + x[2] * SIGMA_Z) / 2.0
     return DensityMatrix(mat, 1)
@@ -213,15 +220,19 @@ def filter_prob2(rho1: DensityMatrix, a, b) -> ProbabilityTable:
     return _chain_table(rho1, ((a, 1), (b, 1)), (0, 1, 0), state_first=True)
 
 
+def _chain_closed(c0, links, order=None) -> tuple[ProbabilityTable, np.ndarray]:
+    """The probability table of a +-1 chain (``tables.chain_coeffs``) and
+    its coefficient grid."""
+    e = chain_coeffs(c0, links, order)
+    return ProbabilityTable(e.ndim, sign_transform(e).ravel() / 2 ** e.ndim), e
+
+
 def filter_prob2_closed(x, a, b) -> ProbabilityTable:
-    """Closed form of the two-stage chain for the state (1 + sigma.x)/2:
-    P = (1 + S1 x.a + S2 x.a a.b + S1 S2 a.b) / 4."""
+    """Closed form of the two-stage chain for the state (1 + sigma.x)/2: the
+    +-1 chain with c0 = x.a and link a.b."""
     x = np.asarray(x, dtype=float)
     a, b = as_direction(a), as_direction(b)
-    xa, ab = float(x @ a), float(a @ b)
-    e = np.array([[1.0, xa * ab],          # e0, e2
-                  [xa, ab]])               # e1, e12
-    return ProbabilityTable(2, sign_transform(e).ravel() / 4.0)
+    return _chain_closed(float(x @ a), (float(a @ b),))[0]
 
 
 def filter_prob3(rho1: DensityMatrix, a, b, c) -> ProbabilityTable:
@@ -230,14 +241,11 @@ def filter_prob3(rho1: DensityMatrix, a, b, c) -> ProbabilityTable:
 
 
 def filter_prob3_closed(x, a, b, c) -> ProbabilityTable:
-    """Closed form of the three-stage chain: P = (1 + S1 x.a + S2 x.a a.b
-    + S3 x.a a.b b.c + S1S2 a.b + S1S3 a.b b.c + S2S3 b.c + S1S2S3 x.a b.c)/8."""
+    """Closed form of the three-stage chain: the +-1 chain with c0 = x.a and
+    links (a.b, b.c)."""
     x = np.asarray(x, dtype=float)
     a, b, c = as_direction(a), as_direction(b), as_direction(c)
-    xa, ab, bc = float(x @ a), float(a @ b), float(b @ c)
-    e = np.array([[[1.0, xa * ab * bc], [xa * ab, bc]],      # e0, e3; e2, e23
-                  [[xa, ab * bc], [ab, xa * bc]]])           # e1, e13; e12, e123
-    return ProbabilityTable(3, sign_transform(e).ravel() / 8.0)
+    return _chain_closed(float(x @ a), (float(a @ b), float(b @ c)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +253,9 @@ def filter_prob3_closed(x, a, b, c) -> ProbabilityTable:
 # ---------------------------------------------------------------------------
 
 def singlet_pair_table(u, v) -> ProbabilityTable:
-    """Joint outcome probabilities for the singlet measured along (u, v)."""
-    return _chain_table(singlet(), ((u, 1), (v, 2)), (0, 1), state_first=True)
+    """Joint outcome probabilities for the singlet measured along (u, v):
+    the +-1 chain with c0 = 0 and link -u.v."""
+    return _chain_closed(0.0, (-float(as_direction(u) @ as_direction(v)),))[0]
 
 
 def eprb_pair_tables(a, b, c) -> tuple[ProbabilityTable, ProbabilityTable, ProbabilityTable]:
@@ -338,16 +347,17 @@ def eprb_substitution_report(a, b, c) -> SubstitutionReport:
 
 def extended_eprb_prob3(theta_a: float, theta_b: float, theta_c: float,
                         ) -> tuple[ProbabilityTable, ExpansionCoeffs3]:
-    """Triple-outcome probabilities for coplanar settings, in closed form
-    P = (1 - S1S2 cba - S1S3 cba ccb + S2S3 ccb)/8 with
-    cba = cos(theta_b - theta_a) and ccb = cos(theta_c - theta_b), and the
-    table's expansion coefficients.  ``ProbabilityTable`` checks the range
-    and the sum of the entries."""
-    cba = np.cos(theta_b - theta_a)
-    ccb = np.cos(theta_c - theta_b)
-    e = np.array([[[1.0, 0.0], [0.0, ccb]],                # e0, e3; e2, e23
-                  [[0.0, -cba * ccb], [-cba, 0.0]]])       # e1, e13; e12, e123
-    return ProbabilityTable(3, sign_transform(e).ravel() / 8.0), ExpansionCoeffs3.from_grid(e)
+    """Triple-outcome probabilities for coplanar settings, in closed form: the
+    +-1 chain with c0 = 0 and links (-cos(theta_b - theta_a),
+    cos(theta_c - theta_b)), so P = (1 - S1S2 cba - S1S3 cba ccb + S2S3 ccb)/8;
+    and the table's expansion coefficients."""
+    # Python float arithmetic overflows to inf without a numpy warning
+    dba, dcb = float(theta_b) - float(theta_a), float(theta_c) - float(theta_b)
+    if not (math.isfinite(dba) and math.isfinite(dcb)):
+        raise ValueError(f"the angles and their differences must be finite, got "
+                         f"theta_a={theta_a}, theta_b={theta_b}, theta_c={theta_c}")
+    table, e = _chain_closed(0.0, (-np.cos(dba), np.cos(dcb)))
+    return table, ExpansionCoeffs3.from_grid(e)
 
 
 def extended_eprb_sweep(thetas) -> GridSweep:
@@ -373,29 +383,26 @@ def extended_eprb_prob3_chain(a, b, c) -> ProbabilityTable:
 
 def extended_eprb_prob4(a, b, c, d) -> tuple[ProbabilityTable, dict[str, float]]:
     """Quadruple-outcome probabilities when both particles pass two analyzer
-    stages: left along a then d, right along b then c.  Operator order is
+    stages, left along a then d, right along b then c, in closed form: the
+    +-1 chain along the variables (4, 1, 2, 3) with c0 = 0 and links
+    (a.d, -a.b, b.c).  Returns the table and its six pair correlations, read
+    off the coefficient grid."""
+    a, b, c, d = (as_direction(v) for v in (a, b, c, d))
+    table, e = _chain_closed(0.0, (float(a @ d), -float(a @ b), float(b @ c)),
+                             order=(4, 1, 2, 3))
+    return table, {f"E{i}{j}": float(e[tuple(int(k in (i, j)) for k in range(1, 5))])
+                   for i, j in combinations(range(1, 5), 2)}
+
+
+def extended_eprb_prob4_chain(a, b, c, d) -> tuple[ProbabilityTable, dict[str, float]]:
+    """Projector-chain route of ``extended_eprb_prob4``.  Operator order is
     M(S1,a) M(S4,d) M(S2,b) M(S3,c) M(S2,b) M(S4,d) M(S1,a); any reordering is
-    a different experiment.  Returns the table and its six pair correlations.
-    """
+    a different experiment.  Returns the table and its six pair correlations,
+    read off the table."""
     table = _chain_table(singlet(), ((a, 1), (b, 2), (c, 2), (d, 1)),
                          (0, 3, 1, 2, 1, 3, 0))
-    pairs = {f"E{i}{j}": table.pair_correlation(i, j)
-             for (i, j) in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))}
-    return table, pairs
-
-
-def chsh_pair_correlations_closed(a, b, c, d) -> dict[str, float]:
-    """Closed forms of the six pair correlations of the quadruple experiment."""
-    a, b, c, d = (as_direction(v) for v in (a, b, c, d))
-    ab, bc, ad = float(a @ b), float(b @ c), float(a @ d)
-    return {
-        "E12": -ab,
-        "E13": -ab * bc,
-        "E14": ad,
-        "E23": bc,
-        "E24": -ab * ad,
-        "E34": -ab * ad * bc,
-    }
+    return table, {f"E{i}{j}": table.pair_correlation(i, j)
+                   for i, j in combinations(range(1, 5), 2)}
 
 
 def check_chsh_quadruple(pairs: dict[str, float]) -> InequalityReport:

@@ -24,7 +24,7 @@ array indexed with 0 <-> S=+1 and 1 <-> S=-1, variable 1 slowest.
 ``sign_index`` and ``sign_codes`` are the one map from sign patterns to grid
 positions.  Every expansion, synthesis and closed form goes through
 ``sign_transform``, which maps a table to its coefficients on the same grid
-and back.
+and back; ``chain_coeffs`` gives the coefficients of every exact chain table.
 """
 
 from __future__ import annotations
@@ -105,6 +105,24 @@ def draw_rows(probs, rows: np.ndarray, rng: np.random.Generator, count: int) -> 
     for edge in cdf[:-1]:
         index += u >= edge
     return rows[index]
+
+
+def chain_coeffs(c0, links, order=None) -> np.ndarray:
+    """Coefficient grid of the +-1 Markov chain along a path of variables,
+    P(S) = (1 + c0 S_1)/2 prod_k (1 + rho_k S_k S_k+1)/2: e_T is the product
+    of c0 and of every link with an odd number of T's path positions after
+    it, c0 standing before the first.  ``order`` lists the variables
+    (1-based) in path order, 1..n by default; the grid is indexed by
+    variable, and the table is sign_transform(e) / 2^n."""
+    n = len(links) + 1
+    e = np.ones(2 ** n)
+    for k, factor in enumerate((c0, *links)):
+        for t in range(2 ** n):
+            if (t % (1 << (n - k))).bit_count() % 2:   # T's positions k+1..n
+                e[t] *= factor
+    e += 0.0   # a zero c0 times a negative link leaves -0.0; this makes it 0.0
+    e = e.reshape((2,) * n)
+    return e if order is None else e.transpose([order.index(v) for v in range(1, n + 1)])
 
 
 # flat grid positions of the coefficients in field order (e0, e1, .., e12, ..),

@@ -260,8 +260,8 @@ def test_criterion_09_extended_eprb():
     worst_pair = 0.0
     for _ in range(150):
         dirs = [random_direction(rng) for _ in range(4)]
-        _, pairs = q.extended_eprb_prob4(*dirs)
-        closed = q.chsh_pair_correlations_closed(*dirs)
+        _, pairs = q.extended_eprb_prob4_chain(*dirs)
+        closed = q.extended_eprb_prob4(*dirs)[1]
         worst_pair = max(worst_pair, max(abs(pairs[k] - closed[k]) for k in closed))
     cb = np.cos(thetas)
     combo_max = 0.0

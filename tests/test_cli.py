@@ -125,6 +125,13 @@ class TestSubcommands:
         assert env["values"]["coeffs"]["e12"] == pytest.approx(-0.5, abs=1e-12)
         assert env["reports"]["ebbi"]["all_satisfied"] is True
 
+    @pytest.mark.parametrize("angles", [("0", "30", "200"), ("0", "150", "20"),
+                                        ("10", "-100", "95")])
+    def test_extended_eprb_triple_prints_no_negative_zero(self, capsys, angles):
+        # c0 = 0 times a negative link of the chain is -0.0 in IEEE arithmetic
+        assert main(["extended-eprb", "--angles", *angles]) == 0
+        assert "-0.0" not in capsys.readouterr().out
+
     def test_extended_eprb_quadruple(self, capsys):
         env = run_json(capsys, ["extended-eprb",
                                 "--angles", "0", "45", "90", "135"])
@@ -441,6 +448,30 @@ class TestCliBehavior:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "s1,s2"
         assert len(out.splitlines()) == 51
+
+    @pytest.mark.parametrize("argv, message", [
+        (["quantum", "--scenario", "filter2", "--x", "1e200", "0", "0"],
+         "polarization vector must satisfy |x| <= 1"),
+        (["quantum", "--scenario", "singlet", "--a", "1e200", "0", "0"],
+         "is not a unit vector (norm 1e+200)"),
+        (["ebbi", "--e", "1", "2", "0", "0"], "--e E12/E0=2.0 outside [-1, 1]"),
+        (["leggett-garg", "--omega", "1e308", "--dt", "0", "10", "0", "--seed", "1"],
+         "total phase 2 omega (dt1 + dt2 + dt3) must be finite"),
+        (["extended-eprb", "--angles", "1e308", "-1e308", "0", "--radians"],
+         "differences must be finite"),
+        (["epr-pipeline", "--source", "singlet", "--angles", "1e308", "-1e308", "0",
+          "--radians", "--samples", "100", "--seed", "1"], "difference must be finite"),
+        (["factorizable", "--mu", "uniform", "--angles", "1e308", "-1e308", "--radians",
+          "--samples", "10", "--seed", "1"], "difference must be finite"),
+    ])
+    def test_handler_refusals_write_one_stderr_line(self, capsys, argv, message):
+        # RuntimeWarnings are errors in this suite, so a numpy warning on the
+        # way to the refusal fails the test rather than being captured
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
 
     def test_overflowing_clause_is_one_error_line_naming_it(self, capsys):
         assert main(["ebbi", "--e", "1e308", "1e308", "1e308", "1e308"]) == 2

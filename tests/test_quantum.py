@@ -67,8 +67,20 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
     def test_extended_eprb_prob3(self, angle):
-        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"must be finite, got .*theta_b=-?(nan|inf)"):
             q.extended_eprb_prob3(0.0, angle, 1.0)
+
+    def test_extended_eprb_prob3_overflowing_angle_difference(self):
+        with pytest.raises(ValueError, match="differences must be finite"):
+            q.extended_eprb_prob3(0.0, 1e308, -1e308)
+
+    @pytest.mark.parametrize("component", [1e200, -1e200, 1.5])
+    def test_oversized_components_are_refused_before_squaring(self, component):
+        # squaring 1e200 overflows, which the RuntimeWarning filter turns into an error
+        with pytest.raises(ValueError, match=r"not a unit vector \(norm "):
+            q.as_direction([component, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"\|x\| <= 1"):
+            q.spin_half_state([0.0, component, 0.0])
 
     def test_extended_eprb_prob3_huge_angles_stay_normalized(self):
         table, _ = q.extended_eprb_prob3(1e300, -1e300, 1e300)
@@ -379,8 +391,8 @@ class TestExtendedQuadruple:
         rng = np.random.default_rng(13)
         for _ in range(50):
             dirs = [random_direction(rng) for _ in range(4)]
-            table, pairs = q.extended_eprb_prob4(*dirs)
-            closed = q.chsh_pair_correlations_closed(*dirs)
+            table, pairs = q.extended_eprb_prob4_chain(*dirs)
+            closed = q.extended_eprb_prob4(*dirs)[1]
             for key, val in closed.items():
                 assert pairs[key] == pytest.approx(val, abs=1e-12)
             assert np.all(table.p >= -1e-12)

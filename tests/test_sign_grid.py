@@ -3,7 +3,8 @@ nested loops they replace.
 
 The references below are the explicit loops over sign patterns.  Projector
 chains must agree bit for bit; expansions, syntheses and closed forms agree
-to 1e-14 on unit-scale inputs and exactly on dyadic ones.
+to 1e-14 on unit-scale inputs and exactly on dyadic ones.  The singlet pair
+table has no projector chain left, so its closed form meets the loop to 1e-14.
 """
 
 from itertools import product
@@ -11,6 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from boolebell import leggett_garg as lg
 from boolebell import quantum as q
 from boolebell import tables
 from boolebell.tables import sign_transform
@@ -259,11 +261,11 @@ class TestSignTransform:
 class TestProjectorChains:
     def test_chain_tables_are_bit_identical_to_the_loops(self):
         for a, b, c, d in DIRECTIONS:
-            assert np.array_equal(bits(q.singlet_pair_table(a, b).p),
-                                  bits(ref_singlet_pair(a, b)))
+            assert np.allclose(q.singlet_pair_table(a, b).p, ref_singlet_pair(a, b),
+                               rtol=0, atol=TOL)
             assert np.array_equal(bits(q.extended_eprb_prob3_chain(a, b, c).p),
                                   bits(ref_extended3_chain(a, b, c)))
-            assert np.array_equal(bits(q.extended_eprb_prob4(a, b, c, d)[0].p),
+            assert np.array_equal(bits(q.extended_eprb_prob4_chain(a, b, c, d)[0].p),
                                   bits(ref_extended4(a, b, c, d)))
             for x in POLARIZATIONS:
                 rho = q.spin_half_state(x)
@@ -299,8 +301,8 @@ class TestProjectorChains:
 
     def test_chain_tables_do_not_use_the_transform(self, monkeypatch):
         # the dense route stays an independent oracle for the closed forms;
-        # extended_eprb_prob4 reads its pair correlations off its table with
-        # the transform, after the chain
+        # extended_eprb_prob4_chain reads its pair correlations off its table
+        # with the transform, after the chain
         def boom(values):
             raise AssertionError("the projector chain called the sign transform")
         monkeypatch.setattr(q, "sign_transform", boom)
@@ -309,12 +311,114 @@ class TestProjectorChains:
         rho = q.spin_half_state(POLARIZATIONS[-1])
         q.filter_prob2(rho, a, b)
         q.filter_prob3(rho, a, b, c)
-        q.singlet_pair_table(a, b)
         q.extended_eprb_prob3_chain(a, b, c)
         with pytest.raises(AssertionError):
-            q.extended_eprb_prob4(a, b, c, d)
-        with pytest.raises(AssertionError):
-            q.filter_prob3_closed(POLARIZATIONS[-1], a, b, c)
+            q.extended_eprb_prob4_chain(a, b, c, d)
+        for closed, args in ((q.extended_eprb_prob4, (a, b, c, d)),
+                             (q.filter_prob3_closed, (POLARIZATIONS[-1], a, b, c)),
+                             (q.singlet_pair_table, (a, b))):
+            with pytest.raises(AssertionError):
+                closed(*args)
+
+
+def ref_chain_table(c0, links, order):
+    """P(S) = (1 + c0 S_p1)/2 prod_k (1 + rho_k S_pk S_pk+1)/2 along the path
+    p = order, as a loop over the sign patterns."""
+    n = len(order)
+    p = np.empty((2,) * n)
+    for idx in product(range(2), repeat=n):
+        s = [SIGNS[idx[v - 1]] for v in order]
+        value = (1.0 + c0 * s[0]) / 2.0
+        for k, rho in enumerate(links):
+            value *= (1.0 + rho * s[k] * s[k + 1]) / 2.0
+        p[idx] = value
+    return p
+
+
+class TestChainCoeffs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_the_product_form(self, n):
+        for _ in range(20):
+            c0, *links = RNG.uniform(-1, 1, n)
+            order = tuple(int(v) for v in RNG.permutation(n) + 1)
+            e = tables.chain_coeffs(c0, links, order)
+            assert np.allclose(sign_transform(e) / 2 ** n, ref_chain_table(c0, links, order),
+                               rtol=0, atol=TOL)
+            assert np.array_equal(tables.chain_coeffs(c0, links),
+                                  tables.chain_coeffs(c0, links, tuple(range(1, n + 1))))
+
+    def test_a_zero_c0_leaves_no_negative_zero(self):
+        e = tables.chain_coeffs(0.0, (-0.5, -0.25, 0.75))
+        assert not np.signbit(e[e == 0.0]).any()
+
+
+def _unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+# each returns the closed form and the oracle of one chain table at a random
+# parameter point
+def _filter2(rng):
+    x, a, b = _unit(rng) * rng.random(), _unit(rng), _unit(rng)
+    return (q.filter_prob2_closed(x, a, b).values,
+            q.filter_prob2(q.spin_half_state(x), a, b).values)
+
+
+def _filter3(rng):
+    x, a, b, c = _unit(rng) * rng.random(), _unit(rng), _unit(rng), _unit(rng)
+    return (q.filter_prob3_closed(x, a, b, c).values,
+            q.filter_prob3(q.spin_half_state(x), a, b, c).values)
+
+
+def _singlet(rng):
+    a, b = _unit(rng), _unit(rng)
+    return q.singlet_pair_table(a, b).values, ref_singlet_pair(a, b).reshape(2, 2)
+
+
+def _extended3(rng):
+    # arbitrary vectors: the chain's links are -a.b and b.c
+    a, b, c = _unit(rng), _unit(rng), _unit(rng)
+    return (sign_transform(tables.chain_coeffs(0.0, (-(a @ b), b @ c))) / 8.0,
+            q.extended_eprb_prob3_chain(a, b, c).values)
+
+
+def _extended4(rng):
+    dirs = [_unit(rng) for _ in range(4)]
+    return q.extended_eprb_prob4(*dirs)[0].values, q.extended_eprb_prob4_chain(*dirs)[0].values
+
+
+def _leggett_garg(rng):
+    p = lg.LGParams(rng.uniform(-3, 3), *rng.uniform(0, 3, 3))
+    c1, c2, c3 = np.cos(2.0 * p.omega * np.array([p.dt1, p.dt2, p.dt3]))
+    oracle = np.empty((2, 2, 2))
+    for triple, prob in lg.evolve_triple(p).triple_probabilities().items():
+        oracle[tables.sign_index(triple)] = prob
+    e = tables.chain_coeffs(c1, (c2, c3))
+    assert lg.lg_triple_correlations(p) == pytest.approx((e[1, 1, 0], e[1, 0, 1], e[0, 1, 1]),
+                                                         rel=0, abs=TOL)
+    return sign_transform(e) / 8.0, oracle
+
+
+class TestChainTables:
+    """Three routes to every exact table: closed form, dense oracle (the
+    projector chain, the loop reference, or ``evolve_triple``), and seeded
+    ``draw_rows`` frequencies from the closed table."""
+
+    DRAWS = 20000
+
+    @pytest.mark.parametrize("seed, routes", enumerate(
+        (_filter2, _filter3, _singlet, _extended3, _extended4, _leggett_garg)))
+    def test_three_routes_agree(self, seed, routes):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            closed, oracle = routes(rng)
+            assert np.allclose(closed, oracle, rtol=0, atol=TOL)
+            p = np.clip(closed.ravel(), 0.0, 1.0)
+            rows = tables.draw_rows(p, tables.sign_rows(closed.ndim), rng, self.DRAWS)
+            freq = np.bincount(tables.sign_codes(*rows.T), minlength=p.size) / self.DRAWS
+            stderr = np.sqrt(p * (1.0 - p) / self.DRAWS)
+            assert np.all(np.abs(freq - p) <= 5.0 * stderr + 1e-12)
 
 
 class TestSignRowSampler:
