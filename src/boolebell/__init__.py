@@ -8,10 +8,10 @@ engine), ``leggett_garg`` (temporal-correlation model), ``classical``
 (time-tagged event processing), ``cli`` (entry point).
 """
 
-from .datasets import (DichotomicDataset, PairCorrelation, ReducedDataset,
-                       check_boole_triple, check_boole_triple_anticorrelated,
-                       check_chsh, check_pair_bound, correlation,
-                       read_dataset_csv, reduce_dataset, write_dataset_csv)
+from .datasets import (DichotomicDataset, PairCorrelation, check_boole_triple,
+                       check_boole_triple_anticorrelated, check_chsh,
+                       check_pair_bound, correlation, read_dataset_csv,
+                       reduce_dataset, write_dataset_csv)
 from .reports import SLACK_TOL, Clause, InequalityReport, make_clause, make_report
 from .tables import (CompatibilityResult, ExpansionCoeffs2, ExpansionCoeffs3,
                      FuncTable2, FuncTable3, IncompatibleMarginalsError,
@@ -22,7 +22,7 @@ from .tables import (CompatibilityResult, ExpansionCoeffs2, ExpansionCoeffs3,
 
 __all__ = [
     "Clause", "InequalityReport", "SLACK_TOL", "make_clause", "make_report",
-    "DichotomicDataset", "ReducedDataset", "PairCorrelation",
+    "DichotomicDataset", "PairCorrelation",
     "reduce_dataset", "correlation", "check_boole_triple",
     "check_boole_triple_anticorrelated", "check_pair_bound", "check_chsh",
     "read_dataset_csv", "write_dataset_csv",

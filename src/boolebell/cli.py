@@ -27,7 +27,7 @@ from .datasets import (_require_in_unit_interval, check_boole_triple,
                        check_boole_triple_anticorrelated, check_chsh,
                        check_pair_bound, correlation, dataset_csv_text,
                        read_dataset_csv)
-from .reports import GRID_BLOCK, SLACK_TOL
+from .reports import GRID_BLOCK, SLACK_TOL, NonFiniteClauseError
 
 
 class CliError(Exception):
@@ -36,6 +36,22 @@ class CliError(Exception):
 
 def _to_rad(value: float, radians: bool) -> float:
     return value if radians else math.radians(value)
+
+
+def _flag_value(flag: str, check, *values):
+    """check(*values), a library refusal of the values prefixed by their flag;
+    a non-finite clause is refused by its own name."""
+    try:
+        return check(*values)
+    except NonFiniteClauseError:
+        raise
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
+
+
+def _directions(args, names: str) -> list[np.ndarray]:
+    """The unit vectors of the direction flags named ("abc" names --a, --b, --c)."""
+    return [_flag_value(f"--{k}", quantum.as_direction, getattr(args, k)) for k in names]
 
 
 def _render_table(envelope: dict) -> str:
@@ -99,7 +115,7 @@ def cmd_dataset(args) -> dict:
 
 def cmd_ebbi(args) -> dict:
     e0, e12, e13, e23 = args.e
-    report = tables.ebbi_check(e0, e12, e13, e23)
+    report = _flag_value("--e", tables.ebbi_check, e0, e12, e13, e23)
     reports = {"ebbi": report.to_dict()}
     if e0 > 0:
         ratios = (e12 / e0, e13 / e0, e23 / e0)
@@ -125,13 +141,13 @@ def cmd_theorem(args) -> dict:
                 "reports": {"theorem1": rep.to_dict()}}
     elif which == "3":
         e, ehat, etilde, e0 = args.coeffs
-        rep = tables.theorem3_check(e, ehat, etilde, e0)
+        rep = _flag_value("--coeffs", tables.theorem3_check, e, ehat, etilde, e0)
         return {"scenario": "theorem-3",
                 "params": {"e": e, "ehat": ehat, "etilde": etilde, "e0": e0},
                 "values": {}, "reports": {"theorem3": rep.to_dict()}}
     elif which == "construct":
         a0, a12, a13, a23 = args.coeffs
-        table = tables.construct_g3(a0, a12, a13, a23)
+        table = _flag_value("--coeffs", tables.construct_g3, a0, a12, a13, a23)
         return {"scenario": "theorem-construct",
                 "params": {"a0": a0, "a12": a12, "a13": a13, "a23": a23},
                 "values": {"table": table.to_dict(),
@@ -168,8 +184,7 @@ def cmd_theorem(args) -> dict:
 def cmd_quantum(args) -> dict:
     rad = args.radians
     if args.scenario == "singlet":
-        a = quantum.as_direction(args.a)
-        b = quantum.as_direction(args.b)
+        a, b = _directions(args, "ab")
         rho = quantum.singlet()
         e = quantum.expectation(rho, quantum.correlation_operator(a, b))
         return {"scenario": "quantum-singlet",
@@ -179,13 +194,15 @@ def cmd_quantum(args) -> dict:
                 "reports": {}}
     elif args.scenario in ("filter2", "filter3"):
         x = np.asarray(args.x, dtype=float)
-        rho = quantum.spin_half_state(x)
+        rho = _flag_value("--x", quantum.spin_half_state, x)
         if args.scenario == "filter2":
-            chain = quantum.filter_prob2(rho, args.a, args.b)
-            closed = quantum.filter_prob2_closed(x, args.a, args.b)
+            a, b = _directions(args, "ab")
+            chain = quantum.filter_prob2(rho, a, b)
+            closed = quantum.filter_prob2_closed(x, a, b)
         else:
-            chain = quantum.filter_prob3(rho, args.a, args.b, args.c)
-            closed = quantum.filter_prob3_closed(x, args.a, args.b, args.c)
+            a, b, c = _directions(args, "abc")
+            chain = quantum.filter_prob3(rho, a, b, c)
+            closed = quantum.filter_prob3_closed(x, a, b, c)
         return {"scenario": f"quantum-{args.scenario}",
                 "params": {"x": list(x), "a": args.a, "b": args.b,
                            **({"c": args.c} if args.scenario == "filter3" else {})},
@@ -206,8 +223,7 @@ def cmd_quantum(args) -> dict:
                             "boole_anticorrelated":
                                 rep.boole_anticorrelated.to_dict()}}
     elif args.scenario == "commutators":
-        diag = quantum.commutator_diagnostics(args.a, args.b, args.c,
-                                              quantum.singlet())
+        diag = quantum.commutator_diagnostics(*_directions(args, "abc"), quantum.singlet())
         return {"scenario": "quantum-commutators",
                 "params": {"a": args.a, "b": args.b, "c": args.c,
                            "state": "singlet"},
@@ -216,7 +232,7 @@ def cmd_quantum(args) -> dict:
         up = quantum.spin_half_state([0.0, 0.0, 1.0])
         down = quantum.spin_half_state([0.0, 0.0, -1.0])
         comps = [(0.5, up), (0.5, down)]
-        rep = quantum.separable_bound_check(comps, args.a, args.b, args.c)
+        rep = quantum.separable_bound_check(comps, *_directions(args, "abc"))
         return {"scenario": "quantum-separable",
                 "params": {"components": "equal mix of up/up and down/down",
                            "a": args.a, "b": args.b, "c": args.c},
@@ -350,8 +366,9 @@ MAX_AXIS_POINTS = GRID_BLOCK
 
 def cmd_sweep(args) -> dict:
     start, stop, step = args.grid
-    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)
-            and step > 0):
+    # the leggett-garg sweep does not read --grid
+    if args.what != "leggett-garg" and not (
+            math.isfinite(start) and math.isfinite(stop) and math.isfinite(step) and step > 0):
         raise CliError("--grid needs finite START and STOP and a positive finite STEP")
     # points per axis, counted before anything is allocated
     if args.what == "factorizable":   # STOP included
@@ -413,6 +430,19 @@ def _non_negative_float(text: str) -> float:
     if value < 0.0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
     return value
+
+
+def _int_from(minimum: int):
+    """The argparse type of an integer flag whose values start at minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _window(text: str) -> str:
@@ -498,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
                                             "correlations, closed form and "
                                             "sampled")
     p.add_argument("--omega", type=_finite_float, required=True)
-    p.add_argument("--dt", type=_finite_float, nargs=3, required=True,
+    p.add_argument("--dt", type=_non_negative_float, nargs=3, required=True,
                    metavar=("DT1", "DT2", "DT3"))
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=_int_from(0), default=0)
     common(p, seed=True)
 
     p = sub.add_parser("extended-eprb", help="two-sided analyzer chains on "
@@ -512,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allergy", help="city/parity outcome table collected "
                                        "as triples or as pairs")
     p.add_argument("--variant", choices=("triples", "pairs"), required=True)
-    p.add_argument("--days", type=int, default=100)
+    p.add_argument("--days", type=_int_from(1), default=100)
     p.add_argument("--seed", type=int, default=None,
                    help="optional random day schedule; default alternates parity")
     common(p)
@@ -521,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "vs sampled correlation")
     p.add_argument("--mu", choices=tuple(_MU), required=True)
     p.add_argument("--angles", type=_finite_float, nargs=2, required=True)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_int_from(1), default=100000)
     common(p, seed=True, radians=True, csv=True)
 
     p = sub.add_parser("epr-pipeline", help="time-tagged pair generation, "
@@ -532,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=_finite_float, nargs=3, required=True)
     p.add_argument("--window", type=_window, default="inf",
                    help="coincidence window in event periods, or 'inf'")
-    p.add_argument("--samples", type=int, default=30000)
+    p.add_argument("--samples", type=_int_from(1), default=30000)
     p.add_argument("--jitter", type=_non_negative_float, default=0.0)
     p.add_argument("--jitter-exponent", type=_non_negative_float, default=0.0)
     p.add_argument("--events-out", default=None,

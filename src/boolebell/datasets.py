@@ -32,10 +32,9 @@ _RANGE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DichotomicDataset:
-    """M labeled n-tuples of +-1 outcomes, immutable after construction."""
+    """M n-tuples of +-1 outcomes, immutable after construction."""
 
     data: np.ndarray
-    run_label: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -63,24 +62,6 @@ class DichotomicDataset:
 
 
 @dataclass(frozen=True)
-class ReducedDataset:
-    """Projection of a dataset onto a strictly increasing index subset (1-based)."""
-
-    parent_arity: int
-    indices: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-
-@dataclass(frozen=True)
 class PairCorrelation:
     value: float
     i: int
@@ -88,15 +69,16 @@ class PairCorrelation:
     source_arity: int
 
 
-def reduce_dataset(ds: DichotomicDataset, indices: tuple[int, ...]) -> ReducedDataset:
-    """Project every row onto the given strictly increasing 1-based indices."""
+def reduce_dataset(ds: DichotomicDataset, indices: tuple[int, ...]) -> DichotomicDataset:
+    """Project every row onto the given strictly increasing 1-based indices:
+    a dataset of 2 to 4 columns, like any other."""
     idx = tuple(int(i) for i in indices)
     if any(i < 1 or i > ds.n for i in idx):
         raise ValueError(f"indices must lie in 1..{ds.n}, got {idx}")
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices must be strictly increasing, got {idx}")
     cols = [i - 1 for i in idx]
-    return ReducedDataset(ds.n, idx, ds.data[:, cols])
+    return DichotomicDataset(ds.data[:, cols])
 
 
 def correlation(ds: DichotomicDataset, i: int, j: int) -> PairCorrelation:
@@ -210,7 +192,7 @@ _CELL_VALUES = {"1": 1, "+1": 1, "-1": -1}
 _OTHER = 2
 
 
-def read_dataset_csv(path: str | Path, run_label: str | None = None) -> DichotomicDataset:
+def read_dataset_csv(path: str | Path) -> DichotomicDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -238,4 +220,4 @@ def read_dataset_csv(path: str | Path, run_label: str | None = None) -> Dichotom
         raise ValueError(f"{path}:{good + 2}: expected {n} columns")
     if not rows:
         raise ValueError(f"{path}: dataset must contain at least one row")
-    return DichotomicDataset(values.reshape(good, n), run_label=run_label)
+    return DichotomicDataset(values.reshape(good, n))

@@ -272,8 +272,6 @@ def coincidence_filter(raw: RawDataset, window: float,
 
 @dataclass(frozen=True)
 class ThreeSettingsReport:
-    angles: dict[str, float]
-    window: float
     counts: dict[str, int]
     correlations: dict[str, float] | None
     empty_pairs: tuple[str, ...]
@@ -324,8 +322,7 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     rejected for the data, nothing more.
     """
     _check_window(window)
-    angles = {"a": angle_a, "b": angle_b, "c": angle_c}
-    a, b, c = (Setting(name, angle) for name, angle in angles.items())
+    a, b, c = Setting("a", angle_a), Setting("b", angle_b), Setting("c", angle_c)
     schedule = [SettingPair(a, b), SettingPair(a, c), SettingPair(b, c)]
     raw = generate_events(source, schedule, m, timing, seed)
     counts, corr, empties = {}, {}, []
@@ -338,7 +335,7 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
         else:
             corr[key] = (mm + pp - mp - pm) / kept
     if empties:
-        return ThreeSettingsReport(angles, window, counts, None, tuple(empties),
+        return ThreeSettingsReport(counts, None, tuple(empties),
                                    None, None, None, None, None, raw)
     f_ab, f_ac, f_bc = corr["ab"], corr["ac"], corr["bc"]
     direct = check_boole_triple(f_ab, f_ac, f_bc)
@@ -349,6 +346,6 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
             else "triples hypothesis rejected"
 
     return ThreeSettingsReport(
-        angles, window, counts, corr, (),
+        counts, corr, (),
         check_pair_bound(f_ab, f_ac, f_bc), direct, anti,
         verdict(direct), verdict(anti), raw)

@@ -104,25 +104,21 @@ class DensityMatrix:
 
 
 class ProbabilityTable(SignTable):
-    """Probabilities over the 2^n sign patterns, particle 1 slowest, given
-    flat in grid order; ``p`` is the flat read-only view."""
-
-    def __init__(self, n: int, p):
-        arr = np.asarray(p, dtype=float)
-        if arr.shape != (2 ** n,):
-            raise ValueError(f"need {2 ** n} entries for n={n}")
-        if not (np.min(arr) >= -1e-12 and np.max(arr) <= 1.0 + 1e-12):   # NaN fails too
-            raise ValueError("entries must lie in [0, 1]")
-        if abs(float(arr.sum()) - 1.0) > 1e-10:
-            raise ValueError(f"entries must sum to 1, got {float(arr.sum())}")
-        super().__init__(arr.reshape((2,) * n))
+    """Probabilities over the 2^n sign patterns, on the 2x..x2 grid with
+    particle 1 slowest; ``p`` is the flat read-only view."""
 
     p = property(lambda self: self.values.reshape(-1))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> ProbabilityTable:
-        grid = SignTable.from_dict(d).values
-        return cls(grid.ndim, grid.reshape(-1))
+    def __post_init__(self):
+        # before the grid checks, so a NaN entry reads as a probability error;
+        # initial=0 lets an empty array through to the sum check
+        arr = np.asarray(self.values, dtype=float)
+        if not (np.min(arr, initial=0.0) >= -1e-12
+                and np.max(arr, initial=0.0) <= 1.0 + 1e-12):   # NaN fails too
+            raise ValueError("entries must lie in [0, 1]")
+        if abs(float(arr.sum()) - 1.0) > 1e-10:
+            raise ValueError(f"entries must sum to 1, got {float(arr.sum())}")
+        super().__post_init__()
 
 
 def op_on(op2: np.ndarray, particle: int, n: int) -> np.ndarray:
@@ -176,7 +172,7 @@ def spin_half_state(x) -> DensityMatrix:
 def diag_prob(rho: DensityMatrix) -> ProbabilityTable:
     """Diagonal of the state in the product basis: the probability of each
     sign pattern of simultaneous z-projections."""
-    return ProbabilityTable(rho.n, np.real(np.diag(rho.matrix)).copy())
+    return ProbabilityTable(np.real(np.diag(rho.matrix)).reshape((2,) * rho.n))
 
 
 def correlation_operator(u, v) -> np.ndarray:
@@ -204,14 +200,14 @@ def _chain_table(rho: DensityMatrix, stages, word, state_first: bool = False,
         raise ValueError(f"the chain acts on {spins} spin(s), the state has {rho.n}")
     projs = [[projector(s, d) if spins == 1 else op_on(projector(s, d), k, spins)
               for s in (+1, -1)] for d, k in stages]
-    p = np.empty(2 ** len(stages))
-    for flat, pattern in enumerate(product(range(2), repeat=len(stages))):
+    p = np.empty((2,) * len(stages))
+    for pattern in product(range(2), repeat=len(stages)):
         chain = [projs[k][pattern[k]] for k in word]
         if state_first:
-            p[flat] = np.trace(reduce(np.matmul, chain, rho.matrix)).real
+            p[pattern] = np.trace(reduce(np.matmul, chain, rho.matrix)).real
         else:
-            p[flat] = np.trace(rho.matrix @ reduce(np.matmul, chain)).real
-    return ProbabilityTable(len(stages), p)
+            p[pattern] = np.trace(rho.matrix @ reduce(np.matmul, chain)).real
+    return ProbabilityTable(p)
 
 
 def filter_prob2(rho1: DensityMatrix, a, b) -> ProbabilityTable:
@@ -224,7 +220,7 @@ def _chain_closed(c0, links, order=None) -> tuple[ProbabilityTable, np.ndarray]:
     """The probability table of a +-1 chain (``tables.chain_coeffs``) and
     its coefficient grid."""
     e = chain_coeffs(c0, links, order)
-    return ProbabilityTable(e.ndim, sign_transform(e).ravel() / 2 ** e.ndim), e
+    return ProbabilityTable(sign_transform(e) / 2 ** e.ndim), e
 
 
 def filter_prob2_closed(x, a, b) -> ProbabilityTable:
@@ -280,17 +276,15 @@ class SchwartzReport:
 
 def schwartz_bound(a, b, c) -> SchwartzReport:
     """Inner-product bound |E +- Ehat|^2 <= 2 (1 +- b.c) for the singlet pair
-    correlations E = <s1.a s2.b> and Ehat = <s1.a s2.c>.
+    correlations E = <s1.a s2.b> = -a.b and Ehat = <s1.a s2.c> = -a.c, read
+    in closed form (the link of the singlet's +-1 chain).
 
     Each clause carries the factor cos^2 of the angle between a and b +- c;
     the two factors sum to 1 exactly when a lies in the span of b and c, which
     is when the pair of bounds is jointly sharp.  The report flags that case.
     """
     a, b, c = as_direction(a), as_direction(b), as_direction(c)
-    rho = singlet()
-    e = expectation(rho, correlation_operator(a, b))
-    ehat = expectation(rho, correlation_operator(a, c))
-    bc = float(b @ c)
+    e, ehat, bc = -float(a @ b), -float(a @ c), float(b @ c)
     clauses = []
     cos2 = {}
     for sign, s in ((+1, "+"), (-1, "-")):

@@ -50,12 +50,17 @@ class InequalityReport:
         }
 
 
+class NonFiniteClauseError(ValueError):
+    """A clause whose slack is not finite; the message names the clause."""
+
+
 def make_clause(description: str, lhs: float, rhs: float) -> Clause:
     lhs = float(lhs)
     rhs = float(rhs)
     slack = rhs - lhs
     if not math.isfinite(slack):   # so lhs and rhs are finite too
-        raise ValueError(f"clause {description!r} is not finite: lhs={lhs}, rhs={rhs}")
+        raise NonFiniteClauseError(
+            f"clause {description!r} is not finite: lhs={lhs}, rhs={rhs}")
     return Clause(description, lhs, rhs, slack >= -SLACK_TOL, slack)
 
 

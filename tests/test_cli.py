@@ -277,6 +277,10 @@ class TestCliBehavior:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_leggett_garg_sweep_does_not_read_the_grid(self, capsys):
+        argv = ["sweep", "--what", "leggett-garg", "--points", "5"]
+        assert run_json(capsys, [*argv, "--grid", "0", "1", "0"]) == run_json(capsys, argv)
+
     @pytest.mark.parametrize("argv", [
         ["--what", "factorizable", "--grid", "0", "1e6", "1"],
         ["--what", "factorizable", "--grid", "0", "300", "1"],
@@ -463,6 +467,16 @@ class TestCliBehavior:
           "--radians", "--samples", "100", "--seed", "1"], "difference must be finite"),
         (["factorizable", "--mu", "uniform", "--angles", "1e308", "-1e308", "--radians",
           "--samples", "10", "--seed", "1"], "difference must be finite"),
+        (["quantum", "--scenario", "singlet", "--a", "2", "0", "0"],
+         "error: --a: [2. 0. 0.] is not a unit vector (norm 2.0)\n"),
+        (["quantum", "--scenario", "filter2", "--x", "2", "0", "0"],
+         "error: --x: polarization vector must satisfy |x| <= 1, got [2. 0. 0.]\n"),
+        (["quantum", "--scenario", "commutators", "--b", "0", "2", "0"],
+         "error: --b: [0. 2. 0.] is not a unit vector (norm 2.0)\n"),
+        (["theorem", "--which", "3", "--coeffs", "2", "0", "0", "1"],
+         "error: --coeffs: |e|=2.0 exceeds e0=1.0\n"),
+        (["ebbi", "--e", "-1", "0", "0", "0"],
+         "error: --e: e0 must be non-negative, got -1.0\n"),
     ])
     def test_handler_refusals_write_one_stderr_line(self, capsys, argv, message):
         # RuntimeWarnings are errors in this suite, so a numpy warning on the
@@ -472,6 +486,23 @@ class TestCliBehavior:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["leggett-garg", "--omega", "1", "--dt", "-1", "0", "0", "--seed", "1"],
+         "argument --dt: must be non-negative, got '-1'"),
+        (["leggett-garg", "--omega", "1", "--dt", "1", "0", "0", "--samples", "-1",
+          "--seed", "1"], "argument --samples: must be at least 0, got '-1'"),
+        (["allergy", "--variant", "pairs", "--days", "0"],
+         "argument --days: must be at least 1, got '0'"),
+        (["allergy", "--variant", "pairs", "--days", "1.5"],
+         "argument --days: invalid int value: '1.5'"),
+        (["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120",
+          "--samples", "0", "--seed", "1"], "argument --samples: must be at least 1, got '0'"),
+        (["factorizable", "--mu", "uniform", "--angles", "0", "60", "--samples", "0",
+          "--seed", "1"], "argument --samples: must be at least 1, got '0'"),
+    ])
+    def test_counts_and_intervals_are_checked_at_parse_time(self, capsys, argv, message):
+        assert parse_error(capsys, argv).endswith(message)
 
     def test_overflowing_clause_is_one_error_line_naming_it(self, capsys):
         assert main(["ebbi", "--e", "1e308", "1e308", "1e308", "1e308"]) == 2

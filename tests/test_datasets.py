@@ -46,6 +46,7 @@ class TestReduce:
     def test_single_row_projection(self):
         ds = DichotomicDataset(np.array([[1, -1, 1]]))
         red = reduce_dataset(ds, (1, 3))
+        assert type(red) is DichotomicDataset
         assert red.data.tolist() == [[1, 1]]
 
     def test_two_row_projection(self):
@@ -66,6 +67,8 @@ class TestReduce:
             reduce_dataset(ds, (2, 2))
         with pytest.raises(ValueError):
             reduce_dataset(ds, (3, 1))
+        with pytest.raises(ValueError, match="arity must be 2, 3 or 4, got 1"):
+            reduce_dataset(ds, (2,))
 
 
 class TestCorrelation:
@@ -218,7 +221,7 @@ class TestChsh:
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
-        ds = DichotomicDataset(rng.choice([-1, 1], size=(10, 3)), run_label="hat")
+        ds = DichotomicDataset(rng.choice([-1, 1], size=(10, 3)))
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)
         text = path.read_text().splitlines()

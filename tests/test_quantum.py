@@ -63,7 +63,7 @@ class TestNonFiniteInputs:
 
     def test_probability_table(self):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            q.ProbabilityTable(1, np.array([np.nan, 1.0]))
+            q.ProbabilityTable(np.array([np.nan, 1.0]))
 
     @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
     def test_extended_eprb_prob3(self, angle):
@@ -171,9 +171,9 @@ class TestDiagProb:
 
     def test_tables_compare_by_value(self):
         p = q.diag_prob(q.singlet())
-        assert q.ProbabilityTable(2, p.p.copy()) == p
+        assert q.ProbabilityTable(p.values.copy()) == p
         assert q.diag_prob(q.maximally_mixed(2)) != p
-        assert q.ProbabilityTable(1, np.array([0.5, 0.5])) != q.diag_prob(q.maximally_mixed(2))
+        assert q.ProbabilityTable(np.array([0.5, 0.5])) != q.diag_prob(q.maximally_mixed(2))
         assert p != FuncTable2(p.values)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -181,12 +181,22 @@ class TestDiagProb:
         p = q.diag_prob(random_density(np.random.default_rng(n), n))
         back = q.ProbabilityTable.from_dict(p.to_dict())
         assert type(back) is q.ProbabilityTable and back == p
+        grid = q.ProbabilityTable(p.values.copy())
+        assert q.ProbabilityTable.from_dict(grid.to_dict()) == grid == p
 
     def test_from_dict_keeps_the_probability_checks(self):
         with pytest.raises(ValueError, match="sum to 1"):
             q.ProbabilityTable.from_dict({"+": 0.5, "-": 0.6})
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             q.ProbabilityTable.from_dict({"+": 1.5, "-": -0.5})
+        with pytest.raises(ValueError, match="sum to 1"):
+            q.ProbabilityTable(np.array([[0.5, 0.6], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="sum to 1, got 0.0"):
+            q.ProbabilityTable(np.array([]))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            q.ProbabilityTable(np.array([1.5, -0.5]))
+        with pytest.raises(ValueError, match="needs a 2x2 array"):
+            q.ProbabilityTable(np.full((2, 3), 1 / 6))
 
 
 class TestFilterChains:
@@ -329,6 +339,20 @@ class TestSchwartz:
         assert abs(rep.ehat) <= 1e-14
         assert rep.sharpness == pytest.approx(0.0, abs=1e-14)
         assert not rep.equality
+
+    def test_matches_the_dense_singlet_without_building_it(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        triples = [[random_direction(rng) for _ in range(3)] for _ in range(500)]
+        rho = q.singlet()
+        dense = [(q.expectation(rho, q.correlation_operator(a, b)),
+                  q.expectation(rho, q.correlation_operator(a, c))) for a, b, c in triples]
+
+        def boom():
+            raise AssertionError("built the dense singlet")
+        monkeypatch.setattr(q, "singlet", boom)
+        for (a, b, c), (e, ehat) in zip(triples, dense):
+            rep = q.schwartz_bound(a, b, c)
+            assert abs(rep.e - e) <= 1e-15 and abs(rep.ehat - ehat) <= 1e-15
 
     def test_generic_strictness(self):
         rng = np.random.default_rng(10)

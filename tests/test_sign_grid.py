@@ -253,7 +253,7 @@ class TestSignTransform:
         f2 = tables.FuncTable2(np.arange(4.0).reshape(2, 2))
         assert f2.to_dict() == {"++": 0.0, "+-": 1.0, "-+": 2.0, "--": 3.0}
         assert f2.value(1, -1) == 1.0
-        table = q.ProbabilityTable(3, np.arange(8.0) / 28.0)
+        table = q.ProbabilityTable(np.arange(8.0).reshape(2, 2, 2) / 28.0)
         assert table.to_dict() == {k: v / 28.0 for k, v in f3.to_dict().items()}
         assert table.value(-1, 1, -1) == 5.0 / 28.0
 
@@ -282,7 +282,7 @@ class TestProjectorChains:
                 assert value == pytest.approx(ref_pair_correlation(table.p, 4, i, j),
                                               abs=TOL)
         p = RNG.random(16)
-        table = q.ProbabilityTable(4, p / p.sum())
+        table = q.ProbabilityTable((p / p.sum()).reshape((2,) * 4))
         for i in range(1, 4):
             for j in range(i + 1, 5):
                 assert table.pair_correlation(i, j) == pytest.approx(
@@ -480,7 +480,7 @@ class TestSignTable:
         assert tables.FuncTable2.n == 2 and tables.FuncTable3.n == 3
 
     def test_probability_tables_are_sign_tables(self):
-        table = q.ProbabilityTable(3, np.arange(8.0) / 28.0)
+        table = q.ProbabilityTable(np.arange(8.0).reshape(2, 2, 2) / 28.0)
         assert isinstance(table, tables.SignTable) and table.n == 3
         assert table.values.shape == (2, 2, 2)
         assert not table.p.flags.writeable
