@@ -34,7 +34,6 @@ from .datasets import (BOOLE_TRIPLE, BOOLE_TRIPLE_ANTICORRELATED,
                        DichotomicDataset)
 from .reports import SLACK_TOL, count_violated
 
-Birthplace = Literal["a", "b", "c"]
 MuKind = Literal["uniform", "delta_equal", "delta_opposite"]
 
 # lookup[(birthplace, city, parity)] -> outcome
@@ -71,29 +70,25 @@ class AllergyScenario:
         return self.lookup[(birthplace, city, parity)]
 
 
-def allergy_outcome(birthplace: str, city: int, day: int,
-                    scenario: AllergyScenario | None = None) -> int:
-    """Test outcome for a patient of the given birthplace examined in the
-    given city on the given day; keyed by day parity."""
-    return (scenario or AllergyScenario()).outcome(birthplace, city, day)
-
-
-def _day_schedule(n_days: int, seed: int | None) -> Iterable[int]:
+def _even_days(n_days: int, seed: int | None) -> int:
+    """Even days in the schedule: parity alternates from day 1 without a
+    seed, and each day is drawn from {1, 2} with one."""
     if n_days < 1:
         raise ValueError("need at least one day")
     if seed is None:
-        return range(1, n_days + 1)  # deterministic even/odd alternation
-    rng = np.random.default_rng(seed)
-    return (int(d) for d in rng.integers(1, 3, size=n_days))  # random parity
+        return n_days // 2
+    return int(np.count_nonzero(np.random.default_rng(seed).integers(1, 3, size=n_days) == 2))
 
 
 def _allergy_gamma(n_days, scenario, seed, products) -> float:
     """Average over the schedule of the sum of outcome products, each factor
-    a (birthplace, city) pair."""
+    a (birthplace, city) pair.  Outcomes depend only on the day parity, so
+    the integer total is summed once per parity, weighted by its day count."""
     sc = scenario or AllergyScenario()
-    days = list(_day_schedule(n_days, seed))
-    return sum(sc.outcome(*x, day) * sc.outcome(*y, day)
-               for day in days for x, y in products) / len(days)
+    even = _even_days(n_days, seed)
+    return sum(count * sc.outcome(*x, day) * sc.outcome(*y, day)
+               for count, day in ((even, 2), (n_days - even, 1))
+               for x, y in products) / n_days
 
 
 def allergy_gamma_triples(n_days: int, scenario: AllergyScenario | None = None,

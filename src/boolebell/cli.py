@@ -56,14 +56,10 @@ def _directions(args, names: str) -> list[np.ndarray]:
 
 def _render_table(envelope: dict) -> str:
     lines = [f"scenario: {envelope['scenario']}"]
-    if envelope.get("params"):
-        lines.append("params:")
-        for k, v in envelope["params"].items():
-            lines.append(f"  {k} = {v}")
-    if envelope.get("values"):
-        lines.append("values:")
-        for k, v in envelope["values"].items():
-            lines.append(f"  {k} = {v}")
+    for section in ("params", "values"):
+        if envelope.get(section):
+            lines.append(f"{section}:")
+            lines.extend(f"  {k} = {v}" for k, v in envelope[section].items())
     for name, rep in (envelope.get("reports") or {}).items():
         if rep is None:
             lines.append(f"report {name}: (not evaluated)")
@@ -384,7 +380,8 @@ def cmd_sweep(args) -> dict:
     if args.what == "factorizable":
         model = classical.FactorizableModel(_MU[args.mu])
         grid = [_to_rad(v, rad) for v in np.arange(start, stop + 1e-9, step)]
-        summary = classical.model_inequality_sweep(model, grid, chsh=not args.no_chsh)
+        summary = _flag_value("--grid", classical.model_inequality_sweep, model, grid,
+                              not args.no_chsh)
         return {"scenario": "sweep-factorizable",
                 "params": {"mu": model.mu_kind, "grid": list(args.grid),
                            "radians": rad},
@@ -393,14 +390,14 @@ def cmd_sweep(args) -> dict:
         # half-open [START, STOP): 0 360 STEP covers the circle once
         thetas = np.arange(_to_rad(start, rad), _to_rad(stop, rad) - 1e-9,
                            _to_rad(step, rad))
-        s = quantum.extended_eprb_sweep(thetas)
+        s = _flag_value("--grid", quantum.extended_eprb_sweep, thetas)
         return {"scenario": "sweep-extended-eprb",
                 "params": {"grid": list(args.grid), "radians": rad},
                 "values": {"points": s.points, "violations": s.violations,
                            "worst_slack": s.worst_slack},
                 "reports": {}}
     else:  # leggett-garg
-        s = lg.lg_sweep(args.points)
+        s = _flag_value("--points", lg.lg_sweep, args.points)
         return {"scenario": "sweep-leggett-garg",
                 "params": {"points": args.points},
                 "values": {"violations": s.violations, "worst_slack": s.worst_slack},

@@ -64,9 +64,6 @@ class DichotomicDataset:
 @dataclass(frozen=True)
 class PairCorrelation:
     value: float
-    i: int
-    j: int
-    source_arity: int
 
 
 def reduce_dataset(ds: DichotomicDataset, indices: tuple[int, ...]) -> DichotomicDataset:
@@ -90,7 +87,7 @@ def correlation(ds: DichotomicDataset, i: int, j: int) -> PairCorrelation:
     if not (1 <= i < j <= ds.n):
         raise ValueError(f"need 1 <= i < j <= {ds.n}, got i={i}, j={j}")
     num = int(np.sum(ds.data[:, i - 1].astype(np.int64) * ds.data[:, j - 1]))
-    return PairCorrelation(num / ds.m, i, j, ds.n)
+    return PairCorrelation(num / ds.m)
 
 
 def _require_in_unit_interval(name_value_pairs):

@@ -254,13 +254,6 @@ def singlet_pair_table(u, v) -> ProbabilityTable:
     return _chain_closed(0.0, (-float(as_direction(u) @ as_direction(v)),))[0]
 
 
-def eprb_pair_tables(a, b, c) -> tuple[ProbabilityTable, ProbabilityTable, ProbabilityTable]:
-    """The three singlet pair tables for setting pairs (a,b), (a,c), (b,c)."""
-    return (singlet_pair_table(a, b),
-            singlet_pair_table(a, c),
-            singlet_pair_table(b, c))
-
-
 @dataclass(frozen=True)
 class SchwartzReport:
     e: float
@@ -322,7 +315,7 @@ def _flip_first_variable(t: FuncTable2) -> FuncTable2:
 
 
 def eprb_substitution_report(a, b, c) -> SubstitutionReport:
-    f, fhat, ftilde = eprb_pair_tables(a, b, c)
+    f, fhat, ftilde = (singlet_pair_table(u, v) for u, v in ((a, b), (a, c), (b, c)))
     e, ehat, etilde = expand2(f).e12, expand2(fhat).e12, expand2(ftilde).e12
     return SubstitutionReport(
         e, ehat, etilde,
@@ -475,12 +468,6 @@ def separable_bound_check(components, a, b, c) -> InequalityReport:
     t_ab = float(np.sum(w * means["A"] * means["B"]))
     t_ac = float(np.sum(w * means["A"] * means["C"]))
     t_bc = float(np.sum(w * means["B"] * means["C"]))
-    return separable_clause_report(t_ab, t_ac, t_bc)
-
-
-def separable_clause_report(t_ab: float, t_ac: float, t_bc: float) -> InequalityReport:
-    """The same clause family evaluated on externally supplied correlations,
-    for testing whether given correlations could come from such a mixture."""
     return SEPARABLE.report(t_ab, t_ac, t_bc)
 
 

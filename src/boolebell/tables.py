@@ -165,8 +165,8 @@ class SignTable:
         return float(sign_transform(self.values)[
             tuple(int(k in (i, j)) for k in range(1, self.n + 1))])
 
-    def is_nonnegative(self, tol: float = NONNEG_TOL) -> bool:
-        return bool(np.min(self.values) >= -tol)
+    def is_nonnegative(self) -> bool:
+        return bool(np.min(self.values) >= -NONNEG_TOL)
 
     def to_dict(self) -> dict:
         return sign_dict(self.values)
@@ -472,10 +472,6 @@ class LambdaModel:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def k(self) -> int:
-        return self.weights.size
 
 
 def _single_table(e: np.ndarray) -> np.ndarray:

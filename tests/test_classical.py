@@ -10,20 +10,21 @@ from boolebell.datasets import check_boole_triple
 
 class TestAllergyTable:
     def test_lookup_examples(self):
-        assert cl.allergy_outcome("a", 1, 2) == +1   # even day
-        assert cl.allergy_outcome("c", 3, 3) == +1   # odd day
-        assert cl.allergy_outcome("b", 2, 2) == -1   # even day
+        assert cl.AllergyScenario().outcome("a", 1, 2) == +1   # even day
+        assert cl.AllergyScenario().outcome("c", 3, 3) == +1   # odd day
+        assert cl.AllergyScenario().outcome("b", 2, 2) == -1   # even day
 
     def test_parity_flips_every_entry(self):
         for o in "abc":
             for l in (1, 2, 3):
-                assert cl.allergy_outcome(o, l, 2) == -cl.allergy_outcome(o, l, 3)
+                assert (cl.AllergyScenario().outcome(o, l, 2)
+                        == -cl.AllergyScenario().outcome(o, l, 3))
 
     def test_invalid_labels(self):
         with pytest.raises(ValueError):
-            cl.allergy_outcome("d", 1, 1)
+            cl.AllergyScenario().outcome("d", 1, 1)
         with pytest.raises(ValueError):
-            cl.allergy_outcome("a", 4, 1)
+            cl.AllergyScenario().outcome("a", 4, 1)
 
 
 class TestGammaTriples:
@@ -69,8 +70,49 @@ class TestGammaPairs:
     def test_single_outcomes_average_to_zero(self):
         days = 100  # balanced parity
         for o, l in (("a", 1), ("b", 1), ("b", 2), ("c", 2)):
-            total = sum(cl.allergy_outcome(o, l, n) for n in range(1, days + 1))
+            total = sum(cl.AllergyScenario().outcome(o, l, n) for n in range(1, days + 1))
             assert total == 0
+
+
+# the six (birthplace, city) factors of each variant, as three products
+PRODUCTS = {cl.allergy_gamma_triples: ((("a", 1), ("b", 2)), (("a", 1), ("c", 3)),
+                                       (("b", 2), ("c", 3))),
+            cl.allergy_gamma_pairs: ((("a", 1), ("b", 2)), (("a", 1), ("c", 2)),
+                                     (("b", 1), ("c", 2)))}
+
+
+def per_day_gamma(gamma, n_days, scenario, seed):
+    """The average as a loop over the days of the schedule: days 1..n without
+    a seed, days drawn from {1, 2} with one."""
+    days = (range(1, n_days + 1) if seed is None
+            else np.random.default_rng(seed).integers(1, 3, size=n_days))
+    return sum(scenario.outcome(*x, int(day)) * scenario.outcome(*y, int(day))
+               for day in days for x, y in PRODUCTS[gamma]) / n_days
+
+
+class TestGammaFromParityCounts:
+    def test_equals_the_per_day_loop(self):
+        rng = np.random.default_rng(10)
+        for trial in range(80):
+            lookup = {(o, l, p): int(rng.choice([-1, 1]))
+                      for o in "abc" for l in (1, 2, 3) for p in ("even", "odd")}
+            sc = cl.AllergyScenario(lookup)
+            n_days = (1, 400)[trial] if trial < 2 else int(rng.integers(1, 401))
+            for seed in (None, int(rng.integers(0, 2 ** 32))):
+                for gamma in PRODUCTS:
+                    assert gamma(n_days, sc, seed) == per_day_gamma(gamma, n_days, sc, seed)
+
+    def test_outcome_calls_do_not_grow_with_the_days(self, monkeypatch):
+        calls = []
+        outcome = cl.AllergyScenario.outcome
+
+        def counting(self, *args):
+            calls.append(args)
+            return outcome(self, *args)
+
+        monkeypatch.setattr(cl.AllergyScenario, "outcome", counting)
+        assert cl.allergy_gamma_pairs(100_000, seed=1) == -3.0
+        assert len(calls) <= 12
 
 
 class TestAnalyticCorrelation:

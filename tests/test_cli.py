@@ -477,6 +477,12 @@ class TestCliBehavior:
          "error: --coeffs: |e|=2.0 exceeds e0=1.0\n"),
         (["ebbi", "--e", "-1", "0", "0", "0"],
          "error: --e: e0 must be non-negative, got -1.0\n"),
+        (["sweep", "--what", "factorizable", "--grid", "10", "0", "5"],
+         "error: --grid: grid must contain at least one angle\n"),
+        (["sweep", "--what", "extended-eprb", "--grid", "10", "10", "5"],
+         "error: --grid: grid must contain at least one point\n"),
+        (["sweep", "--what", "leggett-garg", "--points", "0"],
+         "error: --points: need at least one grid point per axis, got 0\n"),
     ])
     def test_handler_refusals_write_one_stderr_line(self, capsys, argv, message):
         # RuntimeWarnings are errors in this suite, so a numpy warning on the

@@ -59,6 +59,15 @@ INVOCATIONS = {
     "dataset-4": ["dataset", "--input", "ds4.csv"],
     "extended-eprb-3-table": ["extended-eprb", "--angles", "0", "50", "130",
                               "--format", "table"],
+    "quantum-substitution-table": ["quantum", "--scenario", "substitution",
+                                   "--format", "table"],
+    "theorem-reconstruct-incompatible-table": ["theorem", "--which", "reconstruct",
+                                               "--tables", "incompatible.json",
+                                               "--format", "table"],
+    "ebbi-zero": ["ebbi", "--e", "0", "0", "0", "0"],
+    "dataset-2": ["dataset", "--input", "ds2.csv"],
+    "leggett-garg-closed": ["leggett-garg", "--omega", "1", "--dt", "0",
+                            "1.0471975511965976", "1.0471975511965976", "--seed", "1"],
 }
 
 DIGESTS = {
@@ -106,13 +115,23 @@ DIGESTS = {
         "3eda12712bb5e63b9cec8f49f244844f5e0e4676f22ac629facc9be869e1b0f3",
     "extended-eprb-3-table":
         "fc4a86cc29bac9a883cc01ebabd206a46206305513249467491573a40dbc8883",
+    "quantum-substitution-table":
+        "51136e68ad9a4d47ff4563ebe13506747cd0eefaf9a82f01f7f7516b93d8ef0e",
+    "theorem-reconstruct-incompatible-table":
+        "9c23683c0ddbacb6122a21627509c629e2b64a3b86de1c4923751a5151bbce75",
+    "ebbi-zero":
+        "b396348d9c582cf7d9a98aaed21f749ef0160acd0a5ba2c0669df93ea62a7a1a",
+    "dataset-2":
+        "0887d3f992c62faf708cd6d5e2c0aaebc8e75b855bf87afda8bacdbcc20ca976",
+    "leggett-garg-closed":
+        "1c6143015a4e7501a6702a73e799834f00b9739b3997dd84c8dc0c5bb015b772",
 }
 
 
 def write_inputs(directory):
     (directory / "compatible.json").write_text(json.dumps(COMPATIBLE))
     (directory / "incompatible.json").write_text(json.dumps(INCOMPATIBLE))
-    for n in (3, 4):
+    for n in (2, 3, 4):
         # every sign pattern once, then a fixed uneven tail
         rows = np.concatenate([sign_rows(n), sign_rows(n)[: 2 ** n - 3][::-1]])
         write_dataset_csv(DichotomicDataset(rows), directory / f"ds{n}.csv")

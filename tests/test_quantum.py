@@ -267,7 +267,7 @@ class TestEprbTables:
         rng = np.random.default_rng(7)
         for _ in range(30):
             a, b, c = (random_direction(rng) for _ in range(3))
-            f, fhat, ftilde = q.eprb_pair_tables(a, b, c)
+            f, fhat, ftilde = (q.singlet_pair_table(u, v) for u, v in ((a, b), (a, c), (b, c)))
             for table, u, v in ((f, a, b), (fhat, a, c), (ftilde, b, c)):
                 cf = expand2(table)
                 assert cf.e12 == pytest.approx(-float(u @ v), abs=1e-12)
@@ -277,7 +277,8 @@ class TestEprbTables:
     def test_symmetric_spread_is_compatible(self):
         dirs = [q.coplanar_direction(t) for t in
                 (0.0, 2 * np.pi / 3, 4 * np.pi / 3)]
-        f, fhat, ftilde = q.eprb_pair_tables(*dirs)
+        f, fhat, ftilde = (q.singlet_pair_table(dirs[i], dirs[j])
+                           for i, j in ((0, 1), (0, 2), (1, 2)))
         assert expand2(f).e12 == pytest.approx(0.5, abs=1e-12)
         assert marginals_compatible(f, fhat, ftilde).compatible
 
@@ -489,7 +490,7 @@ class TestSeparable:
         t_ab = q.expectation(rho, q.correlation_operator(dirs[0], dirs[1]))
         t_ac = q.expectation(rho, q.correlation_operator(dirs[0], dirs[2]))
         t_bc = q.expectation(rho, q.correlation_operator(dirs[1], dirs[2]))
-        assert not q.separable_clause_report(t_ab, t_ac, t_bc).all_satisfied
+        assert not q.SEPARABLE.report(t_ab, t_ac, t_bc).all_satisfied
 
 
 class TestCommutators:

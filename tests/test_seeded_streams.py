@@ -80,6 +80,12 @@ FACTORIZABLE_CSV_DIGESTS = {
     "equal": "575708c83786a6a62ef0ba33ea19764204838355eb8c577137a0d3fc40a51457",
     "opposite": "71a513bfcd0a19dd96e1d0e408d053c76ea968e1cbf120cf9924bf538072a23b",
 }
+# the factorizable JSON envelope at the same setting
+FACTORIZABLE_JSON_DIGESTS = {
+    "uniform": "d9a37e5f6ba72800097cebe9734c28a5ae052a97b65493f1caae63ecd562cd10",
+    "equal": "d3c03c19f1c5cf75d8319b1238313751d2377192ab99a9924c854a9883255720",
+    "opposite": "b927d191771c90b74f93a11cabcc7b4106242e7a1a850623cb2682cd63a39bc0",
+}
 # write_dataset_csv of 2,000 seeded rows of arity n
 DATASET_CSV_DIGESTS = {
     2: "ad0ed068ff3cd75231860984015608487709bcf039a26b759ad56a91f36a5d73",
@@ -120,6 +126,14 @@ def test_factorizable_csv_is_pinned(tmp_path, mu):
     assert main(["factorizable", "--mu", mu, "--angles", "0", "60", "--samples", "3000",
                  "--seed", SEED, "--format", "csv", "--out", str(out)]) == 0
     assert sha256(out) == FACTORIZABLE_CSV_DIGESTS[mu]
+
+
+@pytest.mark.parametrize("mu", list(FACTORIZABLE_JSON_DIGESTS))
+def test_factorizable_envelope_is_pinned(tmp_path, mu):
+    out = tmp_path / "out.json"
+    assert main(["factorizable", "--mu", mu, "--angles", "0", "60", "--samples", "3000",
+                 "--seed", SEED, "--out", str(out)]) == 0
+    assert sha256(out) == FACTORIZABLE_JSON_DIGESTS[mu]
 
 
 @pytest.mark.parametrize("n", list(DATASET_CSV_DIGESTS))

@@ -161,7 +161,7 @@ class TestKernel:
             assert check_pair_bound(*p) == ref_named(
                 "pair_bound", ("F", "Fhat", "Ftilde"), p, INTERCHANGES,
                 "|{na} {s} {nb}| <= 3 - |{nc}|", lambda sign, z: 3.0 - abs(z))
-            assert quantum.separable_clause_report(*p) == ref_named(
+            assert quantum.SEPARABLE.report(*p) == ref_named(
                 "separable", ("<A1B2>", "<A1C2>", "<B1C2>"), p,
                 ((0, 1, 2), (0, 2, 1), (1, 2, 0)),
                 "|{na} {s} {nb}| <= 1 {s} {nc}", lambda sign, z: 1.0 + sign * z)
