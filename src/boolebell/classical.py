@@ -70,6 +70,9 @@ class AllergyScenario:
         return self.lookup[(birthplace, city, parity)]
 
 
+DAY_BLOCK = 1 << 20   # seeded days drawn at a time: bounds the schedule's memory
+
+
 def _even_days(n_days: int, seed: int | None) -> int:
     """Even days in the schedule: parity alternates from day 1 without a
     seed, and each day is drawn from {1, 2} with one."""
@@ -77,7 +80,9 @@ def _even_days(n_days: int, seed: int | None) -> int:
         raise ValueError("need at least one day")
     if seed is None:
         return n_days // 2
-    return int(np.count_nonzero(np.random.default_rng(seed).integers(1, 3, size=n_days) == 2))
+    rng = np.random.default_rng(seed)
+    return sum(int(np.count_nonzero(rng.integers(1, 3, size=min(DAY_BLOCK, n_days - start)) == 2))
+               for start in range(0, n_days, DAY_BLOCK))
 
 
 def _allergy_gamma(n_days, scenario, seed, products) -> float:
@@ -180,7 +185,9 @@ def correlation_law(mu_kind: str, d):
         return -np.cos(d) / 2.0
     if mu_kind == "delta_equal":
         return 1.0 - (4.0 / np.pi) * abs(np.sin(d / 2.0))
-    return (4.0 / np.pi) * abs(np.cos(d / 2.0)) - 1.0
+    if mu_kind == "delta_opposite":
+        return (4.0 / np.pi) * abs(np.cos(d / 2.0)) - 1.0
+    raise ValueError(f"unknown mu_kind {mu_kind!r}")
 
 
 def analytic_correlation(model: FactorizableModel, a: float, b: float) -> float:

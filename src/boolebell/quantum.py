@@ -31,8 +31,7 @@ import numpy as np
 
 from .datasets import (InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated)
-from .reports import (ClauseFamily, GridSweep, boole_terms, grid_sweep,
-                      make_clause, make_report, six_descriptions)
+from .reports import ClauseFamily, GridSweep, boole_terms, grid_sweep, six_descriptions
 from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
                      SignTable, chain_coeffs, expand2, marginals_compatible,
                      sign_transform)
@@ -267,6 +266,12 @@ class SchwartzReport:
     equality: bool
 
 
+SCHWARTZ = ClauseFamily(
+    "schwartz", ("|E + Ehat|^2 <= 2 (1 + b.c)", "|E - Ehat|^2 <= 2 (1 - b.c)"),
+    lambda e, ehat, bc: (((e + ehat) ** 2, 2.0 * (1.0 + bc)),
+                         ((e - ehat) ** 2, 2.0 * (1.0 - bc))))
+
+
 def schwartz_bound(a, b, c) -> SchwartzReport:
     """Inner-product bound |E +- Ehat|^2 <= 2 (1 +- b.c) for the singlet pair
     correlations E = <s1.a s2.b> = -a.b and Ehat = <s1.a s2.c> = -a.c, read
@@ -278,19 +283,15 @@ def schwartz_bound(a, b, c) -> SchwartzReport:
     """
     a, b, c = as_direction(a), as_direction(b), as_direction(c)
     e, ehat, bc = -float(a @ b), -float(a @ c), float(b @ c)
-    clauses = []
     cos2 = {}
-    for sign, s in ((+1, "+"), (-1, "-")):
-        lhs = (e + sign * ehat) ** 2
-        rhs = 2.0 * (1.0 + sign * bc)
-        clauses.append(make_clause(f"|E {s} Ehat|^2 <= 2 (1 {s} b.c)", lhs, rhs))
+    for sign in (+1, -1):
         w = b + sign * c
         norm2 = float(w @ w)
         cos2[sign] = float((a @ w) ** 2 / norm2) if norm2 > 1e-24 else float("nan")
     sharpness = cos2[+1] + cos2[-1]
     coplanar = abs(float(a @ np.cross(b, c))) <= 1e-10
     equality = np.isfinite(sharpness) and abs(sharpness - 1.0) <= 1e-10
-    return SchwartzReport(e, ehat, bc, make_report("schwartz", clauses),
+    return SchwartzReport(e, ehat, bc, SCHWARTZ.report(e, ehat, bc),
                           cos2[+1], cos2[-1], sharpness, coplanar, equality)
 
 
@@ -310,10 +311,6 @@ class SubstitutionReport:
     marginals_anticorrelated: CompatibilityResult
 
 
-def _flip_first_variable(t: FuncTable2) -> FuncTable2:
-    return FuncTable2(t.values[::-1, :])
-
-
 def eprb_substitution_report(a, b, c) -> SubstitutionReport:
     f, fhat, ftilde = (singlet_pair_table(u, v) for u, v in ((a, b), (a, c), (b, c)))
     e, ehat, etilde = expand2(f).e12, expand2(fhat).e12, expand2(ftilde).e12
@@ -322,9 +319,7 @@ def eprb_substitution_report(a, b, c) -> SubstitutionReport:
         check_boole_triple(e, ehat, etilde),
         check_boole_triple_anticorrelated(e, ehat, etilde),
         marginals_compatible(f, fhat, ftilde),
-        marginals_compatible(_flip_first_variable(f),
-                             _flip_first_variable(fhat),
-                             _flip_first_variable(ftilde)),
+        marginals_compatible(*(FuncTable2(t.values[::-1]) for t in (f, fhat, ftilde))),
     )
 
 
@@ -392,10 +387,14 @@ def extended_eprb_prob4_chain(a, b, c, d) -> tuple[ProbabilityTable, dict[str, f
                    for i, j in combinations(range(1, 5), 2)}
 
 
+CHSH_QUADRUPLE = ClauseFamily(
+    "chsh", ("|E12 - E13 + E24 + E34| <= 2",),
+    lambda e12, e13, e24, e34: ((abs(e12 - e13 + e24 + e34), 2.0),))
+
+
 def check_chsh_quadruple(pairs: dict[str, float]) -> InequalityReport:
     """CHSH combination |E12 - E13 + E24 + E34| <= 2 on quadruple correlations."""
-    lhs = abs(pairs["E12"] - pairs["E13"] + pairs["E24"] + pairs["E34"])
-    return make_report("chsh", [make_clause("|E12 - E13 + E24 + E34| <= 2", lhs, 2.0)])
+    return CHSH_QUADRUPLE.report(pairs["E12"], pairs["E13"], pairs["E24"], pairs["E34"])
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +404,9 @@ def check_chsh_quadruple(pairs: dict[str, float]) -> InequalityReport:
 def _normalize_components(components):
     out = []
     for comp in components:
-        if len(comp) == 2:
-            w, rho = comp
-            out.append((float(w), rho, rho))
-        elif len(comp) == 3:
-            w, left, right = comp
-            out.append((float(w), left, right))
-        else:
+        if len(comp) not in (2, 3):
             raise ValueError("component must be (weight, rho) or (weight, rho_left, rho_right)")
+        out.append((float(comp[0]), comp[1], comp[-1]))
     weights = np.array([w for w, _, _ in out])
     if np.any(weights < -1e-12):
         raise ValueError("weights must be non-negative")

@@ -71,11 +71,6 @@ def _sign_keys(n: int) -> tuple[str, ...]:
     return tuple("".join(s) for s in product("+-", repeat=n))
 
 
-def sign_dict(grid: np.ndarray) -> dict:
-    """{"+-..": value} over a sign grid, in grid order."""
-    return dict(zip(_sign_keys(grid.ndim), grid.ravel().tolist()))
-
-
 def sign_codes(*columns) -> np.ndarray:
     """Flat grid index of each row of the +-1 columns (S1, .., Sn): S_i = -1
     sets the bit of weight 2^(n-i)."""
@@ -162,6 +157,8 @@ class SignTable:
 
     def pair_correlation(self, i: int, j: int) -> float:
         """sum_S Si Sj f(S) for 1-based variable indices i < j."""
+        if not (1 <= i < j <= self.n):
+            raise ValueError(f"need 1 <= i < j <= {self.n}, got i={i}, j={j}")
         return float(sign_transform(self.values)[
             tuple(int(k in (i, j)) for k in range(1, self.n + 1))])
 
@@ -169,7 +166,7 @@ class SignTable:
         return bool(np.min(self.values) >= -NONNEG_TOL)
 
     def to_dict(self) -> dict:
-        return sign_dict(self.values)
+        return dict(zip(_sign_keys(self.n), self.values.ravel().tolist()))
 
     @classmethod
     def from_dict(cls, d: dict) -> SignTable:

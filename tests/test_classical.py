@@ -1,5 +1,7 @@
 """Allergy scenario exactness and factorizable threshold models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,31 @@ class TestGammaFromParityCounts:
         monkeypatch.setattr(cl.AllergyScenario, "outcome", counting)
         assert cl.allergy_gamma_pairs(100_000, seed=1) == -3.0
         assert len(calls) <= 12
+
+
+class TestBlockedSchedule:
+    def test_blocks_repeat_the_one_shot_draw(self, monkeypatch):
+        monkeypatch.setattr(cl, "DAY_BLOCK", 64)
+        rng = np.random.default_rng(11)
+        lookup = {(o, l, p): int(rng.choice([-1, 1]))
+                  for o in "abc" for l in (1, 2, 3) for p in ("even", "odd")}
+        sc = cl.AllergyScenario(lookup)
+        for seed in (0, 3, 7, 2009):
+            for n_days in range(1, 301):
+                draw = np.random.default_rng(seed).integers(1, 3, size=n_days)
+                assert cl._even_days(n_days, seed) == int(np.count_nonzero(draw == 2))
+            for n_days in (1, 63, 64, 65, 128, 129, 300):
+                for gamma in PRODUCTS:
+                    assert gamma(n_days, sc, seed) == per_day_gamma(gamma, n_days, sc, seed)
+
+    def test_memory_stays_bounded(self):
+        tracemalloc.start()
+        try:
+            assert cl.allergy_gamma_pairs(10 ** 7, seed=3) == -3.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
 
 class TestAnalyticCorrelation:

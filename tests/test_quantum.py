@@ -1,11 +1,15 @@
 """Projector algebra, singlet correlations, filtering chains, extended
 experiments, separable bounds and commutator diagnostics."""
 
+import ast
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from boolebell import (FuncTable2, FuncTable3, ebbi_check, expand2, expand3,
-                       marginals_compatible)
+                       make_clause, make_report, marginals_compatible)
 from boolebell import quantum as q
 
 
@@ -19,6 +23,26 @@ def random_density(rng, n):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = g @ g.conj().T
     return q.DensityMatrix(mat / np.trace(mat).real, n)
+
+
+# unit vectors along +-x, +-y, +-z: every triple of them is axis-aligned, and
+# some are equal, antiparallel or orthogonal
+AXES = [np.array(v, dtype=float) for v in np.vstack([np.eye(3), -np.eye(3)])]
+
+
+def ref_schwartz_report(a, b, c):
+    """The Schwartz report built clause by clause, one loop over the sign."""
+    e, ehat, bc = -float(a @ b), -float(a @ c), float(b @ c)
+    return make_report("schwartz", [
+        make_clause(f"|E {s} Ehat|^2 <= 2 (1 {s} b.c)", (e + sign * ehat) ** 2,
+                    2.0 * (1.0 + sign * bc))
+        for sign, s in ((+1, "+"), (-1, "-"))])
+
+
+def ref_chsh_quadruple(pairs):
+    """The quadruple CHSH report built from its one hand-written clause."""
+    lhs = abs(pairs["E12"] - pairs["E13"] + pairs["E24"] + pairs["E34"])
+    return make_report("chsh", [make_clause("|E12 - E13 + E24 + E34| <= 2", lhs, 2.0)])
 
 
 class TestPauli:
@@ -366,6 +390,14 @@ class TestSchwartz:
                 strict += 1
         assert strict > 90
 
+    def test_report_equals_the_clause_loop(self):
+        rng = np.random.default_rng(15)
+        triples = [[random_direction(rng) for _ in range(3)] for _ in range(500)]
+        triples += [list(t) for t in product(AXES, repeat=3)]
+        for a, b, c in triples:
+            rep, ref = q.schwartz_bound(a, b, c).report, ref_schwartz_report(a, b, c)
+            assert rep == ref and repr(rep) == repr(ref)
+
 
 class TestExtendedTriple:
     def test_equal_angles_boundary(self):
@@ -424,6 +456,16 @@ class TestExtendedQuadruple:
             assert float(table.p.sum()) == pytest.approx(1.0, abs=1e-10)
             assert q.check_chsh_quadruple(pairs).all_satisfied
 
+    def test_chsh_report_equals_the_hand_built_clause(self):
+        rng = np.random.default_rng(16)
+        keys = ("E12", "E13", "E14", "E23", "E24", "E34")
+        dicts = [dict(zip(keys, rng.uniform(-1.0, 1.0, 6).tolist())) for _ in range(500)]
+        dicts += [dict(zip(("E12", "E13", "E24", "E34"), v))
+                  for v in product((1.0, -1.0, 0.0, -0.0), repeat=4)]
+        for pairs in dicts:
+            rep, ref = q.check_chsh_quadruple(pairs), ref_chsh_quadruple(pairs)
+            assert rep == ref and repr(rep) == repr(ref)
+
 
 class TestSeparable:
     def test_product_state_table(self):
@@ -481,6 +523,16 @@ class TestSeparable:
         with pytest.raises(ValueError, match="differ"):
             q.separable_bound_check([(1.0, up, down)], [0, 0, 1], [1, 0, 0],
                                     [0, 1, 0])
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_component_needs_two_or_three_entries(self, size):
+        up = q.spin_half_state([0, 0, 1.0])
+        comp = (1.0, up, up, up)[:size]
+        message = r"component must be \(weight, rho\) or \(weight, rho_left, rho_right\)"
+        with pytest.raises(ValueError, match=message):
+            q.separable_mixture([comp])
+        with pytest.raises(ValueError, match=message):
+            q.separable_bound_check([comp], [0, 0, 1], [1, 0, 0], [0, 1, 0])
 
     def test_singlet_not_producible(self):
         # the singlet correlations violate the mixture bound, so no mixture
@@ -549,3 +601,15 @@ class TestDensityMatrixValidation:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             q.DensityMatrix(np.diag([1.5, -0.5]).astype(complex), 1)
+
+
+def test_make_clause_is_called_only_by_the_clause_kernel():
+    """Every clause report comes from a ClauseFamily: outside reports.py no
+    module of the package calls make_clause."""
+    callers = set()
+    for path in Path(q.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "make_clause" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add(path.name)
+    assert callers == {"reports.py"}

@@ -469,6 +469,14 @@ class TestSignTable:
             for j in range(i + 1, n + 1):
                 assert table.pair_correlation(i, j) == pytest.approx(
                     ref_pair_correlation(values.ravel(), n, i, j), abs=TOL)
+                assert table.pair_correlation(i, j) == float(sign_transform(values)[
+                    tuple(int(k in (i, j)) for k in range(1, n + 1))])
+
+    @pytest.mark.parametrize("i, j", [(1, 1), (1, 5), (2, 1)])
+    def test_pair_correlation_refuses_invalid_pairs(self, i, j):
+        table = tables.SignTable(np.array([[0.4, 0.1], [0.2, 0.3]]))
+        with pytest.raises(ValueError, match=f"need 1 <= i < j <= 2, got i={i}, j={j}"):
+            table.pair_correlation(i, j)
 
     def test_subclasses_fix_n(self):
         with pytest.raises(ValueError, match="FuncTable2 needs a 2x2 array"):

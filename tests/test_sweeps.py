@@ -234,6 +234,11 @@ class TestModelSweep:
             assert [[cl.analytic_correlation(model, a, b) for b in angles]
                     for a in angles] == law.tolist()
 
+    @pytest.mark.parametrize("mu", ["equal", "uniforn", ""])
+    def test_correlation_law_refuses_an_unknown_law(self, mu):
+        with pytest.raises(ValueError, match=f"unknown mu_kind {mu!r}"):
+            cl.correlation_law(mu, 0.3)
+
 
 class TestGridSweeps:
     @pytest.fixture(params=[None, 7, 1], ids=["one block", "blocks of 7", "blocks of 1"])
