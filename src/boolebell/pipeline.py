@@ -76,8 +76,6 @@ class TimingModel:
     def delays(self, hidden: np.ndarray, setting_angle: float,
                rng: np.random.Generator) -> np.ndarray:
         u = rng.random(hidden.size)
-        if self.jitter == 0.0:
-            return np.zeros(hidden.size)
         # (jitter * u) * |sin(hidden - setting)| ** exponent, in place; `**=`
         # keeps the fast paths (square, sqrt, ..) that `**` takes
         u *= self.jitter
@@ -241,13 +239,17 @@ def generate_events(source, schedule: list[SettingPair], m: int,
     t1 = np.arange(1, m + 1) * EVENT_PERIOD
     t2 = t1.copy()
     for p, pair in enumerate(schedule):
-        rows = np.flatnonzero(assignment == p)
-        if rows.size == 0:
+        rows = slice(p, None, n_pairs) if schedule_mode == "round_robin" \
+            else np.flatnonzero(assignment == p)
+        count = s1[rows].size
+        if count == 0:
             continue
         rng = np.random.default_rng(children[p])
-        s1[rows], s2[rows], h1, h2 = source.draw(pair.left, pair.right, rng, rows.size)
-        t1[rows] += timing.delays(h1, pair.left.angle, rng)
-        t2[rows] += timing.delays(h2, pair.right.angle, rng)
+        s1[rows], s2[rows], h1, h2 = source.draw(pair.left, pair.right, rng, count)
+        # zero delays change no time, and rng draws nothing after them
+        if timing.jitter != 0.0:
+            t1[rows] += timing.delays(h1, pair.left.angle, rng)
+            t2[rows] += timing.delays(h2, pair.right.angle, rng)
     return RawDataset(s1, t1, s2, t2, assignment, tuple(schedule))
 
 

@@ -33,8 +33,8 @@ from .datasets import (InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated)
 from .reports import ClauseFamily, GridSweep, boole_terms, grid_sweep, six_descriptions
 from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
-                     SignTable, chain_coeffs, expand2, marginals_compatible,
-                     sign_transform)
+                     SignTable, chain_coeffs, check_weights, expand2,
+                     marginals_compatible, sign_transform)
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -407,11 +407,7 @@ def _normalize_components(components):
         if len(comp) not in (2, 3):
             raise ValueError("component must be (weight, rho) or (weight, rho_left, rho_right)")
         out.append((float(comp[0]), comp[1], comp[-1]))
-    weights = np.array([w for w, _, _ in out])
-    if np.any(weights < -1e-12):
-        raise ValueError("weights must be non-negative")
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {float(weights.sum())}")
+    check_weights([w for w, _, _ in out])
     for _, left, right in out:
         if left.n != 1 or right.n != 1:
             raise ValueError("components must be single-spin states")

@@ -99,7 +99,7 @@ def draw_rows(probs, rows: np.ndarray, rng: np.random.Generator, count: int) -> 
     index = np.zeros(count, dtype=np.min_scalar_type(cdf.size - 1))
     for edge in cdf[:-1]:
         index += u >= edge
-    return rows[index]
+    return rows.take(index, axis=0)
 
 
 def chain_coeffs(c0, links, order=None) -> np.ndarray:
@@ -440,6 +440,20 @@ def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
     return Reconstruction(table, e123, (lo, hi), compat)
 
 
+def check_weights(weights) -> np.ndarray:
+    """The mixture weights as a float array: each finite and non-negative, all
+    summing to 1.  Finiteness goes first, as a NaN fails neither comparison."""
+    w = np.asarray(weights, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(f"weight {bad[0]} must be finite, got {w[bad[0]]}")
+    if np.any(w < -SLACK_TOL):
+        raise ValueError("weights must be non-negative")
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {float(w.sum())}")
+    return w
+
+
 @dataclass(frozen=True)
 class LambdaModel:
     """Discrete factorized mixture: weights mu(k) over K parameter points and
@@ -454,17 +468,14 @@ class LambdaModel:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty 1-d array")
-        if np.any(w < -SLACK_TOL):
-            raise ValueError("weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {float(w.sum())}")
-        arrays = {"weights": w}
+        arrays = {"weights": check_weights(w)}
         for name in ("e_a", "e_b", "e_c"):
             e = np.asarray(getattr(self, name), dtype=float)
             if e.shape != w.shape:
                 raise ValueError(f"{name} must have the same length as weights")
-            if np.any(np.abs(e) > 1.0 + SLACK_TOL):
-                raise ValueError(f"{name} entries must lie in [-1, 1]")
+            # written so that a NaN entry fails it too
+            if not np.all(np.abs(e) <= 1.0 + SLACK_TOL):
+                raise ValueError(f"{name} entries must be finite and lie in [-1, 1]")
             arrays[name] = e
         for name, arr in arrays.items():
             arr.setflags(write=False)

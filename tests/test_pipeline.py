@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,68 @@ def standard_schedule(angles=(0.0, np.pi / 3, 2 * np.pi / 3)):
     return [pl.SettingPair(a, b), pl.SettingPair(a, c), pl.SettingPair(b, c)]
 
 
+def reference_events(source, schedule, m, timing, seed, schedule_mode):
+    """The generator loop with every entry's rows found by flatnonzero and
+    every column written through that index, drawing the delays' uniforms
+    at zero jitter too; returns s1, t1, s2, t2 and the schedule index."""
+    n_pairs = len(schedule)
+    children = np.random.SeedSequence(seed).spawn(n_pairs + 1)
+    code = np.min_scalar_type(n_pairs - 1)
+    if schedule_mode == "round_robin":
+        assignment = np.tile(np.arange(n_pairs, dtype=code), -(-m // n_pairs))[:m]
+    else:
+        assignment = np.random.default_rng(children[-1]).integers(0, n_pairs, m).astype(code)
+
+    def delays(hidden, angle, rng):
+        u = rng.random(hidden.size)
+        if timing.jitter == 0.0:
+            return np.zeros(hidden.size)
+        return timing.jitter * u * np.abs(np.sin(hidden - angle)) ** timing.exponent
+
+    s1, s2 = np.empty(m, dtype=np.int8), np.empty(m, dtype=np.int8)
+    t1 = np.arange(1, m + 1) * pl.EVENT_PERIOD
+    t2 = t1.copy()
+    for p, pair in enumerate(schedule):
+        rows = np.flatnonzero(assignment == p)
+        if rows.size == 0:
+            continue
+        rng = np.random.default_rng(children[p])
+        s1[rows], s2[rows], h1, h2 = source.draw(pair.left, pair.right, rng, rows.size)
+        t1[rows] += delays(h1, pair.left.angle, rng)
+        t2[rows] += delays(h2, pair.right.angle, rng)
+    return s1, t1, s2, t2, assignment
+
+
+SOURCES = {
+    "singlet": pl.SingletSource(),
+    "triple": make_triple_source()[0],
+    **{kind: pl.PairModelSource(cl.FactorizableModel(kind))
+       for kind in ("uniform", "delta_equal", "delta_opposite")},
+}
+
+
 class TestGeneration:
+    @pytest.mark.parametrize("schedule_mode", ["round_robin", "random"])
+    @pytest.mark.parametrize("jitter, exponent",
+                             [(0.0, 0.0), (0.0, 2.0), (0.7, 0.0), (1.0, 1.0), (0.5, 2.7)])
+    @pytest.mark.parametrize("name", list(SOURCES))
+    def test_columns_equal_the_index_scatter_loop(self, name, jitter, exponent, schedule_mode):
+        # schedules of 1, 3 and 5 entries; with m below the schedule length
+        # some entries get no rows
+        a, b, c = (pl.Setting(n, t) for n, t in zip("abc", (0.0, 1.1, -2.3)))
+        ab, ac, bc = pl.SettingPair(a, b), pl.SettingPair(a, c), pl.SettingPair(b, c)
+        schedules = [[ac], [ab, ac, bc], [ab, ac, bc, pl.SettingPair(c, a), pl.SettingPair(b, b)]]
+        source, timing = SOURCES[name], pl.TimingModel(jitter, exponent)
+        for schedule in schedules:
+            for m in (1, 2, 3, 4, 1000):
+                raw = pl.generate_events(source, schedule, m, timing, seed=m + 11,
+                                         schedule_mode=schedule_mode)
+                ref = reference_events(source, schedule, m, timing, m + 11, schedule_mode)
+                got = (raw.s1, raw.t1, raw.s2, raw.t2, raw.pair)
+                for col, want in zip(got, ref):
+                    assert col.dtype == want.dtype and np.array_equal(col, want), \
+                        (len(schedule), m)
+
     def test_counts_and_settings(self):
         source, _ = make_triple_source()
         raw = pl.generate_events(source, standard_schedule(), 99,
@@ -190,15 +252,19 @@ class TestCoincidenceFilter:
             pl.coincidence_filter(raw, 0.0, ("a", "b"))
 
 
-SOURCES = {
-    "singlet": pl.SingletSource(),
-    "triple": make_triple_source()[0],
-    **{kind: pl.PairModelSource(cl.FactorizableModel(kind))
-       for kind in ("uniform", "delta_equal", "delta_opposite")},
-}
-
-
 class TestRunThreeSettings:
+    def test_peak_memory_per_pair(self):
+        # the 19 stored bytes per pair plus one schedule entry's draws
+        m = 10 ** 6
+        tracemalloc.start()
+        try:
+            pl.run_three_settings(0.0, np.pi / 3, 2 * np.pi / 3, pl.SingletSource(),
+                                  pl.TimingModel(0.5, 1.0), m, 0.3, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 31 * m
+
     # with 60 pairs and seed 27, the 0.02 window empties exactly one setting
     # pair for every source
     @pytest.mark.parametrize("window", [math.inf, 0.3, 0.02])

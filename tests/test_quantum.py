@@ -2,6 +2,7 @@
 experiments, separable bounds and commutator diagnostics."""
 
 import ast
+import math
 from itertools import product
 from pathlib import Path
 
@@ -487,6 +488,15 @@ class TestSeparable:
         up = q.spin_half_state([0, 0, 1.0])
         with pytest.raises(ValueError):
             q.separable_mixture([(0.7, up, up), (0.7, up, up)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_is_refused_by_name(self, bad):
+        up = q.spin_half_state([0, 0, 1.0])
+        comps = [(1.0, up, up), (bad, up, up)]
+        with pytest.raises(ValueError, match=f"weight 1 must be finite, got {bad}"):
+            q.separable_mixture(comps)
+        with pytest.raises(ValueError, match=f"weight 1 must be finite, got {bad}"):
+            q.separable_bound_check(comps, [0, 0, 1], [1, 0, 0], [0, 1, 0])
 
     def test_bound_maximally_mixed(self):
         mixed = q.maximally_mixed(1)

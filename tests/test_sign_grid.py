@@ -436,6 +436,17 @@ class TestSignRowSampler:
         assert np.array_equal(got, tables.sign_rows(2)[idx])
         assert not np.any(np.all(got == (1, -1), axis=1))  # zero-probability row
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_draw_equals_the_fancy_index_gather(self, n):
+        rows = tables.sign_rows(n)
+        probs = np.random.default_rng(n).dirichlet(np.ones(2 ** n))
+        got = tables.draw_rows(probs, rows, np.random.default_rng(10 + n), 5000)
+        rng = np.random.default_rng(10 + n)
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        want = rows[np.searchsorted(cdf[:-1], rng.random(5000), side="right")]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_rounding_never_draws_past_the_last_row(self):
         # cumulative sums that fall short of 1 still map every uniform to a row
         probs = np.full(3, 0.333)

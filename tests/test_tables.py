@@ -1,6 +1,8 @@
 """Expansion coefficients, non-negativity criteria, marginal reconstruction
 and the factorized mixture class."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,17 @@ class TestLambdaModel:
             LambdaModel(np.array([0.5, 0.6]), np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             LambdaModel(np.array([1.0]), np.array([1.5]), np.zeros(1), np.zeros(1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_refused_by_name(self, bad):
+        zeros = np.zeros(2)
+        with pytest.raises(ValueError, match=f"weight 1 must be finite, got {bad}"):
+            LambdaModel(np.array([1.0, bad]), zeros, zeros, zeros)
+        for k in range(3):
+            e = [zeros, zeros, zeros]
+            e[k] = np.array([0.0, bad])
+            with pytest.raises(ValueError, match=f"e_{'abc'[k]} entries must be finite"):
+                LambdaModel(np.array([0.5, 0.5]), *e)
 
     def test_unpolarized_point(self):
         m = LambdaModel(np.array([1.0]), np.zeros(1), np.zeros(1), np.zeros(1))
