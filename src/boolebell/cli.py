@@ -25,7 +25,7 @@ import numpy as np
 from . import classical, leggett_garg as lg, pipeline, quantum, tables
 from .datasets import (_require_in_unit_interval, check_boole_triple,
                        check_boole_triple_anticorrelated, check_chsh,
-                       check_pair_bound, correlation, dataset_csv_text,
+                       check_pair_bound, correlations, dataset_csv_text,
                        read_dataset_csv)
 from .reports import GRID_BLOCK, SLACK_TOL, NonFiniteClauseError
 
@@ -93,8 +93,7 @@ def _emit(result: dict | str, args) -> None:
 
 def cmd_dataset(args) -> dict:
     ds = read_dataset_csv(args.input)
-    pairs = [(i, j) for i in range(1, ds.n + 1) for j in range(i + 1, ds.n + 1)]
-    corr = {f"F{i}{j}": correlation(ds, i, j).value for i, j in pairs}
+    corr = {f"F{i}{j}": value for (i, j), value in correlations(ds).items()}
     reports = {}
     if ds.n == 3:
         reports["boole_triple"] = check_boole_triple(
@@ -152,7 +151,10 @@ def cmd_theorem(args) -> dict:
     else:  # reconstruct
         if not args.tables:
             raise CliError("--tables FILE is required for reconstruct")
-        spec = json.loads(Path(args.tables).read_text())
+        try:
+            spec = json.loads(Path(args.tables).read_text())
+        except RecursionError:
+            raise CliError("--tables: JSON nested too deeply to read") from None
         keys = ("f", "fhat", "ftilde")
         if not (isinstance(spec, dict) and all(isinstance(spec.get(k), dict) for k in keys)):
             raise CliError("--tables needs a JSON object holding the tables f, fhat and "
@@ -246,10 +248,7 @@ def cmd_leggett_garg(args) -> dict:
     if args.samples:
         ds = lg.sample_triples(p, args.samples, args.seed)
         values["empirical_correlations"] = {
-            "E12": correlation(ds, 1, 2).value,
-            "E13": correlation(ds, 1, 3).value,
-            "E23": correlation(ds, 2, 3).value,
-        }
+            f"E{i}{j}": value for (i, j), value in correlations(ds).items()}
     return {"scenario": "leggett-garg",
             "params": {"omega": args.omega, "dt": list(args.dt),
                        "samples": args.samples, "seed": args.seed},
@@ -305,7 +304,7 @@ def cmd_factorizable(args) -> dict | str:
     if args.format == "csv":
         return dataset_csv_text(ds.data, newline="\n")
     analytic = classical.analytic_correlation(model, a, b)
-    emp = correlation(ds, 1, 2).value
+    emp = correlations(ds)[(1, 2)]
     sigma = math.sqrt(max(1.0 - analytic ** 2, 1e-30) / args.samples)
     return {"scenario": "factorizable",
             "params": {"mu": model.mu_kind, "angles": list(args.angles),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .reports import (BOOLE_ORDER, ClauseFamily, InequalityReport, boole_terms,
                       six_descriptions, weak_terms)
-from .tables import sign_codes, sign_rows
+from .tables import pair_coefficients, sign_codes, sign_rows, sign_transform
 
 _RANGE_TOL = 1e-12
 
@@ -78,16 +78,19 @@ def reduce_dataset(ds: DichotomicDataset, indices: tuple[int, ...]) -> Dichotomi
     return DichotomicDataset(ds.data[:, cols])
 
 
-def correlation(ds: DichotomicDataset, i: int, j: int) -> PairCorrelation:
-    """Average of products of columns i and j (1-based, i < j).
+def correlations(ds: DichotomicDataset) -> dict[tuple[int, int], float]:
+    """Every pair correlation (i, j), keyed as by ``pair_coefficients``, read off
+    the 2^n count grid: each numerator is an integer entry of the grid's sign
+    transform, exact in float64, so the value is num/M with no rounding error."""
+    counts = np.bincount(sign_codes(*ds.data.T), minlength=2 ** ds.n).reshape((2,) * ds.n)
+    return {pair: num / ds.m for pair, num in pair_coefficients(sign_transform(counts)).items()}
 
-    The numerator is an exact integer sum, so the value is num/M with no
-    accumulation error.
-    """
+
+def correlation(ds: DichotomicDataset, i: int, j: int) -> PairCorrelation:
+    """Average of products of columns i and j (1-based, i < j)."""
     if not (1 <= i < j <= ds.n):
         raise ValueError(f"need 1 <= i < j <= {ds.n}, got i={i}, j={j}")
-    num = int(np.sum(ds.data[:, i - 1].astype(np.int64) * ds.data[:, j - 1]))
-    return PairCorrelation(num / ds.m)
+    return PairCorrelation(correlations(ds)[(i, j)])
 
 
 def _require_in_unit_interval(name_value_pairs):
@@ -192,13 +195,16 @@ _OTHER = 2
 def read_dataset_csv(path: str | Path) -> DichotomicDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, header s1..sn is mandatory")
-        n = len(header)
-        if header != [f"s{i}" for i in range(1, n + 1)]:
-            raise ValueError(f"{path}: header must be s1..s{n}, got {header}")
-        rows = list(reader)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, header s1..sn is mandatory")
+            n = len(header)
+            if header != [f"s{i}" for i in range(1, n + 1)]:
+                raise ValueError(f"{path}: header must be s1..s{n}, got {header}")
+            rows = list(reader)
+        except csv.Error as exc:   # an oversized field, a NUL byte, ..
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     wrong_width = np.flatnonzero(widths != n)
     # the rows before the first one of the wrong width; lines are numbered

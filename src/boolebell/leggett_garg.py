@@ -23,7 +23,8 @@ import numpy as np
 
 from .datasets import DichotomicDataset, _require_in_unit_interval
 from .reports import GridSweep, InequalityReport, grid_sweep, make_report
-from .tables import EBBI, SignTable, chain_coeffs, draw_rows, ebbi_check, sign_codes
+from .tables import (EBBI, chain_coeffs, draw_rows, ebbi_check, pair_coefficients,
+                     sign_codes, sign_transform)
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,14 @@ def lg_triple_correlations(p: LGParams) -> tuple[float, float, float]:
     (cos 2w dt2, cos 2w dt3)."""
     c1, c2, c3 = (np.cos(2.0 * p.omega * dt) for dt in (p.dt1, p.dt2, p.dt3))
     e = chain_coeffs(c1, (c2, c3))
-    return float(e[1, 1, 0]), float(e[1, 0, 1]), float(e[0, 1, 1])
+    return tuple(pair_coefficients(e).values())
 
 
 def lg_triple_correlations_from_state(amps: LGAmplitudes) -> tuple[float, float, float]:
     """The same correlations computed directly from the wave function."""
     probs = np.zeros(8)
     probs[sign_codes(*_PROBE_ROWS.T)] = np.abs(amps.amplitudes) ** 2
-    table = SignTable(probs.reshape(2, 2, 2))
-    return tuple(table.pair_correlation(i, j) for i, j in ((1, 2), (1, 3), (2, 3)))
+    return tuple(pair_coefficients(sign_transform(probs.reshape(2, 2, 2))).values())
 
 
 def lg_pair_correlations(p: LGParams) -> tuple[float, float, float]:

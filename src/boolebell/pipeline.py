@@ -32,8 +32,8 @@ import numpy as np
 from .classical import FactorizableModel, sample_pair_arrays, station_orientations
 from .datasets import (DichotomicDataset, InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated, check_pair_bound)
-from .tables import (FuncTable3, chain_coeffs, draw_rows, sign_codes, sign_rows,
-                     sign_transform)
+from .tables import (FuncTable3, chain_coeffs, draw_rows, pair_coefficients, sign_codes,
+                     sign_rows, sign_transform)
 
 EVENT_PERIOD = 1.0
 # event pairs rendered per write by RawDataset.write_csv
@@ -328,14 +328,13 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     schedule = [SettingPair(a, b), SettingPair(a, c), SettingPair(b, c)]
     raw = generate_events(source, schedule, m, timing, seed)
     counts, corr, empties = {}, {}, []
-    table = _coincidence_counts(raw, window, len(schedule)).tolist()
-    for pair, ((pp, pm), (mp, mm)) in zip(schedule, table):
+    for pair, grid in zip(schedule, _coincidence_counts(raw, window, len(schedule))):
         key = "".join(pair.key)
-        counts[key] = kept = mm + mp + pm + pp
+        counts[key] = kept = int(grid.sum())
         if kept == 0:
             empties.append(key)
         else:
-            corr[key] = (mm + pp - mp - pm) / kept
+            corr[key] = pair_coefficients(sign_transform(grid))[(1, 2)] / kept
     if empties:
         return ThreeSettingsReport(counts, None, tuple(empties),
                                    None, None, None, None, None, raw)

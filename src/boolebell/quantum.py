@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .datasets import (InequalityReport, check_boole_triple,
 from .reports import ClauseFamily, GridSweep, boole_terms, grid_sweep, six_descriptions
 from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
                      SignTable, chain_coeffs, check_weights, expand2,
-                     marginals_compatible, sign_transform)
+                     marginals_compatible, pair_coefficients, sign_transform)
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -372,8 +372,7 @@ def extended_eprb_prob4(a, b, c, d) -> tuple[ProbabilityTable, dict[str, float]]
     a, b, c, d = (as_direction(v) for v in (a, b, c, d))
     table, e = _chain_closed(0.0, (float(a @ d), -float(a @ b), float(b @ c)),
                              order=(4, 1, 2, 3))
-    return table, {f"E{i}{j}": float(e[tuple(int(k in (i, j)) for k in range(1, 5))])
-                   for i, j in combinations(range(1, 5), 2)}
+    return table, {f"E{i}{j}": v for (i, j), v in pair_coefficients(e).items()}
 
 
 def extended_eprb_prob4_chain(a, b, c, d) -> tuple[ProbabilityTable, dict[str, float]]:
@@ -383,8 +382,8 @@ def extended_eprb_prob4_chain(a, b, c, d) -> tuple[ProbabilityTable, dict[str, f
     read off the table."""
     table = _chain_table(singlet(), ((a, 1), (b, 2), (c, 2), (d, 1)),
                          (0, 3, 1, 2, 1, 3, 0))
-    return table, {f"E{i}{j}": table.pair_correlation(i, j)
-                   for i, j in combinations(range(1, 5), 2)}
+    return table, {f"E{i}{j}": v
+                   for (i, j), v in pair_coefficients(sign_transform(table.values)).items()}
 
 
 CHSH_QUADRUPLE = ClauseFamily(

@@ -60,6 +60,13 @@ def sign_transform(values) -> np.ndarray:
     return (_sign_matrix(f.ndim) @ f.reshape(-1)).reshape(f.shape)
 
 
+def pair_coefficients(e) -> dict[tuple[int, int], float]:
+    """The pair entries e_ij of a coefficient grid, keyed by 1-based i < j in
+    lexicographic order; e_ij sits where the index is 1 exactly at i and j."""
+    return {(i, j): float(e[tuple(int(k in (i, j)) for k in range(1, e.ndim + 1))])
+            for i, j in combinations(range(1, e.ndim + 1), 2)}
+
+
 def sign_index(signs) -> tuple[int, ...]:
     """Grid index of the sign pattern (S1, .., Sn)."""
     return tuple(0 if s > 0 else 1 for s in signs)
@@ -159,8 +166,7 @@ class SignTable:
         """sum_S Si Sj f(S) for 1-based variable indices i < j."""
         if not (1 <= i < j <= self.n):
             raise ValueError(f"need 1 <= i < j <= {self.n}, got i={i}, j={j}")
-        return float(sign_transform(self.values)[
-            tuple(int(k in (i, j)) for k in range(1, self.n + 1))])
+        return pair_coefficients(sign_transform(self.values))[(i, j)]
 
     def is_nonnegative(self) -> bool:
         return bool(np.min(self.values) >= -NONNEG_TOL)

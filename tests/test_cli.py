@@ -565,6 +565,22 @@ class TestCliBehavior:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("name, text, argv, message", [
+        ("ds.csv", 's1,s2\n"' + "1" * 200_000 + "\n", ["dataset", "--input"],
+         "error: {path}:2: field larger than field limit (131072)\n"),
+        ("tabs.json", "[" * 100_000 + "]" * 100_000,
+         ["theorem", "--which", "reconstruct", "--tables"],
+         "error: --tables: JSON nested too deeply to read\n"),
+    ], ids=["csv field", "json depth"])
+    def test_oversized_input_file_is_one_error_line(self, capsys, tmp_path, name, text,
+                                                    argv, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message.format(path=path)
+
     def test_python_m_runs_the_cli(self, capsys):
         env = dict(os.environ, PYTHONPATH=str(Path(boolebell.__file__).parents[1]))
         argv = ["ebbi", "--e", "1", "-0.5", "0.5", "-0.5"]

@@ -9,6 +9,7 @@ from boolebell import (DichotomicDataset, check_boole_triple,
                        check_boole_triple_anticorrelated, check_chsh,
                        check_pair_bound, correlation, read_dataset_csv,
                        reduce_dataset, write_dataset_csv)
+from boolebell.datasets import correlations
 
 
 class TestDatasetConstruction:
@@ -108,6 +109,21 @@ class TestCorrelation:
             for i, j in itertools.combinations(range(1, 5), 2):
                 red = DichotomicDataset(reduce_dataset(ds, (i, j)).data)
                 assert correlation(ds, i, j).value == correlation(red, 1, 2).value
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_count_grid_equals_the_column_product_sums(self, n):
+        rng = np.random.default_rng(n)
+        for m in (1, 2, 3, 4, 5, 17, 255, 256, 257, 1000, *rng.integers(6, 5000, 20), 5000):
+            data = rng.choice([-1, 1], size=(m, n))
+            data[:, rng.random(n) < 0.25] = rng.choice([-1, 1])   # constant columns
+            ds = DichotomicDataset(data)
+            got = correlations(ds)
+            assert list(got) == list(itertools.combinations(range(1, n + 1), 2))
+            for (i, j), value in got.items():
+                a, b = ds.data[:, i - 1], ds.data[:, j - 1]
+                want = int(np.sum(a.astype(np.int64) * b)) / m
+                assert value == want and np.signbit(value) == np.signbit(want)
+                assert correlation(ds, i, j).value == value
 
 
 class TestBooleTriple:
@@ -252,6 +268,8 @@ class TestCsv:
         ("1,255\n", r"^every entry must be exactly \+1 or -1$"),
         ("1,99999999999999999999\n", r"^every entry must be exactly \+1 or -1$"),
         ("", r"ds.csv: dataset must contain at least one row$"),
+        pytest.param('"' + "1" * 200_000 + "\n",
+                     r"ds.csv:2: field larger than field limit \(131072\)$", id="oversized field"),
     ])
     def test_reader_rejects(self, tmp_path, body, message):
         path = tmp_path / "ds.csv"

@@ -482,6 +482,19 @@ class TestSignTable:
                     ref_pair_correlation(values.ravel(), n, i, j), abs=TOL)
                 assert table.pair_correlation(i, j) == float(sign_transform(values)[
                     tuple(int(k in (i, j)) for k in range(1, n + 1))])
+        pairs = tables.pair_coefficients(sign_transform(values))
+        assert list(pairs) == [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for (i, j), value in pairs.items():
+            assert value == table.pair_correlation(i, j)
+            assert value == pytest.approx(ref_pair_correlation(values.ravel(), n, i, j),
+                                          abs=TOL)
+        if n == 3:   # the literal positions the chain readers used
+            rng = np.random.default_rng(3)
+            for _ in range(20):
+                c0, *links = rng.uniform(-1, 1, 3)
+                e = tables.chain_coeffs(c0, links, tuple(int(v) for v in rng.permutation(3) + 1))
+                assert tables.pair_coefficients(e) == {
+                    (1, 2): e[1, 1, 0], (1, 3): e[1, 0, 1], (2, 3): e[0, 1, 1]}
 
     @pytest.mark.parametrize("i, j", [(1, 1), (1, 5), (2, 1)])
     def test_pair_correlation_refuses_invalid_pairs(self, i, j):
