@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--radians", action="store_true",
                            help="interpret angles as radians instead of degrees")
         if seed:
-            p.add_argument("--seed", type=int, required=True,
+            p.add_argument("--seed", type=_int_from(0), required=True,
                            help="explicit RNG seed (reproducibility contract)")
 
     p = sub.add_parser("dataset", help="correlations and clause checks for a "
@@ -539,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "as triples or as pairs")
     p.add_argument("--variant", choices=("triples", "pairs"), required=True)
     p.add_argument("--days", type=_int_from(1), default=100)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_from(0), default=None,
                    help="optional random day schedule; default alternates parity")
     common(p)
 
@@ -586,7 +586,8 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         _emit(handler(args), args)
-    except (CliError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import DichotomicDataset, _require_in_unit_interval
-from .reports import GridSweep, InequalityReport, grid_sweep, make_report
-from .tables import (EBBI, chain_coeffs, draw_rows, ebbi_check, pair_coefficients,
-                     sign_codes, sign_transform)
+from .reports import ClauseFamily, GridSweep, InequalityReport, grid_sweep
+from .tables import (EBBI, chain_coeffs, draw_rows, pair_coefficients, sign_codes,
+                     sign_transform)
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,14 @@ def lg_pair_correlations(p: LGParams) -> tuple[float, float, float]:
     return e, ehat, etilde
 
 
+LEGGETT_GARG = ClauseFamily("leggett_garg", EBBI.descriptions, EBBI.terms)
+
+
 def lg_inequality_check(k12: float, k13: float, k23: float) -> InequalityReport:
     """Three-variable inequality family on temporal correlations, the bound
     obeyed by any consistent joint triple distribution (e0 = 1)."""
     _require_in_unit_interval([("K12", k12), ("K13", k13), ("K23", k23)])
-    inner = ebbi_check(1.0, k12, k13, k23)
-    return make_report("leggett_garg", inner.clauses)
+    return LEGGETT_GARG.report(1.0, k12, k13, k23)
 
 
 def lg_sweep(points: int) -> GridSweep:
@@ -150,7 +152,7 @@ def lg_sweep(points: int) -> GridSweep:
     def block(rows):
         row_cos2 = cos2[rows]
         c2, c3 = np.repeat(row_cos2, points), np.tile(cos2, len(row_cos2))
-        return EBBI.slacks(1.0, c2, c3 * c2, c3)
+        return LEGGETT_GARG.slacks(1.0, c2, c3 * c2, c3)
 
     return grid_sweep(block, points, points)
 
@@ -165,18 +167,3 @@ def sample_triples(p: LGParams, m: int, seed: int) -> DichotomicDataset:
     return DichotomicDataset(draw_rows(probs / probs.sum(), _PROBE_ROWS,
                                        np.random.default_rng(seed), m))
 
-
-def pair_substitution_witness(omega: float = 1.0) -> dict:
-    """A parameter point where the pair-experiment values fail the triple
-    inequality family while the actual triple values pass it: equal spacings
-    with omega * dt = pi/3."""
-    p = LGParams(omega, 0.0, np.pi / 3.0 / omega, np.pi / 3.0 / omega)
-    triple = lg_triple_correlations(p)
-    pair = lg_pair_correlations(p)
-    return {
-        "params": p,
-        "triple_correlations": triple,
-        "pair_correlations": pair,
-        "triple_report": lg_inequality_check(*triple),
-        "pair_report": lg_inequality_check(*pair),
-    }

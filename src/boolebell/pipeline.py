@@ -286,12 +286,13 @@ class ThreeSettingsReport:
     raw: RawDataset = field(repr=False, compare=False)
 
 
-def _coincidence_counts(raw: RawDataset, window: float, n_pairs: int) -> np.ndarray:
+def _coincidence_counts(raw: RawDataset, window: float) -> np.ndarray:
     """Coincidences per schedule index and outcome pair, in one pass: one
     2x2 count grid of (S1, S2) per schedule index, in sign-grid order, over
     the event pairs with |t1 - t2| <= window.  A NaN gap fails the
     comparison and is dropped, as in ``coincidence_filter``."""
     # codes 4 pair + sign_codes(S1, S2); code 4 n_pairs is the discard bin
+    n_pairs = len(raw.schedule)
     discard = 4 * n_pairs
     counts = np.zeros(discard + 1, dtype=np.int64)
     for lo in range(0, raw.m, REDUCE_BLOCK):
@@ -328,7 +329,7 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     schedule = [SettingPair(a, b), SettingPair(a, c), SettingPair(b, c)]
     raw = generate_events(source, schedule, m, timing, seed)
     counts, corr, empties = {}, {}, []
-    for pair, grid in zip(schedule, _coincidence_counts(raw, window, len(schedule))):
+    for pair, grid in zip(schedule, _coincidence_counts(raw, window)):
         key = "".join(pair.key)
         counts[key] = kept = int(grid.sum())
         if kept == 0:

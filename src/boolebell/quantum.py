@@ -197,8 +197,7 @@ def _chain_table(rho: DensityMatrix, stages, word, state_first: bool = False,
     spins = max(k for _, k in stages)
     if rho.n != spins:
         raise ValueError(f"the chain acts on {spins} spin(s), the state has {rho.n}")
-    projs = [[projector(s, d) if spins == 1 else op_on(projector(s, d), k, spins)
-              for s in (+1, -1)] for d, k in stages]
+    projs = [[op_on(projector(s, d), k, spins) for s in (+1, -1)] for d, k in stages]
     p = np.empty((2,) * len(stages))
     for pattern in product(range(2), repeat=len(stages)):
         chain = [projs[k][pattern[k]] for k in word]

@@ -80,11 +80,12 @@ def _sign_keys(n: int) -> tuple[str, ...]:
 
 def sign_codes(*columns) -> np.ndarray:
     """Flat grid index of each row of the +-1 columns (S1, .., Sn): S_i = -1
-    sets the bit of weight 2^(n-i)."""
+    sets the bit of weight 2^(n-i).  Each column is compared as a contiguous
+    copy, which is faster than the comparison on a strided view."""
     codes = np.zeros(np.shape(columns[0]), dtype=np.min_scalar_type(2 ** len(columns) - 1))
     for col in columns:
         codes <<= 1
-        codes |= col < 0
+        codes |= np.asarray(col, order="C") < 0
     return codes
 
 

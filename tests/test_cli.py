@@ -230,6 +230,24 @@ class TestCliBehavior:
     def test_missing_file_exit_code(self, capsys):
         assert main(["dataset", "--input", "/nonexistent.csv"]) == 2
 
+    @pytest.mark.parametrize("under_file", [False, True], ids=["directory", "under-a-file"])
+    @pytest.mark.parametrize("argv", [
+        ["dataset", "--input"],
+        ["theorem", "--which", "reconstruct", "--tables"],
+        ["ebbi", "--e", "1", "0", "0", "0", "--out"],
+        ["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120",
+         "--samples", "10", "--seed", "1", "--events-out"],
+    ], ids=lambda argv: argv[-1])
+    def test_path_that_cannot_be_a_file_exits_2(self, capsys, tmp_path, argv, under_file):
+        path = tmp_path
+        if under_file:
+            (tmp_path / "file").write_text("")
+            path = tmp_path / "file" / "x"
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
     def test_seed_required_for_random_scenarios(self, capsys):
         with pytest.raises(SystemExit):
             main(["factorizable", "--mu", "uniform", "--angles", "0", "1"])
@@ -506,6 +524,14 @@ class TestCliBehavior:
           "--samples", "0", "--seed", "1"], "argument --samples: must be at least 1, got '0'"),
         (["factorizable", "--mu", "uniform", "--angles", "0", "60", "--samples", "0",
           "--seed", "1"], "argument --samples: must be at least 1, got '0'"),
+        (["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120",
+          "--samples", "10", "--seed", "-1"], "argument --seed: must be at least 0, got '-1'"),
+        (["factorizable", "--mu", "uniform", "--angles", "0", "60", "--seed", "-5"],
+         "argument --seed: must be at least 0, got '-5'"),
+        (["allergy", "--variant", "triples", "--seed", "-1"],
+         "argument --seed: must be at least 0, got '-1'"),
+        (["leggett-garg", "--omega", "1", "--dt", "0", "1", "1", "--samples", "0",
+          "--seed", "-1"], "argument --seed: must be at least 0, got '-1'"),
     ])
     def test_counts_and_intervals_are_checked_at_parse_time(self, capsys, argv, message):
         assert parse_error(capsys, argv).endswith(message)

@@ -215,7 +215,7 @@ def loose_argv(draw, command):
         if not grid < i <= grid + 3:
             argv[i] = draw(floats(-1e308, 1e308))
     for i, token in enumerate(argv[:-1]):
-        if token in ("--samples", "--days", "--points"):
+        if token in ("--samples", "--days", "--points", "--seed"):
             argv[i + 1] = str(draw(st.integers(-3, 60)))
     return argv
 

@@ -149,9 +149,10 @@ class TestSampling:
 
 class TestWitness:
     def test_programmatic_witness(self):
-        w = lg.pair_substitution_witness()
-        assert w["triple_report"].all_satisfied
-        assert not w["pair_report"].all_satisfied
-        assert w["pair_correlations"] == (pytest.approx(-0.5),
-                                          pytest.approx(-0.5),
-                                          pytest.approx(-0.5))
+        # equal spacings with omega * dt = pi/3: the pair-experiment values
+        # fail the triple family while the actual triple values pass it
+        p = lg.LGParams(1.0, 0.0, np.pi / 3, np.pi / 3)
+        assert lg.lg_inequality_check(*lg.lg_triple_correlations(p)).all_satisfied
+        pair = lg.lg_pair_correlations(p)
+        assert not lg.lg_inequality_check(*pair).all_satisfied
+        assert pair == (pytest.approx(-0.5), pytest.approx(-0.5), pytest.approx(-0.5))

@@ -292,7 +292,7 @@ class TestRunThreeSettings:
     def test_counts_are_sign_grids_per_schedule_entry(self):
         raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 300,
                                  pl.TimingModel(1.0, 1.0), seed=3)
-        counts = pl._coincidence_counts(raw, 0.5, 3)
+        counts = pl._coincidence_counts(raw, 0.5)
         assert counts.shape == (3, 2, 2)
         kept = np.abs(raw.t1 - raw.t2) <= 0.5
         for p in range(3):

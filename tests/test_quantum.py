@@ -615,11 +615,12 @@ class TestDensityMatrixValidation:
 
 def test_make_clause_is_called_only_by_the_clause_kernel():
     """Every clause report comes from a ClauseFamily: outside reports.py no
-    module of the package calls make_clause."""
-    callers = set()
+    module of the package calls make_clause or make_report."""
+    callers = {"make_clause": set(), "make_report": set()}
     for path in Path(q.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and "make_clause" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                callers.add(path.name)
-    assert callers == {"reports.py"}
+            if isinstance(node, ast.Call):
+                for name in {getattr(node.func, "id", None),
+                             getattr(node.func, "attr", None)} & callers.keys():
+                    callers[name].add(path.name)
+    assert callers == {"make_clause": {"reports.py"}, "make_report": {"reports.py"}}

@@ -466,6 +466,10 @@ class TestSignCodes:
                                   for r in rows]
         assert np.array_equal(codes[:2 ** n], np.arange(2 ** n))
 
+    def test_scalar_columns_give_a_scalar_code(self):
+        codes = tables.sign_codes(1, -1, np.int8(-1))
+        assert codes.shape == () and int(codes) == 3
+
 
 class TestSignTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
