@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +32,8 @@ from .datasets import (InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated)
 from .reports import ClauseFamily, GridSweep, boole_terms, grid_sweep, six_descriptions
 from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
-                     SignTable, chain_coeffs, check_weights, expand2,
-                     marginals_compatible, pair_coefficients, sign_transform)
+                     SignTable, _compatibility, chain_coeffs, check_weights, expand2,
+                     marginals_compatible, pair_coefficients, sign_rows, sign_transform)
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -54,7 +53,7 @@ def as_direction(v) -> np.ndarray:
         raise ValueError(f"direction must have 3 components, got shape {arr.shape}")
     # components are bounded before squaring, which could overflow; the
     # tolerance on the squared norm matches 1e-12 on the norm itself
-    if not (np.max(np.abs(arr)) <= 1.0 + UNIT_TOL
+    if not (np.abs(arr).max() <= 1.0 + UNIT_TOL
             and abs(float(arr @ arr) - 1.0) <= 2.0 * UNIT_TOL):   # NaN fails too
         raise ValueError(f"{arr} is not a unit vector (norm {math.hypot(*arr)})")
     return arr
@@ -112,25 +111,30 @@ class ProbabilityTable(SignTable):
         # before the grid checks, so a NaN entry reads as a probability error;
         # initial=0 lets an empty array through to the sum check
         arr = np.asarray(self.values, dtype=float)
-        if not (np.min(arr, initial=0.0) >= -1e-12
-                and np.max(arr, initial=0.0) <= 1.0 + 1e-12):   # NaN fails too
+        if not (arr.min(initial=0.0) >= -1e-12
+                and arr.max(initial=0.0) <= 1.0 + 1e-12):   # NaN fails too
             raise ValueError("entries must lie in [0, 1]")
         if abs(float(arr.sum()) - 1.0) > 1e-10:
             raise ValueError(f"entries must sum to 1, got {float(arr.sum())}")
         super().__post_init__()
 
 
+def _kron(x, y) -> np.ndarray:
+    """np.kron of the last two axes, leading axes broadcast, without its call cost."""
+    mat = np.asarray(x)[..., :, None, :, None] * np.asarray(y)[..., None, :, None, :]
+    return mat.reshape(*mat.shape[:-4], mat.shape[-4] * mat.shape[-3], -1)
+
+
 def op_on(op2: np.ndarray, particle: int, n: int) -> np.ndarray:
-    """Embed a single-spin operator on the given particle (1-based) of n."""
-    mat = np.eye(1, dtype=complex)
-    for i in range(1, n + 1):
-        mat = np.kron(mat, op2 if i == particle else ID2)
-    return mat
+    """Embed a single-spin operator, or a stack of them on the leading axes,
+    on the given particle (1-based) of n: 1 (x) op2 (x) 1."""
+    mat = _kron(np.eye(2 ** (particle - 1)), op2)
+    # a product with a 1x1 identity could flip the sign of a zero
+    return mat if particle == n else _kron(mat, np.eye(2 ** (n - particle)))
 
 
 def expectation(rho: DensityMatrix, op: np.ndarray) -> float:
-    val = np.trace(rho.matrix @ op)
-    return float(val.real)
+    return float(np.trace(rho.matrix @ op).real)
 
 
 def pure_state(amplitudes: Sequence[complex], n: int) -> DensityMatrix:
@@ -155,15 +159,21 @@ def maximally_mixed(n: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim, n)
 
 
-def spin_half_state(x) -> DensityMatrix:
-    """Single-spin state (1 + sigma.x)/2 for a polarization vector |x| <= 1."""
+def as_polarization(x) -> np.ndarray:
+    """Validate and return a polarization vector: 3 components, |x| <= 1."""
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("polarization vector needs 3 components")
     # components are bounded before squaring, which could overflow
-    if not (np.max(np.abs(x)) <= 1.0 + 1e-12
+    if not (np.abs(x).max() <= 1.0 + 1e-12
             and float(x @ x) <= 1.0 + 1e-12):   # NaN fails too
         raise ValueError(f"polarization vector must satisfy |x| <= 1, got {x}")
+    return x
+
+
+def spin_half_state(x) -> DensityMatrix:
+    """Single-spin state (1 + sigma.x)/2 for a polarization vector |x| <= 1."""
+    x = as_polarization(x)
     mat = (ID2 + x[0] * SIGMA_X + x[1] * SIGMA_Y + x[2] * SIGMA_Z) / 2.0
     return DensityMatrix(mat, 1)
 
@@ -176,36 +186,35 @@ def diag_prob(rho: DensityMatrix) -> ProbabilityTable:
 
 def correlation_operator(u, v) -> np.ndarray:
     """(sigma.u on particle 1) (sigma.v on particle 2), on two spins."""
-    return np.kron(pauli_dot(u), pauli_dot(v))
+    return _kron(pauli_dot(u), pauli_dot(v))
 
 
 # ---------------------------------------------------------------------------
 # Projector chains, and filtering chains on one spin
 # ---------------------------------------------------------------------------
 
-def _chain_table(rho: DensityMatrix, stages, word, state_first: bool = False,
-                 ) -> ProbabilityTable:
+def _chain_table(rho: DensityMatrix, stages, word, state_first=False) -> ProbabilityTable:
     """Outcome table of a projector chain on rho, one entry per sign pattern
     of the stages (stage 1 slowest).
 
     Each stage is a (direction, particle) pair whose projectors M(+1), M(-1)
     are built once; ``word`` lists the stages in the order the chain
-    multiplies them, left to right.  The entry is Tr rho (M M .. M), or
-    Tr (rho M M .. M) with ``state_first``; the two orders round differently,
-    and each caller keeps the one its table has always been computed in.
+    multiplies them, left to right, each position one batched matmul over
+    all the patterns.  The entry is Tr rho (M M .. M), or Tr (rho M M .. M)
+    with ``state_first``; the two orders round differently, and each caller
+    keeps the one its table has always been computed in.
     """
     spins = max(k for _, k in stages)
     if rho.n != spins:
         raise ValueError(f"the chain acts on {spins} spin(s), the state has {rho.n}")
-    projs = [[op_on(projector(s, d), k, spins) for s in (+1, -1)] for d, k in stages]
-    p = np.empty((2,) * len(stages))
-    for pattern in product(range(2), repeat=len(stages)):
-        chain = [projs[k][pattern[k]] for k in word]
-        if state_first:
-            p[pattern] = np.trace(reduce(np.matmul, chain, rho.matrix)).real
-        else:
-            p[pattern] = np.trace(rho.matrix @ reduce(np.matmul, chain)).real
-    return ProbabilityTable(p)
+    # projs[stage, bit]: M(+1) at bit 0 and M(-1) at bit 1, on all the spins
+    projs = np.stack([op_on((ID2 + np.multiply.outer([1, -1], pauli_dot(d))) / 2.0, k, spins)
+                      for d, k in stages])
+    bits = (sign_rows(len(stages)) < 0).astype(np.intp)   # [pattern, stage], grid order
+    mats = (projs[k, bits[:, k]] for k in word)
+    chain = (reduce(np.matmul, mats, rho.matrix) if state_first
+             else rho.matrix @ reduce(np.matmul, mats))
+    return ProbabilityTable(np.trace(chain, axis1=1, axis2=2).real.reshape((2,) * len(stages)))
 
 
 def filter_prob2(rho1: DensityMatrix, a, b) -> ProbabilityTable:
@@ -224,7 +233,7 @@ def _chain_closed(c0, links, order=None) -> tuple[ProbabilityTable, np.ndarray]:
 def filter_prob2_closed(x, a, b) -> ProbabilityTable:
     """Closed form of the two-stage chain for the state (1 + sigma.x)/2: the
     +-1 chain with c0 = x.a and link a.b."""
-    x = np.asarray(x, dtype=float)
+    x = as_polarization(x)
     a, b = as_direction(a), as_direction(b)
     return _chain_closed(float(x @ a), (float(a @ b),))[0]
 
@@ -237,7 +246,7 @@ def filter_prob3(rho1: DensityMatrix, a, b, c) -> ProbabilityTable:
 def filter_prob3_closed(x, a, b, c) -> ProbabilityTable:
     """Closed form of the three-stage chain: the +-1 chain with c0 = x.a and
     links (a.b, b.c)."""
-    x = np.asarray(x, dtype=float)
+    x = as_polarization(x)
     a, b, c = as_direction(a), as_direction(b), as_direction(c)
     return _chain_closed(float(x @ a), (float(a @ b), float(b @ c)))[0]
 
@@ -311,15 +320,13 @@ class SubstitutionReport:
 
 
 def eprb_substitution_report(a, b, c) -> SubstitutionReport:
-    f, fhat, ftilde = (singlet_pair_table(u, v) for u, v in ((a, b), (a, c), (b, c)))
-    e, ehat, etilde = expand2(f).e12, expand2(fhat).e12, expand2(ftilde).e12
+    pair_tables = [singlet_pair_table(u, v) for u, v in ((a, b), (a, c), (b, c))]
+    coeffs = [expand2(t) for t in pair_tables]
+    e, ehat, etilde = (k.e12 for k in coeffs)
     return SubstitutionReport(
-        e, ehat, etilde,
-        check_boole_triple(e, ehat, etilde),
-        check_boole_triple_anticorrelated(e, ehat, etilde),
-        marginals_compatible(f, fhat, ftilde),
-        marginals_compatible(*(FuncTable2(t.values[::-1]) for t in (f, fhat, ftilde))),
-    )
+        e, ehat, etilde, check_boole_triple(e, ehat, etilde),
+        check_boole_triple_anticorrelated(e, ehat, etilde), _compatibility(pair_tables, coeffs),
+        marginals_compatible(*(FuncTable2(t.values[::-1]) for t in pair_tables)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +407,21 @@ def check_chsh_quadruple(pairs: dict[str, float]) -> InequalityReport:
 # ---------------------------------------------------------------------------
 
 def _normalize_components(components):
-    out = []
-    for comp in components:
-        if len(comp) not in (2, 3):
-            raise ValueError("component must be (weight, rho) or (weight, rho_left, rho_right)")
-        out.append((float(comp[0]), comp[1], comp[-1]))
-    check_weights([w for w, _, _ in out])
-    for _, left, right in out:
-        if left.n != 1 or right.n != 1:
-            raise ValueError("components must be single-spin states")
-    return out
+    """Weights, stacked left states and stacked right states of the components."""
+    components = list(components)
+    if any(len(comp) not in (2, 3) for comp in components):
+        raise ValueError("component must be (weight, rho) or (weight, rho_left, rho_right)")
+    w = check_weights([float(comp[0]) for comp in components])
+    if any(comp[side].n != 1 for comp in components for side in (1, -1)):
+        raise ValueError("components must be single-spin states")
+    return w, *(np.stack([comp[side].matrix for comp in components]) for side in (1, -1))
 
 
 def separable_mixture(components) -> DensityMatrix:
     """Probability-weighted mixture of product states of two single spins."""
-    comps = _normalize_components(components)
     mat = np.zeros((4, 4), dtype=complex)
-    for w, left, right in comps:
-        mat += w * np.kron(left.matrix, right.matrix)
+    for w, left, right in zip(*_normalize_components(components)):
+        mat += w * _kron(left, right)
     return DensityMatrix(mat, 2)
 
 
@@ -439,24 +443,18 @@ def separable_bound_check(components, a, b, c) -> InequalityReport:
     Components with differing left/right averages along any of the three
     directions are rejected: the bound is not derivable for them.
     """
-    comps = _normalize_components(components)
-    a, b, c = as_direction(a), as_direction(b), as_direction(c)
-    ops = {"A": pauli_dot(a), "B": pauli_dot(b), "C": pauli_dot(c)}
-    means = {}
-    for name, op in ops.items():
-        left_vals = np.array([expectation(left, op) for _, left, _ in comps])
-        right_vals = np.array([expectation(right, op) for _, _, right in comps])
-        gap = float(np.max(np.abs(left_vals - right_vals)))
+    w, lefts, rights = _normalize_components(components)
+    ops = np.stack([pauli_dot(d) for d in (a, b, c)])
+    # <sigma.n> per component (rows) and direction (columns), on each side
+    left, right = (np.trace(states[:, None] @ ops, axis1=2, axis2=3).real
+                   for states in (lefts, rights))
+    for name, gap in zip("ABC", np.max(np.abs(left - right), axis=0).tolist()):
         if gap > 1e-10:
             raise ValueError(
                 f"subsystem averages along {name} differ between the two sides "
                 f"(max gap {gap}); the correlation bound requires them equal")
-        means[name] = left_vals
-    w = np.array([wk for wk, _, _ in comps])
-    t_ab = float(np.sum(w * means["A"] * means["B"]))
-    t_ac = float(np.sum(w * means["A"] * means["C"]))
-    t_bc = float(np.sum(w * means["B"] * means["C"]))
-    return SEPARABLE.report(t_ab, t_ac, t_bc)
+    return SEPARABLE.report(*(float(np.sum(w * left[:, i] * left[:, j]))
+                              for i, j in ((0, 1), (0, 2), (1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -490,22 +488,19 @@ def commutator_diagnostics(a, b, c, rho: DensityMatrix) -> CommutatorDiagnostics
     two-spin state."""
     if rho.n != 2:
         raise ValueError("diagnostics need a two-spin state")
-    ops = {"ab": correlation_operator(a, b),
-           "ac": correlation_operator(a, c),
-           "bc": correlation_operator(b, c)}
-    pairs = (("ab", "ac"), ("ab", "bc"), ("ac", "bc"))
-    norms = {}
-    entries = []
-    for x_name, y_name in pairs:
-        x, y = ops[x_name], ops[y_name]
-        comm = x @ y - y @ x
-        norms[f"[{x_name},{y_name}]"] = float(np.linalg.norm(comm, ord=2))
-        z = 1j * comm
-        var_x = expectation(rho, x @ x) - expectation(rho, x) ** 2
-        var_y = expectation(rho, y @ y) - expectation(rho, y) ** 2
-        zmean = np.trace(rho.matrix @ z)
-        rhs = float(abs(zmean) ** 2) / 4.0
-        lhs = var_x * var_y
-        entries.append(UncertaintyEntry(f"({x_name},{y_name})", lhs, rhs,
-                                        lhs >= rhs - 1e-10))
+    # operators on (a,b), (a,c), (b,c): the operator pairs take the same indices
+    i, j = [0, 0, 1], [1, 2, 2]
+    ops = _kron(*np.stack([pauli_dot(d) for d in (a, b, c)])[[i, j]])
+    comm = ops[i] @ ops[j] - ops[j] @ ops[i]
+    squares, means, zmeans = (np.trace(rho.matrix @ stack, axis1=1, axis2=2)
+                              for stack in (ops @ ops, ops, 1j * comm))
+    var = [sq - m ** 2 for sq, m in zip(squares.real.tolist(), means.real.tolist())]
+    names = ("ab", "ac", "bc")
+    norms, entries = {}, []
+    for x, y, norm, zmean in zip(i, j, np.linalg.norm(comm, ord=2, axis=(1, 2)).tolist(),
+                                 np.abs(zmeans).tolist()):
+        label = f"{names[x]},{names[y]}"
+        norms[f"[{label}]"] = norm
+        lhs, rhs = var[x] * var[y], zmean ** 2 / 4.0
+        entries.append(UncertaintyEntry(f"({label})", lhs, rhs, lhs >= rhs - 1e-10))
     return CommutatorDiagnostics(norms, tuple(entries))

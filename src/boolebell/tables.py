@@ -29,6 +29,7 @@ and back; ``chain_coeffs`` gives the coefficients of every exact chain table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, product
@@ -110,6 +111,12 @@ def draw_rows(probs, rows: np.ndarray, rng: np.random.Generator, count: int) -> 
     return rows.take(index, axis=0)
 
 
+@cache
+def _odd_positions(n: int) -> np.ndarray:
+    """Row k marks the T with an odd number of path positions k+1..n."""
+    return np.cumprod(sign_rows(n)[:, ::-1], axis=1)[:, ::-1].T < 0
+
+
 def chain_coeffs(c0, links, order=None) -> np.ndarray:
     """Coefficient grid of the +-1 Markov chain along a path of variables,
     P(S) = (1 + c0 S_1)/2 prod_k (1 + rho_k S_k S_k+1)/2: e_T is the product
@@ -117,14 +124,15 @@ def chain_coeffs(c0, links, order=None) -> np.ndarray:
     it, c0 standing before the first.  ``order`` lists the variables
     (1-based) in path order, 1..n by default; the grid is indexed by
     variable, and the table is sign_transform(e) / 2^n."""
-    n = len(links) + 1
-    e = np.ones(2 ** n)
-    for k, factor in enumerate((c0, *links)):
-        for t in range(2 ** n):
-            if (t % (1 << (n - k))).bit_count() % 2:   # T's positions k+1..n
-                e[t] *= factor
-    e += 0.0   # a zero c0 times a negative link leaves -0.0; this makes it 0.0
-    e = e.reshape((2,) * n)
+    factors = (c0, *links)
+    for factor in factors:
+        if not math.isfinite(factor):
+            raise ValueError(f"chain coefficients must be finite, got {factor}")
+    n = len(factors)
+    # e_T multiplies its factors in path order, and 1.0 (exactly) where T has
+    # none; + 0.0 turns the -0.0 of a zero c0 times a negative link into 0.0
+    e = np.where(_odd_positions(n), np.array(factors, dtype=float)[:, None], 1.0)
+    e = (np.multiply.reduce(e, axis=0) + 0.0).reshape((2,) * n)
     return e if order is None else e.transpose([order.index(v) for v in range(1, n + 1)])
 
 
@@ -149,7 +157,7 @@ class SignTable:
         object.__setattr__(self, "values", arr)
         if arr.shape != (2,) * self.n:
             raise ValueError(f"{type(self).__name__} needs a {'x'.join('2' * self.n)} array")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("table entries must be finite")
         arr.setflags(write=False)
 
@@ -170,7 +178,7 @@ class SignTable:
         return pair_coefficients(sign_transform(self.values))[(i, j)]
 
     def is_nonnegative(self) -> bool:
-        return bool(np.min(self.values) >= -NONNEG_TOL)
+        return bool(self.values.min() >= -NONNEG_TOL)
 
     def to_dict(self) -> dict:
         return dict(zip(_sign_keys(self.n), self.values.ravel().tolist()))
@@ -439,10 +447,7 @@ def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
         raise IncompatibleMarginalsError(
             (f"empty admissible interval for the triple coefficient "
              f"[{lo}, {hi}]",))
-    if lo <= 0.0 <= hi:
-        e123 = 0.0
-    else:
-        e123 = (lo + hi) / 2.0
+    e123 = 0.0 if lo <= 0.0 <= hi else (lo + hi) / 2.0
     table = synth3(ExpansionCoeffs3(*fixed, e123))
     return Reconstruction(table, e123, (lo, hi), compat)
 
