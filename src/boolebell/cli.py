@@ -155,17 +155,21 @@ def cmd_theorem(args) -> dict:
             spec = json.loads(Path(args.tables).read_text())
         except RecursionError:
             raise CliError("--tables: JSON nested too deeply to read") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CliError(f"--tables: {args.tables}: {exc}") from None
         keys = ("f", "fhat", "ftilde")
         if not (isinstance(spec, dict) and all(isinstance(spec.get(k), dict) for k in keys)):
             raise CliError("--tables needs a JSON object holding the tables f, fhat and "
                            "ftilde, each an object of sign keys")
-        f, fhat, ftilde = (tables.FuncTable2.from_dict(spec[k]) for k in keys)
+        f, fhat, ftilde = (_flag_value(f"--tables {k}", tables.FuncTable2.from_dict, spec[k])
+                           for k in keys)
         try:
             rec = tables.reconstruct_f3(f, fhat, ftilde)
-        except tables.IncompatibleMarginalsError as exc:
-            if exc.compatibility is None:   # compatible, yet no triple table
-                raise
-            rec, compat = None, exc.compatibility
+        except ValueError as exc:
+            compat = getattr(exc, "compatibility", None)
+            if compat is None:   # no triple table in the float range, or none at all
+                raise CliError(f"--tables: {exc}") from None
+            rec = None
         else:
             compat = rec.compatibility
         values: dict = {"compatible": compat.compatible,
@@ -359,26 +363,38 @@ MAX_FACTORIZABLE_ANGLES = 300
 MAX_AXIS_POINTS = GRID_BLOCK
 
 
+def _arange_length(start: float, stop: float, step: float) -> float:
+    """len(np.arange(start, stop, step)) by numpy's rule, ceil((stop - start)
+    / step) and at least 0, without building it; inf where the quotient is
+    not finite (a step that is 0 after conversion to radians too)."""
+    quotient = (stop - start) / step if step else math.inf
+    return max(math.ceil(quotient), 0) if math.isfinite(quotient) else math.inf
+
+
 def cmd_sweep(args) -> dict:
     start, stop, step = args.grid
     # the leggett-garg sweep does not read --grid
     if args.what != "leggett-garg" and not (
             math.isfinite(start) and math.isfinite(stop) and math.isfinite(step) and step > 0):
         raise CliError("--grid needs finite START and STOP and a positive finite STEP")
-    # points per axis, counted before anything is allocated
-    if args.what == "factorizable":   # STOP included
-        count, limit = (stop - start) / step + 1, MAX_FACTORIZABLE_ANGLES
-    elif args.what == "extended-eprb":
-        count, limit = (stop - start) / step, MAX_AXIS_POINTS
-    else:
-        count, limit = args.points, MAX_AXIS_POINTS
-    if count > limit:
-        raise CliError(f"the {args.what} sweep is limited to {limit} points per axis, "
-                       f"asked for about {count:.3g}")
     rad = args.radians
+    # points per axis, counted before anything is allocated, on the np.arange
+    # arguments of the grid: the factorizable one includes STOP, the
+    # extended-eprb one is half-open, so 0 360 STEP covers the circle once
+    if args.what == "factorizable":
+        arange = (start, stop + 1e-9, step)
+        flag, count, limit = "--grid", _arange_length(*arange), MAX_FACTORIZABLE_ANGLES
+    elif args.what == "extended-eprb":
+        arange = (_to_rad(start, rad), _to_rad(stop, rad) - 1e-9, _to_rad(step, rad))
+        flag, count, limit = "--grid", _arange_length(*arange), MAX_AXIS_POINTS
+    else:
+        flag, count, limit = "--points", args.points, MAX_AXIS_POINTS
+    if count > limit:
+        raise CliError(f"{flag}: the {args.what} sweep is limited to {limit} points per "
+                       f"axis, asked for {count:.6g}")
     if args.what == "factorizable":
         model = classical.FactorizableModel(_MU[args.mu])
-        grid = [_to_rad(v, rad) for v in np.arange(start, stop + 1e-9, step)]
+        grid = [_to_rad(v, rad) for v in np.arange(*arange)]
         summary = _flag_value("--grid", classical.model_inequality_sweep, model, grid,
                               not args.no_chsh)
         return {"scenario": "sweep-factorizable",
@@ -386,10 +402,7 @@ def cmd_sweep(args) -> dict:
                            "radians": rad},
                 "values": summary.to_dict(), "reports": {}}
     elif args.what == "extended-eprb":
-        # half-open [START, STOP): 0 360 STEP covers the circle once
-        thetas = np.arange(_to_rad(start, rad), _to_rad(stop, rad) - 1e-9,
-                           _to_rad(step, rad))
-        s = _flag_value("--grid", quantum.extended_eprb_sweep, thetas)
+        s = _flag_value("--grid", quantum.extended_eprb_sweep, np.arange(*arange))
         return {"scenario": "sweep-extended-eprb",
                 "params": {"grid": list(args.grid), "radians": rad},
                 "values": {"points": s.points, "violations": s.violations,
@@ -587,7 +600,7 @@ def main(argv=None) -> int:
     try:
         _emit(handler(args), args)
     except (CliError, ValueError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError) as exc:
+            NotADirectoryError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

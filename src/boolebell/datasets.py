@@ -205,6 +205,8 @@ def read_dataset_csv(path: str | Path) -> DichotomicDataset:
             rows = list(reader)
         except csv.Error as exc:   # an oversized field, a NUL byte, ..
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:   # decoded a block at a time, so no line
+            raise ValueError(f"{path}: {exc}") from None
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     wrong_width = np.flatnonzero(widths != n)
     # the rows before the first one of the wrong width; lines are numbered

@@ -81,11 +81,6 @@ class LGAmplitudes:
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
-    def triple_probabilities(self) -> dict[tuple[int, int, int], float]:
-        """Probability of each probe triple, system spin traced out."""
-        probs = np.abs(self.amplitudes) ** 2
-        return {basis[1:]: float(p) for basis, p in zip(BASIS, probs)}
-
 
 def evolve_triple(p: LGParams) -> LGAmplitudes:
     """Exact wave function after the three probes, in the maximal-correlation

@@ -21,15 +21,17 @@ single-parameter mixtures whose pair tables always pass that test.
 
 ``SignTable`` is the one table type: a function on {+1,-1}^n as a 2x..x2
 array indexed with 0 <-> S=+1 and 1 <-> S=-1, variable 1 slowest.
-``sign_index`` and ``sign_codes`` are the one map from sign patterns to grid
-positions.  Every expansion, synthesis and closed form goes through
-``sign_transform``, which maps a table to its coefficients on the same grid
-and back; ``chain_coeffs`` gives the coefficients of every exact chain table.
+``sign_codes`` alone maps sign patterns to grid positions.  Every expansion,
+synthesis and closed form goes through ``sign_transform``, which maps a table
+to its coefficients on the same grid and back; ``chain_coeffs`` gives the
+coefficients of every exact chain table.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, product
@@ -66,11 +68,6 @@ def pair_coefficients(e) -> dict[tuple[int, int], float]:
     lexicographic order; e_ij sits where the index is 1 exactly at i and j."""
     return {(i, j): float(e[tuple(int(k in (i, j)) for k in range(1, e.ndim + 1))])
             for i, j in combinations(range(1, e.ndim + 1), 2)}
-
-
-def sign_index(signs) -> tuple[int, ...]:
-    """Grid index of the sign pattern (S1, .., Sn)."""
-    return tuple(0 if s > 0 else 1 for s in signs)
 
 
 @cache
@@ -167,15 +164,9 @@ class SignTable:
         return np.array_equal(self.values, other.values)
 
     def value(self, *signs: int) -> float:
-        if len(signs) != self.n:
-            raise ValueError(f"expected {self.n} signs")
-        return float(self.values[sign_index(signs)])
-
-    def pair_correlation(self, i: int, j: int) -> float:
-        """sum_S Si Sj f(S) for 1-based variable indices i < j."""
-        if not (1 <= i < j <= self.n):
-            raise ValueError(f"need 1 <= i < j <= {self.n}, got i={i}, j={j}")
-        return pair_coefficients(sign_transform(self.values))[(i, j)]
+        if len(signs) != self.n or not all(s in (1, -1) for s in signs):
+            raise ValueError(f"expected {self.n} signs, each +1 or -1, got {signs}")
+        return float(self.values.reshape(-1)[sign_codes(*signs)])
 
     def is_nonnegative(self) -> bool:
         return bool(self.values.min() >= -NONNEG_TOL)
@@ -185,21 +176,26 @@ class SignTable:
 
     @classmethod
     def from_dict(cls, d: dict) -> SignTable:
-        """Inverse of ``to_dict``: n is the key length, and the keys must be
-        exactly the 2^n sign keys."""
+        """Inverse of ``to_dict``: n is the class's own or else the key
+        length, the keys must be exactly the 2^n sign keys, and the entries
+        ints or floats whose absolute sum is finite, so that the table's
+        expansion cannot overflow."""
         if not d:
             raise ValueError(f"{cls.__name__} needs the 2^n sign keys, got none")
-        n = len(next(iter(d)))
+        n = cls.n if isinstance(cls.n, int) else len(next(iter(d)))
         keys = _sign_keys(n)
         if d.keys() != set(keys):
             missing = [k for k in keys if k not in d] or "none"
             extra = [k for k in d if k not in keys] or "none"
             raise ValueError(f"{cls.__name__} needs exactly the {len(keys)} sign keys of "
                              f"length {n}: missing {missing}, extra {extra}")
-        try:
-            flat = [float(d[k]) for k in keys]
-        except TypeError:
-            raise ValueError(f"{cls.__name__} entries must be numbers") from None
+        entries = [d[k] for k in keys]
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries):
+            raise ValueError(f"{cls.__name__} entries must be numbers")
+        # an int beyond the float range reads as inf, which float() would refuse
+        flat = [float(v) if abs(v) <= sys.float_info.max else math.inf for v in entries]
+        if not math.isfinite(sum(map(abs, flat))):
+            raise ValueError(f"{cls.__name__} entries must have a finite absolute sum")
         return cls(np.reshape(flat, (2,) * n))
 
 
@@ -438,7 +434,7 @@ def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
     compat = _compatibility((f, fhat, ftilde), coeffs)
     if not compat.compatible:
         raise IncompatibleMarginalsError(compat.failures, compat)
-    fixed = (c.e0, c.e1, c.e2, chat.e2, c.e12, chat.e12, ctilde.e12)
+    fixed = _in_float_range((c.e0, c.e1, c.e2, chat.e2, c.e12, chat.e12, ctilde.e12))
     # 8 f(S) = base(S) + S1 S2 S3 e123 must be non-negative entrywise
     base = sign_transform(ExpansionCoeffs3(*fixed, 0.0).grid()).ravel()
     even = sign_rows(3).prod(axis=1) > 0
@@ -448,8 +444,17 @@ def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
             (f"empty admissible interval for the triple coefficient "
              f"[{lo}, {hi}]",))
     e123 = 0.0 if lo <= 0.0 <= hi else (lo + hi) / 2.0
-    table = synth3(ExpansionCoeffs3(*fixed, e123))
+    table = synth3(ExpansionCoeffs3(*_in_float_range((*fixed, e123))))
     return Reconstruction(table, e123, (lo, hi), compat)
+
+
+def _in_float_range(coeffs: tuple) -> tuple:
+    """The coefficients, refused unless their absolute sum, which bounds every
+    partial sum of their sign transform, is finite."""
+    if not math.isfinite(sum(map(abs, coeffs))):
+        raise ValueError("the triple table lies beyond the float range: the absolute "
+                         "sum of its coefficients overflows")
+    return coeffs
 
 
 def check_weights(weights) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import boolebell
+from boolebell import classical, cli, leggett_garg, pipeline, tables
 from boolebell.cli import main
 from boolebell.datasets import DichotomicDataset, write_dataset_csv
 
@@ -673,3 +675,109 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "cmd_ebbi", lambda args: calls.append(args) or handler(args))
         run_json(capsys, ["ebbi", "--e", "1", "0", "0", "0"])
         assert len(calls) == 1
+
+
+def _raises(exc):
+    def boom(*args, **kwargs):
+        raise exc
+    return boom
+
+
+_SWEEP_RAN = (classical, "model_inequality_sweep",
+              _raises(AssertionError("the sweep ran past the size check")))
+_HUGE = ["--seed", "1", "--samples", "100000000000000"]
+_NO_MEMORY = _raises(MemoryError("Unable to allocate 728. TiB for an array with shape "
+                                 "(100000000000000,) and data type float64"))
+_UNDECODABLE = b"\xff\xfe"
+_DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+def _tables(**changed) -> bytes:
+    spec = {"f": UNIFORM_TABLE, "fhat": UNIFORM_TABLE, "ftilde": UNIFORM_TABLE, **changed}
+    return json.dumps(spec).encode()
+
+
+_RECONSTRUCT = ["theorem", "--which", "reconstruct", "--tables", "{input}"]
+_ONE_CORNER = {"++": 4e307, "+-": 0, "-+": 0, "--": 0}
+
+
+@pytest.mark.parametrize("argv, data, patch, message", [
+    (["sweep", "--what", "factorizable", "--grid", "0", "1e-12", "1e-13"], None, _SWEEP_RAN,
+     "error: --grid: the factorizable sweep is limited to 300 points per axis, "
+     "asked for 10011\n"),
+    (["sweep", "--what", "factorizable", "--grid", "0", "1e-11", "1e-12", "--no-chsh"], None,
+     _SWEEP_RAN, "asked for 1010\n"),
+    (["sweep", "--what", "factorizable", "--grid", "0", "1e-300", "1e-301"], None,
+     _SWEEP_RAN, "error: --grid: the factorizable sweep is limited to 300 points per axis, "
+                 "asked for 1e+292\n"),
+    (["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120", *_HUGE], None,
+     (pipeline, "run_three_settings", _NO_MEMORY), "error: Unable to allocate 728. TiB"),
+    (["factorizable", "--mu", "uniform", "--angles", "0", "60", *_HUGE], None,
+     (classical, "sample_pair", _NO_MEMORY), "error: Unable to allocate 728. TiB"),
+    (["leggett-garg", "--omega", "1", "--dt", "0", "1", "1", *_HUGE], None,
+     (leggett_garg, "sample_triples", _NO_MEMORY), "error: Unable to allocate 728. TiB"),
+    (_RECONSTRUCT, _tables(ftilde={"".join(k): 0.125 for k in product("+-", repeat=3)}),
+     None, "error: --tables ftilde: FuncTable2 needs exactly the 4 sign keys of length 2: "),
+    (_RECONSTRUCT, _tables(f=dict(UNIFORM_TABLE, **{"+-": "x"})), None,
+     "error: --tables f: FuncTable2 entries must be numbers\n"),
+    (_RECONSTRUCT, _tables(fhat=dict(UNIFORM_TABLE, **{"+-": True})), None,
+     "error: --tables fhat: FuncTable2 entries must be numbers\n"),
+    (_RECONSTRUCT, _tables(ftilde=dict(UNIFORM_TABLE, **{"+-": "1"})), None,
+     "error: --tables ftilde: FuncTable2 entries must be numbers\n"),
+    (_RECONSTRUCT, _tables(f={"++": 1e308, "+-": 1e308, "-+": 0, "--": 0}), None,
+     "error: --tables f: FuncTable2 entries must have a finite absolute sum\n"),
+    (_RECONSTRUCT, _tables(fhat={"++": 10 ** 400, "+-": 0, "-+": 0, "--": 0}), None,
+     "error: --tables fhat: FuncTable2 entries must have a finite absolute sum\n"),
+    # each table is in range, but the triple table they fix is not
+    (_RECONSTRUCT, _tables(f=_ONE_CORNER, fhat=_ONE_CORNER, ftilde=_ONE_CORNER), None,
+     "error: --tables: the triple table lies beyond the float range"),
+    (["dataset", "--input", "{input}"], _UNDECODABLE, None,
+     "error: {path}: " + _DECODE_ERROR),
+    (_RECONSTRUCT, _UNDECODABLE, None, "error: --tables: {path}: " + _DECODE_ERROR),
+    (_RECONSTRUCT, b"{", None, "error: --tables: {path}: Expecting property name"),
+    # a library refusal reached through a handler: only +1 and -1 are signs
+    (["ebbi", "--e", "1", "0", "0", "0"], None,
+     (cli, "cmd_ebbi", lambda args: tables.FuncTable2([[1, 2], [3, 4]]).value(1, 0)),
+     "error: expected 2 signs, each +1 or -1, got (1, 0)\n"),
+], ids=["sweep 10011 angles", "sweep 1010 angles", "sweep 1e292 angles",
+        "pipeline memory", "factorizable memory", "leggett-garg memory",
+        "tables key length", "tables string entry", "tables bool entry",
+        "tables numeric string", "tables overflow", "tables int overflow",
+        "tables triple overflow",
+        "dataset undecodable", "tables undecodable", "tables not json", "value sign 0"])
+def test_edge_invocations_exit_2_with_one_error_line(capsys, tmp_path, monkeypatch, argv,
+                                                     data, patch, message):
+    path = tmp_path / "input"
+    if data is not None:
+        path.write_bytes(data)
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    assert main([str(path) if arg == "{input}" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message.format(path=path) in captured.err
+
+
+def test_reconstruct_keeps_tables_at_the_edge_of_the_float_range(capsys, tmp_path):
+    path = tmp_path / "tabs.json"
+    path.write_text(json.dumps({k: {key: 4e307 for key in UNIFORM_TABLE}
+                                for k in ("f", "fhat", "ftilde")}))
+    env = run_json(capsys, ["theorem", "--which", "reconstruct", "--tables", str(path)])
+    assert env["values"]["compatible"] and env["values"]["e123"] == 0.0
+    assert set(env["values"]["table"].values()) == {2e307}
+
+
+def test_sweep_count_is_the_length_numpy_builds():
+    rng = np.random.default_rng(19)
+    grids = [(0.0, 720.0 + 1e-9, 30.0), (0.0, 2 * math.pi - 1e-9, math.pi / 6),
+             (0.0, 299 + 1e-9, 1.0), (0.0, 1e-12 + 1e-9, 1e-13), (5.0, 1.0, 1.0)]
+    for _ in range(500):
+        start = rng.uniform(-10, 10)
+        step = 10.0 ** rng.uniform(-12, 1)
+        grids.append((start, start + step * rng.uniform(-2, 2000) + rng.choice([0, 1e-9, -1e-9]),
+                      step))
+    for start, stop, step in grids:
+        assert cli._arange_length(start, stop, step) == len(np.arange(start, stop, step))
+    for start, stop, step in [(0.0, 1e308, 1e-300), (-1e308, 1e308, 1.0), (0.0, 1.0, 0.0)]:
+        assert cli._arange_length(start, stop, step) == math.inf

@@ -139,6 +139,11 @@ def ref_extended4(a, b, c, d):
     return p
 
 
+def ref_index(signs):
+    """The grid index of a sign pattern: bit 1 where the sign is -1."""
+    return tuple(int(s < 0) for s in signs)
+
+
 def ref_pair_correlation(p, n, i, j):
     grid = p.reshape([2] * n)
     total = 0.0
@@ -283,10 +288,8 @@ class TestProjectorChains:
                                               abs=TOL)
         p = RNG.random(16)
         table = q.ProbabilityTable((p / p.sum()).reshape((2,) * 4))
-        for i in range(1, 4):
-            for j in range(i + 1, 5):
-                assert table.pair_correlation(i, j) == pytest.approx(
-                    ref_pair_correlation(table.p, 4, i, j), abs=TOL)
+        for (i, j), value in tables.pair_coefficients(sign_transform(table.values)).items():
+            assert value == pytest.approx(ref_pair_correlation(table.p, 4, i, j), abs=TOL)
 
     def test_closed_forms_match_the_loops(self):
         for a, b, c, _ in DIRECTIONS:
@@ -392,8 +395,8 @@ def _leggett_garg(rng):
     p = lg.LGParams(rng.uniform(-3, 3), *rng.uniform(0, 3, 3))
     c1, c2, c3 = np.cos(2.0 * p.omega * np.array([p.dt1, p.dt2, p.dt3]))
     oracle = np.empty((2, 2, 2))
-    for triple, prob in lg.evolve_triple(p).triple_probabilities().items():
-        oracle[tables.sign_index(triple)] = prob
+    for basis, prob in zip(lg.BASIS, np.abs(lg.evolve_triple(p).amplitudes) ** 2):
+        oracle[ref_index(basis[1:])] = prob
     e = tables.chain_coeffs(c1, (c2, c3))
     assert lg.lg_triple_correlations(p) == pytest.approx((e[1, 1, 0], e[1, 0, 1], e[0, 1, 1]),
                                                          rel=0, abs=TOL)
@@ -426,7 +429,7 @@ class TestSignRowSampler:
     def test_rows_follow_the_grid_order(self, n):
         rows = tables.sign_rows(n)
         assert rows.dtype == np.int8 and not rows.flags.writeable
-        assert [tables.sign_index(r) for r in rows] == list(product(range(2), repeat=n))
+        assert [ref_index(r) for r in rows] == list(product(range(2), repeat=n))
 
     def test_draw_is_the_inverse_cdf_of_one_uniform_per_row(self):
         probs = np.array([0.1, 0.0, 0.25, 0.65])
@@ -462,8 +465,7 @@ class TestSignCodes:
                                RNG.choice(np.array([1, -1], dtype=np.int8), (200, n))])
         codes = tables.sign_codes(*rows.T)
         assert codes.shape == (rows.shape[0],)
-        assert codes.tolist() == [np.ravel_multi_index(tables.sign_index(r), (2,) * n)
-                                  for r in rows]
+        assert codes.tolist() == [np.ravel_multi_index(ref_index(r), (2,) * n) for r in rows]
         assert np.array_equal(codes[:2 ** n], np.arange(2 ** n))
 
     def test_scalar_columns_give_a_scalar_code(self):
@@ -479,17 +481,12 @@ class TestSignTable:
         assert table.n == n and not table.values.flags.writeable
         assert tables.SignTable.from_dict(table.to_dict()) == table
         for signs in product(SIGNS, repeat=n):
-            assert table.value(*signs) == values[tables.sign_index(signs)]
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                assert table.pair_correlation(i, j) == pytest.approx(
-                    ref_pair_correlation(values.ravel(), n, i, j), abs=TOL)
-                assert table.pair_correlation(i, j) == float(sign_transform(values)[
-                    tuple(int(k in (i, j)) for k in range(1, n + 1))])
-        pairs = tables.pair_coefficients(sign_transform(values))
+            assert table.value(*signs) == values[ref_index(signs)]
+        pairs = tables.pair_coefficients(sign_transform(table.values))
         assert list(pairs) == [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         for (i, j), value in pairs.items():
-            assert value == table.pair_correlation(i, j)
+            assert value == float(sign_transform(values)[
+                tuple(int(k in (i, j)) for k in range(1, n + 1))])
             assert value == pytest.approx(ref_pair_correlation(values.ravel(), n, i, j),
                                           abs=TOL)
         if n == 3:   # the literal positions the chain readers used
@@ -499,12 +496,6 @@ class TestSignTable:
                 e = tables.chain_coeffs(c0, links, tuple(int(v) for v in rng.permutation(3) + 1))
                 assert tables.pair_coefficients(e) == {
                     (1, 2): e[1, 1, 0], (1, 3): e[1, 0, 1], (2, 3): e[0, 1, 1]}
-
-    @pytest.mark.parametrize("i, j", [(1, 1), (1, 5), (2, 1)])
-    def test_pair_correlation_refuses_invalid_pairs(self, i, j):
-        table = tables.SignTable(np.array([[0.4, 0.1], [0.2, 0.3]]))
-        with pytest.raises(ValueError, match=f"need 1 <= i < j <= 2, got i={i}, j={j}"):
-            table.pair_correlation(i, j)
 
     def test_subclasses_fix_n(self):
         with pytest.raises(ValueError, match="FuncTable2 needs a 2x2 array"):
