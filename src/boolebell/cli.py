@@ -3,11 +3,13 @@
 Output is a JSON envelope {scenario, params, values, reports} validating
 against ``schemas/report.schema.json``; ``--format table`` renders the same
 content as text, and ``factorizable --format csv`` writes the sampled pairs.
-Each subcommand declares only the flags it reads, so an invalid invocation
-exits 2 at argument parsing, before any work is done.  An inequality
-violation is a reported finding, not an error: the exit status is nonzero
-only for invalid invocations.  All randomized scenarios require an explicit
-``--seed``.
+Each subcommand declares only flags that one of its modes reads, so a flag
+no mode reads, or an invalid value, exits 2 at argument parsing, before any
+work is done.  The modes chosen by ``--which``, ``--scenario`` and ``--what``
+share their subcommand's flags, and a mode ignores the flags it does not
+read.  An inequality violation is a reported finding, not an error: the exit
+status is nonzero only for invalid invocations.  All randomized scenarios
+require an explicit ``--seed``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, leggett_garg as lg, pipeline, quantum, tables
-from .datasets import (_require_in_unit_interval, check_boole_triple,
-                       check_boole_triple_anticorrelated, check_chsh,
-                       check_pair_bound, correlations, dataset_csv_text,
-                       read_dataset_csv)
+from .datasets import (check_boole_triple, check_boole_triple_anticorrelated,
+                       check_chsh, check_pair_bound, correlations, dataset_csv_text,
+                       read_dataset_csv, require_in_unit_interval)
 from .reports import GRID_BLOCK, SLACK_TOL, NonFiniteClauseError
 
 
@@ -47,6 +48,15 @@ def _flag_value(flag: str, check, *values):
         raise
     except ValueError as exc:
         raise CliError(f"{flag}: {exc}") from None
+
+
+def _sampled(draw, *args):
+    """draw(*args), an allocation numpy refuses for the draws prefixed by the
+    flag that sized them."""
+    try:
+        return draw(*args)
+    except MemoryError as exc:
+        raise CliError(f"--samples: {exc}") from None
 
 
 def _directions(args, names: str) -> list[np.ndarray]:
@@ -114,7 +124,7 @@ def cmd_ebbi(args) -> dict:
     reports = {"ebbi": report.to_dict()}
     if e0 > 0:
         ratios = (e12 / e0, e13 / e0, e23 / e0)
-        _require_in_unit_interval(zip(("--e E12/E0", "--e E13/E0", "--e E23/E0"), ratios))
+        require_in_unit_interval(zip(("--e E12/E0", "--e E13/E0", "--e E23/E0"), ratios))
         reports["boole_anticorrelated"] = check_boole_triple_anticorrelated(
             *ratios).to_dict()
     return {"scenario": "ebbi",
@@ -163,21 +173,16 @@ def cmd_theorem(args) -> dict:
                            "ftilde, each an object of sign keys")
         f, fhat, ftilde = (_flag_value(f"--tables {k}", tables.FuncTable2.from_dict, spec[k])
                            for k in keys)
-        try:
-            rec = tables.reconstruct_f3(f, fhat, ftilde)
+        try:   # a clause or a triple table beyond the float range, or no triple table
+            compat = tables.marginals_compatible(f, fhat, ftilde)
+            rec = compat.reconstruct() if compat.compatible else None
         except ValueError as exc:
-            compat = getattr(exc, "compatibility", None)
-            if compat is None:   # no triple table in the float range, or none at all
-                raise CliError(f"--tables: {exc}") from None
-            rec = None
-        else:
-            compat = rec.compatibility
+            raise CliError(f"--tables: {exc}") from None
         values: dict = {"compatible": compat.compatible,
                         "failures": list(compat.failures)}
         if rec is not None:
-            values["table"] = rec.table.to_dict()
-            values["e123"] = rec.e123
-            values["e123_interval"] = list(rec.e123_interval)
+            values.update(table=rec.table.to_dict(), e123=rec.e123,
+                          e123_interval=list(rec.e123_interval))
         return {"scenario": "theorem-reconstruct", "params": {"tables": args.tables},
                 "values": values,
                 "reports": {"compatibility": compat.clause_report.to_dict()}}
@@ -250,7 +255,7 @@ def cmd_leggett_garg(args) -> dict:
         "pair_correlations": {"E": pe, "Ehat": pehat, "Etilde": petilde},
     }
     if args.samples:
-        ds = lg.sample_triples(p, args.samples, args.seed)
+        ds = _sampled(lg.sample_triples, p, args.samples, args.seed)
         values["empirical_correlations"] = {
             f"E{i}{j}": value for (i, j), value in correlations(ds).items()}
     return {"scenario": "leggett-garg",
@@ -304,7 +309,7 @@ _MU = {"uniform": "uniform", "equal": "delta_equal", "opposite": "delta_opposite
 def cmd_factorizable(args) -> dict | str:
     model = classical.FactorizableModel(_MU[args.mu])
     a, b = (_to_rad(v, args.radians) for v in args.angles)
-    ds = classical.sample_pair(model, a, b, args.seed, args.samples)
+    ds = _sampled(classical.sample_pair, model, a, b, args.seed, args.samples)
     if args.format == "csv":
         return dataset_csv_text(ds.data, newline="\n")
     analytic = classical.analytic_correlation(model, a, b)
@@ -335,8 +340,8 @@ def cmd_epr_pipeline(args) -> dict:
     window = float(args.window)
     timing = pipeline.TimingModel(args.jitter, args.jitter_exponent)
     source = _make_source(args.source)
-    report = pipeline.run_three_settings(a, b, c, source, timing,
-                                         args.samples, window, args.seed)
+    report = _sampled(pipeline.run_three_settings, a, b, c, source, timing,
+                      args.samples, window, args.seed)
     if args.events_out:
         report.raw.write_csv(args.events_out)
     reports = {name: getattr(report, name)

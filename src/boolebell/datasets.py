@@ -93,7 +93,7 @@ def correlation(ds: DichotomicDataset, i: int, j: int) -> PairCorrelation:
     return PairCorrelation(correlations(ds)[(i, j)])
 
 
-def _require_in_unit_interval(name_value_pairs):
+def require_in_unit_interval(name_value_pairs):
     for name, value in name_value_pairs:
         if not np.isfinite(value) or abs(value) > 1.0 + _RANGE_TOL:
             raise ValueError(f"{name}={value} outside [-1, 1]")
@@ -133,7 +133,7 @@ CHSH = ClauseFamily(
 def check_boole_triple(f12: float, f13: float, f23: float) -> InequalityReport:
     """Six-clause Boole family |Fij +- Fik| <= 1 +- Fjk for pair averages of
     one set of triples.  Mathematically unviolable for triple-derived data."""
-    _require_in_unit_interval([("F12", f12), ("F13", f13), ("F23", f23)])
+    require_in_unit_interval([("F12", f12), ("F13", f13), ("F23", f23)])
     return BOOLE_TRIPLE.report(f12, f13, f23)
 
 
@@ -146,14 +146,14 @@ def check_boole_triple_anticorrelated(f12: float, f13: float, f23: float) -> Ine
     terms of the raw values this yields |F12 +- F13| <= 1 -+ F23 and cyclic
     relabelings.
     """
-    _require_in_unit_interval([("F12", f12), ("F13", f13), ("F23", f23)])
+    require_in_unit_interval([("F12", f12), ("F13", f13), ("F23", f23)])
     return BOOLE_TRIPLE_ANTICORRELATED.report(f12, f13, f23)
 
 
 def check_pair_bound(f: float, fhat: float, ftilde: float) -> InequalityReport:
     """Correct bound when the three pair averages come from three unrelated
     runs: |F +- Fhat| <= 3 - |Ftilde| and the two symbol interchanges."""
-    _require_in_unit_interval([("F", f), ("Fhat", fhat), ("Ftilde", ftilde)])
+    require_in_unit_interval([("F", f), ("Fhat", fhat), ("Ftilde", ftilde)])
     return PAIR_BOUND.report(f, fhat, ftilde)
 
 
@@ -164,7 +164,7 @@ def check_chsh(f13: float, f23: float, f14: float, f24: float) -> InequalityRepo
     Negating columns maps the base clause to |u*F13 - v*F23 + w*F14 + uvw*F24|
     with independent u, v, w in {+1,-1}: eight clauses in total.
     """
-    _require_in_unit_interval(
+    require_in_unit_interval(
         [("F13", f13), ("F23", f23), ("F14", f14), ("F24", f24)])
     return CHSH.report(f13, f23, f14, f24)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import DichotomicDataset, _require_in_unit_interval
+from .datasets import DichotomicDataset, require_in_unit_interval
 from .reports import ClauseFamily, GridSweep, InequalityReport, grid_sweep
 from .tables import (EBBI, chain_coeffs, draw_rows, pair_coefficients, sign_codes,
                      sign_transform)
@@ -132,7 +132,7 @@ LEGGETT_GARG = ClauseFamily("leggett_garg", EBBI.descriptions, EBBI.terms)
 def lg_inequality_check(k12: float, k13: float, k23: float) -> InequalityReport:
     """Three-variable inequality family on temporal correlations, the bound
     obeyed by any consistent joint triple distribution (e0 = 1)."""
-    _require_in_unit_interval([("K12", k12), ("K13", k13), ("K23", k23)])
+    require_in_unit_interval([("K12", k12), ("K13", k13), ("K23", k23)])
     return LEGGETT_GARG.report(1.0, k12, k13, k23)
 
 

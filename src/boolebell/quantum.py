@@ -32,8 +32,8 @@ from .datasets import (InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated)
 from .reports import ClauseFamily, GridSweep, boole_terms, grid_sweep, six_descriptions
 from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
-                     SignTable, _compatibility, chain_coeffs, check_weights, expand2,
-                     marginals_compatible, pair_coefficients, sign_rows, sign_transform)
+                     SignTable, chain_coeffs, check_weights, marginals_compatible,
+                     pair_coefficients, sign_rows, sign_transform)
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -321,11 +321,11 @@ class SubstitutionReport:
 
 def eprb_substitution_report(a, b, c) -> SubstitutionReport:
     pair_tables = [singlet_pair_table(u, v) for u, v in ((a, b), (a, c), (b, c))]
-    coeffs = [expand2(t) for t in pair_tables]
-    e, ehat, etilde = (k.e12 for k in coeffs)
+    direct = marginals_compatible(*pair_tables)
+    e, ehat, etilde = (k.e12 for k in direct.coeffs)
     return SubstitutionReport(
         e, ehat, etilde, check_boole_triple(e, ehat, etilde),
-        check_boole_triple_anticorrelated(e, ehat, etilde), _compatibility(pair_tables, coeffs),
+        check_boole_triple_anticorrelated(e, ehat, etilde), direct,
         marginals_compatible(*(FuncTable2(t.values[::-1]) for t in pair_tables)))
 
 

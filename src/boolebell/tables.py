@@ -14,9 +14,9 @@ non-negative f the pair coefficients satisfy Boole-like bounds:
 * three unrelated two-variable functions sharing e0: only the weak bound
   |e +- ehat| <= 3*e0 - |etilde| (``theorem3_check``).
 
-``marginals_compatible``/``reconstruct_f3`` decide whether three pair tables
-are the three pair marginals of one non-negative three-variable table, and
-build such a table when they are.  ``LambdaModel`` covers the factorized
+``marginals_compatible`` alone decides whether three pair tables are the pair
+marginals of one non-negative three-variable table; its verdict's
+``reconstruct`` builds such a table.  ``LambdaModel`` covers the factorized
 single-parameter mixtures whose pair tables always pass that test.
 
 ``SignTable`` is the one table type: a function on {+1,-1}^n as a 2x..x2
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, reduce
 from itertools import combinations, product
 
@@ -349,16 +349,60 @@ def theorem3_check(e: float, ehat: float, etilde: float, e0: float) -> Inequalit
     return THEOREM3.report(e, ehat, etilde, e0)
 
 
+class IncompatibleMarginalsError(ValueError):
+    """Three pair tables admit no common non-negative triple table."""
+
+    def __init__(self, failures: tuple[str, ...]):
+        super().__init__("; ".join(failures))
+        self.failures = failures
+
+
+@dataclass(frozen=True)
+class Reconstruction:
+    table: FuncTable3
+    e123: float
+    e123_interval: tuple[float, float]
+
+
 @dataclass(frozen=True)
 class CompatibilityResult:
     compatible: bool
     failures: tuple[str, ...]
     clause_report: InequalityReport
+    # the expansions of f, fhat, ftilde the verdict was decided on
+    coeffs: tuple[ExpansionCoeffs2, ...] = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {"compatible": self.compatible,
                 "failures": list(self.failures),
                 "clause_report": self.clause_report.to_dict()}
+
+    def reconstruct(self) -> Reconstruction:
+        """A non-negative three-variable table whose pair marginals are the
+        decided tables, or IncompatibleMarginalsError naming the failed
+        conditions.
+
+        All coefficients except the triple one are fixed by the marginals.  The
+        free triple coefficient is bounded entrywise; it is set to 0 when the
+        admissible interval contains 0 and to the interval midpoint otherwise,
+        and the interval is returned alongside the table.  It is empty when
+        its ends cross by more than 1e-12 max(1, e0).
+        """
+        if not self.compatible:
+            raise IncompatibleMarginalsError(self.failures)
+        c, chat, ctilde = self.coeffs
+        fixed = _in_float_range((c.e0, c.e1, c.e2, chat.e2, c.e12, chat.e12, ctilde.e12))
+        # 8 f(S) = base(S) + S1 S2 S3 e123 must be non-negative entrywise
+        base = sign_transform(ExpansionCoeffs3(*fixed, 0.0).grid()).ravel()
+        even = sign_rows(3).prod(axis=1) > 0
+        lo, hi = float(np.max(-base[even])), float(np.min(base[~even]))
+        if lo > hi + NONNEG_TOL * max(1.0, c.e0):
+            raise IncompatibleMarginalsError(
+                (f"empty admissible interval for the triple coefficient "
+                 f"[{lo}, {hi}]",))
+        e123 = 0.0 if lo <= 0.0 <= hi else (lo + hi) / 2.0
+        table = synth3(ExpansionCoeffs3(*_in_float_range((*fixed, e123))))
+        return Reconstruction(table, e123, (lo, hi))
 
 
 def marginals_compatible(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
@@ -368,17 +412,13 @@ def marginals_compatible(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
 
     Three independently checked conditions: each table is entrywise
     non-negative; the shared coefficients match (e0 common, e1=ehat1,
-    e2=etilde1, ehat2=etilde2); and the pair coefficients satisfy
-    |e +- ehat| <= e0 +- etilde together with its two interchanges.
+    e2=etilde1, ehat2=etilde2) to within 1e-12 max(1, e0); and the pair
+    coefficients satisfy |e +- ehat| <= e0 +- etilde together with its two
+    interchanges.
     """
-    return _compatibility((f, fhat, ftilde), [expand2(t) for t in (f, fhat, ftilde)])
-
-
-def _compatibility(tables, coeffs) -> CompatibilityResult:
-    """``marginals_compatible`` on tables whose expansions are known."""
-    c, chat, ctilde = coeffs
+    c, chat, ctilde = coeffs = tuple(expand2(t) for t in (f, fhat, ftilde))
     failures = []
-    for name, table in zip(("f", "fhat", "ftilde"), tables):
+    for name, table in zip(("f", "fhat", "ftilde"), (f, fhat, ftilde)):
         if not table.is_nonnegative():
             failures.append(f"{name} has a negative entry "
                             f"(min {float(np.min(table.values))})")
@@ -389,63 +429,19 @@ def _compatibility(tables, coeffs) -> CompatibilityResult:
         ("e2 = etilde1", c.e2, ctilde.e1),
         ("ehat2 = etilde2", chat.e2, ctilde.e2),
     ):
-        if abs(a - b) > MATCH_TOL:
+        if abs(a - b) > MATCH_TOL * max(1.0, c.e0):
             failures.append(f"coefficient mismatch {desc}: {a} vs {b}")
     report = MARGINAL_COMPATIBILITY.report(c.e12, chat.e12, ctilde.e12, c.e0)
     for clause in report.violated_clauses():
         failures.append(f"clause failed: {clause.description} "
                         f"(lhs={clause.lhs}, rhs={clause.rhs})")
-    return CompatibilityResult(not failures, tuple(failures), report)
-
-
-class IncompatibleMarginalsError(ValueError):
-    """Raised when three pair tables admit no common non-negative triple
-    table.  ``compatibility`` is the failed compatibility result, or None
-    when the tables passed it and no admissible triple coefficient exists."""
-
-    def __init__(self, failures: tuple[str, ...],
-                 compatibility: CompatibilityResult | None = None):
-        super().__init__("; ".join(failures))
-        self.failures = failures
-        self.compatibility = compatibility
-
-
-@dataclass(frozen=True)
-class Reconstruction:
-    table: FuncTable3
-    e123: float
-    e123_interval: tuple[float, float]
-    # the compatibility result the reconstruction was built on
-    compatibility: CompatibilityResult
+    return CompatibilityResult(not failures, tuple(failures), report, coeffs)
 
 
 def reconstruct_f3(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
                    ) -> Reconstruction:
-    """Build a non-negative three-variable table whose pair marginals are the
-    given tables, or raise IncompatibleMarginalsError naming the failed
-    condition.
-
-    All coefficients except the triple one are fixed by the marginals.  The
-    free triple coefficient is bounded entrywise; it is set to 0 when the
-    admissible interval contains 0 and to the interval midpoint otherwise,
-    and the interval is returned alongside the table.
-    """
-    c, chat, ctilde = coeffs = [expand2(t) for t in (f, fhat, ftilde)]
-    compat = _compatibility((f, fhat, ftilde), coeffs)
-    if not compat.compatible:
-        raise IncompatibleMarginalsError(compat.failures, compat)
-    fixed = _in_float_range((c.e0, c.e1, c.e2, chat.e2, c.e12, chat.e12, ctilde.e12))
-    # 8 f(S) = base(S) + S1 S2 S3 e123 must be non-negative entrywise
-    base = sign_transform(ExpansionCoeffs3(*fixed, 0.0).grid()).ravel()
-    even = sign_rows(3).prod(axis=1) > 0
-    lo, hi = float(np.max(-base[even])), float(np.min(base[~even]))
-    if lo > hi + NONNEG_TOL:
-        raise IncompatibleMarginalsError(
-            (f"empty admissible interval for the triple coefficient "
-             f"[{lo}, {hi}]",))
-    e123 = 0.0 if lo <= 0.0 <= hi else (lo + hi) / 2.0
-    table = synth3(ExpansionCoeffs3(*_in_float_range((*fixed, e123))))
-    return Reconstruction(table, e123, (lo, hi), compat)
+    """``marginals_compatible(f, fhat, ftilde).reconstruct()``."""
+    return marginals_compatible(f, fhat, ftilde).reconstruct()
 
 
 def _in_float_range(coeffs: tuple) -> tuple:

@@ -688,6 +688,7 @@ _SWEEP_RAN = (classical, "model_inequality_sweep",
 _HUGE = ["--seed", "1", "--samples", "100000000000000"]
 _NO_MEMORY = _raises(MemoryError("Unable to allocate 728. TiB for an array with shape "
                                  "(100000000000000,) and data type float64"))
+_REFUSED = _raises(ValueError("the draws are refused"))
 _UNDECODABLE = b"\xff\xfe"
 _DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
 
@@ -699,6 +700,7 @@ def _tables(**changed) -> bytes:
 
 _RECONSTRUCT = ["theorem", "--which", "reconstruct", "--tables", "{input}"]
 _ONE_CORNER = {"++": 4e307, "+-": 0, "-+": 0, "--": 0}
+_HUGE_CORNER = {"++": 1.5e308, "+-": 0, "-+": 0, "--": 0}
 
 
 @pytest.mark.parametrize("argv, data, patch, message", [
@@ -711,11 +713,20 @@ _ONE_CORNER = {"++": 4e307, "+-": 0, "-+": 0, "--": 0}
      _SWEEP_RAN, "error: --grid: the factorizable sweep is limited to 300 points per axis, "
                  "asked for 1e+292\n"),
     (["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120", *_HUGE], None,
-     (pipeline, "run_three_settings", _NO_MEMORY), "error: Unable to allocate 728. TiB"),
+     (pipeline, "run_three_settings", _NO_MEMORY),
+     "error: --samples: Unable to allocate 728. TiB"),
     (["factorizable", "--mu", "uniform", "--angles", "0", "60", *_HUGE], None,
-     (classical, "sample_pair", _NO_MEMORY), "error: Unable to allocate 728. TiB"),
+     (classical, "sample_pair", _NO_MEMORY), "error: --samples: Unable to allocate 728. TiB"),
     (["leggett-garg", "--omega", "1", "--dt", "0", "1", "1", *_HUGE], None,
-     (leggett_garg, "sample_triples", _NO_MEMORY), "error: Unable to allocate 728. TiB"),
+     (leggett_garg, "sample_triples", _NO_MEMORY),
+     "error: --samples: Unable to allocate 728. TiB"),
+    # a library refusal from the same draws keeps its own text
+    (["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120", *_HUGE], None,
+     (pipeline, "run_three_settings", _REFUSED), "error: the draws are refused\n"),
+    (["factorizable", "--mu", "uniform", "--angles", "0", "60", *_HUGE], None,
+     (classical, "sample_pair", _REFUSED), "error: the draws are refused\n"),
+    (["leggett-garg", "--omega", "1", "--dt", "0", "1", "1", *_HUGE], None,
+     (leggett_garg, "sample_triples", _REFUSED), "error: the draws are refused\n"),
     (_RECONSTRUCT, _tables(ftilde={"".join(k): 0.125 for k in product("+-", repeat=3)}),
      None, "error: --tables ftilde: FuncTable2 needs exactly the 4 sign keys of length 2: "),
     (_RECONSTRUCT, _tables(f=dict(UNIFORM_TABLE, **{"+-": "x"})), None,
@@ -731,6 +742,15 @@ _ONE_CORNER = {"++": 4e307, "+-": 0, "-+": 0, "--": 0}
     # each table is in range, but the triple table they fix is not
     (_RECONSTRUCT, _tables(f=_ONE_CORNER, fhat=_ONE_CORNER, ftilde=_ONE_CORNER), None,
      "error: --tables: the triple table lies beyond the float range"),
+    (_RECONSTRUCT, _tables(f=_HUGE_CORNER, fhat=_HUGE_CORNER, ftilde=_HUGE_CORNER), None,
+     "error: --tables: clause '|e + ehat| <= e0 + etilde' is not finite: lhs=inf, "
+     "rhs=inf\n"),
+    (["theorem", "--which", "reconstruct"], None, None,
+     "error: --tables FILE is required for reconstruct\n"),
+    (["extended-eprb", "--angles", "0", "60"], None, None,
+     "error: --angles takes 3 (triple) or 4 (quadruple) values\n"),
+    (["dataset", "--input", "{input}"], b"", None,
+     "error: {path}: empty file, header s1..sn is mandatory\n"),
     (["dataset", "--input", "{input}"], _UNDECODABLE, None,
      "error: {path}: " + _DECODE_ERROR),
     (_RECONSTRUCT, _UNDECODABLE, None, "error: --tables: {path}: " + _DECODE_ERROR),
@@ -741,9 +761,11 @@ _ONE_CORNER = {"++": 4e307, "+-": 0, "-+": 0, "--": 0}
      "error: expected 2 signs, each +1 or -1, got (1, 0)\n"),
 ], ids=["sweep 10011 angles", "sweep 1010 angles", "sweep 1e292 angles",
         "pipeline memory", "factorizable memory", "leggett-garg memory",
+        "pipeline refusal", "factorizable refusal", "leggett-garg refusal",
         "tables key length", "tables string entry", "tables bool entry",
         "tables numeric string", "tables overflow", "tables int overflow",
-        "tables triple overflow",
+        "tables triple overflow", "tables clause overflow", "reconstruct without tables",
+        "extended-eprb two angles", "dataset empty",
         "dataset undecodable", "tables undecodable", "tables not json", "value sign 0"])
 def test_edge_invocations_exit_2_with_one_error_line(capsys, tmp_path, monkeypatch, argv,
                                                      data, patch, message):
@@ -766,6 +788,40 @@ def test_reconstruct_keeps_tables_at_the_edge_of_the_float_range(capsys, tmp_pat
     env = run_json(capsys, ["theorem", "--which", "reconstruct", "--tables", str(path)])
     assert env["values"]["compatible"] and env["values"]["e123"] == 0.0
     assert set(env["values"]["table"].values()) == {2e307}
+
+
+def test_reconstruct_accepts_genuine_marginals_in_the_thousands(capsys, tmp_path):
+    # the pair marginals of the non-negative table with 681.657 at +++, 980.619
+    # at -+- and 430.791 at ---: an absolute 1e-12 found the admissible
+    # interval of e123 empty, [1231.4850000000008, 1231.4849999999997]
+    path = tmp_path / "tabs.json"
+    path.write_text(json.dumps({
+        "f": {"++": 681.657, "+-": 0.0, "-+": 980.619, "--": 430.791},
+        "fhat": {"++": 681.657, "+-": 0.0, "-+": 0.0, "--": 1411.41},
+        "ftilde": {"++": 681.657, "+-": 980.619, "-+": 0.0, "--": 430.791}}))
+    env = run_json(capsys, ["theorem", "--which", "reconstruct", "--tables", str(path)])
+    assert env["values"]["compatible"] is True and env["values"]["failures"] == []
+    want = dict.fromkeys(("".join(k) for k in product("+-", repeat=3)), 0.0)
+    want.update({"+++": 681.657, "-+-": 980.619, "---": 430.791})
+    got = env["values"]["table"]
+    assert list(got) == list(want)
+    assert max(abs(got[k] - want[k]) for k in want) <= 1e-12 * 2092.067
+
+
+def test_table_format_marks_a_report_not_evaluated(capsys):
+    # one pair cannot fill the three settings, so the pair bound is not evaluated
+    assert main(["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120",
+                 "--samples", "1", "--seed", "1", "--format", "table"]) == 0
+    assert "report pair_bound: (not evaluated)\n" in capsys.readouterr().out
+
+
+def test_failed_write_of_out_exits_1_with_one_error_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(Path, "write_text",
+                        _raises(OSError(28, "No space left on device")))
+    assert main(["allergy", "--variant", "pairs", "--out", str(tmp_path / "env.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
 
 
 def test_sweep_count_is_the_length_numpy_builds():

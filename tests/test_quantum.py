@@ -624,3 +624,14 @@ def test_make_clause_is_called_only_by_the_clause_kernel():
                              getattr(node.func, "attr", None)} & callers.keys():
                     callers[name].add(path.name)
     assert callers == {"make_clause": {"reports.py"}, "make_report": {"reports.py"}}
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    """No module of the package imports an underscore name from a sibling."""
+    crossings = []
+    for path in Path(q.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossings += [f"{path.name}: {node.module}.{alias.name}"
+                              for alias in node.names if alias.name.startswith("_")]
+    assert crossings == []

@@ -278,6 +278,26 @@ class TestReconstruct:
                 got = False
             assert got == expected
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9, 1e12])
+    def test_sparse_marginals_reconstruct_at_every_scale(self, scale):
+        # one non-zero entry in each antipodal pair (S, -S), entries to the
+        # thousandth, and zeros of both parities of S1 S2 S3: each clause keeps
+        # a slack of at least 4 * min(entry), while the admissible interval
+        # of e123 is a single point, so only the tolerances scaled by e0 keep
+        # rounding from refusing the marginals of this table
+        rng = np.random.default_rng(int(math.log10(scale)))
+        parity = np.array([0, 1, 1, 0, 1, 0, 0, 1])   # odd number of -1 signs
+        for _ in range(300):
+            while True:
+                picks = np.where(rng.random(4) < 0.5, np.arange(4), 7 - np.arange(4))
+                if parity[picks].min() < parity[picks].max():
+                    break
+            g = np.zeros(8)
+            g[picks] = np.round(rng.uniform(0.1, 1.0, 4) * scale, 3)
+            g = g.reshape(2, 2, 2)
+            rec = reconstruct_f3(*FuncTable3(g).marginals())
+            assert np.max(np.abs(rec.table.values - g)) <= 1e-12 * g.sum()
+
     def test_each_pair_table_is_expanded_once(self, monkeypatch):
         calls = []
 
