@@ -140,21 +140,52 @@ def sample_pair_arrays(model: FactorizableModel, a: float, b: float,
         raise ValueError("need at least one sample")
     phi = rng.uniform(0.0, 2.0 * np.pi, count)
     r = rng.uniform(-1.0, 1.0, count)
-    s1 = _threshold_signs(phi - a, r)
+    s1 = _threshold_signs(phi, a, r)
     if model.mu_kind == "uniform":
-        s2 = _threshold_signs(phi + np.pi - b, rng.uniform(-1.0, 1.0, count))
+        del r  # station 1's thresholds are spent: free them before drawing r'
+        s2 = _threshold_signs(phi, b, rng.uniform(-1.0, 1.0, count), anti_aligned=True)
     elif model.mu_kind == "delta_equal":
-        s2 = _threshold_signs(phi - b, r)
+        s2 = _threshold_signs(phi, b, r)
     else:  # delta_opposite: cos(phi - b) + r >= 0, i.e. cos(phi - b) >= -r
-        s2 = _threshold_signs(phi - b, np.negative(r, out=r))
+        s2 = _threshold_signs(phi, b, np.negative(r, out=r))
     return phi, s1, s2
 
 
-def _threshold_signs(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """int8 outcomes, +1 where cos(x) >= r and -1 elsewhere; the cosine is
-    taken in place in x.  For doubles cos(x) >= r equals cos(x) - r >= 0."""
-    np.cos(x, out=x)
-    return np.where(x >= r, np.int8(1), np.int8(-1))
+# samples per block of _threshold_signs: its temporaries stay inside the CPU caches
+SIGN_BLOCK = 1 << 15
+
+
+def _threshold_signs(phi: np.ndarray, setting: float, r: np.ndarray,
+                     anti_aligned: bool = False) -> np.ndarray:
+    """int8 outcomes, +1 where cos(x) >= r and -1 elsewhere, for
+    x = phi - setting, or x = (phi + pi) - setting at an anti-aligned station.
+
+    Per block of SIGN_BLOCK samples, the sign of the float32 screen
+    d = cos(fl32(x)) - fl32(r) decides wherever |d| > tol, with
+    tol = 2^-20 max|x| + 2^-18: rounding x moves the cosine by at most
+    2^-24 |x|, and the rest of the float32 error is a few ulps.  Every other
+    event (a NaN d included), and every event of a block whose tol is not
+    below 2 or is NaN (there x may lie beyond the float32 range), takes the
+    float64 rule np.cos(x) >= r, so the outcomes are that rule's bit for bit.
+    """
+    out = np.empty(phi.size, dtype=np.int8)
+    for lo in range(0, phi.size, SIGN_BLOCK):
+        block = slice(lo, lo + SIGN_BLOCK)
+        x = (phi[block] + np.pi if anti_aligned else phi[block]) - setting
+        rb = r[block]
+        tol = 2.0 ** -20 * float(np.abs(x).max()) + 2.0 ** -18
+        if tol < 2.0:
+            d = np.cos(x.astype(np.float32))
+            np.subtract(d, rb, out=d, dtype=np.float32, casting="same_kind")
+            up = d > 0.0
+            near = np.flatnonzero(~(np.abs(d) > tol))
+            up[near] = np.cos(x[near]) >= rb[near]
+        else:
+            up = np.cos(x, out=x) >= rb
+        out[block] = up
+    out *= 2
+    out -= 1
+    return out
 
 
 def station_orientations(model: FactorizableModel, phi: np.ndarray,

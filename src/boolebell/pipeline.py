@@ -79,6 +79,8 @@ class TimingModel:
         # (jitter * u) * |sin(hidden - setting)| ** exponent, in place; `**=`
         # keeps the fast paths (square, sqrt, ..) that `**` takes
         u *= self.jitter
+        if self.exponent == 0.0:  # |sin|^0 is 1.0 for every double, NaN included
+            return u
         sin = np.subtract(hidden, setting_angle)
         np.sin(sin, out=sin)
         np.abs(sin, out=sin)

@@ -9,6 +9,8 @@ from boolebell import classical as cl
 from boolebell import correlation
 from boolebell.datasets import check_boole_triple
 
+KINDS = ("uniform", "delta_equal", "delta_opposite")
+
 
 class TestAllergyTable:
     def test_lookup_examples(self):
@@ -179,10 +181,15 @@ class TestSampling:
         ds = cl.sample_pair(m, 1.2, 1.2, seed=4, count=2000)
         assert np.all(ds.data[:, 0] == ds.data[:, 1])
 
-    @pytest.mark.parametrize("kind", ["uniform", "delta_equal", "delta_opposite"])
-    def test_int8_outcomes_match_the_difference_rule(self, kind):
+    @pytest.mark.parametrize("kind, a, b, count", [
+        *(pytest.param(kind, 0.3, 2.2, 50_000, id=kind) for kind in KINDS),
+        *(pytest.param(kind, a, b, count, id=f"{kind}-{a:g}-{b:g}-{count}")
+          for kind in KINDS for a, b, count in (
+              (0.3, 2.2, 1), (0.3, 2.2, cl.SIGN_BLOCK - 1), (0.3, 2.2, cl.SIGN_BLOCK + 1),
+              (1e3, -1e3, 50_000), (-1e6, 1e6, 50_000),
+              (1e7, -1e7, 5_000)))])  # tol = 2^-20 max|x| + 2^-18 reaches 2: float64 only
+    def test_int8_outcomes_match_the_difference_rule(self, kind, a, b, count):
         # the signs compare cos(x) >= r; the rule as stated is cos(x) - r >= 0
-        a, b, count = 0.3, 2.2, 50_000
         phi, s1, s2 = cl.sample_pair_arrays(cl.FactorizableModel(kind), a, b,
                                             np.random.default_rng(6), count)
         rng = np.random.default_rng(6)
@@ -194,6 +201,42 @@ class TestSampling:
         assert s1.dtype == s2.dtype == np.int8
         assert np.array_equal(s1, np.where(np.cos(phi - a) - r >= 0.0, 1, -1))
         assert np.array_equal(s2, np.where(diff2 >= 0.0, 1, -1))
+
+    @pytest.mark.parametrize("anti_aligned", [False, True])
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_thresholds_on_the_cosine_take_the_float64_rule(self, monkeypatch, block,
+                                                            anti_aligned):
+        # every threshold is the float64 cosine or one of its two neighbours,
+        # so the float32 screen can decide none of them
+        if block:   # many blocks, the last one short
+            monkeypatch.setattr(cl, "SIGN_BLOCK", block)
+        rng = np.random.default_rng(12)
+        phi = np.concatenate([rng.uniform(-10.0, 10.0, 30_000),
+                              rng.uniform(-1e3, 1e3, 5000), rng.uniform(-1e6, 1e6, 5000),
+                              np.pi / 2 * np.arange(-8, 9), [0.0]])
+        rng.shuffle(phi)
+        # the last block holds NaN and angles beyond the float32 range
+        phi = np.concatenate([phi, [np.nan, 1e308, -1e308]])
+        x = (phi + np.pi if anti_aligned else phi) - 2.2
+        cos = np.cos(x)
+        r = np.choose(rng.integers(0, 3, phi.size),
+                      [cos, np.nextafter(cos, 2.0), np.nextafter(cos, -2.0)])
+        r[:5] = np.nan
+        got = cl._threshold_signs(phi, 2.2, r, anti_aligned=anti_aligned)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, np.where(np.cos(x) >= r, 1, -1))
+        assert 0 < np.count_nonzero(got == 1) < phi.size
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sample_pair_memory_per_sample(self, kind):
+        count = 10 ** 6
+        tracemalloc.start()
+        try:
+            cl.sample_pair(cl.FactorizableModel(kind), 0.3, 2.2, seed=1, count=count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * count
 
     def test_seed_determinism(self):
         m = cl.FactorizableModel("delta_opposite")

@@ -128,6 +128,15 @@ class TestGeneration:
         assert np.array_equal(raw.t1, np.arange(1.0, 11.0))
         assert np.array_equal(raw.t1, raw.t2)
 
+    @pytest.mark.parametrize("jitter", [0.0, 0.7, 1.0, 2.5])
+    def test_zero_exponent_delays_are_the_scaled_uniforms(self, jitter):
+        # |sin|^0 is 1.0 for every double, NaN included: no sine is taken
+        hidden = np.concatenate([np.random.default_rng(3).uniform(-10.0, 10.0, 999),
+                                 [np.nan]])
+        got = pl.TimingModel(jitter, 0.0).delays(hidden, 0.4, np.random.default_rng(8))
+        want = jitter * np.random.default_rng(8).random(hidden.size)
+        assert got.tobytes() == want.tobytes()
+
     def test_determinism_bit_identical_logs(self, tmp_path):
         source = pl.PairModelSource(cl.FactorizableModel("delta_opposite"))
         timing = pl.TimingModel(jitter=0.3, exponent=2.0)
