@@ -230,25 +230,6 @@ def analytic_correlation(model: FactorizableModel, a: float, b: float) -> float:
     return float(correlation_law(model.mu_kind, d))
 
 
-def common_parameter_fit(model: FactorizableModel, a: float, b: float, c: float):
-    """Search for a shared-parameter product representation of the three pair
-    distributions at settings (a,b), (a,c), (b,c).
-
-    A representation with one parameter shared across all three setting pairs
-    exists exactly when one joint three-variable distribution has the three
-    pair tables as marginals (take the outcome triple itself as the
-    parameter), so the search reduces to the marginal-compatibility
-    feasibility check.  The identical-threshold law always admits one; the
-    opposite-threshold law fails at suitable angles, showing that its pairing
-    of thresholds cannot be rewritten with a single shared parameter.
-    """
-    from .tables import ExpansionCoeffs2, marginals_compatible, synth2
-
-    tabs = [synth2(ExpansionCoeffs2(1.0, 0.0, 0.0, analytic_correlation(model, x, y)))
-            for x, y in ((a, b), (a, c), (b, c))]
-    return marginals_compatible(*tabs)
-
-
 @dataclass(frozen=True)
 class WorstWitness:
     angles: tuple[float, ...]

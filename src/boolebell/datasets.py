@@ -17,6 +17,7 @@ variables, which maps the Boole clauses to ``|F12 +- F13| <= 1 -+ F23``.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 from pathlib import Path
@@ -186,27 +187,121 @@ def write_dataset_csv(ds: DichotomicDataset, path: str | Path) -> None:
         fh.write(dataset_csv_text(ds.data))
 
 
+# bytes per read of read_dataset_csv's block route
+READ_BLOCK = 1 << 20
+
+# the header lines of the form write_dataset_csv writes, with their arity n
+_HEADERS = {",".join(f"s{i}" for i in range(1, n + 1)).encode() + end: n
+            for n in (2, 3, 4) for end in (b"\n", b"\r\n")}
+# no header or line of that form is longer
+_LONGEST_LINE = len(b"+1,+1,+1,+1\r\n")
+_ONE, _COMMA, _CR, _NL, _PLUS, _MINUS = b"1,\r\n+-"
+
+
+def _line_codes(chunk: bytes, n: int) -> np.ndarray | None:
+    """Sign codes of the lines in chunk, or None unless every line is n cells
+    1, +1 or -1 joined by commas and ends in \\n or \\r\\n."""
+    if not chunk:
+        return np.zeros(0, dtype=np.uint8)
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    one, comma, cr, nl, minus = (b == c for c in (_ONE, _COMMA, _CR, _NL, _MINUS))
+    sign = minus | (b == _PLUS)
+    cell = one | sign   # the bytes that may begin a cell
+    # a cell begins the chunk and follows each comma and \n; a sign is followed
+    # by 1, \r by \n, and the chunk ends in \n
+    if not (cell[0] and nl[-1] and np.all((comma | nl)[:-1] <= cell[1:])
+            and np.all(sign[:-1] <= one[1:]) and np.all(cr[:-1] <= nl[1:])):
+        return None
+    # each 1 ends a cell: a comma follows the first n - 1 of a line, \r or \n
+    # the last; so no byte outside the alphabet has a place to stand
+    cells = np.flatnonzero(one)
+    if cells.size % n:
+        return None
+    ends = b[cells + 1].reshape(-1, n)
+    if not (np.all(ends[:, :-1] == _COMMA)
+            and np.all((ends[:, -1] == _CR) | (ends[:, -1] == _NL))):
+        return None
+    # cells[0] - 1 may be -1, which reads the chunk's final \n
+    negative = minus[cells - 1].reshape(-1, n)
+    codes = np.zeros(len(negative), dtype=np.uint8)
+    for col in negative.T:   # sign_codes' bit order
+        codes <<= 1
+        codes |= col
+    return codes
+
+
+def _form_codes(fh) -> tuple[int, np.ndarray] | None:
+    """The arity n and the sign codes of the rows of a binary file in the form
+    of read_dataset_csv's block route, or None for any other file.  The file is
+    read in blocks of READ_BLOCK bytes, each block's partial last line being
+    carried into the next."""
+    n = _HEADERS.get(fh.readline(_LONGEST_LINE))
+    if n is None:
+        return None
+    parts, tail = [], b""
+    while block := fh.read(READ_BLOCK):
+        chunk = tail + block
+        cut = chunk.rfind(b"\n") + 1
+        codes, tail = _line_codes(chunk[:cut], n), chunk[cut:]
+        if codes is None or len(tail) >= _LONGEST_LINE:
+            return None
+        parts.append(codes)
+    if tail:
+        # the last line, lacking its end: one that ends in \r has a lone \r
+        codes = _line_codes(tail + b"\n", n) if tail.endswith(b"1") else None
+        if codes is None:
+            return None
+        parts.append(codes)
+    if not parts:   # no line after the header
+        return None
+    return n, np.concatenate(parts)
+
+
+def read_dataset_csv(path: str | Path) -> DichotomicDataset:
+    """Read a dataset CSV: the header s1..sn, then one row of n values per line.
+
+    A file in the form that write_dataset_csv writes is read in blocks of
+    READ_BLOCK bytes straight to sign codes, one byte per row, and the rows
+    are gathered from the codes; no Python object is made per line or cell.
+    That form is: the header exactly s1,..,sn with n in 2..4; every line
+    exactly n cells, each 1, +1 or -1; every line ending in \\n or \\r\\n,
+    the last one perhaps lacking its end.  Any other file, and any file that
+    cannot seek, such as a pipe, is read from the start by the csv module,
+    which decides what else is accepted and every error message.
+    """
+    with open(path, "rb") as fh:
+        if fh.seekable():
+            found = _form_codes(fh)
+            if found is not None:
+                n, codes = found
+                return DichotomicDataset(sign_rows(n).take(codes, axis=0))
+            fh.seek(0)
+        with io.TextIOWrapper(fh, newline="") as text:
+            return _csv_module_dataset(text, path)
+
+
 # how csv cells parse; any other cell goes through int() and, if it is an
 # integer other than +-1, becomes 0, which DichotomicDataset rejects
 _CELL_VALUES = {"1": 1, "+1": 1, "-1": -1}
 _OTHER = 2
 
 
-def read_dataset_csv(path: str | Path) -> DichotomicDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file, header s1..sn is mandatory")
-            n = len(header)
-            if header != [f"s{i}" for i in range(1, n + 1)]:
-                raise ValueError(f"{path}: header must be s1..s{n}, got {header}")
-            rows = list(reader)
-        except csv.Error as exc:   # an oversized field, a NUL byte, ..
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:   # decoded a block at a time, so no line
-            raise ValueError(f"{path}: {exc}") from None
+def _csv_module_dataset(fh, path: str | Path) -> DichotomicDataset:
+    """The dataset of a CSV text file read by the csv module; the reference
+    for the block route of read_dataset_csv."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, header s1..sn is mandatory")
+        n = len(header)
+        if header != [f"s{i}" for i in range(1, n + 1)]:
+            raise ValueError(f"{path}: header must be s1..s{n}, got {header}")
+        rows = list(reader)
+    except csv.Error as exc:   # an oversized field, a NUL byte, ..
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:   # decoded a block at a time, so no line
+        raise ValueError(f"{path}: {exc}") from None
     widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     wrong_width = np.flatnonzero(widths != n)
     # the rows before the first one of the wrong width; lines are numbered

@@ -154,11 +154,6 @@ def singlet() -> DensityMatrix:
     return pure_state([0.0, inv, -inv, 0.0], 2)
 
 
-def maximally_mixed(n: int) -> DensityMatrix:
-    dim = 2 ** n
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim, n)
-
-
 def as_polarization(x) -> np.ndarray:
     """Validate and return a polarization vector: 3 components, |x| <= 1."""
     x = np.asarray(x, dtype=float)
@@ -176,12 +171,6 @@ def spin_half_state(x) -> DensityMatrix:
     x = as_polarization(x)
     mat = (ID2 + x[0] * SIGMA_X + x[1] * SIGMA_Y + x[2] * SIGMA_Z) / 2.0
     return DensityMatrix(mat, 1)
-
-
-def diag_prob(rho: DensityMatrix) -> ProbabilityTable:
-    """Diagonal of the state in the product basis: the probability of each
-    sign pattern of simultaneous z-projections."""
-    return ProbabilityTable(np.real(np.diag(rho.matrix)).reshape((2,) * rho.n))
 
 
 def correlation_operator(u, v) -> np.ndarray:
@@ -363,12 +352,6 @@ def extended_eprb_sweep(thetas) -> GridSweep:
     return grid_sweep(block, len(thetas), len(thetas))
 
 
-def extended_eprb_prob3_chain(a, b, c) -> ProbabilityTable:
-    """Projector-chain route for arbitrary unit vectors: the left particle is
-    analyzed along a, the right particle along b then c."""
-    return _chain_table(singlet(), ((a, 1), (b, 2), (c, 2)), (0, 1, 2, 1, 0))
-
-
 def extended_eprb_prob4(a, b, c, d) -> tuple[ProbabilityTable, dict[str, float]]:
     """Quadruple-outcome probabilities when both particles pass two analyzer
     stages, left along a then d, right along b then c, in closed form: the
@@ -415,14 +398,6 @@ def _normalize_components(components):
     if any(comp[side].n != 1 for comp in components for side in (1, -1)):
         raise ValueError("components must be single-spin states")
     return w, *(np.stack([comp[side].matrix for comp in components]) for side in (1, -1))
-
-
-def separable_mixture(components) -> DensityMatrix:
-    """Probability-weighted mixture of product states of two single spins."""
-    mat = np.zeros((4, 4), dtype=complex)
-    for w, left, right in zip(*_normalize_components(components)):
-        mat += w * _kron(left, right)
-    return DensityMatrix(mat, 2)
 
 
 # (AB, AC | BC), (AB, BC | AC), (AC, BC | AB): the Boole order with <A1C2> in

@@ -1,0 +1,50 @@
+"""Routes that only the tests read: the dense states, tables and searches the
+tests hold the package's closed forms and stacked kernels against."""
+
+import numpy as np
+
+from boolebell import quantum as q
+from boolebell.classical import FactorizableModel, analytic_correlation
+from boolebell.tables import ExpansionCoeffs2, marginals_compatible, synth2
+
+
+def common_parameter_fit(model: FactorizableModel, a: float, b: float, c: float):
+    """Search for a shared-parameter product representation of the three pair
+    distributions at settings (a,b), (a,c), (b,c).
+
+    A representation with one parameter shared across all three setting pairs
+    exists exactly when one joint three-variable distribution has the three
+    pair tables as marginals (take the outcome triple itself as the
+    parameter), so the search reduces to the marginal-compatibility
+    feasibility check.  The identical-threshold law always admits one; the
+    opposite-threshold law fails at suitable angles, showing that its pairing
+    of thresholds cannot be rewritten with a single shared parameter.
+    """
+    tabs = [synth2(ExpansionCoeffs2(1.0, 0.0, 0.0, analytic_correlation(model, x, y)))
+            for x, y in ((a, b), (a, c), (b, c))]
+    return marginals_compatible(*tabs)
+
+
+def maximally_mixed(n: int) -> q.DensityMatrix:
+    dim = 2 ** n
+    return q.DensityMatrix(np.eye(dim, dtype=complex) / dim, n)
+
+
+def diag_prob(rho: q.DensityMatrix) -> q.ProbabilityTable:
+    """Diagonal of the state in the product basis: the probability of each
+    sign pattern of simultaneous z-projections."""
+    return q.ProbabilityTable(np.real(np.diag(rho.matrix)).reshape((2,) * rho.n))
+
+
+def extended_eprb_prob3_chain(a, b, c) -> q.ProbabilityTable:
+    """Projector-chain route for arbitrary unit vectors: the left particle is
+    analyzed along a, the right particle along b then c."""
+    return q._chain_table(q.singlet(), ((a, 1), (b, 2), (c, 2)), (0, 1, 2, 1, 0))
+
+
+def separable_mixture(components) -> q.DensityMatrix:
+    """Probability-weighted mixture of product states of two single spins."""
+    mat = np.zeros((4, 4), dtype=complex)
+    for w, left, right in zip(*q._normalize_components(components)):
+        mat += w * q._kron(left, right)
+    return q.DensityMatrix(mat, 2)

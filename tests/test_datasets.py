@@ -1,6 +1,9 @@
 """Dataset construction, correlations and the arithmetic clause families."""
 
+import io
 import itertools
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from boolebell import (DichotomicDataset, check_boole_triple,
                        check_boole_triple_anticorrelated, check_chsh,
                        check_pair_bound, correlation, read_dataset_csv,
                        reduce_dataset, write_dataset_csv)
+from boolebell import datasets as dsm
 from boolebell.datasets import correlations
+from boolebell.tables import sign_rows
 
 
 class TestDatasetConstruction:
@@ -282,6 +287,127 @@ class TestCsv:
         path.write_text("+1,-1\n")
         with pytest.raises(ValueError, match="header"):
             read_dataset_csv(path)
+
+
+def _csv_module_outcome(path):
+    """The rows, or the ValueError message, of the csv-module route."""
+    with open(path, newline="") as fh:
+        try:
+            return dsm._csv_module_dataset(fh, path).data.tolist()
+        except ValueError as exc:
+            return str(exc)
+
+
+def _outcome(path):
+    try:
+        return read_dataset_csv(path).data.tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _fuzz_text(rng) -> str:
+    """A header and a body over the alphabet + - 1 , \\r \\n, line by line:
+    mostly in the block route's form, with near misses: a cell that is quoted,
+    spaced, 0, 11 or empty, a line of the wrong width (5 columns included), a
+    blank line, a lone \\r, a missing last line end, and now and then a BOM."""
+    n = int(rng.integers(2, 5))
+    text = ",".join(f"s{i}" for i in range(1, n + 1)) + rng.choice(["\n", "\r\n"])
+    for _ in range(rng.integers(0, 6)):
+        width = n if rng.random() < 0.95 else rng.choice([n - 1, n + 1, 2 * n - 1, 5])
+        cells = [rng.choice(["1", "+1", "-1"]) if rng.random() < 0.98
+                 else rng.choice(['"1"', " 1", "0", "11", "", "+-1"]) for _ in range(width)]
+        end = (rng.choice(["\n", "\r\n"]) if rng.random() < 0.95
+               else rng.choice(["\r", "\r\r\n", "\n\n", "\r\n\r\n", ""]))
+        text += ",".join(cells) + end
+    if rng.random() < 0.25:
+        text = text.rstrip("\r\n") if rng.random() < 0.8 else text[:-1]
+    return ("\ufeff" if rng.random() < 0.02 else "") + text
+
+
+class TestBlockRoute:
+    """read_dataset_csv's block route against the csv-module route."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_block_route_equals_the_csv_module(self, tmp_path, monkeypatch, block):
+        if block:   # lines and \r\n pairs straddle the block edges
+            monkeypatch.setattr(dsm, "READ_BLOCK", block)
+        rng = np.random.default_rng(22)
+        path = tmp_path / "ds.csv"
+        taken, cases = 0, 2000
+        for _ in range(cases):
+            path.write_bytes(_fuzz_text(rng).encode())
+            with open(path, "rb") as fh:
+                found = dsm._form_codes(fh)
+            expected = _csv_module_outcome(path)
+            if found is not None:
+                taken += 1
+                n, codes = found
+                assert sign_rows(n)[codes].tolist() == expected, path.read_bytes()
+            assert _outcome(path) == expected, path.read_bytes()
+        assert 0.3 < taken / cases < 0.7   # both routes are well exercised
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("text", [
+        "s1,s2\n1\n1\n",                 # two short lines
+        "s1,s2,s3\n11,1\n",
+        "s1,s2\n1,11,1\n",
+        "s1,s2\n1,0\n",
+        "s1,s2\n+-1,1\n",
+        "s1,s2\n1,+\n",
+        's1,s2\n"1",1\n',
+        "s1,s2\n1, 1\n",
+        "s1,s2\n1,1\n\n",
+        "s1,s2\n\n1,1\n",
+        "s1,s2\n1,1\r1,1\n",             # lone \r
+        "s1,s2\n1,1\r\r\n",
+        "s1,s2\n1,1\r,1,1\n",
+        "s1,s2\n1,1\r",
+        "s1,s2,s3,s4\n1,1,1,1,1\n",
+        "\ufeffs1,s2\n1,1\n",
+        "s1,s2\n", "s1,s2", "s1\n1\n", "s1,s2,s3,s4,s5\n1,1,1,1,1\n",
+    ])
+    def test_near_misses_take_the_csv_module(self, tmp_path, monkeypatch, block, text):
+        if block:
+            monkeypatch.setattr(dsm, "READ_BLOCK", block)
+        path = tmp_path / "ds.csv"
+        path.write_bytes(text.encode())
+        with open(path, "rb") as fh:
+            assert dsm._form_codes(fh) is None
+        assert _outcome(path) == _csv_module_outcome(path)
+
+    def test_a_line_longer_than_the_form_ends_the_block_route(self, monkeypatch):
+        # the block route stops at once rather than carry the line on
+        monkeypatch.setattr(dsm, "READ_BLOCK", 7)
+        fh = io.BytesIO(b"s1,s2\n" + b"1" * 10 ** 6)
+        assert dsm._form_codes(fh) is None
+        assert fh.tell() < 100
+
+    @pytest.mark.parametrize("body", ["1,-1\n-1,1", '"1",-1\n'])
+    def test_a_pipe_is_read_by_the_csv_module(self, tmp_path, body):
+        # a pipe cannot be read twice, so the block route does not try it
+        path = tmp_path / "ds.csv"
+        path.write_text("s1,s2\n" + body, newline="")
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, path.read_bytes())
+            os.close(write_fd)
+            got = read_dataset_csv(f"/dev/fd/{read_fd}").data.tolist()
+        finally:
+            os.close(read_fd)
+        assert got == _csv_module_outcome(path)
+
+    def test_memory_per_row(self, tmp_path):
+        rows = 10 ** 6
+        rng = np.random.default_rng(3)
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(DichotomicDataset(rng.choice(np.int8([-1, 1]), (rows, 3))), path)
+        tracemalloc.start()
+        try:
+            assert read_dataset_csv(path).m == rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * rows
 
 
 class TestReportJson:

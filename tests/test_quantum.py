@@ -12,6 +12,8 @@ import pytest
 from boolebell import (FuncTable2, FuncTable3, ebbi_check, expand2, expand3,
                        make_clause, make_report, marginals_compatible)
 from boolebell import quantum as q
+from oracles import (diag_prob, extended_eprb_prob3_chain, maximally_mixed,
+                     separable_mixture)
 
 
 def random_direction(rng):
@@ -169,41 +171,41 @@ class TestSinglet:
 
 class TestDiagProb:
     def test_singlet_table(self):
-        p = q.diag_prob(q.singlet())
+        p = diag_prob(q.singlet())
         assert p.value(+1, -1) == pytest.approx(0.5)
         assert p.value(-1, +1) == pytest.approx(0.5)
         assert p.value(+1, +1) == pytest.approx(0.0, abs=1e-14)
         assert p.value(-1, -1) == pytest.approx(0.0, abs=1e-14)
 
     def test_maximally_mixed_single(self):
-        p = q.diag_prob(q.maximally_mixed(1))
+        p = diag_prob(maximally_mixed(1))
         assert p.value(+1) == pytest.approx(0.5)
         assert p.value(-1) == pytest.approx(0.5)
 
     def test_up_up(self):
         psi = np.zeros(4)
         psi[0] = 1.0
-        p = q.diag_prob(q.pure_state(psi, 2))
+        p = diag_prob(q.pure_state(psi, 2))
         assert p.value(+1, +1) == pytest.approx(1.0)
 
     def test_random_states_valid(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 4):
             for _ in range(20):
-                p = q.diag_prob(random_density(rng, n))
+                p = diag_prob(random_density(rng, n))
                 assert np.all(p.p >= -1e-12)
                 assert float(p.p.sum()) == pytest.approx(1.0, abs=1e-10)
 
     def test_tables_compare_by_value(self):
-        p = q.diag_prob(q.singlet())
+        p = diag_prob(q.singlet())
         assert q.ProbabilityTable(p.values.copy()) == p
-        assert q.diag_prob(q.maximally_mixed(2)) != p
-        assert q.ProbabilityTable(np.array([0.5, 0.5])) != q.diag_prob(q.maximally_mixed(2))
+        assert diag_prob(maximally_mixed(2)) != p
+        assert q.ProbabilityTable(np.array([0.5, 0.5])) != diag_prob(maximally_mixed(2))
         assert p != FuncTable2(p.values)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dict_round_trip(self, n):
-        p = q.diag_prob(random_density(np.random.default_rng(n), n))
+        p = diag_prob(random_density(np.random.default_rng(n), n))
         back = q.ProbabilityTable.from_dict(p.to_dict())
         assert type(back) is q.ProbabilityTable and back == p
         grid = q.ProbabilityTable(p.values.copy())
@@ -237,7 +239,7 @@ class TestFilterChains:
 
     def test_mixed_state_same_axis(self):
         a = q.coplanar_direction(0.3)
-        table = q.filter_prob2(q.maximally_mixed(1), a, a)
+        table = q.filter_prob2(maximally_mixed(1), a, a)
         for s1 in (+1, -1):
             for s2 in (+1, -1):
                 assert table.value(s1, s2) == pytest.approx(
@@ -420,9 +422,9 @@ class TestExtendedTriple:
         for _ in range(100):
             ta, tb, tc = rng.uniform(0, 2 * np.pi, 3)
             closed, _ = q.extended_eprb_prob3(ta, tb, tc)
-            chain = q.extended_eprb_prob3_chain(q.coplanar_direction(ta),
-                                                q.coplanar_direction(tb),
-                                                q.coplanar_direction(tc))
+            chain = extended_eprb_prob3_chain(q.coplanar_direction(ta),
+                                              q.coplanar_direction(tb),
+                                              q.coplanar_direction(tc))
             assert np.max(np.abs(closed.p - chain.p)) <= 1e-12
 
     def test_first_pair_marginal_matches_pair_experiment(self):
@@ -472,13 +474,13 @@ class TestSeparable:
     def test_product_state_table(self):
         up = q.spin_half_state([0, 0, 1.0])
         down = q.spin_half_state([0, 0, -1.0])
-        rho = q.separable_mixture([(1.0, up, down)])
-        assert q.diag_prob(rho).value(+1, -1) == pytest.approx(1.0)
+        rho = separable_mixture([(1.0, up, down)])
+        assert diag_prob(rho).value(+1, -1) == pytest.approx(1.0)
 
     def test_classically_correlated_mixture(self):
         up = q.spin_half_state([0, 0, 1.0])
         down = q.spin_half_state([0, 0, -1.0])
-        rho = q.separable_mixture([(0.5, up, up), (0.5, down, down)])
+        rho = separable_mixture([(0.5, up, up), (0.5, down, down)])
         zz = q.correlation_operator([0, 0, 1], [0, 0, 1])
         z1 = q.op_on(q.pauli_dot([0, 0, 1]), 1, 2)
         assert q.expectation(rho, zz) == pytest.approx(1.0, abs=1e-12)
@@ -487,19 +489,19 @@ class TestSeparable:
     def test_bad_weights(self):
         up = q.spin_half_state([0, 0, 1.0])
         with pytest.raises(ValueError):
-            q.separable_mixture([(0.7, up, up), (0.7, up, up)])
+            separable_mixture([(0.7, up, up), (0.7, up, up)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weight_is_refused_by_name(self, bad):
         up = q.spin_half_state([0, 0, 1.0])
         comps = [(1.0, up, up), (bad, up, up)]
         with pytest.raises(ValueError, match=f"weight 1 must be finite, got {bad}"):
-            q.separable_mixture(comps)
+            separable_mixture(comps)
         with pytest.raises(ValueError, match=f"weight 1 must be finite, got {bad}"):
             q.separable_bound_check(comps, [0, 0, 1], [1, 0, 0], [0, 1, 0])
 
     def test_bound_maximally_mixed(self):
-        mixed = q.maximally_mixed(1)
+        mixed = maximally_mixed(1)
         rep = q.separable_bound_check([(1.0, mixed)], [0, 0, 1], [1, 0, 0],
                                       [0, 1, 0])
         assert rep.all_satisfied
@@ -540,7 +542,7 @@ class TestSeparable:
         comp = (1.0, up, up, up)[:size]
         message = r"component must be \(weight, rho\) or \(weight, rho_left, rho_right\)"
         with pytest.raises(ValueError, match=message):
-            q.separable_mixture([comp])
+            separable_mixture([comp])
         with pytest.raises(ValueError, match=message):
             q.separable_bound_check([comp], [0, 0, 1], [1, 0, 0], [0, 1, 0])
 

