@@ -68,6 +68,15 @@ INVOCATIONS = {
     "dataset-2": ["dataset", "--input", "ds2.csv"],
     "leggett-garg-closed": ["leggett-garg", "--omega", "1", "--dt", "0",
                             "1.0471975511965976", "1.0471975511965976", "--seed", "1"],
+    # north-star grids: every CHSH quadruple of 73 and 145 angles
+    "sweep-factorizable-uniform-73": ["sweep", "--what", "factorizable", "--mu", "uniform",
+                                      "--grid", "0", "360", "5"],
+    "sweep-factorizable-equal-73": ["sweep", "--what", "factorizable", "--mu", "equal",
+                                    "--grid", "0", "360", "5"],
+    "sweep-factorizable-opposite-73": ["sweep", "--what", "factorizable", "--mu", "opposite",
+                                       "--grid", "0", "360", "5"],
+    "sweep-factorizable-uniform-145": ["sweep", "--what", "factorizable", "--mu", "uniform",
+                                       "--grid", "0", "720", "5"],
 }
 
 DIGESTS = {
@@ -125,6 +134,14 @@ DIGESTS = {
         "0887d3f992c62faf708cd6d5e2c0aaebc8e75b855bf87afda8bacdbcc20ca976",
     "leggett-garg-closed":
         "1c6143015a4e7501a6702a73e799834f00b9739b3997dd84c8dc0c5bb015b772",
+    "sweep-factorizable-uniform-73":
+        "33c358ee71783b63c3179408a8d91a2c30a0b90eeb1d87c6b0626868bf3f7a4d",
+    "sweep-factorizable-equal-73":
+        "9a8ab9001ac291509bfae5121e022a87974d91d3b5221e46d9f2df801f08ab08",
+    "sweep-factorizable-opposite-73":
+        "b0d06f80da32963fb7143c11a699c6e46218e997a2a1551e671b5467b2241679",
+    "sweep-factorizable-uniform-145":
+        "a9851f3d6c0ecdd4f2f88ac343bee73e3f8b64f10d59113e06bb46b81c817567",
 }
 
 
