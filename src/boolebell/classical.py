@@ -270,28 +270,108 @@ def _scan(family, angles, cols) -> tuple[int, WorstWitness]:
         tuple(float(x[row]) for x in angles), cl.description, cl.lhs, cl.rhs, cl.slack)
 
 
+# elements per block of the CHSH screen: each float64 temporary stays inside
+# the L2 cache, and grids of up to 32 angles are screened in one pass
+CHSH_BLOCK = 1 << 15
+# an a-slab whose candidate triples exceed 1/CHSH_DENSE of its n^2 is
+# evaluated whole, in broadcast form, instead of triple by triple
+CHSH_DENSE = 2
+
+
+def _chsh_pieces(emat: np.ndarray, limit: float):
+    """Exact |S| = |((E[a,b] - E[a,c]) + E[b,d]) + E[c,d]| for a superset of
+    the candidate triples, as (values, triples, exceeds): values[k, d] belongs
+    to the flat triple index triples[k] = (a n + b) n + c, and exceeds is
+    False where no value can be above the limit.
+
+    The screen bounds |S| over every d, for each triple in blocks of a, by
+    max(x + ymax, -(x + ymin)) = |x + (ymax + ymin)/2| + (ymax - ymin)/2,
+    x = E[a,b] - E[a,c] and ymax, ymin the extremes over d of
+    E[b,d] + E[c,d]: within a few ulps of the largest |S|, under 1e-14 for
+    |E| <= 1.  A triple is a candidate when its bound reaches
+    min(M, limit) - margin, M the largest bound so far and the margin
+    2^-40 max(1, max|E|): no other triple can reach the maximum of |S| or
+    exceed the limit.
+    """
+    n = len(emat)
+    margin = 2.0 ** -40 * max(1.0, float(np.abs(emat).max()))
+    rows = min(n, max(1, CHSH_BLOCK // (n * n)))
+    # one block of temporaries serves the sums y, the bounds and, where one
+    # block covers the grid, the dense slabs
+    buf = np.empty(rows * n * n)
+    # y[d, b, c] = E[b,d] + E[c,d]
+    et = np.ascontiguousarray(emat.T)
+    ymax, ymin = np.empty((n, n)), np.empty((n, n))
+    for lo in range(0, n, rows):
+        r = min(rows, n - lo)
+        y = np.add(et[:, lo:lo + r, None], et[:, None, :], out=buf[:r * n * n].reshape(n, r, n))
+        np.maximum.reduce(y, axis=0, out=ymax[lo:lo + r])
+        np.minimum.reduce(y, axis=0, out=ymin[lo:lo + r])
+    mid = ymax + ymin
+    mid /= 2.0
+    half = np.subtract(ymax, ymin, out=ymax)
+    half /= 2.0
+
+    pairs = np.arange(n * n)
+    screen_max, slab = -np.inf, None
+    for lo in range(0, n, rows):
+        r = min(rows, n - lo)
+        bound = np.subtract(emat[lo:lo + r, :, None], emat[lo:lo + r, None, :],
+                            out=buf[:r * n * n].reshape(r, n, n))
+        bound += mid
+        np.abs(bound, out=bound)
+        bound += half
+        top = float(bound.max())
+        screen_max = max(screen_max, top)
+        exceeds = top >= limit - margin
+        cand = (bound >= min(screen_max, limit) - margin).reshape(r, n * n)
+        dense = np.count_nonzero(cand, axis=1) * CHSH_DENSE > n * n
+        for a in np.flatnonzero(dense) + lo:
+            if slab is None:
+                # one block covers the grid: its bounds are spent
+                slab = buf.reshape(n, n, n) if rows == n else np.empty((n, n, n))
+            np.add((emat[a, :, None] - emat[a, None, :])[:, :, None], emat[:, None, :],
+                   out=slab)
+            slab += emat[None, :, :]
+            yield np.abs(slab, out=slab).reshape(n * n, n), a * n * n + pairs, exceeds
+        cand[dense] = False
+        triples = np.flatnonzero(cand) + lo * n * n
+        # n^2/4 triples at a time: the values and one gathered block of rows
+        # take 4 n^3 bytes at most
+        step = max(1, n * n // 4)
+        for i in range(0, len(triples), step):
+            t = triples[i:i + step]
+            a, bc = np.divmod(t, n * n)
+            b, c = np.divmod(bc, n)
+            vals = (emat[a, b] - emat[a, c])[:, None] + emat[b]
+            vals += emat[c]
+            yield np.abs(vals, out=vals), t, exceeds
+
+
 def _chsh_scan(emat: np.ndarray) -> tuple[int, float, tuple[int, int, int, int]]:
     """Violation count, maximum and first argmax in (a, b, c, d) order of
-    |E(a,b) - E(a,c) + E(d,b) + E(d,c)| over the grid, one n^3 slab per a.
+    |E(a,b) - E(a,c) + E(d,b) + E(d,c)| over the grid, in O(n^3) time
+    outside the candidate triples of ``_chsh_pieces``.
 
     emat is symmetric (every law is an even function of a - b); the sum is
     formed as ((E[a,b] - E[a,c]) + E[b,d]) + E[c,d], the association of the
-    full n^4 tensor, so every value is bit-identical to it.
+    full n^4 tensor, and the three results come from the exact values of
+    the candidates alone, so every one is bit-identical to the tensor's.
     """
     n = len(emat)
-    slab = np.empty((n, n, n))
-    count, best, where = 0, -1.0, (0, 0, 0, 0)
-    for a in range(n):
-        np.add((emat[a, :, None] - emat[a, None, :])[:, :, None], emat[:, None, :],
-               out=slab)
-        slab += emat[None, :, :]
-        np.abs(slab, out=slab)
-        count += int(np.count_nonzero(slab > 2.0 + SLACK_TOL))
-        top = float(slab.max())
-        if top > best:
-            best = top
-            where = (a, *(int(i) for i in np.unravel_index(int(slab.argmax()), slab.shape)))
-    return count, best, where
+    limit = 2.0 + SLACK_TOL
+    count, best, where = 0, -1.0, 0
+    for vals, triples, exceeds in _chsh_pieces(emat, limit):
+        if exceeds:
+            count += int(np.count_nonzero(vals > limit))
+        top = float(vals.max())
+        # pieces arrive out of order: a tie keeps the lower flat index
+        if top > best or (top == best and int(triples[0]) * n < where):
+            i = int(vals.argmax())
+            first = int(triples[i // n]) * n + i % n
+            if top > best or first < where:
+                best, where = top, first
+    return count, best, tuple(int(i) for i in np.unravel_index(where, (n,) * 4))
 
 
 def model_inequality_sweep(model: FactorizableModel, grid: Iterable[float],
@@ -303,8 +383,13 @@ def model_inequality_sweep(model: FactorizableModel, grid: Iterable[float],
     E(a,b) - E(a,c) + E(d,b) + E(d,c).
 
     Triples are the ``combinations_with_replacement`` of the grid, in that
-    order; a worst witness is the first clause of minimal slack.  Memory is
-    O(n^3) in the number n of angles: the peak is about 37 n^3 bytes.
+    order; a worst witness is the first clause of minimal slack.  Time is
+    O(n^3) in the number n of angles plus n per CHSH candidate triple (see
+    ``_chsh_pieces``); candidates are a small share of the triples on model
+    grids, but nearly all of them on a grid of a few distinct angles
+    repeated, which costs O(n^4) like the full tensor.  Memory is O(n^3):
+    the peak is about 37 n^3 bytes, set by the Boole families; the CHSH scan
+    takes about 1.2 n^3 bytes at 145 angles, 9 n^3 at most.
     """
     angles = np.array([float(x) for x in grid])
     if not angles.size:

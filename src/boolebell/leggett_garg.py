@@ -144,12 +144,12 @@ def lg_sweep(points: int) -> GridSweep:
         raise ValueError(f"need at least one grid point per axis, got {points}")
     cos2 = np.cos(2.0 * np.linspace(0.0, np.pi, points))
 
-    def block(rows):
+    def inputs(rows):
         row_cos2 = cos2[rows]
         c2, c3 = np.repeat(row_cos2, points), np.tile(cos2, len(row_cos2))
-        return LEGGETT_GARG.slacks(1.0, c2, c3 * c2, c3)
+        return 1.0, c2, c3 * c2, c3
 
-    return grid_sweep(block, points, points)
+    return grid_sweep(LEGGETT_GARG, inputs, points, points)
 
 
 def sample_triples(p: LGParams, m: int, seed: int) -> DichotomicDataset:

@@ -343,13 +343,13 @@ def extended_eprb_sweep(thetas) -> GridSweep:
     (theta_b, theta_c) in thetas x thetas, a block of theta_b rows at a time."""
     thetas = np.asarray(thetas, dtype=float)
 
-    def block(rows):
+    def inputs(rows):
         tb, tc = (x.ravel() for x in np.meshgrid(thetas[rows], thetas, indexing="ij"))
         cba = np.cos(tb)
         ccb = np.cos(tc - tb)
-        return EBBI.slacks(1.0, -cba, -cba * ccb, ccb)
+        return 1.0, -cba, -cba * ccb, ccb
 
-    return grid_sweep(block, len(thetas), len(thetas))
+    return grid_sweep(EBBI, inputs, len(thetas), len(thetas))
 
 
 def extended_eprb_prob4(a, b, c, d) -> tuple[ProbabilityTable, dict[str, float]]:

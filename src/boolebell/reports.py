@@ -132,16 +132,23 @@ def count_violated(slacks: np.ndarray) -> int:
 GRID_BLOCK = 1 << 15   # points per slack block: bounds a grid sweep's memory
 
 
-def grid_sweep(block, rows: int, row_len: int) -> GridSweep:
-    """Summary of a rows x row_len grid whose ``block(row_slice)`` returns
-    the slack matrix of those whole rows; about GRID_BLOCK points are
-    evaluated at a time.  An empty grid is an error."""
+def grid_sweep(family: ClauseFamily, inputs, rows: int, row_len: int) -> GridSweep:
+    """Summary of ``family`` over a rows x row_len grid whose
+    ``inputs(row_slice)`` returns the family's inputs at the points of those
+    whole rows; about GRID_BLOCK points are evaluated at a time.  Slacks are
+    reduced one clause at a time, so no N x k slack matrix is built: at 3,025
+    points of the 17 ``ebbi`` clauses it would take 411 KB.  An empty grid
+    is an error."""
     if rows * row_len == 0:
         raise ValueError("grid must contain at least one point")
     step = max(1, GRID_BLOCK // row_len)
     violations, worst = 0, math.inf
     for start in range(0, rows, step):
-        slacks = block(slice(start, start + step))
-        violations += count_violated(slacks)
-        worst = min(worst, float(slacks.min()))
+        ok, lows = True, []
+        for lhs, rhs in family.terms(*inputs(slice(start, start + step))):
+            slack = rhs - lhs
+            ok &= slack >= -SLACK_TOL
+            lows.append(slack.min())
+        violations += int(np.count_nonzero(~ok))
+        worst = min(worst, float(np.min(lows)))
     return GridSweep(rows * row_len, violations, worst)

@@ -5,6 +5,7 @@ import numpy as np
 
 from boolebell import quantum as q
 from boolebell.classical import FactorizableModel, analytic_correlation
+from boolebell.reports import SLACK_TOL
 from boolebell.tables import ExpansionCoeffs2, marginals_compatible, synth2
 
 
@@ -48,3 +49,24 @@ def separable_mixture(components) -> q.DensityMatrix:
     for w, left, right in zip(*q._normalize_components(components)):
         mat += w * q._kron(left, right)
     return q.DensityMatrix(mat, 2)
+
+
+def chsh_slab_scan(emat):
+    """Violation count, maximum and first argmax in (a, b, c, d) order of
+    |E(a,b) - E(a,c) + E(d,b) + E(d,c)|, one full n^3 slab per a: every one
+    of the n^4 quadruples is evaluated, as
+    ((E[a,b] - E[a,c]) + E[b,d]) + E[c,d]."""
+    n = len(emat)
+    slab = np.empty((n, n, n))
+    count, best, where = 0, -1.0, (0, 0, 0, 0)
+    for a in range(n):
+        np.add((emat[a, :, None] - emat[a, None, :])[:, :, None], emat[:, None, :],
+               out=slab)
+        slab += emat[None, :, :]
+        np.abs(slab, out=slab)
+        count += int(np.count_nonzero(slab > 2.0 + SLACK_TOL))
+        top = float(slab.max())
+        if top > best:
+            best = top
+            where = (a, *(int(i) for i in np.unravel_index(int(slab.argmax()), slab.shape)))
+    return count, best, where

@@ -320,6 +320,29 @@ class TestSweep:
         assert s.chsh_violations == 0
         assert s.chsh_max <= 2.0 + 1e-9
 
+    def test_memory_at_145_angles(self):
+        # the north-star grid, 0 to 720 degrees in 5 degree steps
+        angles = np.radians(np.arange(0.0, 720.0 + 1e-9, 5.0))
+        n = len(angles)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for law in ("uniform", "delta_equal", "delta_opposite"):
+                emat = cl.correlation_law(law, angles[:, None] - angles[None, :])
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                cl._chsh_scan(emat)
+                peaks[law] = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            cl.model_inequality_sweep(cl.FactorizableModel("uniform"), angles)
+            peaks["sweep"] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert n == 145
+        assert max(peaks[law] for law in ("uniform", "delta_equal", "delta_opposite")) < 2 * n ** 3
+        assert peaks["sweep"] <= 37 * n ** 3
+
     def test_witness_survives_modular_reduction(self):
         # the violating witness uses b = a + 2 pi, but the correlation law is
         # 2 pi periodic, so the equivalent in-range triple (a, a, a + pi)
