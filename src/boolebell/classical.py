@@ -307,12 +307,8 @@ def _chsh_pieces(emat: np.ndarray, limit: float):
         y = np.add(et[:, lo:lo + r, None], et[:, None, :], out=buf[:r * n * n].reshape(n, r, n))
         np.maximum.reduce(y, axis=0, out=ymax[lo:lo + r])
         np.minimum.reduce(y, axis=0, out=ymin[lo:lo + r])
-    mid = ymax + ymin
-    mid /= 2.0
-    half = np.subtract(ymax, ymin, out=ymax)
-    half /= 2.0
+    mid, half = (ymax + ymin) / 2.0, (ymax - ymin) / 2.0
 
-    pairs = np.arange(n * n)
     screen_max, slab = -np.inf, None
     for lo in range(0, n, rows):
         r = min(rows, n - lo)
@@ -333,7 +329,7 @@ def _chsh_pieces(emat: np.ndarray, limit: float):
             np.add((emat[a, :, None] - emat[a, None, :])[:, :, None], emat[:, None, :],
                    out=slab)
             slab += emat[None, :, :]
-            yield np.abs(slab, out=slab).reshape(n * n, n), a * n * n + pairs, exceeds
+            yield np.abs(slab, out=slab).reshape(n * n, n), a * n * n + np.arange(n * n), exceeds
         cand[dense] = False
         triples = np.flatnonzero(cand) + lo * n * n
         # n^2/4 triples at a time: the values and one gathered block of rows
