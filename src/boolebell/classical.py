@@ -32,7 +32,7 @@ import numpy as np
 
 from .datasets import (BOOLE_TRIPLE, BOOLE_TRIPLE_ANTICORRELATED,
                        DichotomicDataset)
-from .reports import SLACK_TOL, count_violated
+from .reports import SLACK_TOL, grid_sweep
 
 MuKind = Literal["uniform", "delta_equal", "delta_opposite"]
 
@@ -260,14 +260,17 @@ class SweepSummary:
                 for name, value in vars(self).items()}
 
 
-def _scan(family, angles, cols) -> tuple[int, WorstWitness]:
-    """Points with a violated clause, and the first clause of minimal slack
-    in (point, clause) order, rebuilt as a single-point report."""
-    slacks = family.slacks(*cols)
-    row, col = np.unravel_index(int(np.argmin(slacks)), slacks.shape)
-    cl = family.report(*(x[row] for x in cols)).clauses[col]
-    return count_violated(slacks), WorstWitness(
-        tuple(float(x[row]) for x in angles), cl.description, cl.lhs, cl.rhs, cl.slack)
+def _scan(family, angles, emat, triples) -> tuple[int, WorstWitness]:
+    """Triples with a violated clause, and the first clause of minimal slack
+    in (triple, clause) order, rebuilt as a single-point report."""
+    def cols(block):   # a slice of the triples, or one triple
+        a, b, c = (x[block] for x in triples)
+        return emat[a, b], emat[a, c], emat[b, c]
+
+    s = grid_sweep(family, cols, len(triples[0]))
+    cl = family.report(*cols(s.worst_point)).clauses[s.worst_clause]
+    return s.violations, WorstWitness(tuple(float(angles[x[s.worst_point]]) for x in triples),
+                                      cl.description, cl.lhs, cl.rhs, cl.slack)
 
 
 # elements per block of the CHSH screen: each float64 temporary stays inside
@@ -384,23 +387,26 @@ def model_inequality_sweep(model: FactorizableModel, grid: Iterable[float],
     ``_chsh_pieces``); candidates are a small share of the triples on model
     grids, but nearly all of them on a grid of a few distinct angles
     repeated, which costs O(n^4) like the full tensor.  Memory is O(n^3):
-    the peak is about 37 n^3 bytes, set by the Boole families; the CHSH scan
-    takes about 1.2 n^3 bytes at 145 angles, 9 n^3 at most.
+    the Boole families gather their correlations one block of triples at a
+    time (``reports.grid_sweep``), so past a few MB of block temporaries
+    their peak is set by the triple indices: 5.95 n^3 bytes at 145 angles,
+    5.1 n^3 at 300.  These are freed before the CHSH scan, which takes about
+    1.2 n^3 bytes at 145 angles and 8.8 n^3 on 120 angles alternating 0, pi.
     """
     angles = np.array([float(x) for x in grid])
     if not angles.size:
         raise ValueError("grid must contain at least one angle")
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("angles must be finite")
+    # a NaN or infinite angle or difference makes the span NaN or infinite
+    if not math.isfinite(float(angles.max()) - float(angles.min())):
+        raise ValueError(f"the angles and their differences must be finite, got "
+                         f"angles from {angles.min()} to {angles.max()}")
     emat = correlation_law(model.mu_kind, angles[:, None] - angles[None, :])
     n = len(angles)
-    r = np.arange(n)
-    ia, ib, ic = np.nonzero((r[:, None, None] <= r[None, :, None])
-                            & (r[None, :, None] <= r[None, None, :]))
-    triples = (angles[ia], angles[ib], angles[ic])
-    cols = (emat[ia, ib], emat[ia, ic], emat[ib, ic])
-    bell_count, worst_bell = _scan(BOOLE_TRIPLE_ANTICORRELATED, triples, cols)
-    boole_count, worst_boole = _scan(BOOLE_TRIPLE, triples, cols)
+    le = np.less_equal.outer(np.arange(n), np.arange(n))
+    triples = np.nonzero(le[:, :, None] & le)   # a <= b <= c
+    bell_count, worst_bell = _scan(BOOLE_TRIPLE_ANTICORRELATED, angles, emat, triples)
+    boole_count, worst_boole = _scan(BOOLE_TRIPLE, angles, emat, triples)
+    del triples  # free the indices before the CHSH scan
 
     n_quads, chsh_count, chsh_max, worst_chsh = 0, 0, 0.0, None
     if chsh:
@@ -410,6 +416,6 @@ def model_inequality_sweep(model: FactorizableModel, grid: Iterable[float],
             tuple(float(angles[i]) for i in quad),
             "|E(a,b) - E(a,c) + E(d,b) + E(d,c)| <= 2",
             chsh_max, 2.0, 2.0 - chsh_max)
-    return SweepSummary(model.mu_kind, len(ia), bell_count, worst_bell,
+    return SweepSummary(model.mu_kind, math.comb(n + 2, 3), bell_count, worst_bell,
                         boole_count, worst_boole, n_quads, chsh_count,
                         chsh_max, worst_chsh)

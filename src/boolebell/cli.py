@@ -360,11 +360,13 @@ def cmd_epr_pipeline(args) -> dict:
                         for name, rep in reports.items()}}
 
 
-# model_inequality_sweep peaks at about 37 n^3 bytes for n angles (measured for
-# n = 50..150), so 300 angles stay near 1 GB
+# model_inequality_sweep peaks at about 6 n^3 bytes for n angles (9 n^3 on a
+# degenerate grid), 137 MB at 300; the limit bounds time: a degenerate grid's
+# CHSH recheck is O(n^4), 10 s at 200 angles (2-core x86-64), about a minute at 300
 MAX_FACTORIZABLE_ANGLES = 300
-# the grid sweeps evaluate whole rows, so memory stays at about GRID_BLOCK
-# points only while an axis holds at most that many
+# the two other sweeps evaluate flat blocks of GRID_BLOCK points whatever the
+# axis length, so memory stays bounded; the limit bounds time: 32,768^2 points
+# take about 80 s at the 0.08 us a point of leggett-garg (2-core x86-64)
 MAX_AXIS_POINTS = GRID_BLOCK
 
 

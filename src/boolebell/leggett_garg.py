@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import DichotomicDataset, require_in_unit_interval
-from .reports import ClauseFamily, GridSweep, InequalityReport, grid_sweep
+from .reports import ClauseFamily, GridSweep, InequalityReport, grid_sweep, product_axes
 from .tables import (EBBI, chain_coeffs, draw_rows, pair_coefficients, sign_codes,
                      sign_transform)
 
@@ -139,17 +139,16 @@ def lg_inequality_check(k12: float, k13: float, k23: float) -> InequalityReport:
 def lg_sweep(points: int) -> GridSweep:
     """The triple inequality family over the grid omega*dt2, omega*dt3 in
     linspace(0, pi, points)^2 (dt1 = 0), from the closed-form correlations
-    of ``lg_triple_correlations``, a block of omega*dt2 rows at a time."""
+    of ``lg_triple_correlations``."""
     if points < 1:
         raise ValueError(f"need at least one grid point per axis, got {points}")
     cos2 = np.cos(2.0 * np.linspace(0.0, np.pi, points))
 
-    def inputs(rows):
-        row_cos2 = cos2[rows]
-        c2, c3 = np.repeat(row_cos2, points), np.tile(cos2, len(row_cos2))
+    def inputs(block):
+        c2, c3 = product_axes(cos2, cos2, block)
         return 1.0, c2, c3 * c2, c3
 
-    return grid_sweep(LEGGETT_GARG, inputs, points, points)
+    return grid_sweep(LEGGETT_GARG, inputs, points * points)
 
 
 def sample_triples(p: LGParams, m: int, seed: int) -> DichotomicDataset:

@@ -30,7 +30,8 @@ import numpy as np
 
 from .datasets import (InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated)
-from .reports import ClauseFamily, GridSweep, boole_terms, grid_sweep, six_descriptions
+from .reports import (ClauseFamily, GridSweep, boole_terms, grid_sweep, product_axes,
+                      six_descriptions)
 from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
                      SignTable, chain_coeffs, check_weights, marginals_compatible,
                      pair_coefficients, sign_rows, sign_transform)
@@ -339,17 +340,20 @@ def extended_eprb_prob3(theta_a: float, theta_b: float, theta_c: float,
 
 def extended_eprb_sweep(thetas) -> GridSweep:
     """The ``ebbi`` family on the coefficients (1, -cba, -cba ccb, ccb) of
-    ``extended_eprb_prob3`` with theta_a = 0, over every
-    (theta_b, theta_c) in thetas x thetas, a block of theta_b rows at a time."""
+    ``extended_eprb_prob3`` with theta_a = 0, over thetas x thetas."""
     thetas = np.asarray(thetas, dtype=float)
+    # a NaN or infinite angle or difference makes the span NaN or infinite
+    if thetas.size and not math.isfinite(float(thetas.max()) - float(thetas.min())):
+        raise ValueError(f"the angles and their differences must be finite, got "
+                         f"angles from {thetas.min()} to {thetas.max()}")
 
-    def inputs(rows):
-        tb, tc = (x.ravel() for x in np.meshgrid(thetas[rows], thetas, indexing="ij"))
+    def inputs(points):
+        tb, tc = product_axes(thetas, thetas, points)
         cba = np.cos(tb)
         ccb = np.cos(tc - tb)
         return 1.0, -cba, -cba * ccb, ccb
 
-    return grid_sweep(EBBI, inputs, len(thetas), len(thetas))
+    return grid_sweep(EBBI, inputs, thetas.size ** 2)
 
 
 def extended_eprb_prob4(a, b, c, d) -> tuple[ProbabilityTable, dict[str, float]]:

@@ -74,7 +74,7 @@ class ClauseFamily:
     """A clause family written once.  ``terms(*inputs)`` returns one
     ``(lhs, rhs)`` pair per description, built from abs, +, - and * only, so
     the same IEEE operations run on floats (``report``) and elementwise on
-    numpy arrays of N points (``slacks``: an N x k matrix, no ``Clause``)."""
+    numpy arrays of points (``grid_sweep``, no ``Clause``)."""
 
     name: str
     descriptions: tuple[str, ...]
@@ -84,9 +84,6 @@ class ClauseFamily:
         return make_report(self.name, [
             make_clause(d, lhs, rhs)
             for d, (lhs, rhs) in zip(self.descriptions, self.terms(*inputs))])
-
-    def slacks(self, *inputs) -> np.ndarray:
-        return np.stack([rhs - lhs for lhs, rhs in self.terms(*inputs)], axis=-1)
 
 
 BOOLE_ORDER = ((1, 2, 3), (3, 1, 2), (2, 3, 1))
@@ -117,38 +114,42 @@ def weak_terms(x, y, z, bound):
 @dataclass(frozen=True)
 class GridSweep:
     """A clause family over a grid: points, points with a violated clause,
-    and the smallest slack of any clause at any point."""
+    and the slack, point index and clause index of the worst clause."""
 
     points: int
     violations: int
     worst_slack: float
-
-
-def count_violated(slacks: np.ndarray) -> int:
-    """Rows of an N x k slack matrix with at least one violated clause."""
-    return int(np.count_nonzero(~(slacks >= -SLACK_TOL).all(axis=-1)))
+    worst_point: int
+    worst_clause: int
 
 
 GRID_BLOCK = 1 << 15   # points per slack block: bounds a grid sweep's memory
 
 
-def grid_sweep(family: ClauseFamily, inputs, rows: int, row_len: int) -> GridSweep:
-    """Summary of ``family`` over a rows x row_len grid whose
-    ``inputs(row_slice)`` returns the family's inputs at the points of those
-    whole rows; about GRID_BLOCK points are evaluated at a time.  Slacks are
-    reduced one clause at a time, so no N x k slack matrix is built: at 3,025
-    points of the 17 ``ebbi`` clauses it would take 411 KB.  An empty grid
-    is an error."""
-    if rows * row_len == 0:
+def product_axes(x: np.ndarray, y: np.ndarray, points: slice):
+    """x[p // len(y)] and y[p % len(y)] for the flat indices p in ``points``;
+    repeating and tiling the rows it touches costs less than dividing p."""
+    first, skip = divmod(points.start, len(y))
+    rows = x[first:-(-points.stop // len(y))]
+    stop = skip + points.stop - points.start
+    return np.repeat(rows, len(y))[skip:stop], np.tile(y, len(rows))[skip:stop]
+
+
+def grid_sweep(family: ClauseFamily, inputs, points: int) -> GridSweep:
+    """Summary of ``family`` over ``points`` points, GRID_BLOCK at a time,
+    ``inputs(point_slice)`` giving its inputs; slacks are reduced one clause
+    at a time, with no N x k matrix.  The worst clause is the first of
+    minimal slack in (point, clause) order, the sign of a zero kept.  Slacks
+    must not be NaN; an empty grid is an error."""
+    if points == 0:
         raise ValueError("grid must contain at least one point")
-    step = max(1, GRID_BLOCK // row_len)
-    violations, worst = 0, math.inf
-    for start in range(0, rows, step):
-        ok, lows = True, []
-        for lhs, rhs in family.terms(*inputs(slice(start, start + step))):
+    violations, worst = 0, (math.inf, 0, 0)
+    for start in range(0, points, GRID_BLOCK):
+        ok, block = True, slice(start, min(start + GRID_BLOCK, points))
+        for k, (lhs, rhs) in enumerate(family.terms(*inputs(block))):
             slack = rhs - lhs
             ok &= slack >= -SLACK_TOL
-            lows.append(slack.min())
+            i = int(np.argmin(slack))
+            worst = min(worst, (float(slack[i]), start + i, k))
         violations += int(np.count_nonzero(~ok))
-        worst = min(worst, float(np.min(lows)))
-    return GridSweep(rows * row_len, violations, worst)
+    return GridSweep(points, violations, *worst)

@@ -341,7 +341,9 @@ class TestSweep:
             tracemalloc.stop()
         assert n == 145
         assert max(peaks[law] for law in ("uniform", "delta_equal", "delta_opposite")) < 2 * n ** 3
-        assert peaks["sweep"] <= 37 * n ** 3
+        # the triple indices set the peak (5.95 n^3); the Boole scans gather
+        # one block of triples at a time
+        assert peaks["sweep"] < 8 * n ** 3
 
     def test_witness_survives_modular_reduction(self):
         # the violating witness uses b = a + 2 pi, but the correlation law is

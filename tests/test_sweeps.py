@@ -128,9 +128,22 @@ def ref_model_sweep(model, grid, chsh):
 
 
 def ref_grid(reports) -> GridSweep:
+    """Points, violated points and the first clause of minimal slack in
+    (point, clause) order: a tuple minimum keeps the earlier of two ties."""
     reports = list(reports)
-    return GridSweep(len(reports), sum(not r.all_satisfied for r in reports),
-                     min(r.worst_clause().slack for r in reports))
+    worst = min((c.slack, point, k) for point, r in enumerate(reports)
+                for k, c in enumerate(r.clauses))
+    return GridSweep(len(reports), sum(not r.all_satisfied for r in reports), *worst)
+
+
+def float_bits(x) -> int:
+    """The IEEE bits of x, so that -0.0 and 0.0 differ."""
+    return int(np.float64(x).view(np.int64))
+
+
+def assert_same_sweep(sweep, ref):
+    assert sweep == ref
+    assert float_bits(sweep.worst_slack) == float_bits(ref.worst_slack)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +196,17 @@ class TestKernel:
 
     def test_array_slacks_equal_report_slacks(self):
         cols = np.array(POINTS, dtype=float).T
-        slacks = tables.EBBI.slacks(1.0, *cols)
-        assert slacks.shape == (len(POINTS), 17)
-        for row, point in zip(slacks, POINTS):
-            assert list(row) == [c.slack for c in tables.ebbi_check(1.0, *point).clauses]
+        slacks = [rhs - lhs for lhs, rhs in tables.EBBI.terms(1.0, *cols)]
+        assert len(slacks) == 17
+        for i, point in enumerate(POINTS):
+            assert [float_bits(s[i]) for s in slacks] == \
+                [float_bits(c.slack) for c in tables.ebbi_check(1.0, *point).clauses]
+
+
+@pytest.fixture(params=[None, 7, 1], ids=["one block", "blocks of 7", "blocks of 1"])
+def block(request, monkeypatch):
+    if request.param:
+        monkeypatch.setattr(reports, "GRID_BLOCK", request.param)
 
 
 SWEEP_GRIDS = {
@@ -219,6 +239,17 @@ class TestModelSweep:
         assert cl.model_inequality_sweep(model, grid, chsh=True) == \
             ref_model_sweep(model, grid, chsh=True)
 
+    # the tests above run in one block; these cross block edges, ties included
+    @pytest.mark.parametrize("block", [7, 1], ids=["blocks of 7", "blocks of 1"],
+                             indirect=True)
+    @pytest.mark.parametrize("mu", ["uniform", "delta_equal", "delta_opposite"])
+    @pytest.mark.parametrize("grid", [*SWEEP_GRIDS.values(), [0.0, np.pi, 0.0, np.pi]],
+                             ids=[*SWEEP_GRIDS.keys(), "ties"])
+    def test_blocks_equal_scalar_reference(self, mu, grid, block):
+        model = cl.FactorizableModel(mu)
+        assert cl.model_inequality_sweep(model, grid, chsh=False) == \
+            ref_model_sweep(model, grid, chsh=False)
+
     def test_rejects_empty_and_non_finite_grids(self):
         model = cl.FactorizableModel("uniform")
         with pytest.raises(ValueError):
@@ -241,11 +272,6 @@ class TestModelSweep:
 
 
 class TestGridSweeps:
-    @pytest.fixture(params=[None, 7, 1], ids=["one block", "blocks of 7", "blocks of 1"])
-    def block(self, request, monkeypatch):
-        if request.param:
-            monkeypatch.setattr(reports, "GRID_BLOCK", request.param)
-
     @pytest.mark.parametrize("step_deg", [30.0, 45.0])
     def test_extended_eprb_equals_scalar_reference(self, step_deg, block):
         thetas = np.arange(0.0, 2.0 * np.pi - 1e-9, math.radians(step_deg))
@@ -253,7 +279,7 @@ class TestGridSweeps:
                                          -math.cos(tb) * math.cos(tc - tb),
                                          math.cos(tc - tb))
                        for tb in thetas for tc in thetas)
-        assert quantum.extended_eprb_sweep(thetas) == ref
+        assert_same_sweep(quantum.extended_eprb_sweep(thetas), ref)
 
     @pytest.mark.parametrize("points", [12, 13])
     def test_leggett_garg_equals_scalar_reference(self, points, block):
@@ -261,13 +287,43 @@ class TestGridSweeps:
         ref = ref_grid(lg.lg_inequality_check(
             *lg.lg_triple_correlations(lg.LGParams(1.0, 0.0, w2, w3)))
             for w2 in ts for w3 in ts)
-        assert lg.lg_sweep(points) == ref
+        assert_same_sweep(lg.lg_sweep(points), ref)
 
     def test_empty_grids_rejected(self):
         with pytest.raises(ValueError):
             quantum.extended_eprb_sweep(np.array([]))
         with pytest.raises(ValueError):
             lg.lg_sweep(0)
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [-1e308, 1e308], [np.inf, 1.0],
+                                      [1.0, -np.inf]])
+    def test_non_finite_grids_refused_before_any_slack(self, grid):
+        # an overflowing difference would warn, and a NaN slack would fall
+        # out of the minimum and leave a wrong witness
+        match = r"^the angles and their differences must be finite, got angles from "
+        with pytest.raises(ValueError, match=match):
+            quantum.extended_eprb_sweep(grid)
+        with pytest.raises(ValueError, match=match):
+            cl.model_inequality_sweep(cl.FactorizableModel("uniform"), grid)
+
+    # a two-clause family whose slacks are its inputs: 0 <= x and 0 <= y
+    TOY = reports.ClauseFamily("toy", ("0 <= x", "0 <= y"), lambda x, y: ((0.0, x), (0.0, y)))
+
+    @pytest.mark.parametrize("cells, worst, violations", [
+        # ties at -1 in both clauses, inside a block and in later blocks
+        ({(9, 1): -1.0, (12, 0): -1.0, (12, 1): -1.0, (15, 0): -1.0}, (-1.0, 9, 1), 3),
+        # zero slacks of both signs: the first one keeps its sign
+        ({(2, 1): -0.0, (3, 0): 0.0, (10, 1): 0.0}, (-0.0, 2, 1), 0),
+        ({(5, 0): 0.0, (5, 1): -0.0, (9, 0): -0.0}, (0.0, 5, 0), 0),
+    ])
+    def test_first_minimum_in_point_then_clause_order(self, cells, worst, violations, block):
+        slacks = np.ones((2, 16))
+        for (point, clause), value in cells.items():
+            slacks[clause, point] = value
+        expected = GridSweep(16, violations, *worst)
+        assert_same_sweep(ref_grid(self.TOY.report(*col) for col in slacks.T), expected)
+        assert_same_sweep(reports.grid_sweep(self.TOY, lambda points: slacks[:, points], 16),
+                          expected)
 
 
 class TestNonFiniteClauses:
