@@ -24,11 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .reports import (BOOLE_ORDER, ClauseFamily, InequalityReport, boole_terms,
-                      six_descriptions, weak_terms)
+from .reports import (BOOLE_ORDER, SLACK_TOL, ClauseFamily, InequalityReport,
+                      boole_terms, six_descriptions, weak_terms)
 from .tables import pair_coefficients, sign_codes, sign_rows, sign_transform
-
-_RANGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ def correlation(ds: DichotomicDataset, i: int, j: int) -> PairCorrelation:
 
 def require_in_unit_interval(name_value_pairs):
     for name, value in name_value_pairs:
-        if not np.isfinite(value) or abs(value) > 1.0 + _RANGE_TOL:
+        if not np.isfinite(value) or abs(value) > 1.0 + SLACK_TOL:
             raise ValueError(f"{name}={value} outside [-1, 1]")
 
 

@@ -126,7 +126,7 @@ def lg_pair_correlations(p: LGParams) -> tuple[float, float, float]:
     return e, ehat, etilde
 
 
-LEGGETT_GARG = ClauseFamily("leggett_garg", EBBI.descriptions, EBBI.terms)
+LEGGETT_GARG = ClauseFamily("leggett_garg", EBBI.descriptions, EBBI.terms, EBBI.e0)
 
 
 def lg_inequality_check(k12: float, k13: float, k23: float) -> InequalityReport:

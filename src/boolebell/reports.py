@@ -2,9 +2,9 @@
 
 Every inequality family in this package reports its result as an
 InequalityReport, a flat list of clauses ``lhs <= rhs`` with the slack
-``rhs - lhs``.  A clause passes when its slack is at least -SLACK_TOL, so
-exact boundary cases (slack 0) count as satisfied and floating-point dust
-cannot produce false violations.
+``rhs - lhs``.  A clause passes when its slack is at least -SLACK_TOL times
+the inputs' total |e0| (1 for correlations), so boundary cases count as
+satisfied and floating-point dust cannot produce false violations at any scale.
 """
 
 from __future__ import annotations
@@ -54,14 +54,14 @@ class NonFiniteClauseError(ValueError):
     """A clause whose slack is not finite; the message names the clause."""
 
 
-def make_clause(description: str, lhs: float, rhs: float) -> Clause:
+def make_clause(description: str, lhs: float, rhs: float, total: float = 1.0) -> Clause:
     lhs = float(lhs)
     rhs = float(rhs)
     slack = rhs - lhs
     if not math.isfinite(slack):   # so lhs and rhs are finite too
         raise NonFiniteClauseError(
             f"clause {description!r} is not finite: lhs={lhs}, rhs={rhs}")
-    return Clause(description, lhs, rhs, slack >= -SLACK_TOL, slack)
+    return Clause(description, lhs, rhs, slack >= -SLACK_TOL * abs(float(total)), slack)
 
 
 def make_report(family: str, clauses: Iterable[Clause]) -> InequalityReport:
@@ -79,10 +79,12 @@ class ClauseFamily:
     name: str
     descriptions: tuple[str, ...]
     terms: Callable
+    e0: int | None = None   # the position of the inputs' total; None: it is 1
 
     def report(self, *inputs) -> InequalityReport:
+        total = 1.0 if self.e0 is None else inputs[self.e0]
         return make_report(self.name, [
-            make_clause(d, lhs, rhs)
+            make_clause(d, lhs, rhs, total)
             for d, (lhs, rhs) in zip(self.descriptions, self.terms(*inputs))])
 
 
@@ -145,10 +147,11 @@ def grid_sweep(family: ClauseFamily, inputs, points: int) -> GridSweep:
         raise ValueError("grid must contain at least one point")
     violations, worst = 0, (math.inf, 0, 0)
     for start in range(0, points, GRID_BLOCK):
-        ok, block = True, slice(start, min(start + GRID_BLOCK, points))
-        for k, (lhs, rhs) in enumerate(family.terms(*inputs(block))):
+        ok, args = True, inputs(slice(start, min(start + GRID_BLOCK, points)))
+        floor = -SLACK_TOL * (1.0 if family.e0 is None else abs(args[family.e0]))
+        for k, (lhs, rhs) in enumerate(family.terms(*args)):
             slack = rhs - lhs
-            ok &= slack >= -SLACK_TOL
+            ok &= slack >= floor
             i = int(np.argmin(slack))
             worst = min(worst, (float(slack[i]), start + i, k))
         violations += int(np.count_nonzero(~ok))

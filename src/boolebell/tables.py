@@ -41,9 +41,6 @@ import numpy as np
 from .reports import (BOOLE_ORDER, SLACK_TOL, ClauseFamily, InequalityReport,
                       boole_terms, six_descriptions, weak_terms)
 
-NONNEG_TOL = 1e-12
-MATCH_TOL = 1e-12
-
 # ---------------------------------------------------------------------------
 # The sign grid {+1,-1}^n: index 0 <-> S=+1, variable 1 slowest, keys "+-..";
 # coefficient e_T sits where the index is 1 exactly for the variables in T.
@@ -169,7 +166,7 @@ class SignTable:
         return float(self.values.reshape(-1)[sign_codes(*signs)])
 
     def is_nonnegative(self) -> bool:
-        return bool(self.values.min() >= -NONNEG_TOL)
+        return bool(self.values.min() >= -SLACK_TOL * np.abs(self.values).sum())
 
     def to_dict(self) -> dict:
         return dict(zip(_sign_keys(self.n), self.values.ravel().tolist()))
@@ -271,7 +268,8 @@ def synth3(c: ExpansionCoeffs3) -> FuncTable3:
 
 THEOREM1 = ClauseFamily(
     "theorem1", ("0 <= e0", "|e1 + e2| <= e0 + e12", "|e1 - e2| <= e0 - e12"),
-    lambda e0, e1, e2, e12: ((0.0, e0), (abs(e1 + e2), e0 + e12), (abs(e1 - e2), e0 - e12)))
+    lambda e0, e1, e2, e12: ((0.0, e0), (abs(e1 + e2), e0 + e12), (abs(e1 - e2), e0 - e12)),
+    e0=0)
 
 
 def theorem1_check(c: ExpansionCoeffs2) -> InequalityReport:
@@ -299,7 +297,7 @@ EBBI = ClauseFamily(
     + six_descriptions("|e{i}{j} {s} e{i}{k}| <= e0 {s} e{j}{k}", BOOLE_ORDER)
     + tuple(f"-3 e0 <= -(s1 s2) e12 - (s1 s3) e13 - (s2 s3) e23 at ({''.join(p)})"
             for p in product("+-", repeat=3)),
-    _ebbi_terms)
+    _ebbi_terms, e0=0)
 
 
 def ebbi_check(e0: float, e12: float, e13: float, e23: float) -> InequalityReport:
@@ -328,13 +326,13 @@ _E_INTERCHANGES = (("e", "ehat", "etilde"), ("e", "etilde", "ehat"), ("etilde", 
 
 THEOREM3 = ClauseFamily(
     "theorem3", six_descriptions("|{i} {s} {j}| <= 3 e0 - |{k}|", _E_INTERCHANGES),
-    lambda e, ehat, etilde, e0: weak_terms(e, ehat, etilde, 3.0 * e0))
+    lambda e, ehat, etilde, e0: weak_terms(e, ehat, etilde, 3.0 * e0), e0=3)
 
 # The interchange order (e, ehat | etilde), (e, etilde | ehat), (etilde, ehat | e)
 # is the Boole order with e in the 13 slot and ehat in the 12 slot.
 MARGINAL_COMPATIBILITY = ClauseFamily(
     "marginal_compatibility", six_descriptions("|{i} {s} {j}| <= e0 {s} {k}", _E_INTERCHANGES),
-    lambda e, ehat, etilde, e0: boole_terms(ehat, e, etilde, e0))
+    lambda e, ehat, etilde, e0: boole_terms(ehat, e, etilde, e0), e0=3)
 
 
 def theorem3_check(e: float, ehat: float, etilde: float, e0: float) -> InequalityReport:
@@ -344,7 +342,7 @@ def theorem3_check(e: float, ehat: float, etilde: float, e0: float) -> Inequalit
     if not np.isfinite(e0) or e0 < 0.0:
         raise ValueError(f"e0 must be non-negative, got {e0}")
     for name, value in (("e", e), ("ehat", ehat), ("etilde", etilde)):
-        if abs(value) > e0 + SLACK_TOL:
+        if abs(value) > e0 + SLACK_TOL * e0:
             raise ValueError(f"|{name}|={abs(value)} exceeds e0={e0}")
     return THEOREM3.report(e, ehat, etilde, e0)
 
@@ -386,7 +384,7 @@ class CompatibilityResult:
         free triple coefficient is bounded entrywise; it is set to 0 when the
         admissible interval contains 0 and to the interval midpoint otherwise,
         and the interval is returned alongside the table.  It is empty when
-        its ends cross by more than 1e-12 max(1, e0).
+        its ends cross by more than SLACK_TOL |e0|.
         """
         if not self.compatible:
             raise IncompatibleMarginalsError(self.failures)
@@ -396,7 +394,7 @@ class CompatibilityResult:
         base = sign_transform(ExpansionCoeffs3(*fixed, 0.0).grid()).ravel()
         even = sign_rows(3).prod(axis=1) > 0
         lo, hi = float(np.max(-base[even])), float(np.min(base[~even]))
-        if lo > hi + NONNEG_TOL * max(1.0, c.e0):
+        if lo > hi + SLACK_TOL * abs(c.e0):
             raise IncompatibleMarginalsError(
                 (f"empty admissible interval for the triple coefficient "
                  f"[{lo}, {hi}]",))
@@ -412,9 +410,8 @@ def marginals_compatible(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
 
     Three independently checked conditions: each table is entrywise
     non-negative; the shared coefficients match (e0 common, e1=ehat1,
-    e2=etilde1, ehat2=etilde2) to within 1e-12 max(1, e0); and the pair
-    coefficients satisfy |e +- ehat| <= e0 +- etilde together with its two
-    interchanges.
+    e2=etilde1, ehat2=etilde2); and |e +- ehat| <= e0 +- etilde with its two
+    interchanges.  Each may miss by SLACK_TOL times the total (|e0|, a table's mass).
     """
     c, chat, ctilde = coeffs = tuple(expand2(t) for t in (f, fhat, ftilde))
     failures = []
@@ -429,7 +426,7 @@ def marginals_compatible(f: FuncTable2, fhat: FuncTable2, ftilde: FuncTable2,
         ("e2 = etilde1", c.e2, ctilde.e1),
         ("ehat2 = etilde2", chat.e2, ctilde.e2),
     ):
-        if abs(a - b) > MATCH_TOL * max(1.0, c.e0):
+        if abs(a - b) > SLACK_TOL * abs(c.e0):
             failures.append(f"coefficient mismatch {desc}: {a} vs {b}")
     report = MARGINAL_COMPATIBILITY.report(c.e12, chat.e12, ctilde.e12, c.e0)
     for clause in report.violated_clauses():
