@@ -25,6 +25,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,9 @@ from .tables import (FuncTable3, chain_coeffs, draw_rows, pair_coefficients, sig
 EVENT_PERIOD = 1.0
 # event pairs rendered per write by RawDataset.write_csv
 WRITE_BLOCK = 4096
-# event pairs per bincount in run_three_settings: the block's temporaries
-# stay well inside the CPU caches
-REDUCE_BLOCK = 1 << 16
+# event pairs per block of run_three_settings's counts pass: the block's
+# temporaries stay well inside the CPU caches
+REDUCE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,25 @@ class SettingPair:
 @dataclass(frozen=True)
 class TimingModel:
     """Detection delay law: delay = jitter * u * |sin(hidden - setting)|^exponent
-    with u ~ U[0,1) per station and event.  Default is zero delay."""
+    with u ~ U[0,1) per station and event.  Default is zero delay.
+
+    ``delays`` computes them in float64, and only the event log needs those
+    bits.  The counts of ``run_three_settings`` need only |t1 - t2| <= W,
+    which a float32 screen decides (``_coincident``): at an exponent e > 0
+    the gap g is formed from fl32(jitter u) |sin fl32(x)|^e, x = hidden -
+    setting, and decides wherever it lies farther than B from W.  B bounds
+    the error for every pair of a block:
+      - the sine moves by delta = 2^-22 max|x| + 2^-20 at most: the float32
+        cast of x by 2^-24 |x|, numpy's float32 sine by about 2^-24;
+      - the power by e delta for e >= 1 and by delta^e (its Holder growth)
+        for 0 < e < 1; the float32 and float64 powers add 2^-19;
+      - the float32 products, difference and W -+ B add 2^-20 jitter, and
+        the float64 roundings of t = alpha + d and t1 - t2 2^-50 (alpha +
+        jitter).
+    Every other pair takes the float64 rule, and so does every pair of a
+    block whose B is NaN or not below jitter / 4, or whose jitter lies
+    beyond 2^100, where float32 may not hold it.  A window beyond
+    jitter + B keeps every pair of a screened block."""
 
     jitter: float = 0.0
     exponent: float = 0.0
@@ -74,19 +93,18 @@ class TimingModel:
             raise ValueError("jitter and exponent must be non-negative")
 
     def delays(self, hidden: np.ndarray, setting_angle: float,
-               rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(hidden.size)
-        # (jitter * u) * |sin(hidden - setting)| ** exponent, in place; `**=`
-        # keeps the fast paths (square, sqrt, ..) that `**` takes
-        u *= self.jitter
+               scaled: np.ndarray) -> np.ndarray:
+        """The delays of the scaled uniforms jitter * u, computed in place."""
         if self.exponent == 0.0:  # |sin|^0 is 1.0 for every double, NaN included
-            return u
+            return scaled
+        # (jitter * u) * |sin(hidden - setting)| ** exponent; `**=` keeps the
+        # fast paths (square, sqrt, ..) that `**` takes
         sin = np.subtract(hidden, setting_angle)
         np.sin(sin, out=sin)
         np.abs(sin, out=sin)
         sin **= self.exponent
-        u *= sin
-        return u
+        scaled *= sin
+        return scaled
 
 
 class TripleProcessSource:
@@ -214,6 +232,32 @@ class RawDataset:
                           (self.s1, self.t1, self.s2, self.t2, self.pair)))]))
 
 
+def _children(schedule: list[SettingPair], m: int, seed: int) -> list:
+    """One child seed per schedule entry, plus one for a random schedule."""
+    if m < 1:
+        raise ValueError("need at least one event pair")
+    if not schedule:
+        raise ValueError("schedule must not be empty")
+    return np.random.SeedSequence(int(seed)).spawn(len(schedule) + 1)
+
+
+def _entry_draws(source, pair: SettingPair, timing: TimingModel,
+                 rng: np.random.Generator, count: int):
+    """The draws of one schedule entry's count event pairs, in the stream
+    order that every route shares: the outcomes and hidden orientations,
+    then, at a non-zero jitter, each station's scaled uniforms jitter * u.
+    Returns s1, s2 and one (hidden, setting angle, jitter * u) per station,
+    or no stations at zero jitter, where the delays are zero."""
+    s1, s2, h1, h2 = source.draw(pair.left, pair.right, rng, count)
+    stations = []
+    if timing.jitter != 0.0:
+        for hidden, setting in ((h1, pair.left), (h2, pair.right)):
+            scaled = rng.random(count)
+            scaled *= timing.jitter
+            stations.append((hidden, setting.angle, scaled))
+    return s1, s2, stations
+
+
 def generate_events(source, schedule: list[SettingPair], m: int,
                     timing: TimingModel, seed: int,
                     schedule_mode: str = "round_robin") -> RawDataset:
@@ -221,14 +265,10 @@ def generate_events(source, schedule: list[SettingPair], m: int,
     schedule or are chosen per event at random (seeded); outcomes, hidden
     orientations and delays are drawn from per-pair child generators derived
     from the master seed, so equal seeds give bit-identical datasets."""
-    if m < 1:
-        raise ValueError("need at least one event pair")
-    if not schedule:
-        raise ValueError("schedule must not be empty")
+    children = _children(schedule, m, seed)
     if schedule_mode not in ("round_robin", "random"):
         raise ValueError(f"unknown schedule mode {schedule_mode!r}")
     n_pairs = len(schedule)
-    children = np.random.SeedSequence(int(seed)).spawn(n_pairs + 1)
     code = np.min_scalar_type(n_pairs - 1)
     if schedule_mode == "round_robin":
         assignment = np.tile(np.arange(n_pairs, dtype=code), -(-m // n_pairs))[:m]
@@ -246,12 +286,10 @@ def generate_events(source, schedule: list[SettingPair], m: int,
         count = s1[rows].size
         if count == 0:
             continue
-        rng = np.random.default_rng(children[p])
-        s1[rows], s2[rows], h1, h2 = source.draw(pair.left, pair.right, rng, count)
-        # zero delays change no time, and rng draws nothing after them
-        if timing.jitter != 0.0:
-            t1[rows] += timing.delays(h1, pair.left.angle, rng)
-            t2[rows] += timing.delays(h2, pair.right.angle, rng)
+        s1[rows], s2[rows], stations = _entry_draws(
+            source, pair, timing, np.random.default_rng(children[p]), count)
+        for t, station in zip((t1, t2), stations):
+            t[rows] += timing.delays(*station)
     return RawDataset(s1, t1, s2, t2, assignment, tuple(schedule))
 
 
@@ -284,29 +322,89 @@ class ThreeSettingsReport:
     boole_anticorrelated: InequalityReport | None
     verdict_direct: str | None
     verdict_anticorrelated: str | None
-    # the event pairs the report was computed from
-    raw: RawDataset = field(repr=False, compare=False)
+    # generate_events's arguments for the event pairs the report counts
+    events: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def raw(self) -> RawDataset:
+        """The event pairs the report was computed from, generated on first
+        access: the run's draws again, now with their float64 times."""
+        return generate_events(*self.events)
 
 
-def _coincidence_counts(raw: RawDataset, window: float) -> np.ndarray:
-    """Coincidences per schedule index and outcome pair, in one pass: one
-    2x2 count grid of (S1, S2) per schedule index, in sign-grid order, over
-    the event pairs with |t1 - t2| <= window.  A NaN gap fails the
-    comparison and is dropped, as in ``coincidence_filter``."""
-    # codes 4 pair + sign_codes(S1, S2); code 4 n_pairs is the discard bin
-    n_pairs = len(raw.schedule)
-    discard = 4 * n_pairs
-    counts = np.zeros(discard + 1, dtype=np.int64)
-    for lo in range(0, raw.m, REDUCE_BLOCK):
-        block = slice(lo, lo + REDUCE_BLOCK)
-        codes = raw.pair[block].astype(np.min_scalar_type(discard))
-        codes *= 4
-        codes += sign_codes(raw.s1[block], raw.s2[block])
-        gap = np.subtract(raw.t1[block], raw.t2[block])
-        np.abs(gap, out=gap)
-        np.putmask(codes, ~(gap <= window), discard)
-        counts += np.bincount(codes, minlength=discard + 1)
-    return counts[:-1].reshape(n_pairs, 2, 2)
+def _coincident(stations, block: slice, first: int, step: int,
+                timing: TimingModel, window: float) -> np.ndarray:
+    """|t1 - t2| <= window for the event pairs ``block`` of one schedule
+    entry, whose j-th pair has alpha = first + step * j, by the float64 rule
+    of ``generate_events`` and ``coincidence_filter`` (a NaN gap dropped),
+    behind the float32 screen that ``TimingModel`` describes."""
+    j = np.arange(block.start, block.start + stations[0][2][block].size)
+
+    def exact(rows):
+        alpha = (rows * step + first) * EVENT_PERIOD
+        t1, t2 = (alpha + timing.delays(h[rows], angle, v[rows]) for h, angle, v in stations)
+        return np.abs(t1 - t2) <= window
+
+    jitter, e = timing.jitter, timing.exponent
+    if e == 0.0:  # the delays are the scaled uniforms: no sine to screen
+        return exact(j)
+    xs = [np.subtract(h[block], angle) for h, angle, _ in stations]
+
+    def power_error(x):
+        delta = 2.0 ** -22 * float(np.abs(x).max()) + 2.0 ** -20
+        return (e * delta if e >= 1.0 else delta ** e) + 2.0 ** -19
+
+    bound = jitter * (power_error(xs[0]) + power_error(xs[1]) + 2.0 ** -20) \
+        + 2.0 ** -50 * ((j[-1] * step + first) * EVENT_PERIOD + jitter)
+    if not (bound < jitter / 4 and jitter < 2.0 ** 100):
+        return exact(j)
+    if window - bound >= jitter:
+        return np.ones(j.size, dtype=bool)
+    d1, d2 = (_float32_delay(x, v[block], e) for x, (_, _, v) in zip(xs, stations))
+    np.subtract(d1, d2, out=d1)
+    np.abs(d1, out=d1)
+    keep = d1 <= np.float32(window - bound)
+    near = j[~keep & (d1 <= np.float32(window + bound))]
+    keep[near - block.start] = exact(near)
+    return keep
+
+
+def _float32_delay(x: np.ndarray, scaled: np.ndarray, exponent: float) -> np.ndarray:
+    """fl32(scaled) * |sin fl32(x)|^exponent, all in float32."""
+    d = np.sin(x.astype(np.float32))
+    np.abs(d, out=d)
+    d **= exponent
+    d *= scaled.astype(np.float32)
+    return d
+
+
+def _window_counts(source, schedule: list[SettingPair], m: int, timing: TimingModel,
+                   seed: int, window: float) -> np.ndarray:
+    """The coincidences of ``generate_events(source, schedule, m, timing,
+    seed)`` per schedule index and outcome pair: one 2x2 count grid of
+    (S1, S2) per schedule index, in sign-grid order, over the event pairs
+    with |t1 - t2| <= window, a NaN gap dropped.  Each entry's draws are
+    those of the event log, and the window is decided in blocks of
+    REDUCE_BLOCK pairs by ``_coincident``; no event time is stored."""
+    children = _children(schedule, m, seed)
+    n_pairs = len(schedule)
+    # code 4 is the discard bin
+    counts = np.zeros((n_pairs, 5), dtype=np.int64)
+    for p, pair in enumerate(schedule):
+        count = len(range(p, m, n_pairs))
+        if count == 0:
+            continue
+        s1, s2, stations = _entry_draws(source, pair, timing,
+                                        np.random.default_rng(children[p]), count)
+        for lo in range(0, count, REDUCE_BLOCK):
+            block = slice(lo, lo + REDUCE_BLOCK)
+            codes = sign_codes(s1[block], s2[block])
+            if stations:  # at zero jitter every gap is 0
+                np.putmask(codes, ~_coincident(stations, block, p + 1, n_pairs,
+                                               timing, window), 4)
+            counts[p] += np.bincount(codes, minlength=5)
+        del s1, s2, stations  # free this entry's draws before the next entry's
+    return counts[:, :4].reshape(n_pairs, 2, 2)
 
 
 def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
@@ -314,12 +412,16 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
                        seed: int) -> ThreeSettingsReport:
     """Schedule the setting pairs (a,b), (a,c), (b,c), generate M event
     pairs, window-filter each setting pair and evaluate the inequality
-    families on the three filtered correlations.  The generated events are
-    returned with the report (``raw``).
+    families on the three filtered correlations.
 
-    All three setting pairs are reduced in one pass over the events; the
-    counts and the integer correlation numerators are exact, so the values
-    equal those of ``coincidence_filter`` and ``correlation`` per pair.
+    The events are counted, not stored: each schedule entry makes the draws
+    of ``generate_events``, and a float32 delay screen decides the window
+    wherever its error bound allows (see ``TimingModel``); near-ties, NaN
+    gaps and blocks it cannot bound take the float64 rule.  So the counts,
+    and the integer correlation numerators, equal those of
+    ``coincidence_filter`` and ``correlation`` per pair on the generated
+    events, which ``raw`` generates, with their float64 times, on first
+    access.
 
     The pair-bound check holds for any three correlations.  The two Boole
     checks test the triples hypothesis in the direct and in the
@@ -329,9 +431,9 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     _check_window(window)
     a, b, c = Setting("a", angle_a), Setting("b", angle_b), Setting("c", angle_c)
     schedule = [SettingPair(a, b), SettingPair(a, c), SettingPair(b, c)]
-    raw = generate_events(source, schedule, m, timing, seed)
+    events = (source, schedule, m, timing, seed)
     counts, corr, empties = {}, {}, []
-    for pair, grid in zip(schedule, _coincidence_counts(raw, window)):
+    for pair, grid in zip(schedule, _window_counts(*events, window)):
         key = "".join(pair.key)
         counts[key] = kept = int(grid.sum())
         if kept == 0:
@@ -340,7 +442,7 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
             corr[key] = pair_coefficients(sign_transform(grid))[(1, 2)] / kept
     if empties:
         return ThreeSettingsReport(counts, None, tuple(empties),
-                                   None, None, None, None, None, raw)
+                                   None, None, None, None, None, events)
     f_ab, f_ac, f_bc = corr["ab"], corr["ac"], corr["bc"]
     direct = check_boole_triple(f_ab, f_ac, f_bc)
     anti = check_boole_triple_anticorrelated(f_ab, f_ac, f_bc)
@@ -352,4 +454,4 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     return ThreeSettingsReport(
         counts, corr, (),
         check_pair_bound(f_ab, f_ac, f_bc), direct, anti,
-        verdict(direct), verdict(anti), raw)
+        verdict(direct), verdict(anti), events)

@@ -6,7 +6,7 @@ import numpy as np
 from boolebell import quantum as q
 from boolebell.classical import FactorizableModel, analytic_correlation
 from boolebell.reports import SLACK_TOL
-from boolebell.tables import ExpansionCoeffs2, marginals_compatible, synth2
+from boolebell.tables import ExpansionCoeffs2, marginals_compatible, sign_codes, synth2
 
 
 def common_parameter_fit(model: FactorizableModel, a: float, b: float, c: float):
@@ -70,3 +70,19 @@ def chsh_slab_scan(emat):
             best = top
             where = (a, *(int(i) for i in np.unravel_index(int(slab.argmax()), slab.shape)))
     return count, best, where
+
+
+def coincidence_counts(raw, window: float) -> np.ndarray:
+    """Coincidences per schedule index and outcome pair, in one pass over the
+    stored event times: one 2x2 count grid of (S1, S2) per schedule index,
+    in sign-grid order, over the event pairs with |t1 - t2| <= window.  A
+    NaN gap fails the comparison and is dropped, as in
+    ``coincidence_filter``."""
+    # codes 4 pair + sign_codes(S1, S2); code 4 n_pairs is the discard bin
+    n_pairs = len(raw.schedule)
+    discard = 4 * n_pairs
+    codes = raw.pair.astype(np.min_scalar_type(discard))
+    codes *= 4
+    codes += sign_codes(raw.s1, raw.s2)
+    np.putmask(codes, ~(np.abs(raw.t1 - raw.t2) <= window), discard)
+    return np.bincount(codes, minlength=discard + 1)[:-1].reshape(n_pairs, 2, 2)

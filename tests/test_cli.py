@@ -187,6 +187,23 @@ class TestSubcommands:
         assert env["values"]["points"] == 144
         assert env["values"]["violations"] == 0
 
+    @pytest.mark.parametrize("log", [False, True])
+    def test_event_times_are_generated_only_for_the_log(self, capsys, tmp_path,
+                                                        monkeypatch, log):
+        # the report counts the events without their times; the log's
+        # --events-out generates them once
+        from boolebell import pipeline
+        calls = []
+        generate = pipeline.generate_events
+        monkeypatch.setattr(pipeline, "generate_events",
+                            lambda *a, **k: calls.append(a) or generate(*a, **k))
+        argv = ["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120",
+                "--window", "0.3", "--jitter", "1", "--jitter-exponent", "2.7",
+                "--samples", "3000", "--seed", "5"]
+        env = run_json(capsys, argv + (["--events-out", str(tmp_path / "e.csv")] if log else []))
+        assert len(calls) == (1 if log else 0)
+        assert env == run_json(capsys, argv)
+
     def test_events_out_writes_the_events_of_the_run(self, capsys, tmp_path, monkeypatch):
         from boolebell import pipeline
         calls = []

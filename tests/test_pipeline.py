@@ -10,6 +10,7 @@ import pytest
 from boolebell import classical as cl
 from boolebell import pipeline as pl
 from boolebell import construct_g3, correlation, expand3
+from oracles import coincidence_counts
 
 
 def make_triple_source(rng=None):
@@ -61,6 +62,20 @@ def reference_events(source, schedule, m, timing, seed, schedule_mode):
         t1[rows] += delays(h1, pair.left.angle, rng)
         t2[rows] += delays(h2, pair.right.angle, rng)
     return s1, t1, s2, t2, assignment
+
+
+def _no_screen(*args):
+    raise AssertionError("screened a block that float32 cannot hold")
+
+
+def assert_counts_equal_the_oracle(rep, raw, window):
+    grids = coincidence_counts(raw, window)
+    kept = grids.sum(axis=(1, 2))
+    assert rep.counts == dict(zip(("ab", "ac", "bc"), kept.tolist()))
+    if rep.correlations is not None:
+        for key, grid in zip(("ab", "ac", "bc"), grids):
+            assert rep.correlations[key] == (grid[0, 0] + grid[1, 1] - grid[0, 1]
+                                             - grid[1, 0]) / grid.sum()
 
 
 SOURCES = {
@@ -133,8 +148,8 @@ class TestGeneration:
         # |sin|^0 is 1.0 for every double, NaN included: no sine is taken
         hidden = np.concatenate([np.random.default_rng(3).uniform(-10.0, 10.0, 999),
                                  [np.nan]])
-        got = pl.TimingModel(jitter, 0.0).delays(hidden, 0.4, np.random.default_rng(8))
         want = jitter * np.random.default_rng(8).random(hidden.size)
+        got = pl.TimingModel(jitter, 0.0).delays(hidden, 0.4, want.copy())
         assert got.tobytes() == want.tobytes()
 
     def test_determinism_bit_identical_logs(self, tmp_path):
@@ -263,7 +278,9 @@ class TestCoincidenceFilter:
 
 class TestRunThreeSettings:
     def test_peak_memory_per_pair(self):
-        # the 19 stored bytes per pair plus one schedule entry's draws
+        # no event time is stored: one schedule entry's draws (a third of the
+        # pairs, 26 bytes each: two outcomes, the hidden angle and two scaled
+        # uniforms) plus one block's temporaries
         m = 10 ** 6
         tracemalloc.start()
         try:
@@ -272,7 +289,7 @@ class TestRunThreeSettings:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 31 * m
+        assert peak < 11.5 * m
 
     # with 60 pairs and seed 27, the 0.02 window empties exactly one setting
     # pair for every source
@@ -298,10 +315,86 @@ class TestRunThreeSettings:
         assert rep.correlations == (None if empties else corr)
         assert len(empties) == (1 if window == 0.02 else 0)
 
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("exponent", [0.0, 0.1, 0.5, 1.0, 2.0, 2.7, 4.0])
+    @pytest.mark.parametrize("name", list(SOURCES))
+    def test_screened_counts_equal_the_float64_rule(self, monkeypatch, name, exponent, block):
+        # the delay screen against the stored float64 times: a window equal to
+        # a real gap keeps that pair, and the float below it drops it
+        if block:   # screen in several blocks, the last one short
+            monkeypatch.setattr(pl, "REDUCE_BLOCK", block)
+        angles, m, seed = (0.3, 1.4, -2.0), 400, 31
+        for jitter in (1e-9, 1.0, 1e300):
+            if jitter == 1e300:  # beyond float32: every block takes the float64 rule
+                monkeypatch.setattr(pl, "_float32_delay", _no_screen)
+            timing = pl.TimingModel(jitter, exponent)
+            raw = pl.generate_events(SOURCES[name], standard_schedule(angles), m, timing, seed)
+            gap = float(np.abs(raw.t1 - raw.t2)[m // 2])
+            for window in (math.inf, gap, float(np.nextafter(gap, 0.0))):
+                if window > 0.0:
+                    assert_counts_equal_the_oracle(
+                        pl.run_three_settings(*angles, SOURCES[name], timing, m, window, seed),
+                        raw, window)
+
+    @pytest.mark.parametrize("exponent", [0.0, 0.5, 2.7])
+    @pytest.mark.parametrize("name", [name for name in SOURCES if name != "singlet"])
+    def test_screen_passes_nan_settings_to_the_float64_rule(self, name, exponent):
+        # NaN delays at setting a unless the exponent is 0, where they are
+        # jitter * u; the singlet source refuses a NaN angle
+        angles, timing = (math.nan, 1.0, 2.0), pl.TimingModel(1.0, exponent)
+        raw = pl.generate_events(SOURCES[name], standard_schedule(angles), 300, timing, 8)
+        for window in (math.inf, 0.3):
+            rep = pl.run_three_settings(*angles, SOURCES[name], timing, 300, window, seed=8)
+            assert_counts_equal_the_oracle(rep, raw, window)
+            assert (rep.counts["ab"] == 0) == (exponent != 0.0)
+
+    @pytest.mark.parametrize("exponent", [0.5, 2.7])
+    def test_screen_bound_holds_for_large_angles_near_sine_zeros(self, exponent):
+        # x = hidden - setting within 1e-3 of k pi, |x| up to 1e4: the float32
+        # cast moves x by up to 2^-24 |x|, and the small sines by as much
+        rng = np.random.default_rng(17)
+        n = 2000
+        x = np.round(rng.uniform(0.0, 3000.0, n)) * np.pi + rng.uniform(-1e-3, 1e-3, n)
+        stations = [(x + 0.5, 0.5, rng.random(n)), (rng.uniform(0.0, 6.0, n), 0.0, rng.random(n))]
+        timing = pl.TimingModel(1.0, exponent)
+        t1, t2 = (np.arange(1, n + 1) + timing.delays(h, angle, v.copy())
+                  for h, angle, v in stations)
+        gap = np.abs(t1 - t2)
+        for w in gap[rng.integers(0, n, 40)]:
+            for window in (w, np.nextafter(w, 0.0)):
+                got = pl._coincident(stations, slice(0, n), 1, 1, timing, window)
+                assert np.array_equal(got, gap <= window)
+
+    def test_window_beyond_the_jitter_keeps_only_gaps_within_it(self):
+        # 300 + jitter rounds up to 17,593 ulps of 300: the gap exceeds a
+        # window equal to the jitter by rounding alone
+        jitter = 17592.7 * 2.0 ** -44
+        stations = [(np.array([np.pi / 2]), 0.0, np.array([jitter])),
+                    (np.array([0.0]), 0.0, np.array([0.0]))]
+        timing = pl.TimingModel(jitter, 1.0)
+        gap = (300.0 + jitter) - 300.0
+        assert gap > jitter
+        for window in (jitter, gap):
+            got = pl._coincident(stations, slice(0, 1), 300, 3, timing, window)
+            assert got.tolist() == [gap <= window]
+
+    def test_screen_decides_most_pairs(self, monkeypatch):
+        # the float64 delays run only for the near-ties of the screen
+        rows = []
+        delays = pl.TimingModel.delays
+        monkeypatch.setattr(pl.TimingModel, "delays",
+                            lambda self, h, angle, v: rows.append(v.size) or delays(self, h, angle, v))
+        rep = pl.run_three_settings(0.0, 1.0, 2.0, SOURCES["uniform"],
+                                    pl.TimingModel(1.0, 2.7), 30_000, 0.3, seed=4)
+        assert 0 < sum(rows) < 0.001 * 2 * 30_000
+        assert rep == pl.run_three_settings(0.0, 1.0, 2.0, SOURCES["uniform"],
+                                            pl.TimingModel(1.0, 2.7), 30_000, 0.3, seed=4)
+        assert_counts_equal_the_oracle(rep, rep.raw, 0.3)
+
     def test_counts_are_sign_grids_per_schedule_entry(self):
         raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 300,
                                  pl.TimingModel(1.0, 1.0), seed=3)
-        counts = pl._coincidence_counts(raw, 0.5)
+        counts = coincidence_counts(raw, 0.5)
         assert counts.shape == (3, 2, 2)
         kept = np.abs(raw.t1 - raw.t2) <= 0.5
         for p in range(3):
@@ -324,6 +417,7 @@ class TestRunThreeSettings:
         def boom(*args, **kwargs):
             raise AssertionError("generated events for an invalid window")
         monkeypatch.setattr(pl, "generate_events", boom)
+        monkeypatch.setattr(pl, "_entry_draws", boom)
         for window in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="window must be positive"):
                 pl.run_three_settings(0.0, 1.0, 2.0, pl.SingletSource(),
