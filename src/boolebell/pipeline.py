@@ -97,12 +97,14 @@ class TimingModel:
         """The delays of the scaled uniforms jitter * u, computed in place."""
         if self.exponent == 0.0:  # |sin|^0 is 1.0 for every double, NaN included
             return scaled
-        # (jitter * u) * |sin(hidden - setting)| ** exponent; `**=` keeps the
-        # fast paths (square, sqrt, ..) that `**` takes
+        # (jitter * u) * |sin(hidden - setting)| ** exponent
         sin = np.subtract(hidden, setting_angle)
         np.sin(sin, out=sin)
         np.abs(sin, out=sin)
-        sin **= self.exponent
+        if self.exponent in (0.5, 1.0, 2.0):  # `**=` takes sqrt, a copy or the square
+            sin **= self.exponent
+        else:  # numpy's float64 power kernels differ by an ulp between SIMD targets
+            np.float_power(sin, self.exponent, out=sin)
         scaled *= sin
         return scaled
 

@@ -48,7 +48,7 @@ def reference_events(source, schedule, m, timing, seed, schedule_mode):
         u = rng.random(hidden.size)
         if timing.jitter == 0.0:
             return np.zeros(hidden.size)
-        return timing.jitter * u * np.abs(np.sin(hidden - angle)) ** timing.exponent
+        return timing.jitter * u * np.float_power(np.abs(np.sin(hidden - angle)), timing.exponent)
 
     s1, s2 = np.empty(m, dtype=np.int8), np.empty(m, dtype=np.int8)
     t1 = np.arange(1, m + 1) * pl.EVENT_PERIOD

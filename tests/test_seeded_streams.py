@@ -54,16 +54,16 @@ PIPELINE_DIGESTS = {
         "e9deaa39a158169dbe6a05d265ec50631a49fb36692e6d1e2e4eb04c0bd72fba"),
 }
 # --window 0.3 --jitter 0.5 --jitter-exponent 2.7: a non-integer exponent
-# does not take numpy's integer-power fast paths, and a jitter other than 1
-# pins the scaling of the delays
+# takes libm's pow through np.float_power, and a jitter other than 1 pins
+# the scaling of the delays
 FRACTIONAL_EXPONENT = ("0.3", "--jitter", "0.5", "--jitter-exponent", "2.7")
 FRACTIONAL_EXPONENT_DIGESTS = {
     "singlet": (
         "0523727b9b769cf008ccefb7f60915220d0c1b44b019e7024b5a6404d7ad29fe",
-        "2d99a7bd1f80f33b51d2fd8179fe20be74a6bc5faedf19910fc8c2028e6ce0c0"),
+        "a86395bbda2a313ab614e0e7a758d76b6dd41b82eafe09993daec10b5520a5e6"),
     "triple": (
         "4b3d5fe16d0325346f4e2fa72c50ebed86d90dbe9b934935d8baa7f058f90e34",
-        "6de35a454b6f6a81f9133d5c8be972f756a82b331edc4338134d7e2b33ad507f"),
+        "8e475dc0594dc906d1afdd0c0b1de56c2b31b2224439ebbc30e0a69ee3eff0a6"),
     "pair:uniform": (
         "9b667f74d20880f6486ca3f4894dec9ebde576431495a32bae6e5a16f7b755ae",
         "7be39d8d6f78d97f2197e1ade4c36532d117db33e2037f300ae875b2d86ff3de"),
