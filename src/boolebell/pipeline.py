@@ -248,16 +248,18 @@ def _entry_draws(source, pair: SettingPair, timing: TimingModel,
     """The draws of one schedule entry's count event pairs, in the stream
     order that every route shares: the outcomes and hidden orientations,
     then, at a non-zero jitter, each station's scaled uniforms jitter * u.
-    Returns s1, s2 and one (hidden, setting angle, jitter * u) per station,
-    or no stations at zero jitter, where the delays are zero."""
+    Returns s1, s2 and an iterator of one (hidden, setting angle,
+    jitter * u) per station, which draws each station's uniforms when it
+    reaches it; it is empty at zero jitter, where the delays are zero."""
     s1, s2, h1, h2 = source.draw(pair.left, pair.right, rng, count)
-    stations = []
-    if timing.jitter != 0.0:
+
+    def stations():
         for hidden, setting in ((h1, pair.left), (h2, pair.right)):
             scaled = rng.random(count)
             scaled *= timing.jitter
-            stations.append((hidden, setting.angle, scaled))
-    return s1, s2, stations
+            yield hidden, setting.angle, scaled
+
+    return s1, s2, stations() if timing.jitter != 0.0 else iter(())
 
 
 def generate_events(source, schedule: list[SettingPair], m: int,
@@ -290,6 +292,7 @@ def generate_events(source, schedule: list[SettingPair], m: int,
             continue
         s1[rows], s2[rows], stations = _entry_draws(
             source, pair, timing, np.random.default_rng(children[p]), count)
+        # one station's uniforms and delays at a time
         for t, station in zip((t1, t2), stations):
             t[rows] += timing.delays(*station)
     return RawDataset(s1, t1, s2, t2, assignment, tuple(schedule))
@@ -398,6 +401,7 @@ def _window_counts(source, schedule: list[SettingPair], m: int, timing: TimingMo
             continue
         s1, s2, stations = _entry_draws(source, pair, timing,
                                         np.random.default_rng(children[p]), count)
+        stations = list(stations)
         for lo in range(0, count, REDUCE_BLOCK):
             block = slice(lo, lo + REDUCE_BLOCK)
             codes = sign_codes(s1[block], s2[block])
