@@ -76,8 +76,8 @@ class TimingModel:
       - the power by e delta for e >= 1 and by delta^e (its Holder growth)
         for 0 < e < 1; the float32 and float64 powers add 2^-19;
       - the float32 products, difference and W -+ B add 2^-20 jitter, and
-        the float64 roundings of t = alpha + d and t1 - t2 2^-50 (alpha +
-        jitter).
+        the float64 roundings of t = alpha + d and of t1 - t2 add
+        2^-50 (alpha + jitter).
     Every other pair takes the float64 rule, and so does every pair of a
     block whose B is NaN or not below jitter / 4, or whose jitter lies
     beyond 2^100, where float32 may not hold it.  A window beyond
@@ -254,12 +254,14 @@ def _entry_draws(source, pair: SettingPair, timing: TimingModel,
     s1, s2, h1, h2 = source.draw(pair.left, pair.right, rng, count)
 
     def stations():
+        if timing.jitter == 0.0:  # zero delays: nothing more is drawn
+            return
         for hidden, setting in ((h1, pair.left), (h2, pair.right)):
             scaled = rng.random(count)
             scaled *= timing.jitter
             yield hidden, setting.angle, scaled
 
-    return s1, s2, stations() if timing.jitter != 0.0 else iter(())
+    return s1, s2, stations()
 
 
 def generate_events(source, schedule: list[SettingPair], m: int,
