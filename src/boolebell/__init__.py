@@ -11,7 +11,7 @@ engine), ``leggett_garg`` (temporal-correlation model), ``classical``
 from .datasets import (DichotomicDataset, PairCorrelation, check_boole_triple,
                        check_boole_triple_anticorrelated, check_chsh,
                        check_pair_bound, correlation, read_dataset_csv,
-                       reduce_dataset, write_dataset_csv)
+                       write_dataset_csv)
 from .reports import SLACK_TOL, Clause, InequalityReport, make_clause, make_report
 from .tables import (CompatibilityResult, ExpansionCoeffs2, ExpansionCoeffs3,
                      FuncTable2, FuncTable3, IncompatibleMarginalsError,
@@ -23,7 +23,7 @@ from .tables import (CompatibilityResult, ExpansionCoeffs2, ExpansionCoeffs3,
 __all__ = [
     "Clause", "InequalityReport", "SLACK_TOL", "make_clause", "make_report",
     "DichotomicDataset", "PairCorrelation",
-    "reduce_dataset", "correlation", "check_boole_triple",
+    "correlation", "check_boole_triple",
     "check_boole_triple_anticorrelated", "check_pair_bound", "check_chsh",
     "read_dataset_csv", "write_dataset_csv",
     "SignTable", "FuncTable2", "FuncTable3", "ExpansionCoeffs2", "ExpansionCoeffs3",

@@ -276,16 +276,13 @@ def _scan(family, angles, emat, triples) -> tuple[int, WorstWitness]:
 # elements per block of the CHSH screen: each float64 temporary stays inside
 # the L2 cache, and grids of up to 32 angles are screened in one pass
 CHSH_BLOCK = 1 << 15
-# an a-slab whose candidate triples exceed 1/CHSH_DENSE of its n^2 is
-# evaluated whole, in broadcast form, instead of triple by triple
-CHSH_DENSE = 2
 
 
 def _chsh_pieces(emat: np.ndarray, limit: float):
-    """Exact |S| = |((E[a,b] - E[a,c]) + E[b,d]) + E[c,d]| for a superset of
-    the candidate triples, as (values, triples, exceeds): values[k, d] belongs
-    to the flat triple index triples[k] = (a n + b) n + c, and exceeds is
-    False where no value can be above the limit.
+    """Exact |S| = |((E[a,b] - E[a,c]) + E[b,d]) + E[c,d]| for the candidate
+    triples in increasing flat order, as (values, triples, exceeds):
+    values[k, d] belongs to the flat triple index triples[k] = (a n + b) n + c,
+    and exceeds is False where no value can be above the limit.
 
     The screen bounds |S| over every d, for each triple in blocks of a, by
     max(x + ymax, -(x + ymin)) = |x + (ymax + ymin)/2| + (ymax - ymin)/2,
@@ -299,8 +296,7 @@ def _chsh_pieces(emat: np.ndarray, limit: float):
     n = len(emat)
     margin = 2.0 ** -40 * max(1.0, float(np.abs(emat).max()))
     rows = min(n, max(1, CHSH_BLOCK // (n * n)))
-    # one block of temporaries serves the sums y, the bounds and, where one
-    # block covers the grid, the dense slabs
+    # one block of temporaries serves the sums y and the bounds
     buf = np.empty(rows * n * n)
     # y[d, b, c] = E[b,d] + E[c,d]
     et = np.ascontiguousarray(emat.T)
@@ -312,7 +308,7 @@ def _chsh_pieces(emat: np.ndarray, limit: float):
         np.minimum.reduce(y, axis=0, out=ymin[lo:lo + r])
     mid, half = (ymax + ymin) / 2.0, (ymax - ymin) / 2.0
 
-    screen_max, slab = -np.inf, None
+    screen_max = -np.inf
     for lo in range(0, n, rows):
         r = min(rows, n - lo)
         bound = np.subtract(emat[lo:lo + r, :, None], emat[lo:lo + r, None, :],
@@ -323,18 +319,7 @@ def _chsh_pieces(emat: np.ndarray, limit: float):
         top = float(bound.max())
         screen_max = max(screen_max, top)
         exceeds = top >= limit - margin
-        cand = (bound >= min(screen_max, limit) - margin).reshape(r, n * n)
-        dense = np.count_nonzero(cand, axis=1) * CHSH_DENSE > n * n
-        for a in np.flatnonzero(dense) + lo:
-            if slab is None:
-                # one block covers the grid: its bounds are spent
-                slab = buf.reshape(n, n, n) if rows == n else np.empty((n, n, n))
-            np.add((emat[a, :, None] - emat[a, None, :])[:, :, None], emat[:, None, :],
-                   out=slab)
-            slab += emat[None, :, :]
-            yield np.abs(slab, out=slab).reshape(n * n, n), a * n * n + np.arange(n * n), exceeds
-        cand[dense] = False
-        triples = np.flatnonzero(cand) + lo * n * n
+        triples = np.flatnonzero(bound >= min(screen_max, limit) - margin) + lo * n * n
         # n^2/4 triples at a time: the values and one gathered block of rows
         # take 4 n^3 bytes at most
         step = max(1, n * n // 4)
@@ -364,12 +349,10 @@ def _chsh_scan(emat: np.ndarray) -> tuple[int, float, tuple[int, int, int, int]]
         if exceeds:
             count += int(np.count_nonzero(vals > limit))
         top = float(vals.max())
-        # pieces arrive out of order: a tie keeps the lower flat index
-        if top > best or (top == best and int(triples[0]) * n < where):
+        # pieces arrive in flat order: a tie keeps the earlier argmax
+        if top > best:
             i = int(vals.argmax())
-            first = int(triples[i // n]) * n + i % n
-            if top > best or first < where:
-                best, where = top, first
+            best, where = top, int(triples[i // n]) * n + i % n
     return count, best, tuple(int(i) for i in np.unravel_index(where, (n,) * 4))
 
 
@@ -391,7 +374,7 @@ def model_inequality_sweep(model: FactorizableModel, grid: Iterable[float],
     time (``reports.grid_sweep``), so past a few MB of block temporaries
     their peak is set by the triple indices: 5.95 n^3 bytes at 145 angles,
     5.1 n^3 at 300.  These are freed before the CHSH scan, which takes about
-    1.2 n^3 bytes at 145 angles and 8.8 n^3 on 120 angles alternating 0, pi.
+    1.1 n^3 bytes at 145 angles and 6.8 n^3 on 120 angles alternating 0, pi.
     """
     angles = np.array([float(x) for x in grid])
     if not angles.size:

@@ -28,7 +28,7 @@ from . import classical, leggett_garg as lg, pipeline, quantum, tables
 from .datasets import (check_boole_triple, check_boole_triple_anticorrelated,
                        check_chsh, check_pair_bound, correlations, dataset_csv_text,
                        read_dataset_csv, require_in_unit_interval)
-from .reports import GRID_BLOCK, SLACK_TOL, NonFiniteClauseError
+from .reports import SLACK_TOL, NonFiniteClauseError
 
 
 class CliError(Exception):
@@ -343,7 +343,8 @@ def cmd_epr_pipeline(args) -> dict:
     report = _sampled(pipeline.run_three_settings, a, b, c, source, timing,
                       args.samples, window, args.seed)
     if args.events_out:  # the event times are generated for the log alone
-        _sampled(lambda: report.raw).write_csv(args.events_out)
+        _sampled(pipeline.generate_events, source, pipeline.three_settings_schedule(a, b, c),
+                 args.samples, timing, args.seed).write_csv(args.events_out)
     reports = {name: getattr(report, name)
                for name in ("pair_bound", "boole_direct", "boole_anticorrelated")}
     return {"scenario": "epr-pipeline",
@@ -360,14 +361,14 @@ def cmd_epr_pipeline(args) -> dict:
                         for name, rep in reports.items()}}
 
 
-# model_inequality_sweep peaks at about 6 n^3 bytes for n angles (9 n^3 on a
+# model_inequality_sweep peaks at about 6 n^3 bytes for n angles (7 n^3 on a
 # degenerate grid), 137 MB at 300; the limit bounds time: a degenerate grid's
-# CHSH recheck is O(n^4), 10 s at 200 angles (2-core x86-64), about a minute at 300
+# CHSH recheck is O(n^4), 8 s at 200 angles (2-core x86-64), about 80 s at 300
 MAX_FACTORIZABLE_ANGLES = 300
-# the two other sweeps evaluate flat blocks of GRID_BLOCK points whatever the
-# axis length, so memory stays bounded; the limit bounds time: 32,768^2 points
-# take about 80 s at the 0.08 us a point of leggett-garg (2-core x86-64)
-MAX_AXIS_POINTS = GRID_BLOCK
+# the two other sweeps evaluate flat blocks of points whatever the axis length,
+# so memory stays bounded; the limit bounds time: 32,768^2 points take about
+# 80 s at the 0.08 us a point of leggett-garg (2-core x86-64)
+MAX_AXIS_POINTS = 1 << 15
 
 
 def _arange_length(start: float, stop: float, step: float) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -63,18 +63,6 @@ class DichotomicDataset:
 @dataclass(frozen=True)
 class PairCorrelation:
     value: float
-
-
-def reduce_dataset(ds: DichotomicDataset, indices: tuple[int, ...]) -> DichotomicDataset:
-    """Project every row onto the given strictly increasing 1-based indices:
-    a dataset of 2 to 4 columns, like any other."""
-    idx = tuple(int(i) for i in indices)
-    if any(i < 1 or i > ds.n for i in idx):
-        raise ValueError(f"indices must lie in 1..{ds.n}, got {idx}")
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"indices must be strictly increasing, got {idx}")
-    cols = [i - 1 for i in idx]
-    return DichotomicDataset(ds.data[:, cols])
 
 
 def correlations(ds: DichotomicDataset) -> dict[tuple[int, int], float]:
@@ -278,12 +266,6 @@ def read_dataset_csv(path: str | Path) -> DichotomicDataset:
             return _csv_module_dataset(text, path)
 
 
-# how csv cells parse; any other cell goes through int() and, if it is an
-# integer other than +-1, becomes 0, which DichotomicDataset rejects
-_CELL_VALUES = {"1": 1, "+1": 1, "-1": -1}
-_OTHER = 2
-
-
 def _csv_module_dataset(fh, path: str | Path) -> DichotomicDataset:
     """The dataset of a CSV text file read by the csv module; the reference
     for the block route of read_dataset_csv."""
@@ -300,22 +282,16 @@ def _csv_module_dataset(fh, path: str | Path) -> DichotomicDataset:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:   # decoded a block at a time, so no line
         raise ValueError(f"{path}: {exc}") from None
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    wrong_width = np.flatnonzero(widths != n)
-    # the rows before the first one of the wrong width; lines are numbered
-    # from 2, the header being line 1
-    good = len(rows) if wrong_width.size == 0 else int(wrong_width[0])
-    cells = list(chain.from_iterable(rows[:good]))
-    values = np.fromiter(map(_CELL_VALUES.get, cells, repeat(_OTHER)),
-                         dtype=np.int8, count=len(cells))
-    for k in np.flatnonzero(values == _OTHER).tolist():
-        try:
-            value = int(cells[k])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{k // n + 2}: non-integer value") from exc
-        values[k] = value if value in (1, -1) else 0
-    if good < len(rows):
-        raise ValueError(f"{path}:{good + 2}: expected {n} columns")
     if not rows:
         raise ValueError(f"{path}: dataset must contain at least one row")
-    return DichotomicDataset(values.reshape(good, n))
+    values = []
+    # lines are numbered from 2, the header being line 1
+    for line, row in enumerate(rows, start=2):
+        if len(row) != n:
+            raise ValueError(f"{path}:{line}: expected {n} columns")
+        try:
+            # an integer other than +-1 becomes 0, which DichotomicDataset rejects
+            values.extend([v if v in (1, -1) else 0 for v in map(int, row)])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: non-integer value") from exc
+    return DichotomicDataset(np.array(values, dtype=np.int8).reshape(len(rows), n))

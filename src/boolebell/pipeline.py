@@ -6,8 +6,8 @@ source (a fixed triple distribution projected to the scheduled pair, the
 two-spin singlet, or a factorizable threshold model), detection times
 t = alpha * period + delay with an optional setting-dependent jitter, and the
 local instrument settings.  Post-processing keeps the pairs whose settings
-match a requested pair and whose time difference lies within the coincidence
-window, then feeds the per-setting correlations to the inequality checks.
+match a scheduled pair and whose time difference lies within the coincidence
+window, and feeds the correlations of those pairs to the inequality checks.
 
 A Boole-family failure on windowed pair data is reported as the rejection of
 the triples hypothesis for the corresponding convention, never as an
@@ -24,15 +24,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .classical import FactorizableModel, sample_pair_arrays, station_orientations
-from .datasets import (DichotomicDataset, InequalityReport, check_boole_triple,
-                       check_boole_triple_anticorrelated, check_pair_bound)
+from .datasets import (InequalityReport, check_boole_triple, check_boole_triple_anticorrelated,
+                       check_pair_bound)
 from .tables import (FuncTable3, chain_coeffs, draw_rows, pair_coefficients, sign_codes,
                      sign_rows, sign_transform)
 
@@ -300,25 +299,6 @@ def generate_events(source, schedule: list[SettingPair], m: int,
     return RawDataset(s1, t1, s2, t2, assignment, tuple(schedule))
 
 
-def _check_window(window: float) -> None:
-    if not (window > 0.0):
-        raise ValueError("window must be positive (math.inf allowed)")
-
-
-def coincidence_filter(raw: RawDataset, window: float,
-                       setting_filter: tuple[str, str]) -> DichotomicDataset | None:
-    """Keep the pairs of every schedule entry whose key is the filter (left
-    id, right id) and whose detection times differ by at most the window W
-    (positive or infinite).  Returns None when nothing survives (the
-    explicit empty-selection signal)."""
-    _check_window(window)
-    entries = [k for k, pair in enumerate(raw.schedule) if pair.key == tuple(setting_filter)]
-    mask = np.isin(raw.pair, entries) & (np.abs(raw.t1 - raw.t2) <= window)
-    if not np.any(mask):
-        return None
-    return DichotomicDataset(np.column_stack([raw.s1[mask], raw.s2[mask]]))
-
-
 @dataclass(frozen=True)
 class ThreeSettingsReport:
     counts: dict[str, int]
@@ -329,22 +309,22 @@ class ThreeSettingsReport:
     boole_anticorrelated: InequalityReport | None
     verdict_direct: str | None
     verdict_anticorrelated: str | None
-    # generate_events's arguments for the event pairs the report counts
-    events: tuple = field(repr=False, compare=False)
 
-    @cached_property
-    def raw(self) -> RawDataset:
-        """The event pairs the report was computed from, generated on first
-        access: the run's draws again, now with their float64 times."""
-        return generate_events(*self.events)
+
+def three_settings_schedule(angle_a: float, angle_b: float,
+                            angle_c: float) -> list[SettingPair]:
+    """The setting pairs (a,b), (a,c), (b,c) of run_three_settings, the
+    settings named "a", "b" and "c"."""
+    a, b, c = Setting("a", angle_a), Setting("b", angle_b), Setting("c", angle_c)
+    return [SettingPair(a, b), SettingPair(a, c), SettingPair(b, c)]
 
 
 def _coincident(stations, block: slice, first: int, step: int,
                 timing: TimingModel, window: float) -> np.ndarray:
     """|t1 - t2| <= window for the event pairs ``block`` of one schedule
     entry, whose j-th pair has alpha = first + step * j, by the float64 rule
-    of ``generate_events`` and ``coincidence_filter`` (a NaN gap dropped),
-    behind the float32 screen that ``TimingModel`` describes."""
+    on the times of ``generate_events`` (a NaN gap dropped), behind the
+    float32 screen that ``TimingModel`` describes."""
     j = np.arange(block.start, block.start + stations[0][2][block].size)
 
     def exact(rows):
@@ -426,22 +406,21 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     of ``generate_events``, and a float32 delay screen decides the window
     wherever its error bound allows (see ``TimingModel``); near-ties, NaN
     gaps and blocks it cannot bound take the float64 rule.  So the counts,
-    and the integer correlation numerators, equal those of
-    ``coincidence_filter`` and ``correlation`` per pair on the generated
-    events, which ``raw`` generates, with their float64 times, on first
-    access.
+    and the integer correlation numerators, equal those of the pairs of
+    ``generate_events(source, three_settings_schedule(angle_a, angle_b,
+    angle_c), m, timing, seed)`` with |t1 - t2| <= window, per setting pair.
 
     The pair-bound check holds for any three correlations.  The two Boole
     checks test the triples hypothesis in the direct and in the
     anti-correlated variable convention; a failure means that hypothesis is
     rejected for the data, nothing more.
     """
-    _check_window(window)
-    a, b, c = Setting("a", angle_a), Setting("b", angle_b), Setting("c", angle_c)
-    schedule = [SettingPair(a, b), SettingPair(a, c), SettingPair(b, c)]
-    events = (source, schedule, m, timing, seed)
+    if not (window > 0.0):
+        raise ValueError("window must be positive (math.inf allowed)")
+    schedule = three_settings_schedule(angle_a, angle_b, angle_c)
     counts, corr, empties = {}, {}, []
-    for pair, grid in zip(schedule, _window_counts(*events, window)):
+    grids = _window_counts(source, schedule, m, timing, seed, window)
+    for pair, grid in zip(schedule, grids):
         key = "".join(pair.key)
         counts[key] = kept = int(grid.sum())
         if kept == 0:
@@ -450,7 +429,7 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
             corr[key] = pair_coefficients(sign_transform(grid))[(1, 2)] / kept
     if empties:
         return ThreeSettingsReport(counts, None, tuple(empties),
-                                   None, None, None, None, None, events)
+                                   None, None, None, None, None)
     f_ab, f_ac, f_bc = corr["ab"], corr["ac"], corr["bc"]
     direct = check_boole_triple(f_ab, f_ac, f_bc)
     anti = check_boole_triple_anticorrelated(f_ab, f_ac, f_bc)
@@ -462,4 +441,4 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     return ThreeSettingsReport(
         counts, corr, (),
         check_pair_bound(f_ab, f_ac, f_bc), direct, anti,
-        verdict(direct), verdict(anti), events)
+        verdict(direct), verdict(anti))

@@ -1,10 +1,13 @@
 """Routes that only the tests read: the dense states, tables and searches the
-tests hold the package's closed forms and stacked kernels against."""
+tests hold the package's closed forms and stacked kernels against, and the
+stored-event filters that the pipeline's counts and the dataset projections
+are held against."""
 
 import numpy as np
 
 from boolebell import quantum as q
 from boolebell.classical import FactorizableModel, analytic_correlation
+from boolebell.datasets import DichotomicDataset
 from boolebell.reports import SLACK_TOL
 from boolebell.tables import ExpansionCoeffs2, marginals_compatible, sign_codes, synth2
 
@@ -86,3 +89,29 @@ def coincidence_counts(raw, window: float) -> np.ndarray:
     codes += sign_codes(raw.s1, raw.s2)
     np.putmask(codes, ~(np.abs(raw.t1 - raw.t2) <= window), discard)
     return np.bincount(codes, minlength=discard + 1)[:-1].reshape(n_pairs, 2, 2)
+
+
+def coincidence_filter(raw, window: float, setting_filter: tuple[str, str]):
+    """Keep the pairs of every schedule entry whose key is the filter (left
+    id, right id) and whose detection times differ by at most the window W
+    (positive or infinite).  Returns None when nothing survives (the
+    explicit empty-selection signal)."""
+    if not (window > 0.0):
+        raise ValueError("window must be positive (math.inf allowed)")
+    entries = [k for k, pair in enumerate(raw.schedule) if pair.key == tuple(setting_filter)]
+    mask = np.isin(raw.pair, entries) & (np.abs(raw.t1 - raw.t2) <= window)
+    if not np.any(mask):
+        return None
+    return DichotomicDataset(np.column_stack([raw.s1[mask], raw.s2[mask]]))
+
+
+def reduce_dataset(ds: DichotomicDataset, indices: tuple[int, ...]) -> DichotomicDataset:
+    """Project every row onto the given strictly increasing 1-based indices:
+    a dataset of 2 to 4 columns, like any other."""
+    idx = tuple(int(i) for i in indices)
+    if any(i < 1 or i > ds.n for i in idx):
+        raise ValueError(f"indices must lie in 1..{ds.n}, got {idx}")
+    if any(b <= a for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"indices must be strictly increasing, got {idx}")
+    cols = [i - 1 for i in idx]
+    return DichotomicDataset(ds.data[:, cols])

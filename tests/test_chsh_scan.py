@@ -82,6 +82,19 @@ def test_one_angle():
     assert cl._chsh_scan(np.array([[0.5]])) == (0, 1.0, (0, 0, 0, 0))
 
 
+# grids of repeated angles: every triple is a candidate, and exact ties
+# between pieces decide the first argmax
+DEGENERATE_GRIDS = (np.array([0.0, np.pi] * 10), np.radians(np.arange(0.0, 1800.0, 90.0)),
+                    np.radians(np.arange(0.0, 720.0, 45.0)))
+
+
+def assert_same_scans_on(angles):
+    diff = angles[:, None] - angles[None, :]
+    for law in LAWS:
+        assert_same_scan(cl.correlation_law(law, diff))
+    assert_same_scan(-np.cos(diff))
+
+
 @pytest.mark.parametrize("block", [1, 7, 1 << 9])
 def test_block_size_does_not_move_the_bits(monkeypatch, block):
     # blocks of a few a-slabs raise the candidate threshold as they go
@@ -92,15 +105,11 @@ def test_block_size_does_not_move_the_bits(monkeypatch, block):
         assert_same_scan(cl.correlation_law(law, angles[:, None] - angles[None, :]))
     angles = rng.uniform(0.0, 2.0 * np.pi, 20)
     assert_same_scan(-np.cos(angles[:, None] - angles[None, :]))
+    if block < 1 << 9:   # full candidacy across block and batch edges
+        for angles in DEGENERATE_GRIDS:
+            assert_same_scans_on(angles)
 
 
-@pytest.mark.parametrize("dense", [1, 2, 1 << 30])
-def test_dense_slabs_and_gathered_triples_agree(monkeypatch, dense):
-    # 1: every triple is gathered; 1 << 30: every a-slab with a candidate
-    # is evaluated whole
-    monkeypatch.setattr(cl, "CHSH_DENSE", dense)
-    for angles in (np.array([0.0, np.pi] * 10), np.radians(np.arange(0.0, 1800.0, 90.0)),
-                   np.radians(np.arange(0.0, 720.0, 45.0))):
-        for law in LAWS:
-            assert_same_scan(cl.correlation_law(law, angles[:, None] - angles[None, :]))
-        assert_same_scan(-np.cos(angles[:, None] - angles[None, :]))
+def test_degenerate_grids_match_the_slab_oracle():
+    for angles in DEGENERATE_GRIDS:
+        assert_same_scans_on(angles)

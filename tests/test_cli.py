@@ -344,7 +344,8 @@ class TestCliBehavior:
     def test_sweep_limits_admit_their_largest_grid(self):
         from boolebell import cli
         assert cli.MAX_FACTORIZABLE_ANGLES == len(np.arange(0, 299 + 1e-9, 1))
-        assert cli.MAX_AXIS_POINTS == boolebell.reports.GRID_BLOCK
+        # a time limit of its own, not the grid kernel's block size
+        assert cli.MAX_AXIS_POINTS == 1 << 15
 
     @pytest.mark.parametrize("which", ["1", "3", "construct"])
     def test_theorem_without_coeffs_is_one_error_line(self, capsys, which):

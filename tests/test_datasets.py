@@ -11,10 +11,11 @@ import pytest
 from boolebell import (DichotomicDataset, check_boole_triple,
                        check_boole_triple_anticorrelated, check_chsh,
                        check_pair_bound, correlation, read_dataset_csv,
-                       reduce_dataset, write_dataset_csv)
+                       write_dataset_csv)
 from boolebell import datasets as dsm
 from boolebell.datasets import correlations
 from boolebell.tables import sign_rows
+from oracles import reduce_dataset
 
 
 class TestDatasetConstruction:

@@ -10,7 +10,7 @@ import pytest
 from boolebell import classical as cl
 from boolebell import pipeline as pl
 from boolebell import construct_g3, correlation, expand3
-from oracles import coincidence_counts
+from oracles import coincidence_counts, coincidence_filter
 
 
 def make_triple_source(rng=None):
@@ -229,21 +229,21 @@ class TestCoincidenceFilter:
         source, _ = make_triple_source()
         raw = pl.generate_events(source, standard_schedule(), 90,
                                  pl.TimingModel(), seed=5)
-        ds = pl.coincidence_filter(raw, math.inf, ("a", "b"))
+        ds = coincidence_filter(raw, math.inf, ("a", "b"))
         assert ds is not None and ds.m == 30
 
     def test_tiny_window_zero_delays(self):
         source, _ = make_triple_source()
         raw = pl.generate_events(source, standard_schedule(), 30,
                                  pl.TimingModel(), seed=6)
-        ds = pl.coincidence_filter(raw, 1e-9, ("a", "b"))
+        ds = coincidence_filter(raw, 1e-9, ("a", "b"))
         assert ds is not None and ds.m == 10
 
     def test_empty_selection_signal(self):
         source, _ = make_triple_source()
         raw = pl.generate_events(source, standard_schedule(), 9,
                                  pl.TimingModel(), seed=7)
-        assert pl.coincidence_filter(raw, math.inf, ("c", "a")) is None
+        assert coincidence_filter(raw, math.inf, ("c", "a")) is None
 
     def test_monotone_in_window(self):
         source = pl.PairModelSource(cl.FactorizableModel("uniform"))
@@ -251,7 +251,7 @@ class TestCoincidenceFilter:
         raw = pl.generate_events(source, standard_schedule(), 600, timing, seed=8)
         kept = []
         for w in (0.05, 0.2, 0.5, math.inf):
-            ds = pl.coincidence_filter(raw, w, ("a", "b"))
+            ds = coincidence_filter(raw, w, ("a", "b"))
             kept.append(0 if ds is None else ds.m)
         assert kept == sorted(kept)
         assert kept[0] < kept[-1]  # jitter actually rejects some pairs
@@ -263,7 +263,7 @@ class TestCoincidenceFilter:
                     pl.SettingPair(a, pl.Setting("b", 2.0))]
         raw = pl.generate_events(pl.SingletSource(), schedule, 90, pl.TimingModel(1.0, 1.0),
                                  seed=3)
-        ds = pl.coincidence_filter(raw, 0.5, ("a", "b"))
+        ds = coincidence_filter(raw, 0.5, ("a", "b"))
         # the per-pair id match the filter selected with before
         mask = (raw.id1 == "a") & (raw.id2 == "b") & (np.abs(raw.t1 - raw.t2) <= 0.5)
         assert set(raw.pair[mask].tolist()) == {0, 2}
@@ -273,7 +273,7 @@ class TestCoincidenceFilter:
         raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 3,
                                  pl.TimingModel(), seed=0)
         with pytest.raises(ValueError):
-            pl.coincidence_filter(raw, 0.0, ("a", "b"))
+            coincidence_filter(raw, 0.0, ("a", "b"))
 
 
 class TestRunThreeSettings:
@@ -299,11 +299,13 @@ class TestRunThreeSettings:
     def test_reduction_matches_the_filter_oracle(self, monkeypatch, block, name, window):
         if block:   # reduce in several blocks, the last one short
             monkeypatch.setattr(pl, "REDUCE_BLOCK", block)
-        rep = pl.run_three_settings(0.0, 1.0, 2.0, SOURCES[name], pl.TimingModel(1.0, 0.0),
-                                    60, window, seed=27)
+        timing = pl.TimingModel(1.0, 0.0)
+        rep = pl.run_three_settings(0.0, 1.0, 2.0, SOURCES[name], timing, 60, window, seed=27)
+        raw = pl.generate_events(SOURCES[name], pl.three_settings_schedule(0.0, 1.0, 2.0), 60,
+                                 timing, seed=27)
         counts, corr, empties = {}, {}, []
         for pair in (("a", "b"), ("a", "c"), ("b", "c")):
-            ds = pl.coincidence_filter(rep.raw, window, pair)
+            ds = coincidence_filter(raw, window, pair)
             key = "".join(pair)
             counts[key] = 0 if ds is None else ds.m
             if ds is None:
@@ -389,7 +391,9 @@ class TestRunThreeSettings:
         assert 0 < sum(rows) < 0.001 * 2 * 30_000
         assert rep == pl.run_three_settings(0.0, 1.0, 2.0, SOURCES["uniform"],
                                             pl.TimingModel(1.0, 2.7), 30_000, 0.3, seed=4)
-        assert_counts_equal_the_oracle(rep, rep.raw, 0.3)
+        raw = pl.generate_events(SOURCES["uniform"], pl.three_settings_schedule(0.0, 1.0, 2.0),
+                                 30_000, pl.TimingModel(1.0, 2.7), seed=4)
+        assert_counts_equal_the_oracle(rep, raw, 0.3)
 
     def test_counts_are_sign_grids_per_schedule_entry(self):
         raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 300,
@@ -406,10 +410,13 @@ class TestRunThreeSettings:
     def test_reduction_drops_nan_gaps_like_the_filter(self):
         # a NaN setting angle makes every delay at that setting NaN, so the
         # pairs (a, b) and (a, c) have NaN gaps even under an infinite window
-        rep = pl.run_three_settings(math.nan, 1.0, 2.0, SOURCES["triple"],
-                                    pl.TimingModel(1.0, 1.0), 60, math.inf, seed=27)
-        assert np.isnan(rep.raw.t1[rep.raw.id1 == "a"]).all()
-        assert pl.coincidence_filter(rep.raw, math.inf, ("a", "b")) is None
+        timing = pl.TimingModel(1.0, 1.0)
+        rep = pl.run_three_settings(math.nan, 1.0, 2.0, SOURCES["triple"], timing, 60,
+                                    math.inf, seed=27)
+        raw = pl.generate_events(SOURCES["triple"], pl.three_settings_schedule(math.nan, 1.0, 2.0),
+                                 60, timing, seed=27)
+        assert np.isnan(raw.t1[raw.id1 == "a"]).all()
+        assert coincidence_filter(raw, math.inf, ("a", "b")) is None
         assert rep.empty_pairs == ("ab", "ac")
         assert rep.counts == {"ab": 0, "ac": 0, "bc": 20}
 
