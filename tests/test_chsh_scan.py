@@ -110,6 +110,7 @@ def test_block_size_does_not_move_the_bits(monkeypatch, block):
             assert_same_scans_on(angles)
 
 
-def test_degenerate_grids_match_the_slab_oracle():
-    for angles in DEGENERATE_GRIDS:
-        assert_same_scans_on(angles)
+@pytest.mark.parametrize("angles", DEGENERATE_GRIDS,
+                         ids=["half_turns", "right_angles", "eighth_turns"])
+def test_degenerate_grids_match_the_slab_oracle(angles):
+    assert_same_scans_on(angles)
