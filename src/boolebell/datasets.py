@@ -12,6 +12,9 @@ implement exactly those clause families.
 which the two stations of a pair experiment report opposite signs for equal
 settings: the triples hypothesis then concerns the sign-flipped station-2
 variables, which maps the Boole clauses to ``|F12 +- F13| <= 1 -+ F23``.
+
+Datasets enter as CSV: ``read_dataset_csv`` reads the fixed-width form that
+``dataset_csv_text`` writes a block of lines at a time, and any other file by the csv module.
 """
 
 from __future__ import annotations
@@ -173,95 +176,61 @@ def write_dataset_csv(ds: DichotomicDataset, path: str | Path) -> None:
         fh.write(dataset_csv_text(ds.data))
 
 
-# bytes per read of read_dataset_csv's block route
+# bytes per read of read_dataset_csv's block route, cut to whole lines (one at least)
 READ_BLOCK = 1 << 20
 
 # the header lines of the form write_dataset_csv writes, with their arity n
 _HEADERS = {",".join(f"s{i}" for i in range(1, n + 1)).encode() + end: n
             for n in (2, 3, 4) for end in (b"\n", b"\r\n")}
-# no header or line of that form is longer
-_LONGEST_LINE = len(b"+1,+1,+1,+1\r\n")
-_ONE, _COMMA, _CR, _NL, _PLUS, _MINUS = b"1,\r\n+-"
 
 
-def _line_codes(chunk: bytes, n: int) -> np.ndarray | None:
-    """Sign codes of the lines in chunk, or None unless every line is n cells
-    1, +1 or -1 joined by commas and ends in \\n or \\r\\n."""
-    if not chunk:
-        return np.zeros(0, dtype=np.uint8)
-    b = np.frombuffer(chunk, dtype=np.uint8)
-    one, comma, cr, nl, minus = (b == c for c in (_ONE, _COMMA, _CR, _NL, _MINUS))
-    sign = minus | (b == _PLUS)
-    cell = one | sign   # the bytes that may begin a cell
-    # a cell begins the chunk and follows each comma and \n; a sign is followed
-    # by 1, \r by \n, and the chunk ends in \n
-    if not (cell[0] and nl[-1] and np.all((comma | nl)[:-1] <= cell[1:])
-            and np.all(sign[:-1] <= one[1:]) and np.all(cr[:-1] <= nl[1:])):
-        return None
-    # each 1 ends a cell: a comma follows the first n - 1 of a line, \r or \n
-    # the last; so no byte outside the alphabet has a place to stand
-    cells = np.flatnonzero(one)
-    if cells.size % n:
-        return None
-    ends = b[cells + 1].reshape(-1, n)
-    if not (np.all(ends[:, :-1] == _COMMA)
-            and np.all((ends[:, -1] == _CR) | (ends[:, -1] == _NL))):
-        return None
-    # cells[0] - 1 may be -1, which reads the chunk's final \n
-    negative = minus[cells - 1].reshape(-1, n)
-    codes = np.zeros(len(negative), dtype=np.uint8)
-    for col in negative.T:   # sign_codes' bit order
-        codes <<= 1
-        codes |= col
-    return codes
-
-
-def _form_codes(fh) -> tuple[int, np.ndarray] | None:
-    """The arity n and the sign codes of the rows of a binary file in the form
-    of read_dataset_csv's block route, or None for any other file.  The file is
-    read in blocks of READ_BLOCK bytes, each block's partial last line being
-    carried into the next."""
-    n = _HEADERS.get(fh.readline(_LONGEST_LINE))
+def _form_rows(fh) -> np.ndarray | None:
+    """The int8 rows of a binary file in the form of read_dataset_csv's block
+    route, or None for any other file.  Every line of that form is as wide as
+    the header, so each block of whole lines is one (lines, width) byte array
+    that equals the line +1,..,+1 except for a - in a sign column."""
+    header = fh.readline(max(map(len, _HEADERS)))
+    n = _HEADERS.get(header)
     if n is None:
         return None
-    parts, tail = [], b""
-    while block := fh.read(READ_BLOCK):
-        chunk = tail + block
-        cut = chunk.rfind(b"\n") + 1
-        codes, tail = _line_codes(chunk[:cut], n), chunk[cut:]
-        if codes is None or len(tail) >= _LONGEST_LINE:
+    width, end = len(header), header[3 * n - 1:]
+    line = np.frombuffer(b",".join([b"+1"] * n) + end, dtype=np.int8)
+    signs = slice(0, 3 * n, 3)
+    parts = []
+    while block := fh.read(max(1, READ_BLOCK // width) * width):
+        if len(block) % width == width - len(end):   # the last line, lacking its end
+            block += end
+        if len(block) % width:
             return None
-        parts.append(codes)
-    if tail:
-        # the last line, lacking its end: one that ends in \r has a lone \r
-        codes = _line_codes(tail + b"\n", n) if tail.endswith(b"1") else None
-        if codes is None:
+        lines = np.frombuffer(block, dtype=np.int8).reshape(-1, width)
+        same = lines == line
+        same[:, signs] |= lines[:, signs] == ord("-")
+        if not same.all():
             return None
-        parts.append(codes)
-    if not parts:   # no line after the header
-        return None
-    return n, np.concatenate(parts)
+        parts.append(44 - lines[:, signs])   # "+" is byte 43 and "-" is 45
+    return np.concatenate(parts) if parts else None
 
 
 def read_dataset_csv(path: str | Path) -> DichotomicDataset:
     """Read a dataset CSV: the header s1..sn, then one row of n values per line.
 
-    A file in the form that write_dataset_csv writes is read in blocks of
-    READ_BLOCK bytes straight to sign codes, one byte per row, and the rows
-    are gathered from the codes; no Python object is made per line or cell.
-    That form is: the header exactly s1,..,sn with n in 2..4; every line
-    exactly n cells, each 1, +1 or -1; every line ending in \\n or \\r\\n,
-    the last one perhaps lacking its end.  Any other file, and any file that
-    cannot seek, such as a pipe, is read from the start by the csv module,
-    which decides what else is accepted and every error message.
+    A file in the one fixed-width form that write_dataset_csv and
+    dataset_csv_text write is read in blocks of whole lines straight to int8
+    rows; no Python object is made per line or cell.  That form is: the header
+    exactly s1,..,sn with n in 2..4; every line n cells +1 or -1 joined by
+    commas and ending as the header does, the last one perhaps lacking its end.
+    Any other file (bare 1 cells and mixed line ends included) is read from the
+    start by the csv module, which decides what else is accepted and every
+    error message.  Input that cannot seek, such as a pipe, is read into memory
+    first, so it takes the same routes.
     """
     with open(path, "rb") as fh:
-        if fh.seekable():
-            found = _form_codes(fh)
-            if found is not None:
-                n, codes = found
-                return DichotomicDataset(sign_rows(n).take(codes, axis=0))
-            fh.seek(0)
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        rows = _form_rows(fh)
+        if rows is not None:
+            return DichotomicDataset(rows)
+        fh.seek(0)
         with io.TextIOWrapper(fh, newline="") as text:
             return _csv_module_dataset(text, path)
 

@@ -3,6 +3,7 @@
 import io
 import itertools
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from boolebell import (DichotomicDataset, check_boole_triple,
                        write_dataset_csv)
 from boolebell import datasets as dsm
 from boolebell.datasets import correlations
-from boolebell.tables import sign_rows
 from oracles import reduce_dataset
 
 
@@ -308,17 +308,20 @@ def _outcome(path):
 
 def _fuzz_text(rng) -> str:
     """A header and a body over the alphabet + - 1 , \\r \\n, line by line:
-    mostly in the block route's form, with near misses: a cell that is quoted,
-    spaced, 0, 11 or empty, a line of the wrong width (5 columns included), a
-    blank line, a lone \\r, a missing last line end, and now and then a BOM."""
+    mostly in the block route's form (signed cells, the header's line end on
+    every line), with near misses: a cell that is bare, quoted, spaced, 0, 11
+    or empty, a line of the wrong width (5 columns included), a line end other
+    than the header's, a blank line, a lone \\r, a missing last line end, and
+    now and then a BOM."""
     n = int(rng.integers(2, 5))
-    text = ",".join(f"s{i}" for i in range(1, n + 1)) + rng.choice(["\n", "\r\n"])
+    newline, other = ("\n", "\r\n") if rng.random() < 0.5 else ("\r\n", "\n")
+    text = ",".join(f"s{i}" for i in range(1, n + 1)) + newline
     for _ in range(rng.integers(0, 6)):
         width = n if rng.random() < 0.95 else rng.choice([n - 1, n + 1, 2 * n - 1, 5])
-        cells = [rng.choice(["1", "+1", "-1"]) if rng.random() < 0.98
-                 else rng.choice(['"1"', " 1", "0", "11", "", "+-1"]) for _ in range(width)]
-        end = (rng.choice(["\n", "\r\n"]) if rng.random() < 0.95
-               else rng.choice(["\r", "\r\r\n", "\n\n", "\r\n\r\n", ""]))
+        cells = [rng.choice(["+1", "-1"]) if rng.random() < 0.98
+                 else rng.choice(["1", '"1"', " 1", "0", "11", "", "+-1"]) for _ in range(width)]
+        end = (newline if rng.random() < 0.95
+               else rng.choice([other, "\r", "\r\r\n", "\n\n", "\r\n\r\n", ""]))
         text += ",".join(cells) + end
     if rng.random() < 0.25:
         text = text.rstrip("\r\n") if rng.random() < 0.8 else text[:-1]
@@ -330,7 +333,7 @@ class TestBlockRoute:
 
     @pytest.mark.parametrize("block", [None, 7])
     def test_block_route_equals_the_csv_module(self, tmp_path, monkeypatch, block):
-        if block:   # lines and \r\n pairs straddle the block edges
+        if block:   # shorter than every line, so each block is one line
             monkeypatch.setattr(dsm, "READ_BLOCK", block)
         rng = np.random.default_rng(22)
         path = tmp_path / "ds.csv"
@@ -338,12 +341,11 @@ class TestBlockRoute:
         for _ in range(cases):
             path.write_bytes(_fuzz_text(rng).encode())
             with open(path, "rb") as fh:
-                found = dsm._form_codes(fh)
+                found = dsm._form_rows(fh)
             expected = _csv_module_outcome(path)
             if found is not None:
                 taken += 1
-                n, codes = found
-                assert sign_rows(n)[codes].tolist() == expected, path.read_bytes()
+                assert found.tolist() == expected, path.read_bytes()
             assert _outcome(path) == expected, path.read_bytes()
         assert 0.3 < taken / cases < 0.7   # both routes are well exercised
 
@@ -366,6 +368,34 @@ class TestBlockRoute:
         "s1,s2,s3,s4\n1,1,1,1,1\n",
         "\ufeffs1,s2\n1,1\n",
         "s1,s2\n", "s1,s2", "s1\n1\n", "s1,s2,s3,s4,s5\n1,1,1,1,1\n",
+        # the cases above with signed cells, where each near miss decides alone
+        "s1,s2\n+1\n-1\n",              # two short lines, as wide as one line
+        "s1,s2,s3\n11,+1\n",
+        "s1,s2\n+1,11,-1\n",
+        "s1,s2\n+1,+0\n",
+        "s1,s2\n+1,--\n",
+        "s1,s2\n+-1,+1\n",
+        "s1,s2\n+1,+\n",
+        's1,s2\n"+1",-1\n',
+        "s1,s2\n+1, 1\n",
+        "s1,s2\n+1,-1\n\n",
+        "s1,s2\n\n+1,-1\n",
+        "s1,s2\n+1,-1\r+1,-1\n",
+        "s1,s2\n+1,-1\r\r\n",
+        "s1,s2\n+1,-1\r",
+        "s1,s2\r\n+1,-1\r",             # the last line lacking only its \n
+        "s1,s2,s3,s4\n+1,+1,+1,+1,+1\n",
+        "\ufeffs1,s2\n+1,-1\n",
+        # bare 1 cells, which only the csv module reads
+        "s1,s2\n1,1\n",
+        "s1,s2\n+1,1\n",
+        "s1,s2,s3\n-1,+1,1",
+        # a line end other than the header's
+        "s1,s2\r\n+1,-1\n",
+        "s1,s2\n+1,-1\r\n",
+        "s1,s2\n+1,-1\r\n-1,+1\n",
+        "s1,s2\r\n+1,-1\r\n-1,+1\n",
+        "s1,s2,s3\r\n+1,-1,+1\r\n-1,+1,-1\n+1,+1,+1\r\n",
     ])
     def test_near_misses_take_the_csv_module(self, tmp_path, monkeypatch, block, text):
         if block:
@@ -373,19 +403,31 @@ class TestBlockRoute:
         path = tmp_path / "ds.csv"
         path.write_bytes(text.encode())
         with open(path, "rb") as fh:
-            assert dsm._form_codes(fh) is None
+            assert dsm._form_rows(fh) is None
         assert _outcome(path) == _csv_module_outcome(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_a_block_shorter_than_one_line_reads_one_line(self, tmp_path, monkeypatch,
+                                                          newline):
+        monkeypatch.setattr(dsm, "READ_BLOCK", 7)
+        path = tmp_path / "ds.csv"
+        rows = np.int8([[1, -1, 1, -1], [-1, -1, 1, 1], [1, 1, 1, -1]])
+        path.write_text(dsm.dataset_csv_text(rows, newline), newline="")
+        with open(path, "rb") as fh:
+            assert dsm._form_rows(fh).tolist() == rows.tolist()
+        assert _outcome(path) == rows.tolist()
 
     def test_a_line_longer_than_the_form_ends_the_block_route(self, monkeypatch):
         # the block route stops at once rather than carry the line on
         monkeypatch.setattr(dsm, "READ_BLOCK", 7)
         fh = io.BytesIO(b"s1,s2\n" + b"1" * 10 ** 6)
-        assert dsm._form_codes(fh) is None
+        assert dsm._form_rows(fh) is None
         assert fh.tell() < 100
 
     @pytest.mark.parametrize("body", ["1,-1\n-1,1", '"1",-1\n'])
     def test_a_pipe_is_read_by_the_csv_module(self, tmp_path, body):
-        # a pipe cannot be read twice, so the block route does not try it
+        # a pipe is read into memory first, and outside the block route's form
+        # the csv module reads those bytes from the start
         path = tmp_path / "ds.csv"
         path.write_text("s1,s2\n" + body, newline="")
         read_fd, write_fd = os.pipe()
@@ -408,6 +450,32 @@ class TestBlockRoute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 16 * rows
+
+    def test_a_pipe_in_the_writers_form_takes_the_block_route(self, monkeypatch):
+        rows = 10 ** 6
+        data = np.random.default_rng(4).choice(np.int8([-1, 1]), (rows, 3))
+        text = dsm.dataset_csv_text(data).encode()
+
+        def refuse(fh, path):
+            raise AssertionError("the csv module read a pipe in the writer's form")
+        monkeypatch.setattr(dsm, "_csv_module_dataset", refuse)
+        read_fd, write_fd = os.pipe()
+
+        def write():   # the text is far larger than a pipe's buffer
+            with open(write_fd, "wb") as fh:
+                fh.write(text)
+        writer = threading.Thread(target=write)
+        tracemalloc.start()
+        try:
+            writer.start()
+            got = read_dataset_csv(f"/dev/fd/{read_fd}").data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            os.close(read_fd)
+            writer.join()
+        assert np.array_equal(got, data)
         assert peak < 32 * rows
 
 
