@@ -79,8 +79,8 @@ class TimingModel:
         2^-50 (alpha + jitter).
     Every other pair takes the float64 rule, and so does every pair of a
     block whose B is NaN or not below jitter / 4, or whose jitter lies
-    beyond 2^100, where float32 may not hold it.  A window beyond
-    jitter + B keeps every pair of a screened block."""
+    beyond 2^100, where float32 may not hold it.  A schedule entry whose
+    window keeps every gap (``_keeps_every_gap``) draws no delay at all."""
 
     jitter: float = 0.0
     exponent: float = 0.0
@@ -91,9 +91,10 @@ class TimingModel:
         if self.jitter < 0.0 or self.exponent < 0.0:
             raise ValueError("jitter and exponent must be non-negative")
 
-    def delays(self, hidden: np.ndarray, setting_angle: float,
+    def delays(self, hidden: np.ndarray | None, setting_angle: float,
                scaled: np.ndarray) -> np.ndarray:
-        """The delays of the scaled uniforms jitter * u, computed in place."""
+        """The delays of the scaled uniforms jitter * u, computed in place;
+        ``hidden`` is not read at exponent 0."""
         if self.exponent == 0.0:  # |sin|^0 is 1.0 for every double, NaN included
             return scaled
         # (jitter * u) * |sin(hidden - setting)| ** exponent
@@ -127,11 +128,11 @@ class TripleProcessSource:
         self.slots = dict(slots)
 
     def draw(self, left: Setting, right: Setting, rng: np.random.Generator,
-             count: int):
+             count: int, orientations: bool = True):
         triples = draw_rows(self.probs, sign_rows(3), rng, count)
         s1 = triples[:, self.slots[left.id] - 1]
         s2 = triples[:, self.slots[right.id] - 1]
-        hidden = rng.uniform(0.0, 2.0 * np.pi, count)
+        hidden = rng.uniform(0.0, 2.0 * np.pi, count) if orientations else None
         return s1, s2, hidden, hidden
 
 
@@ -141,7 +142,7 @@ class SingletSource:
     P(S1, S2) = (1 - S1 S2 cos(angle_left - angle_right)) / 4."""
 
     def draw(self, left: Setting, right: Setting, rng: np.random.Generator,
-             count: int):
+             count: int, orientations: bool = True):
         # Python float arithmetic overflows to inf without a numpy warning
         d = float(left.angle) - float(right.angle)
         if not math.isfinite(d):
@@ -149,7 +150,7 @@ class SingletSource:
                              f"finite, got {left.angle} and {right.angle}")
         e = chain_coeffs(0.0, (-np.cos(d),))
         pairs = draw_rows(sign_transform(e).ravel() / 4.0, sign_rows(2), rng, count)
-        hidden = rng.uniform(0.0, 2.0 * np.pi, count)
+        hidden = rng.uniform(0.0, 2.0 * np.pi, count) if orientations else None
         return pairs[:, 0], pairs[:, 1], hidden, hidden
 
 
@@ -161,10 +162,10 @@ class PairModelSource:
         self.model = model
 
     def draw(self, left: Setting, right: Setting, rng: np.random.Generator,
-             count: int):
+             count: int, orientations: bool = True):
         phi, s1, s2 = sample_pair_arrays(self.model, left.angle, right.angle,
                                          rng, count)
-        h1, h2 = station_orientations(self.model, phi)
+        h1, h2 = station_orientations(self.model, phi) if orientations else (None, None)
         return s1, s2, h1, h2
 
 
@@ -243,17 +244,18 @@ def _children(schedule: list[SettingPair], m: int, seed: int) -> list:
 
 
 def _entry_draws(source, pair: SettingPair, timing: TimingModel,
-                 rng: np.random.Generator, count: int):
+                 rng: np.random.Generator, count: int, timed: bool):
     """The draws of one schedule entry's count event pairs, in the stream
-    order that every route shares: the outcomes and hidden orientations,
-    then, at a non-zero jitter, each station's scaled uniforms jitter * u.
-    Returns s1, s2 and an iterator of one (hidden, setting angle,
-    jitter * u) per station, which draws each station's uniforms when it
-    reaches it; it is empty at zero jitter, where the delays are zero."""
-    s1, s2, h1, h2 = source.draw(pair.left, pair.right, rng, count)
+    order that every route shares: the outcomes, the hidden orientations,
+    then each station's scaled uniforms jitter * u.  An entry that forms no
+    delay (not ``timed``) stops after the outcomes.  Returns s1, s2 and an
+    iterator of one (hidden, setting angle, jitter * u) per station, which
+    draws each station's uniforms when it reaches it; it is empty when the
+    entry is not timed."""
+    s1, s2, h1, h2 = source.draw(pair.left, pair.right, rng, count, orientations=timed)
 
     def stations():
-        if timing.jitter == 0.0:  # zero delays: nothing more is drawn
+        if not timed:
             return
         for hidden, setting in ((h1, pair.left), (h2, pair.right)):
             scaled = rng.random(count)
@@ -292,7 +294,7 @@ def generate_events(source, schedule: list[SettingPair], m: int,
         if count == 0:
             continue
         s1[rows], s2[rows], stations = _entry_draws(
-            source, pair, timing, np.random.default_rng(children[p]), count)
+            source, pair, timing, np.random.default_rng(children[p]), count, timing.jitter != 0.0)
         # one station's uniforms and delays at a time
         for t, station in zip((t1, t2), stations):
             t[rows] += timing.delays(*station)
@@ -319,6 +321,16 @@ def three_settings_schedule(angle_a: float, angle_b: float,
     return [SettingPair(a, b), SettingPair(a, c), SettingPair(b, c)]
 
 
+def _keeps_every_gap(pair: SettingPair, timing: TimingModel, m: int, window: float) -> bool:
+    """Whether the window keeps every event pair of a schedule entry, decided
+    before any draw: each delay lies in [0, jitter] and is finite at exponent
+    0 or at finite setting angles (the hidden angles are), and then each
+    float64 gap at alpha <= m period is at most jitter + 2^-50 (m period + jitter)."""
+    finite = timing.exponent == 0.0 or (math.isfinite(pair.left.angle)
+                                        and math.isfinite(pair.right.angle))
+    return finite and window - 2.0 ** -50 * (m * EVENT_PERIOD + timing.jitter) >= timing.jitter
+
+
 def _coincident(stations, block: slice, first: int, step: int,
                 timing: TimingModel, window: float) -> np.ndarray:
     """|t1 - t2| <= window for the event pairs ``block`` of one schedule
@@ -326,13 +338,14 @@ def _coincident(stations, block: slice, first: int, step: int,
     on the times of ``generate_events`` (a NaN gap dropped), behind the
     float32 screen that ``TimingModel`` describes."""
     j = np.arange(block.start, block.start + stations[0][2][block].size)
+    jitter, e = timing.jitter, timing.exponent
 
     def exact(rows):
         alpha = (rows * step + first) * EVENT_PERIOD
-        t1, t2 = (alpha + timing.delays(h[rows], angle, v[rows]) for h, angle, v in stations)
+        t1, t2 = (alpha + timing.delays(h[rows] if e else None, angle, v[rows])
+                  for h, angle, v in stations)  # at exponent 0 no hidden angle is read
         return np.abs(t1 - t2) <= window
 
-    jitter, e = timing.jitter, timing.exponent
     if e == 0.0:  # the delays are the scaled uniforms: no sine to screen
         return exact(j)
     xs = [np.subtract(h[block], angle) for h, angle, _ in stations]
@@ -345,8 +358,6 @@ def _coincident(stations, block: slice, first: int, step: int,
         + 2.0 ** -50 * ((j[-1] * step + first) * EVENT_PERIOD + jitter)
     if not (bound < jitter / 4 and jitter < 2.0 ** 100):
         return exact(j)
-    if window - bound >= jitter:
-        return np.ones(j.size, dtype=bool)
     d1, d2 = (_float32_delay(x, v[block], e) for x, (_, _, v) in zip(xs, stations))
     np.subtract(d1, d2, out=d1)
     np.abs(d1, out=d1)
@@ -370,9 +381,10 @@ def _window_counts(source, schedule: list[SettingPair], m: int, timing: TimingMo
     """The coincidences of ``generate_events(source, schedule, m, timing,
     seed)`` per schedule index and outcome pair: one 2x2 count grid of
     (S1, S2) per schedule index, in sign-grid order, over the event pairs
-    with |t1 - t2| <= window, a NaN gap dropped.  Each entry's draws are
-    those of the event log, and the window is decided in blocks of
-    REDUCE_BLOCK pairs by ``_coincident``; no event time is stored."""
+    with |t1 - t2| <= window, a NaN gap dropped.  An entry at zero jitter or
+    where ``_keeps_every_gap`` holds draws only its outcomes; any other makes
+    the event log's draws, and ``_coincident`` decides the window in blocks
+    of REDUCE_BLOCK pairs.  No event time is stored."""
     children = _children(schedule, m, seed)
     n_pairs = len(schedule)
     # code 4 is the discard bin
@@ -381,13 +393,14 @@ def _window_counts(source, schedule: list[SettingPair], m: int, timing: TimingMo
         count = len(range(p, m, n_pairs))
         if count == 0:
             continue
+        timed = timing.jitter != 0.0 and not _keeps_every_gap(pair, timing, m, window)
         s1, s2, stations = _entry_draws(source, pair, timing,
-                                        np.random.default_rng(children[p]), count)
+                                        np.random.default_rng(children[p]), count, timed)
         stations = list(stations)
         for lo in range(0, count, REDUCE_BLOCK):
             block = slice(lo, lo + REDUCE_BLOCK)
             codes = sign_codes(s1[block], s2[block])
-            if stations:  # at zero jitter every gap is 0
+            if stations:
                 np.putmask(codes, ~_coincident(stations, block, p + 1, n_pairs,
                                                timing, window), 4)
             counts[p] += np.bincount(codes, minlength=5)
@@ -403,12 +416,14 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     families on the three filtered correlations.
 
     The events are counted, not stored: each schedule entry makes the draws
-    of ``generate_events``, and a float32 delay screen decides the window
-    wherever its error bound allows (see ``TimingModel``); near-ties, NaN
-    gaps and blocks it cannot bound take the float64 rule.  So the counts,
-    and the integer correlation numerators, equal those of the pairs of
-    ``generate_events(source, three_settings_schedule(angle_a, angle_b,
-    angle_c), m, timing, seed)`` with |t1 - t2| <= window, per setting pair.
+    of ``generate_events`` that its counts read: none after the outcomes
+    where the window keeps every gap the delay law can give.  Elsewhere a
+    float32 delay screen decides the window wherever its error bound allows
+    (see ``TimingModel``); near-ties, NaN gaps and blocks it cannot bound
+    take the float64 rule.  So the counts, and the integer correlation
+    numerators, equal those of the pairs of ``generate_events(source,
+    three_settings_schedule(angle_a, angle_b, angle_c), m, timing, seed)``
+    with |t1 - t2| <= window, per setting pair.
 
     The pair-bound check holds for any three correlations.  The two Boole
     checks test the triples hypothesis in the direct and in the

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolebell import classical as cl
 from boolebell import pipeline as pl
@@ -66,6 +67,43 @@ def reference_events(source, schedule, m, timing, seed, schedule_mode):
 
 def _no_screen(*args):
     raise AssertionError("screened a block that float32 cannot hold")
+
+
+def _never(*args):
+    raise AssertionError("formed a delay under a window that keeps every gap")
+
+
+class RecordingGenerator:
+    """A numpy Generator that records the name of every method drawn from it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._rng, name)
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def keep_all_threshold(pair, timing, m):
+    """The least double window at which _keeps_every_gap holds, by bisection
+    over the bit patterns of the positive doubles, which they order."""
+    lo, hi = 0, int(np.float64(math.inf).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pl._keeps_every_gap(pair, timing, m, float(np.int64(mid).view(np.float64))):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
 
 
 def assert_counts_equal_the_oracle(rep, raw, window):
@@ -276,20 +314,114 @@ class TestCoincidenceFilter:
             coincidence_filter(raw, 0.0, ("a", "b"))
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_keep_all_predicate_implies_the_float64_rule(data):
+    # at the least windows where the predicate holds, every pair of delays
+    # from 0, the jitter, one ulp inside each and one drawn value, at the
+    # alphas 1, m and one drawn, has a float64 gap within the window
+    m = data.draw(st.integers(1, 2 ** 45), "m")
+    jitter = data.draw(st.sampled_from([0.0, 5e-324, 2.0 ** -40, 0.1, 1.0, 17592.7 * 2.0 ** -44])
+                       | st.floats(0.0, 1e300), "jitter")
+    delays = {0.0, min(float(np.nextafter(0.0, 1.0)), jitter), float(np.nextafter(jitter, 0.0)),
+              jitter, data.draw(st.floats(0.0, jitter), "delay")}
+    alphas = [a * pl.EVENT_PERIOD for a in (1, m, data.draw(st.integers(1, m), "alpha"))]
+    pair = standard_schedule()[0]
+    timing = pl.TimingModel(jitter, data.draw(st.sampled_from([0.0, 1.0]), "exponent"))
+    window = keep_all_threshold(pair, timing, m)
+    for _ in range(data.draw(st.integers(0, 2), "ulps above the threshold")):
+        window = float(np.nextafter(window, math.inf))
+    assert pl._keeps_every_gap(pair, timing, m, window)
+    for alpha in alphas:
+        for d1 in delays:
+            for d2 in delays:
+                assert abs((alpha + d1) - (alpha + d2)) <= window, (alpha, d1, d2)
+
+
 class TestRunThreeSettings:
     def test_peak_memory_per_pair(self):
-        # no event time is stored: one schedule entry's draws (a third of the
-        # pairs, 26 bytes each: two outcomes, the hidden angle and two scaled
-        # uniforms) plus one block's temporaries
+        # the screened route (a window below the jitter); no event time is
+        # stored: one schedule entry's draws (a third of the pairs, 26 bytes
+        # each: two outcomes, the hidden angle and two scaled uniforms) plus
+        # one block's temporaries
         m = 10 ** 6
-        tracemalloc.start()
-        try:
-            pl.run_three_settings(0.0, np.pi / 3, 2 * np.pi / 3, pl.SingletSource(),
-                                  pl.TimingModel(0.5, 1.0), m, 0.3, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: pl.run_three_settings(
+            0.0, np.pi / 3, 2 * np.pi / 3, pl.SingletSource(), pl.TimingModel(0.5, 1.0), m, 0.3,
+            seed=1))
         assert peak < 11.5 * m
+
+    def test_peak_memory_per_pair_when_the_window_keeps_every_gap(self):
+        # no delay and no hidden angle is drawn: one schedule entry's outcomes
+        # and their inverse-CDF uniforms
+        m = 10 ** 6
+        peak = traced_peak(lambda: pl.run_three_settings(
+            0.0, np.pi / 3, 2 * np.pi / 3, pl.SingletSource(), pl.TimingModel(0.5, 1.0), m,
+            math.inf, seed=1))
+        assert peak < 8.5 * m
+
+    # 2^-40 jitter covers 2^-50 (m + jitter) from a jitter of about m / 1023 up
+    @pytest.mark.parametrize("jitter, exponent, window", [
+        pytest.param(0.5, 1.0, math.inf, id="infinite"),
+        pytest.param(4.0, 2.7, 4.0 * (1 + 2.0 ** -40), id="jitter-widened"),
+        pytest.param(0.0, 0.0, 0.3, id="zero-jitter")])
+    @pytest.mark.parametrize("name", list(SOURCES))
+    def test_no_delay_formed_draws_only_the_outcomes(self, monkeypatch, name, jitter, exponent,
+                                                     window):
+        # a window that keeps every gap, or zero jitter: no station uniform,
+        # no delay, no screen and no hidden angle
+        calls = []
+        entry_draws = pl._entry_draws
+        monkeypatch.setattr(pl, "_entry_draws", lambda source, pair, timing, rng, *rest:
+                            entry_draws(source, pair, timing, RecordingGenerator(rng, calls), *rest))
+        monkeypatch.setattr(pl.TimingModel, "delays", _never)
+        monkeypatch.setattr(pl, "_coincident", _never)
+        monkeypatch.setattr(pl, "station_orientations", _never)
+        angles, timing = (0.3, 1.4, -2.0), pl.TimingModel(jitter, exponent)
+        rep = pl.run_three_settings(*angles, SOURCES[name], timing, 3000, window, seed=5)
+        if name in ("singlet", "triple"):  # only the outcomes' inverse-CDF uniforms
+            assert calls == ["random"] * 3
+        else:  # the model's angle and thresholds, drawn by rng.uniform
+            assert set(calls) == {"uniform"}
+        monkeypatch.undo()
+        raw = pl.generate_events(SOURCES[name], standard_schedule(angles), 3000, timing, seed=5)
+        assert_counts_equal_the_oracle(rep, raw, window)
+        assert sum(rep.counts.values()) == 3000
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [name for name in SOURCES if name != "singlet"])
+    def test_non_finite_settings_take_the_draws_under_an_infinite_window(self, monkeypatch,
+                                                                         name, angle):
+        # the delays at setting a are NaN, so the entries (a, b) and (a, c)
+        # draw them and drop every NaN gap; (b, c) keeps every pair undrawn
+        screened = []
+        coincident = pl._coincident
+        monkeypatch.setattr(pl, "_coincident", lambda stations, block, first, *rest:
+                            screened.append(first) or coincident(stations, block, first, *rest))
+        angles, timing = (angle, 1.0, 2.0), pl.TimingModel(1.0, 2.7)
+        with np.errstate(invalid="ignore"):  # cos and sin of an infinite angle are NaN
+            rep = pl.run_three_settings(*angles, SOURCES[name], timing, 300, math.inf, seed=8)
+            raw = pl.generate_events(SOURCES[name], standard_schedule(angles), 300, timing, 8)
+        assert sorted(set(screened)) == [1, 2]
+        assert rep.counts == {"ab": 0, "ac": 0, "bc": 100}
+        assert_counts_equal_the_oracle(rep, raw, math.inf)
+
+    @pytest.mark.parametrize("exponent", [0.0, 1.0, 2.7])
+    @pytest.mark.parametrize("name", list(SOURCES))
+    def test_counts_equal_the_float64_rule_around_the_keep_all_threshold(self, name, exponent):
+        angles, m, seed = (0.3, 1.4, -2.0), 600, 41
+        schedule = standard_schedule(angles)
+        for jitter in (1e-9, 1.0):
+            timing = pl.TimingModel(jitter, exponent)
+            threshold = keep_all_threshold(schedule[0], timing, m)
+            below, widened = float(np.nextafter(threshold, 0.0)), jitter * (1 + 2.0 ** -40)
+            assert not pl._keeps_every_gap(schedule[0], timing, m, below)
+            # 2^-40 jitter covers 2^-50 (m + jitter) at a jitter of 1 only
+            assert pl._keeps_every_gap(schedule[0], timing, m, widened) == (jitter == 1.0)
+            raw = pl.generate_events(SOURCES[name], schedule, m, timing, seed)
+            for window in (math.inf, widened, below):
+                assert_counts_equal_the_oracle(
+                    pl.run_three_settings(*angles, SOURCES[name], timing, m, window, seed),
+                    raw, window)
 
     # with 60 pairs and seed 27, the 0.02 window empties exactly one setting
     # pair for every source
