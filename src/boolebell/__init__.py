@@ -8,9 +8,9 @@ engine), ``leggett_garg`` (temporal-correlation model), ``classical``
 (time-tagged event processing), ``cli`` (entry point).
 """
 
-from .datasets import (DichotomicDataset, PairCorrelation, check_boole_triple,
+from .datasets import (DichotomicDataset, check_boole_triple,
                        check_boole_triple_anticorrelated, check_chsh,
-                       check_pair_bound, correlation, read_dataset_csv,
+                       check_pair_bound, correlations, read_dataset_csv,
                        write_dataset_csv)
 from .reports import SLACK_TOL, Clause, InequalityReport, make_clause, make_report
 from .tables import (CompatibilityResult, ExpansionCoeffs2, ExpansionCoeffs3,
@@ -22,8 +22,7 @@ from .tables import (CompatibilityResult, ExpansionCoeffs2, ExpansionCoeffs3,
 
 __all__ = [
     "Clause", "InequalityReport", "SLACK_TOL", "make_clause", "make_report",
-    "DichotomicDataset", "PairCorrelation",
-    "correlation", "check_boole_triple",
+    "DichotomicDataset", "correlations", "check_boole_triple",
     "check_boole_triple_anticorrelated", "check_pair_bound", "check_chsh",
     "read_dataset_csv", "write_dataset_csv",
     "SignTable", "FuncTable2", "FuncTable3", "ExpansionCoeffs2", "ExpansionCoeffs3",

@@ -63,24 +63,12 @@ class DichotomicDataset:
         return self.data.shape[0]
 
 
-@dataclass(frozen=True)
-class PairCorrelation:
-    value: float
-
-
 def correlations(ds: DichotomicDataset) -> dict[tuple[int, int], float]:
     """Every pair correlation (i, j), keyed as by ``pair_coefficients``, read off
     the 2^n count grid: each numerator is an integer entry of the grid's sign
     transform, exact in float64, so the value is num/M with no rounding error."""
     counts = np.bincount(sign_codes(*ds.data.T), minlength=2 ** ds.n).reshape((2,) * ds.n)
     return {pair: num / ds.m for pair, num in pair_coefficients(sign_transform(counts)).items()}
-
-
-def correlation(ds: DichotomicDataset, i: int, j: int) -> PairCorrelation:
-    """Average of products of columns i and j (1-based, i < j)."""
-    if not (1 <= i < j <= ds.n):
-        raise ValueError(f"need 1 <= i < j <= {ds.n}, got i={i}, j={j}")
-    return PairCorrelation(correlations(ds)[(i, j)])
 
 
 def require_in_unit_interval(name_value_pairs):

@@ -13,10 +13,11 @@ A Boole-family failure on windowed pair data is reported as the rejection of
 the triples hypothesis for the corresponding convention, never as an
 arithmetic or physical impossibility.
 
-Every run takes an explicit seed.  ``generate_events`` spawns one child seed
-per schedule entry, plus one for a random schedule, from
-``numpy.random.SeedSequence(seed)``; the children depend only on the seed and
-the schedule length, so equal seeds give bit-identical event logs.
+Every run takes an explicit seed.  ``_entries`` gives schedule entry p of n
+the p-th child of ``numpy.random.SeedSequence(seed)`` and the pairs p, p + n,
+...; the event log (``generate_events``) and the counts
+(``run_three_settings``) both draw through it, so equal seeds give
+bit-identical event logs and the counts are the log's.
 """
 
 from __future__ import annotations
@@ -127,13 +128,9 @@ class TripleProcessSource:
             raise ValueError("slots must map setting ids to distinct values in 1..3")
         self.slots = dict(slots)
 
-    def draw(self, left: Setting, right: Setting, rng: np.random.Generator,
-             count: int, orientations: bool = True):
+    def draw(self, left: Setting, right: Setting, rng: np.random.Generator, count: int):
         triples = draw_rows(self.probs, sign_rows(3), rng, count)
-        s1 = triples[:, self.slots[left.id] - 1]
-        s2 = triples[:, self.slots[right.id] - 1]
-        hidden = rng.uniform(0.0, 2.0 * np.pi, count) if orientations else None
-        return s1, s2, hidden, hidden
+        return triples[:, self.slots[left.id] - 1], triples[:, self.slots[right.id] - 1], None
 
 
 class SingletSource:
@@ -141,8 +138,7 @@ class SingletSource:
     -cos(angle_left - angle_right):
     P(S1, S2) = (1 - S1 S2 cos(angle_left - angle_right)) / 4."""
 
-    def draw(self, left: Setting, right: Setting, rng: np.random.Generator,
-             count: int, orientations: bool = True):
+    def draw(self, left: Setting, right: Setting, rng: np.random.Generator, count: int):
         # Python float arithmetic overflows to inf without a numpy warning
         d = float(left.angle) - float(right.angle)
         if not math.isfinite(d):
@@ -150,8 +146,7 @@ class SingletSource:
                              f"finite, got {left.angle} and {right.angle}")
         e = chain_coeffs(0.0, (-np.cos(d),))
         pairs = draw_rows(sign_transform(e).ravel() / 4.0, sign_rows(2), rng, count)
-        hidden = rng.uniform(0.0, 2.0 * np.pi, count) if orientations else None
-        return pairs[:, 0], pairs[:, 1], hidden, hidden
+        return pairs[:, 0], pairs[:, 1], None
 
 
 class PairModelSource:
@@ -161,12 +156,9 @@ class PairModelSource:
     def __init__(self, model: FactorizableModel):
         self.model = model
 
-    def draw(self, left: Setting, right: Setting, rng: np.random.Generator,
-             count: int, orientations: bool = True):
-        phi, s1, s2 = sample_pair_arrays(self.model, left.angle, right.angle,
-                                         rng, count)
-        h1, h2 = station_orientations(self.model, phi) if orientations else (None, None)
-        return s1, s2, h1, h2
+    def draw(self, left: Setting, right: Setting, rng: np.random.Generator, count: int):
+        phi, s1, s2 = sample_pair_arrays(self.model, left.angle, right.angle, rng, count)
+        return s1, s2, lambda: station_orientations(self.model, phi)
 
 
 @dataclass(frozen=True)
@@ -234,71 +226,63 @@ class RawDataset:
                           (self.s1, self.t1, self.s2, self.t2, self.pair)))]))
 
 
-def _children(schedule: list[SettingPair], m: int, seed: int) -> list:
-    """One child seed per schedule entry, plus one for a random schedule."""
-    if m < 1:
-        raise ValueError("need at least one event pair")
-    if not schedule:
-        raise ValueError("schedule must not be empty")
-    return np.random.SeedSequence(int(seed)).spawn(len(schedule) + 1)
-
-
 def _entry_draws(source, pair: SettingPair, timing: TimingModel,
                  rng: np.random.Generator, count: int, timed: bool):
     """The draws of one schedule entry's count event pairs, in the stream
     order that every route shares: the outcomes, the hidden orientations,
-    then each station's scaled uniforms jitter * u.  An entry that forms no
-    delay (not ``timed``) stops after the outcomes.  Returns s1, s2 and an
-    iterator of one (hidden, setting angle, jitter * u) per station, which
-    draws each station's uniforms when it reaches it; it is empty when the
-    entry is not timed."""
-    s1, s2, h1, h2 = source.draw(pair.left, pair.right, rng, count, orientations=timed)
+    then each station's scaled uniforms jitter * u.  The source draws the
+    outcomes and gives the orientations as None, for one uniform angle that
+    both stations share, or as a callable that forms them.  An entry that
+    forms no delay (not ``timed``) stops after the outcomes.  Returns s1, s2
+    and an iterator of one (hidden, setting angle, jitter * u) per station,
+    which draws each station's uniforms when it reaches it."""
+    s1, s2, orientations = source.draw(pair.left, pair.right, rng, count)
+    if not timed:
+        return s1, s2, iter(())
+    h1, h2 = orientations() if orientations else (rng.uniform(0.0, 2.0 * np.pi, count),) * 2
+    return s1, s2, ((hidden, setting.angle, rng.random(count) * timing.jitter)
+                    for hidden, setting in ((h1, pair.left), (h2, pair.right)))
 
-    def stations():
-        if not timed:
-            return
-        for hidden, setting in ((h1, pair.left), (h2, pair.right)):
-            scaled = rng.random(count)
-            scaled *= timing.jitter
-            yield hidden, setting.angle, scaled
 
-    return s1, s2, stations()
+def _entries(source, schedule: list[SettingPair], m: int, timing: TimingModel,
+             seed: int, timed):
+    """Checks the arguments, then yields, lazily and in order, p and the
+    ``_entry_draws`` of every schedule entry p of n that has pairs: from the
+    p-th child of ``SeedSequence(seed)``, for its pairs p, p + n, ... at
+    alphas p + 1 + n j.  ``timed(pair)`` says whether an entry forms delays."""
+    if m < 1:
+        raise ValueError("need at least one event pair")
+    if not schedule:
+        raise ValueError("schedule must not be empty")
+    n = len(schedule)
+    children = np.random.SeedSequence(int(seed)).spawn(n)
+    return ((p, *_entry_draws(source, pair, timing, np.random.default_rng(child),
+                              len(range(p, m, n)), timed(pair)))
+            for p, (pair, child) in enumerate(zip(schedule, children)) if p < m)
 
 
 def generate_events(source, schedule: list[SettingPair], m: int,
-                    timing: TimingModel, seed: int,
-                    schedule_mode: str = "round_robin") -> RawDataset:
-    """Generate M event pairs.  Settings cycle round-robin through the
-    schedule or are chosen per event at random (seeded); outcomes, hidden
-    orientations and delays are drawn from per-pair child generators derived
-    from the master seed, so equal seeds give bit-identical datasets."""
-    children = _children(schedule, m, seed)
-    if schedule_mode not in ("round_robin", "random"):
-        raise ValueError(f"unknown schedule mode {schedule_mode!r}")
+                    timing: TimingModel, seed: int) -> RawDataset:
+    """Generate M event pairs, the settings cycling round robin through the
+    schedule, from the draws of ``_entries``: equal seeds give bit-identical
+    datasets."""
+    entries = _entries(source, schedule, m, timing, seed, lambda pair: timing.jitter != 0.0)
     n_pairs = len(schedule)
     code = np.min_scalar_type(n_pairs - 1)
-    if schedule_mode == "round_robin":
-        assignment = np.tile(np.arange(n_pairs, dtype=code), -(-m // n_pairs))[:m]
-    else:
-        assignment = np.random.default_rng(children[-1]).integers(0, n_pairs, m).astype(code)
-
     s1 = np.empty(m, dtype=np.int8)
     s2 = np.empty(m, dtype=np.int8)
     # detection time = alpha * period + delay
     t1 = np.arange(1, m + 1) * EVENT_PERIOD
     t2 = t1.copy()
-    for p, pair in enumerate(schedule):
-        rows = slice(p, None, n_pairs) if schedule_mode == "round_robin" \
-            else np.flatnonzero(assignment == p)
-        count = s1[rows].size
-        if count == 0:
-            continue
-        s1[rows], s2[rows], stations = _entry_draws(
-            source, pair, timing, np.random.default_rng(children[p]), count, timing.jitter != 0.0)
+    for p, e1, e2, stations in entries:
+        rows = slice(p, None, n_pairs)
+        s1[rows], s2[rows] = e1, e2
         # one station's uniforms and delays at a time
         for t, station in zip((t1, t2), stations):
             t[rows] += timing.delays(*station)
-    return RawDataset(s1, t1, s2, t2, assignment, tuple(schedule))
+        e1 = e2 = stations = station = None  # free this entry's draws before the next entry's
+    index = np.tile(np.arange(n_pairs, dtype=code), -(-m // n_pairs))[:m]
+    return RawDataset(s1, t1, s2, t2, index, tuple(schedule))
 
 
 @dataclass(frozen=True)
@@ -385,19 +369,14 @@ def _window_counts(source, schedule: list[SettingPair], m: int, timing: TimingMo
     where ``_keeps_every_gap`` holds draws only its outcomes; any other makes
     the event log's draws, and ``_coincident`` decides the window in blocks
     of REDUCE_BLOCK pairs.  No event time is stored."""
-    children = _children(schedule, m, seed)
+    entries = _entries(source, schedule, m, timing, seed, lambda pair: (
+        timing.jitter != 0.0 and not _keeps_every_gap(pair, timing, m, window)))
     n_pairs = len(schedule)
     # code 4 is the discard bin
     counts = np.zeros((n_pairs, 5), dtype=np.int64)
-    for p, pair in enumerate(schedule):
-        count = len(range(p, m, n_pairs))
-        if count == 0:
-            continue
-        timed = timing.jitter != 0.0 and not _keeps_every_gap(pair, timing, m, window)
-        s1, s2, stations = _entry_draws(source, pair, timing,
-                                        np.random.default_rng(children[p]), count, timed)
+    for p, s1, s2, stations in entries:
         stations = list(stations)
-        for lo in range(0, count, REDUCE_BLOCK):
+        for lo in range(0, s1.size, REDUCE_BLOCK):
             block = slice(lo, lo + REDUCE_BLOCK)
             codes = sign_codes(s1[block], s2[block])
             if stations:

@@ -14,7 +14,7 @@ import pytest
 from boolebell import (ExpansionCoeffs2, FuncTable3,
                        IncompatibleMarginalsError, LambdaModel,
                        bell_pair_tables, bell_triple_table, check_boole_triple,
-                       check_chsh, construct_g3, correlation,
+                       check_chsh, construct_g3, correlations,
                        ebbi_check, expand3, marginals_compatible,
                        reconstruct_f3, synth2, theorem1_check)
 from boolebell import classical as cl
@@ -341,7 +341,7 @@ def test_criterion_11_leggett_garg():
     e_named = dict(zip(((1, 2), (1, 3), (2, 3)), lg.lg_triple_correlations(mp)))
     for (i, j), expect in e_named.items():
         sigma = math.sqrt((1.0 - expect ** 2) / m)
-        if abs(correlation(ds, i, j).value - expect) > 4 * sigma:
+        if abs(correlations(ds)[(i, j)] - expect) > 4 * sigma:
             mc_ok = False
     elapsed = time.perf_counter() - t0
     ok = (worst <= 1e-12 and grid_failures == 0 and pair_ok and witness_ok
@@ -383,7 +383,7 @@ def test_criterion_13_factorizable():
             a, b = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
             expect = cl.analytic_correlation(model, a, b)
             ds = cl.sample_pair(model, a, b, seed=13_000 + trial, count=m)
-            got = correlation(ds, 1, 2).value
+            got = correlations(ds)[(1, 2)]
             sigma = math.sqrt(max(1.0 - expect ** 2, 1e-30) / m)
             if abs(got - expect) > 4 * sigma + 1e-12:
                 mc_failures.append((kind, a, b, got, expect))

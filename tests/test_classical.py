@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boolebell import classical as cl
-from boolebell import correlation
+from boolebell import correlations
 from boolebell.datasets import check_boole_triple
 from oracles import common_parameter_fit
 
@@ -254,7 +254,7 @@ class TestSampling:
             a, b = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
             expect = cl.analytic_correlation(m, a, b)
             ds = cl.sample_pair(m, a, b, seed=100 + trial, count=count)
-            got = correlation(ds, 1, 2).value
+            got = correlations(ds)[(1, 2)]
             sigma = np.sqrt((1 - expect ** 2) / count)
             assert abs(got - expect) <= 4 * sigma + 1e-9
 
@@ -374,5 +374,5 @@ class TestSweep:
         cors = []
         for i, (x, y) in enumerate(angles):
             ds = cl.sample_pair(m, x, y, seed=50 + i, count=100_000)
-            cors.append(correlation(ds, 1, 2).value)
+            cors.append(correlations(ds)[(1, 2)])
         assert not check_boole_triple(*cors).all_satisfied

@@ -11,10 +11,9 @@ import pytest
 
 from boolebell import (DichotomicDataset, check_boole_triple,
                        check_boole_triple_anticorrelated, check_chsh,
-                       check_pair_bound, correlation, read_dataset_csv,
+                       check_pair_bound, correlations, read_dataset_csv,
                        write_dataset_csv)
 from boolebell import datasets as dsm
-from boolebell.datasets import correlations
 from oracles import reduce_dataset
 
 
@@ -81,30 +80,24 @@ class TestReduce:
 class TestCorrelation:
     def test_single_aligned_row(self):
         ds = DichotomicDataset(np.array([[1, 1, 1]]))
-        assert correlation(ds, 1, 2).value == 1.0
+        assert correlations(ds)[(1, 2)] == 1.0
 
     def test_hand_evaluated(self):
         ds = DichotomicDataset(np.array([[1, 1, 1], [1, -1, -1]]))
-        assert correlation(ds, 2, 3).value == 1.0
-        assert correlation(ds, 1, 2).value == 0.0
+        assert correlations(ds)[(2, 3)] == 1.0
+        assert correlations(ds)[(1, 2)] == 0.0
 
     def test_four_rows(self):
         ds = DichotomicDataset(np.array(
             [[1, 1, 1], [1, -1, 1], [-1, 1, -1], [-1, -1, -1]]))
-        assert correlation(ds, 1, 3).value == 1.0
-
-    def test_rejects_bad_pairs(self):
-        ds = DichotomicDataset(np.ones((1, 3), dtype=np.int8))
-        for i, j in ((2, 1), (1, 1), (0, 2), (1, 4)):
-            with pytest.raises(ValueError):
-                correlation(ds, i, j)
+        assert correlations(ds)[(1, 3)] == 1.0
 
     def test_parity_invariant(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             m = int(rng.integers(1, 9))
             ds = DichotomicDataset(rng.choice([-1, 1], size=(m, 3)))
-            num = correlation(ds, 1, 2).value * m
+            num = correlations(ds)[(1, 2)] * m
             assert abs(num - round(num)) < 1e-9
             assert (round(num) - m) % 2 == 0
 
@@ -114,7 +107,7 @@ class TestCorrelation:
             ds = DichotomicDataset(rng.choice([-1, 1], size=(6, 4)))
             for i, j in itertools.combinations(range(1, 5), 2):
                 red = DichotomicDataset(reduce_dataset(ds, (i, j)).data)
-                assert correlation(ds, i, j).value == correlation(red, 1, 2).value
+                assert correlations(ds)[(i, j)] == correlations(red)[(1, 2)]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_count_grid_equals_the_column_product_sums(self, n):
@@ -129,7 +122,7 @@ class TestCorrelation:
                 a, b = ds.data[:, i - 1], ds.data[:, j - 1]
                 want = int(np.sum(a.astype(np.int64) * b)) / m
                 assert value == want and np.signbit(value) == np.signbit(want)
-                assert correlation(ds, i, j).value == value
+                assert correlations(ds)[(i, j)] == value
 
 
 class TestBooleTriple:
@@ -151,9 +144,9 @@ class TestBooleTriple:
         for rows in itertools.product(range(8), repeat=2):
             data = [[1 - 2 * ((r >> k) & 1) for k in range(3)] for r in rows]
             ds = DichotomicDataset(np.array(data))
-            rep = check_boole_triple(correlation(ds, 1, 2).value,
-                                     correlation(ds, 1, 3).value,
-                                     correlation(ds, 2, 3).value)
+            rep = check_boole_triple(correlations(ds)[(1, 2)],
+                                     correlations(ds)[(1, 3)],
+                                     correlations(ds)[(2, 3)])
             assert rep.all_satisfied
 
     def test_sign_covariance(self):
@@ -161,21 +154,21 @@ class TestBooleTriple:
         for _ in range(30):
             data = rng.choice([-1, 1], size=(5, 3))
             ds = DichotomicDataset(data)
-            base = check_boole_triple(correlation(ds, 1, 2).value,
-                                      correlation(ds, 1, 3).value,
-                                      correlation(ds, 2, 3).value)
+            base = check_boole_triple(correlations(ds)[(1, 2)],
+                                      correlations(ds)[(1, 3)],
+                                      correlations(ds)[(2, 3)])
             for k in range(3):
                 flipped = data.copy()
                 flipped[:, k] *= -1
                 ds2 = DichotomicDataset(flipped)
-                rep = check_boole_triple(correlation(ds2, 1, 2).value,
-                                         correlation(ds2, 1, 3).value,
-                                         correlation(ds2, 2, 3).value)
+                rep = check_boole_triple(correlations(ds2)[(1, 2)],
+                                         correlations(ds2)[(1, 3)],
+                                         correlations(ds2)[(2, 3)])
                 # negating one column flips exactly the correlations touching it
                 for i, j in ((1, 2), (1, 3), (2, 3)):
                     sign = -1 if (k + 1) in (i, j) else 1
-                    assert correlation(ds2, i, j).value == \
-                        sign * correlation(ds, i, j).value
+                    assert correlations(ds2)[(i, j)] == \
+                        sign * correlations(ds)[(i, j)]
                 assert rep.all_satisfied == base.all_satisfied
 
     def test_anticorrelated_family_matches_negated_direct(self):
@@ -208,11 +201,11 @@ class TestPairBound:
         # pair bound always passes; the triple family has a failing instance
         rng = np.random.default_rng(19)
         for _ in range(50):
-            cors = [correlation(DichotomicDataset(rng.choice([-1, 1], size=(8, 2))),
-                                1, 2).value for _ in range(3)]
+            cors = [correlations(DichotomicDataset(rng.choice([-1, 1], size=(8, 2))))[(1, 2)]
+                    for _ in range(3)]
             assert check_pair_bound(*cors).all_satisfied
         ones = DichotomicDataset(np.array([[1, -1]] * 4))
-        f = correlation(ones, 1, 2).value
+        f = correlations(ones)[(1, 2)]
         assert not check_boole_triple(f, f, f).all_satisfied
 
 
@@ -233,10 +226,10 @@ class TestChsh:
         for rows in itertools.product(range(16), repeat=2):
             data = [[1 - 2 * ((r >> k) & 1) for k in range(4)] for r in rows]
             ds = DichotomicDataset(np.array(data))
-            rep = check_chsh(correlation(ds, 1, 3).value,
-                             correlation(ds, 2, 3).value,
-                             correlation(ds, 1, 4).value,
-                             correlation(ds, 2, 4).value)
+            rep = check_chsh(correlations(ds)[(1, 3)],
+                             correlations(ds)[(2, 3)],
+                             correlations(ds)[(1, 4)],
+                             correlations(ds)[(2, 4)])
             assert rep.all_satisfied
 
 

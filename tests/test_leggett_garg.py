@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from boolebell import check_boole_triple, correlation
+from boolebell import check_boole_triple, correlations
 from boolebell import leggett_garg as lg
 
 
@@ -129,7 +129,7 @@ class TestSampling:
         ds = lg.sample_triples(p, m, seed=12)
         e12, e13, e23 = lg.lg_triple_correlations(p)
         for (i, j), expect in (((1, 2), e12), ((1, 3), e13), ((2, 3), e23)):
-            got = correlation(ds, i, j).value
+            got = correlations(ds)[(i, j)]
             sigma = np.sqrt((1 - expect ** 2) / m)
             assert abs(got - expect) <= 4 * sigma
 
@@ -138,9 +138,9 @@ class TestSampling:
         for trial in range(20):
             p = lg.LGParams(rng.uniform(0.1, 3), *rng.uniform(0, 4, 3))
             ds = lg.sample_triples(p, 500, seed=trial)
-            rep = check_boole_triple(correlation(ds, 1, 2).value,
-                                     correlation(ds, 1, 3).value,
-                                     correlation(ds, 2, 3).value)
+            rep = check_boole_triple(correlations(ds)[(1, 2)],
+                                     correlations(ds)[(1, 3)],
+                                     correlations(ds)[(2, 3)])
             assert rep.all_satisfied
 
     def test_requires_positive_count(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from boolebell import classical as cl
 from boolebell import pipeline as pl
-from boolebell import construct_g3, correlation, expand3
+from boolebell import construct_g3, correlations, expand3
 from oracles import coincidence_counts, coincidence_filter
 
 
@@ -33,17 +33,14 @@ def standard_schedule(angles=(0.0, np.pi / 3, 2 * np.pi / 3)):
     return [pl.SettingPair(a, b), pl.SettingPair(a, c), pl.SettingPair(b, c)]
 
 
-def reference_events(source, schedule, m, timing, seed, schedule_mode):
-    """The generator loop with every entry's rows found by flatnonzero and
-    every column written through that index, drawing the delays' uniforms
-    at zero jitter too; returns s1, t1, s2, t2 and the schedule index."""
+def reference_events(source, schedule, m, timing, seed):
+    """The generator loop with the round-robin assignment written out, every
+    entry's rows found by flatnonzero and every column written through that
+    index, drawing the hidden angles and the delays' uniforms at zero jitter
+    too; returns s1, t1, s2, t2 and the schedule index."""
     n_pairs = len(schedule)
-    children = np.random.SeedSequence(seed).spawn(n_pairs + 1)
-    code = np.min_scalar_type(n_pairs - 1)
-    if schedule_mode == "round_robin":
-        assignment = np.tile(np.arange(n_pairs, dtype=code), -(-m // n_pairs))[:m]
-    else:
-        assignment = np.random.default_rng(children[-1]).integers(0, n_pairs, m).astype(code)
+    children = np.random.SeedSequence(seed).spawn(n_pairs)
+    assignment = (np.arange(m) % n_pairs).astype(np.min_scalar_type(n_pairs - 1))
 
     def delays(hidden, angle, rng):
         u = rng.random(hidden.size)
@@ -59,7 +56,11 @@ def reference_events(source, schedule, m, timing, seed, schedule_mode):
         if rows.size == 0:
             continue
         rng = np.random.default_rng(children[p])
-        s1[rows], s2[rows], h1, h2 = source.draw(pair.left, pair.right, rng, rows.size)
+        s1[rows], s2[rows], orientations = source.draw(pair.left, pair.right, rng, rows.size)
+        if orientations is None:  # one hidden angle that both stations share
+            h1 = h2 = rng.uniform(0.0, 2.0 * np.pi, rows.size)
+        else:
+            h1, h2 = orientations()
         t1[rows] += delays(h1, pair.left.angle, rng)
         t2[rows] += delays(h2, pair.right.angle, rng)
     return s1, t1, s2, t2, assignment
@@ -71,6 +72,10 @@ def _no_screen(*args):
 
 def _never(*args):
     raise AssertionError("formed a delay under a window that keeps every gap")
+
+
+def _no_draw(*args):
+    raise AssertionError("drew events before the arguments were checked")
 
 
 class RecordingGenerator:
@@ -125,11 +130,10 @@ SOURCES = {
 
 
 class TestGeneration:
-    @pytest.mark.parametrize("schedule_mode", ["round_robin", "random"])
     @pytest.mark.parametrize("jitter, exponent",
                              [(0.0, 0.0), (0.0, 2.0), (0.7, 0.0), (1.0, 1.0), (0.5, 2.7)])
     @pytest.mark.parametrize("name", list(SOURCES))
-    def test_columns_equal_the_index_scatter_loop(self, name, jitter, exponent, schedule_mode):
+    def test_columns_equal_the_index_scatter_loop(self, name, jitter, exponent):
         # schedules of 1, 3 and 5 entries; with m below the schedule length
         # some entries get no rows
         a, b, c = (pl.Setting(n, t) for n, t in zip("abc", (0.0, 1.1, -2.3)))
@@ -138,9 +142,8 @@ class TestGeneration:
         source, timing = SOURCES[name], pl.TimingModel(jitter, exponent)
         for schedule in schedules:
             for m in (1, 2, 3, 4, 1000):
-                raw = pl.generate_events(source, schedule, m, timing, seed=m + 11,
-                                         schedule_mode=schedule_mode)
-                ref = reference_events(source, schedule, m, timing, m + 11, schedule_mode)
+                raw = pl.generate_events(source, schedule, m, timing, seed=m + 11)
+                ref = reference_events(source, schedule, m, timing, m + 11)
                 got = (raw.s1, raw.t1, raw.s2, raw.t2, raw.pair)
                 for col, want in zip(got, ref):
                     assert col.dtype == want.dtype and np.array_equal(col, want), \
@@ -212,21 +215,16 @@ class TestGeneration:
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "1" and first[4] == "a"
 
-    def test_random_schedule_mode(self):
-        source = pl.SingletSource()
-        raw = pl.generate_events(source, standard_schedule(), 300,
-                                 pl.TimingModel(), seed=4,
-                                 schedule_mode="random")
-        keys = set(zip(raw.id1, raw.id2))
-        assert keys == {("a", "b"), ("a", "c"), ("b", "c")}
-
     def test_csv_log_matches_the_row_by_row_writer(self, tmp_path):
-        # ids that the csv module must quote, a random schedule and more
-        # pairs than one write block
+        # ids that the csv module must quote, schedule indices in no order
+        # (as a log read back may hold them) and more pairs than one write block
         a, b = pl.Setting("x,1", 0.1), pl.Setting('say "b"', 2)
         schedule = [pl.SettingPair(a, b), pl.SettingPair(b, a), pl.SettingPair(a, a)]
-        raw = pl.generate_events(pl.SingletSource(), schedule, pl.WRITE_BLOCK + 7,
-                                 pl.TimingModel(0.7, 2.7), seed=9, schedule_mode="random")
+        rng, m = np.random.default_rng(9), pl.WRITE_BLOCK + 7
+        s1, s2 = rng.choice(np.int8([-1, 1]), (2, m))
+        t1, t2 = np.arange(1.0, m + 1) + rng.uniform(0.0, 0.7, (2, m))
+        pair = rng.permutation(np.arange(m) % 3).astype(np.uint8)
+        raw = pl.RawDataset(s1, t1, s2, t2, pair, tuple(schedule))
         raw.write_csv(tmp_path / "events.csv")
         with open(tmp_path / "reference.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -237,6 +235,23 @@ class TestGeneration:
                 writer.writerow([i, 1, s1, repr(t1), id1, repr(a1)])
                 writer.writerow([i, 2, s2, repr(t2), id2, repr(a2)])
         assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_pair_count_is_checked_before_any_draw(self, monkeypatch, m):
+        monkeypatch.setattr(pl, "_entry_draws", _no_draw)
+        timing = pl.TimingModel(1.0, 1.0)
+        with pytest.raises(ValueError, match="need at least one event pair"):
+            pl.generate_events(pl.SingletSource(), standard_schedule(), m, timing, seed=0)
+        with pytest.raises(ValueError, match="need at least one event pair"):
+            pl.run_three_settings(0.0, 1.0, 2.0, pl.SingletSource(), timing, m, 0.3, seed=0)
+
+    def test_empty_schedule_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(pl, "_entry_draws", _no_draw)
+        timing = pl.TimingModel(1.0, 1.0)
+        with pytest.raises(ValueError, match="schedule must not be empty"):
+            pl.generate_events(pl.SingletSource(), [], 10, timing, seed=0)
+        with pytest.raises(ValueError, match="schedule must not be empty"):
+            pl._window_counts(pl.SingletSource(), [], 10, timing, 0, 0.3)
 
     @pytest.mark.parametrize("jitter, exponent", [
         (math.inf, 2.0), (math.nan, 2.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)])
@@ -350,12 +365,14 @@ class TestRunThreeSettings:
             seed=1))
         assert peak < 11.5 * m
 
-    def test_peak_memory_per_pair_when_the_window_keeps_every_gap(self):
+    @pytest.mark.parametrize("name", ["singlet", "uniform"])
+    def test_peak_memory_per_pair_when_the_window_keeps_every_gap(self, name):
         # no delay and no hidden angle is drawn: one schedule entry's outcomes
-        # and their inverse-CDF uniforms
+        # and the uniforms they are drawn from; an entry that keeps the pair
+        # model's source angle past its outcomes adds about 2.7 bytes a pair
         m = 10 ** 6
         peak = traced_peak(lambda: pl.run_three_settings(
-            0.0, np.pi / 3, 2 * np.pi / 3, pl.SingletSource(), pl.TimingModel(0.5, 1.0), m,
+            0.0, np.pi / 3, 2 * np.pi / 3, SOURCES[name], pl.TimingModel(0.5, 1.0), m,
             math.inf, seed=1))
         assert peak < 8.5 * m
 
@@ -386,6 +403,33 @@ class TestRunThreeSettings:
         raw = pl.generate_events(SOURCES[name], standard_schedule(angles), 3000, timing, seed=5)
         assert_counts_equal_the_oracle(rep, raw, window)
         assert sum(rep.counts.values()) == 3000
+
+    @pytest.mark.parametrize("name", list(SOURCES))
+    def test_a_timed_entry_draws_its_hidden_angles_after_the_outcomes(self, name):
+        # the same entry untimed and timed: untimed, only the outcomes' draws;
+        # timed, a singlet or triple entry adds one uniform of hidden angles,
+        # which both stations share, and a pair-model entry reads the model's
+        # source angle; each station's uniforms come last
+        source, pair, count = SOURCES[name], standard_schedule()[0], 100
+        calls, stations = {}, {}
+        for timed in (False, True):
+            calls[timed] = []
+            rng = RecordingGenerator(np.random.default_rng(5), calls[timed])
+            *_, draws = pl._entry_draws(source, pair, pl.TimingModel(1.0, 2.7), rng, count, timed)
+            stations[timed] = list(draws)
+        assert stations[False] == []
+        (h1, _, _), (h2, _, _) = stations[True]
+        if name in ("singlet", "triple"):
+            assert calls[False] == ["random"]
+            assert calls[True] == ["random", "uniform", "random", "random"]
+            assert h1 is h2 and h1.size == count and np.all((0.0 <= h1) & (h1 < 2.0 * np.pi))
+        else:
+            assert set(calls[False]) == {"uniform"}
+            assert calls[True] == calls[False] + ["random", "random"]
+            phi = cl.sample_pair_arrays(source.model, pair.left.angle, pair.right.angle,
+                                        np.random.default_rng(5), count)[0]
+            want = cl.station_orientations(source.model, phi)
+            assert np.array_equal(h1, want[0]) and np.array_equal(h2, want[1])
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [name for name in SOURCES if name != "singlet"])
@@ -443,7 +487,7 @@ class TestRunThreeSettings:
             if ds is None:
                 empties.append(key)
             else:
-                corr[key] = correlation(ds, 1, 2).value
+                corr[key] = correlations(ds)[(1, 2)]
         assert rep.counts == counts
         assert rep.empty_pairs == tuple(empties)
         assert rep.correlations == (None if empties else corr)

@@ -12,7 +12,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from boolebell import pipeline as pl
 from boolebell.cli import main
 from boolebell.datasets import DichotomicDataset, write_dataset_csv
 
@@ -93,7 +92,6 @@ DATASET_CSV_DIGESTS = {
     4: "ad626decd5887782e33a570ea5251ea318b7dec772729c0b05a362fb98974d5d",
 }
 LEGGETT_GARG_DIGEST = "6352de1fcc7263fa274ed8604f2a475f61107527696d53355b70f8812bdfef13"
-RANDOM_SCHEDULE_DIGEST = "1c06efb79eeac1696ec8fc8d1531ba04cae45fdb83dd92d8d3985849a67928bb"
 
 
 def sha256(path) -> str:
@@ -149,13 +147,3 @@ def test_leggett_garg_samples_are_pinned(tmp_path):
                  repr(np.pi / 3), "--samples", "5000", "--seed", SEED,
                  "--out", str(out)]) == 0
     assert sha256(out) == LEGGETT_GARG_DIGEST
-
-
-def test_random_schedule_log_is_pinned(tmp_path):
-    a, b, c = pl.Setting("a", 0.0), pl.Setting("b", 1.0), pl.Setting("c", 2.0)
-    schedule = [pl.SettingPair(a, b), pl.SettingPair(a, c), pl.SettingPair(b, c)]
-    raw = pl.generate_events(pl.SingletSource(), schedule, 3000,
-                             pl.TimingModel(1.0, 2.0), int(SEED),
-                             schedule_mode="random")
-    raw.write_csv(tmp_path / "events.csv")
-    assert sha256(tmp_path / "events.csv") == RANDOM_SCHEDULE_DIGEST
