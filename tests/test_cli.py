@@ -1,6 +1,7 @@
 """CLI subcommands: envelope schema, determinism, exit codes."""
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -225,6 +226,28 @@ class TestSubcommands:
         generate(calls[0][0], schedule, 600, pipeline.TimingModel(1.0, 2.0), 11
                  ).write_csv(reference)
         assert events.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("window", ["inf", "0.3"])
+    @pytest.mark.parametrize("source", ["singlet", "triple", "pair:uniform", "pair:equal",
+                                        "pair:opposite"])
+    def test_event_log_recounts_to_the_report(self, capsys, tmp_path, source, window):
+        # the report counts without storing an event time, the log is written
+        # by a second generation: reading the log back and keeping its pairs
+        # with |t1 - t2| <= W gives the report's counts per setting pair
+        events = tmp_path / "events.csv"
+        env = run_json(capsys, ["epr-pipeline", "--source", source,
+                                "--angles", "0", "60", "120", "--window", window,
+                                "--jitter", "0.5", "--jitter-exponent", "1",
+                                "--samples", "6000", "--seed", "7",
+                                "--events-out", str(events)])
+        with open(events, newline="") as fh:
+            rows = csv.reader(fh)
+            assert next(rows) == ["alpha", "station", "s", "t", "setting_id", "angle"]
+            kept = [one[4] + two[4] for one, two in zip(rows, rows)
+                    if abs(float(one[3]) - float(two[3])) <= float(window)]
+        counts = env["values"]["counts"]
+        assert counts == {key: kept.count(key) for key in ("ab", "ac", "bc")}
+        assert sum(counts.values()) == len(kept) > 0
 
     def test_sweep_chsh_memory_is_cubic(self, tmp_path):
         # 73 angles: the n^4 tensor alone would take 227 MB

@@ -177,6 +177,37 @@ class TestGeneration:
         stored = sum(col.nbytes for col in vars(raw).values() if isinstance(col, np.ndarray))
         assert stored == 19 * raw.m
 
+    def test_per_pair_settings_follow_the_pair_column_in_any_order(self):
+        # a log read back may hold its schedule indices in no order
+        schedule = tuple(standard_schedule())
+        pair = np.random.default_rng(4).permutation(np.arange(30) % 3).astype(np.uint8)
+        ones, times = np.ones(30, dtype=np.int8), np.arange(1.0, 31.0)
+        raw = pl.RawDataset(ones, times, ones, times.copy(), pair, schedule)
+        for row, p in enumerate(pair):
+            left, right = schedule[p].left, schedule[p].right
+            assert (raw.id1[row], raw.angle1[row], raw.id2[row], raw.angle2[row]) == \
+                (left.id, left.angle, right.id, right.angle)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+    def test_entry_p_draws_from_the_pth_seed_child_for_pairs_p_plus_n_j(self, n):
+        # every m up to past two rounds of the schedule: an entry p >= m has
+        # no pairs and is skipped, and an untimed entry yields no station
+        settings = [pl.Setting(f"s{k}", 0.4 * k) for k in range(n + 1)]
+        schedule = [pl.SettingPair(settings[k], settings[k + 1]) for k in range(n)]
+        source, timing = pl.SingletSource(), pl.TimingModel()
+        for m in range(1, 2 * n + 3):
+            children = np.random.SeedSequence(5).spawn(n)
+            entries = list(pl._entries(source, schedule, m, timing, 5, lambda pair: False))
+            assert [entry[0] for entry in entries] == list(range(min(n, m)))
+            for p, s1, s2, stations in entries:
+                want = source.draw(schedule[p].left, schedule[p].right,
+                                   np.random.default_rng(children[p]), len(range(p, m, n)))
+                assert np.array_equal(s1, want[0]) and np.array_equal(s2, want[1])
+                assert list(stations) == []
+            raw = pl.generate_events(source, schedule, m, timing, seed=5)
+            assert np.array_equal(raw.pair, np.arange(m) % n)
+            assert np.array_equal(raw.t1, np.arange(1.0, m + 1.0))
+
     def test_zero_delay_times_are_periods(self):
         source = pl.SingletSource()
         raw = pl.generate_events(source, standard_schedule(), 10,

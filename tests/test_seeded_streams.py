@@ -73,6 +73,27 @@ FRACTIONAL_EXPONENT_DIGESTS = {
         "e186e5f14368d73620d8a760f8b9bf7b97895be3bb6d85f95d99a74c39f90094",
         "17a61813164fb14e99b583fe6bb8ab9057d4a11f6a31780780382d812466fd8e"),
 }
+# --window inf --jitter 0.5 --jitter-exponent 1: the window keeps every gap,
+# so the counts draw no delay and only the event log draws the hidden angles
+# and the delays' uniforms after each entry's outcomes
+TIMED_INFINITE_WINDOW = ("inf", "--jitter", "0.5", "--jitter-exponent", "1")
+TIMED_INFINITE_WINDOW_DIGESTS = {
+    "singlet": (
+        "832e72d6b51954cec81ae60bc4d440b4bcb113fa34e8c52272a568d3ac878054",
+        "2cdc334952475311ab16f637bfbddd30715daf4af08940271b856a51ccdc1e5a"),
+    "triple": (
+        "a02f09311b9bee0e77338a517fafce0700cfd2a9a73f149441ee03bfe2be9a41",
+        "baa214edf76661d1a46ce5e521235cc5577f349eb9eb0856df971bce98734519"),
+    "pair:uniform": (
+        "abb60d637e8b755faa89ca698a69dd723ab7194446c1e29abb4d8a48ae3c5a25",
+        "4f2c32c4fef5073469e5087d6f2825d1be97aacd714ec7f9a7ed764558975c53"),
+    "pair:equal": (
+        "7e75011b58076d2e29edc138ba552c422778addedf103ab110de899967869992",
+        "bae181a3381e93074eb84e7447a95f685d93d1be09e98f2e6d0f075ce7fb6930"),
+    "pair:opposite": (
+        "dd59d0fe4f168cf2677f14da9143bc2d08d680866de95326f1d2333028c1b696",
+        "a4266485d6ed08674ff308d60ce44bbd2ccc575f58bc9f4fed8f4b686f6de936"),
+}
 # factorizable --format csv, angles 0 60, 3,000 samples
 FACTORIZABLE_CSV_DIGESTS = {
     "uniform": "9c838e88af3962d6ba7df730092bb4f65c7c8cf98d2f6ece74fadc1a93385ca4",
@@ -116,6 +137,12 @@ def test_epr_pipeline_outputs_are_pinned(tmp_path, source, window):
 def test_epr_pipeline_fractional_exponent_is_pinned(tmp_path, source):
     assert (pipeline_digests(tmp_path, source, FRACTIONAL_EXPONENT)
             == FRACTIONAL_EXPONENT_DIGESTS[source])
+
+
+@pytest.mark.parametrize("source", list(TIMED_INFINITE_WINDOW_DIGESTS))
+def test_epr_pipeline_timed_infinite_window_is_pinned(tmp_path, source):
+    assert (pipeline_digests(tmp_path, source, TIMED_INFINITE_WINDOW)
+            == TIMED_INFINITE_WINDOW_DIGESTS[source])
 
 
 @pytest.mark.parametrize("mu", list(FACTORIZABLE_CSV_DIGESTS))
