@@ -8,12 +8,10 @@ engine), ``leggett_garg`` (temporal-correlation model), ``classical``
 (time-tagged event processing), ``cli`` (entry point).
 """
 
-from .datasets import (DichotomicDataset, check_boole_triple,
-                       check_boole_triple_anticorrelated, check_chsh,
-                       check_pair_bound, correlations, read_dataset_csv,
-                       write_dataset_csv)
+from .datasets import (check_boole_triple, check_boole_triple_anticorrelated, check_chsh,
+                       check_pair_bound, correlations, read_dataset_csv)
 from .reports import SLACK_TOL, Clause, InequalityReport, make_clause, make_report
-from .tables import (CompatibilityResult, ExpansionCoeffs2, ExpansionCoeffs3,
+from .tables import (CompatibilityResult, CountTable, ExpansionCoeffs2, ExpansionCoeffs3,
                      FuncTable2, FuncTable3, IncompatibleMarginalsError,
                      LambdaModel, Reconstruction, SignTable, bell_pair_tables,
                      bell_triple_table, construct_g3, ebbi_check, expand2,
@@ -22,10 +20,9 @@ from .tables import (CompatibilityResult, ExpansionCoeffs2, ExpansionCoeffs3,
 
 __all__ = [
     "Clause", "InequalityReport", "SLACK_TOL", "make_clause", "make_report",
-    "DichotomicDataset", "correlations", "check_boole_triple",
-    "check_boole_triple_anticorrelated", "check_pair_bound", "check_chsh",
-    "read_dataset_csv", "write_dataset_csv",
-    "SignTable", "FuncTable2", "FuncTable3", "ExpansionCoeffs2", "ExpansionCoeffs3",
+    "correlations", "check_boole_triple", "check_boole_triple_anticorrelated",
+    "check_pair_bound", "check_chsh", "read_dataset_csv",
+    "SignTable", "CountTable", "FuncTable2", "FuncTable3", "ExpansionCoeffs2", "ExpansionCoeffs3",
     "expand2", "synth2", "expand3", "synth3", "theorem1_check", "ebbi_check",
     "construct_g3", "theorem3_check", "marginals_compatible",
     "reconstruct_f3", "Reconstruction", "CompatibilityResult",

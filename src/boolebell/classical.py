@@ -30,9 +30,9 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .datasets import (BOOLE_TRIPLE, BOOLE_TRIPLE_ANTICORRELATED,
-                       DichotomicDataset)
+from .datasets import BOOLE_TRIPLE, BOOLE_TRIPLE_ANTICORRELATED
 from .reports import SLACK_TOL, grid_sweep
+from .tables import CountTable, sign_codes
 
 MuKind = Literal["uniform", "delta_equal", "delta_opposite"]
 
@@ -197,11 +197,10 @@ def station_orientations(model: FactorizableModel, phi: np.ndarray,
 
 
 def sample_pair(model: FactorizableModel, a: float, b: float,
-                seed: int, count: int) -> DichotomicDataset:
-    """Seeded pair dataset drawn from the model at settings (a, b)."""
-    rng = np.random.default_rng(seed)
-    _, s1, s2 = sample_pair_arrays(model, a, b, rng, count)
-    return DichotomicDataset(np.column_stack([s1, s2]))
+                seed: int, count: int) -> CountTable:
+    """The counts of a seeded pair sample drawn from the model at settings (a, b)."""
+    _, s1, s2 = sample_pair_arrays(model, a, b, np.random.default_rng(seed), count)
+    return CountTable.of_codes(sign_codes(s1, s2), 2)
 
 
 def correlation_law(mu_kind: str, d):

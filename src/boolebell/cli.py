@@ -102,19 +102,19 @@ def _emit(result: dict | str, args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_dataset(args) -> dict:
-    ds = read_dataset_csv(args.input)
-    corr = {f"F{i}{j}": value for (i, j), value in correlations(ds).items()}
+    counts = read_dataset_csv(args.input)
+    corr = {f"F{i}{j}": value for (i, j), value in correlations(counts).items()}
     reports = {}
-    if ds.n == 3:
+    if counts.n == 3:
         reports["boole_triple"] = check_boole_triple(
             corr["F12"], corr["F13"], corr["F23"]).to_dict()
         reports["pair_bound"] = check_pair_bound(
             corr["F12"], corr["F13"], corr["F23"]).to_dict()
-    elif ds.n == 4:
+    elif counts.n == 4:
         reports["chsh"] = check_chsh(corr["F13"], corr["F23"],
                                      corr["F14"], corr["F24"]).to_dict()
-    return {"scenario": "dataset", "params": {"input": args.input, "n": ds.n,
-                                              "m": ds.m},
+    return {"scenario": "dataset", "params": {"input": args.input, "n": counts.n,
+                                              "m": counts.m},
             "values": corr, "reports": reports}
 
 
@@ -255,9 +255,9 @@ def cmd_leggett_garg(args) -> dict:
         "pair_correlations": {"E": pe, "Ehat": pehat, "Etilde": petilde},
     }
     if args.samples:
-        ds = _sampled(lg.sample_triples, p, args.samples, args.seed)
+        counts = _sampled(lg.sample_triples, p, args.samples, args.seed)
         values["empirical_correlations"] = {
-            f"E{i}{j}": value for (i, j), value in correlations(ds).items()}
+            f"E{i}{j}": value for (i, j), value in correlations(counts).items()}
     return {"scenario": "leggett-garg",
             "params": {"omega": args.omega, "dt": list(args.dt),
                        "samples": args.samples, "seed": args.seed},
@@ -309,11 +309,13 @@ _MU = {"uniform": "uniform", "equal": "delta_equal", "opposite": "delta_opposite
 def cmd_factorizable(args) -> dict | str:
     model = classical.FactorizableModel(_MU[args.mu])
     a, b = (_to_rad(v, args.radians) for v in args.angles)
-    ds = _sampled(classical.sample_pair, model, a, b, args.seed, args.samples)
     if args.format == "csv":
-        return dataset_csv_text(ds.data, newline="\n")
+        _, s1, s2 = _sampled(classical.sample_pair_arrays, model, a, b,
+                             np.random.default_rng(args.seed), args.samples)
+        return dataset_csv_text(np.column_stack([s1, s2]), newline="\n")
+    counts = _sampled(classical.sample_pair, model, a, b, args.seed, args.samples)
     analytic = classical.analytic_correlation(model, a, b)
-    emp = correlations(ds)[(1, 2)]
+    emp = correlations(counts)[(1, 2)]
     sigma = math.sqrt(max(1.0 - analytic ** 2, 1e-30) / args.samples)
     return {"scenario": "factorizable",
             "params": {"mu": model.mu_kind, "angles": list(args.angles),

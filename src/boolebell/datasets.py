@@ -1,27 +1,27 @@
-"""Finite datasets of dichotomic n-tuples and the arithmetic bounds on their
-pair correlations.
+"""Sampled dichotomic n-tuples and the arithmetic bounds on their pair
+correlations.
 
-A dataset is M rows of n values, each value exactly +1 or -1.  Pair
-correlations are averages of products of two columns.  When all pairs are
-taken from one set of triples (or quadruples), elementary integer arithmetic
-forces the Boole (or CHSH-type) inequalities; when the pairs come from three
-unrelated runs, only the much weaker 3-bound survives.  The checks here
-implement exactly those clause families.
+A dataset is M rows of n values, each exactly +1 or -1, and every producer
+hands it over as the count of each sign pattern, a ``tables.CountTable``.
+Pair correlations are averages of products of two columns.  When all pairs
+are taken from one set of triples (or quadruples), elementary integer
+arithmetic forces the Boole (or CHSH-type) inequalities; when the pairs come
+from three unrelated runs, only the much weaker 3-bound survives.  The checks
+here implement exactly those clause families.
 
 ``check_boole_triple_anticorrelated`` covers the singlet-style convention in
 which the two stations of a pair experiment report opposite signs for equal
 settings: the triples hypothesis then concerns the sign-flipped station-2
 variables, which maps the Boole clauses to ``|F12 +- F13| <= 1 -+ F23``.
 
-Datasets enter as CSV: ``read_dataset_csv`` reads the fixed-width form that
-``dataset_csv_text`` writes a block of lines at a time, and any other file by the csv module.
+Datasets enter as CSV: ``read_dataset_csv`` counts the fixed-width form that
+``dataset_csv_text`` writes a block of lines at a time, any other file by the csv module.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -29,46 +29,16 @@ import numpy as np
 
 from .reports import (BOOLE_ORDER, SLACK_TOL, ClauseFamily, InequalityReport,
                       boole_terms, six_descriptions, weak_terms)
-from .tables import pair_coefficients, sign_codes, sign_rows, sign_transform
+from .tables import CountTable, pair_coefficients, sign_codes, sign_rows, sign_transform
 
 
-@dataclass(frozen=True)
-class DichotomicDataset:
-    """M n-tuples of +-1 outcomes, immutable after construction."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 2:
-            raise ValueError("data must be a 2-d array of shape (M, n)")
-        m, n = arr.shape
-        if m < 1:
-            raise ValueError("dataset must contain at least one tuple")
-        if n not in (2, 3, 4):
-            raise ValueError(f"tuple arity must be 2, 3 or 4, got {n}")
-        # checked before the cast, which would map 1.5 to 1 and 255 to -1
-        if not np.all(np.abs(arr) == 1):
-            raise ValueError("every entry must be exactly +1 or -1")
-        arr = arr.astype(np.int8, copy=False)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-
-def correlations(ds: DichotomicDataset) -> dict[tuple[int, int], float]:
-    """Every pair correlation (i, j), keyed as by ``pair_coefficients``, read off
-    the 2^n count grid: each numerator is an integer entry of the grid's sign
-    transform, exact in float64, so the value is num/M with no rounding error."""
-    counts = np.bincount(sign_codes(*ds.data.T), minlength=2 ** ds.n).reshape((2,) * ds.n)
-    return {pair: num / ds.m for pair, num in pair_coefficients(sign_transform(counts)).items()}
+def correlations(counts: CountTable) -> dict[tuple[int, int], float]:
+    """Every pair correlation (i, j) of the counted tuples, keyed as by
+    ``pair_coefficients``: each numerator is an integer entry of the count
+    grid's sign transform, exact in float64, so the value is num/m with no
+    rounding error."""
+    e, m = pair_coefficients(sign_transform(counts.values)), counts.m
+    return {pair: num / m for pair, num in e.items()}
 
 
 def require_in_unit_interval(name_value_pairs):
@@ -158,22 +128,16 @@ def dataset_csv_text(data: np.ndarray, newline: str = "\r\n") -> str:
     return header + lines[sign_codes(*data.T)].tobytes().decode("ascii")
 
 
-def write_dataset_csv(ds: DichotomicDataset, path: str | Path) -> None:
-    """CSV format: mandatory header s1..sn, one row per tuple, values +1/-1."""
-    with open(path, "w", newline="") as fh:
-        fh.write(dataset_csv_text(ds.data))
-
-
 # bytes per read of read_dataset_csv's block route, cut to whole lines (one at least)
 READ_BLOCK = 1 << 20
 
-# the header lines of the form write_dataset_csv writes, with their arity n
+# the header lines of the form dataset_csv_text writes, with their arity n
 _HEADERS = {",".join(f"s{i}" for i in range(1, n + 1)).encode() + end: n
             for n in (2, 3, 4) for end in (b"\n", b"\r\n")}
 
 
-def _form_rows(fh) -> np.ndarray | None:
-    """The int8 rows of a binary file in the form of read_dataset_csv's block
+def _form_counts(fh) -> CountTable | None:
+    """The counts of a binary file in the form of read_dataset_csv's block
     route, or None for any other file.  Every line of that form is as wide as
     the header, so each block of whole lines is one (lines, width) byte array
     that equals the line +1,..,+1 except for a - in a sign column."""
@@ -184,7 +148,7 @@ def _form_rows(fh) -> np.ndarray | None:
     width, end = len(header), header[3 * n - 1:]
     line = np.frombuffer(b",".join([b"+1"] * n) + end, dtype=np.int8)
     signs = slice(0, 3 * n, 3)
-    parts = []
+    counts = np.zeros(2 ** n, dtype=np.int64)
     while block := fh.read(max(1, READ_BLOCK // width) * width):
         if len(block) % width == width - len(end):   # the last line, lacking its end
             block += end
@@ -195,36 +159,37 @@ def _form_rows(fh) -> np.ndarray | None:
         same[:, signs] |= lines[:, signs] == ord("-")
         if not same.all():
             return None
-        parts.append(44 - lines[:, signs])   # "+" is byte 43 and "-" is 45
-    return np.concatenate(parts) if parts else None
+        # "+" is byte 43 and "-" is 45
+        counts += np.bincount(sign_codes(*(44 - lines[:, signs]).T), minlength=2 ** n)
+    return CountTable(counts.reshape((2,) * n)) if counts.any() else None
 
 
-def read_dataset_csv(path: str | Path) -> DichotomicDataset:
-    """Read a dataset CSV: the header s1..sn, then one row of n values per line.
+def read_dataset_csv(path: str | Path) -> CountTable:
+    """Count a dataset CSV: the header s1..sn, then one row of n values per line.
 
-    A file in the one fixed-width form that write_dataset_csv and
-    dataset_csv_text write is read in blocks of whole lines straight to int8
-    rows; no Python object is made per line or cell.  That form is: the header
-    exactly s1,..,sn with n in 2..4; every line n cells +1 or -1 joined by
-    commas and ending as the header does, the last one perhaps lacking its end.
-    Any other file (bare 1 cells and mixed line ends included) is read from the
-    start by the csv module, which decides what else is accepted and every
-    error message.  Input that cannot seek, such as a pipe, is read into memory
-    first, so it takes the same routes.
+    A file in the one fixed-width form that dataset_csv_text writes is
+    counted in blocks of whole lines; no row is kept, and no Python object is
+    made per line or cell.  That form is: the header exactly s1,..,sn with n
+    in 2..4; every line n cells +1 or -1 joined by commas and ending as the
+    header does, the last one perhaps lacking its end.  Any other file (bare
+    1 cells and mixed line ends included) is read from the start by the csv
+    module, which decides what else is accepted and every error message.
+    Input that cannot seek, such as a pipe, is read into memory first, so it
+    takes the same routes.
     """
     with open(path, "rb") as fh:
         if not fh.seekable():
             fh = io.BytesIO(fh.read())
-        rows = _form_rows(fh)
-        if rows is not None:
-            return DichotomicDataset(rows)
+        counts = _form_counts(fh)
+        if counts is not None:
+            return counts
         fh.seek(0)
         with io.TextIOWrapper(fh, newline="") as text:
-            return _csv_module_dataset(text, path)
+            return _csv_module_counts(text, path)
 
 
-def _csv_module_dataset(fh, path: str | Path) -> DichotomicDataset:
-    """The dataset of a CSV text file read by the csv module; the reference
+def _csv_module_counts(fh, path: str | Path) -> CountTable:
+    """The counts of a CSV text file read by the csv module; the reference
     for the block route of read_dataset_csv."""
     reader = csv.reader(fh)
     try:
@@ -247,8 +212,12 @@ def _csv_module_dataset(fh, path: str | Path) -> DichotomicDataset:
         if len(row) != n:
             raise ValueError(f"{path}:{line}: expected {n} columns")
         try:
-            # an integer other than +-1 becomes 0, which DichotomicDataset rejects
+            # an integer other than +-1 becomes 0, refused below
             values.extend([v if v in (1, -1) else 0 for v in map(int, row)])
         except ValueError as exc:
             raise ValueError(f"{path}:{line}: non-integer value") from exc
-    return DichotomicDataset(np.array(values, dtype=np.int8).reshape(len(rows), n))
+    if n not in (2, 3, 4):
+        raise ValueError(f"tuple arity must be 2, 3 or 4, got {n}")
+    if 0 in values:
+        raise ValueError("every entry must be exactly +1 or -1")
+    return CountTable.of_codes(sign_codes(*np.array(values, dtype=np.int8).reshape(-1, n).T), n)

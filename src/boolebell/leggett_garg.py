@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import DichotomicDataset, require_in_unit_interval
+from .datasets import require_in_unit_interval
 from .reports import ClauseFamily, GridSweep, InequalityReport, grid_sweep, product_axes
-from .tables import (EBBI, chain_coeffs, draw_rows, pair_coefficients, sign_codes,
+from .tables import (EBBI, CountTable, chain_coeffs, draw_rows, pair_coefficients, sign_codes,
                      sign_transform)
 
 
@@ -61,8 +61,10 @@ BASIS: tuple[tuple[int, int, int, int], ...] = (
     (+1, +1, -1, +1),
     (-1, -1, +1, -1),
 )
-# the probe triples of BASIS, in its order
-_PROBE_ROWS = np.array([basis[1:] for basis in BASIS], dtype=np.int8)
+# the sign-grid positions of the probe triples of BASIS, in its order
+_PROBE_CODES = sign_codes(*np.array([basis[1:] for basis in BASIS]).T)
+# draws per block of sample_triples, whose memory is then flat in M
+SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def lg_triple_correlations(p: LGParams) -> tuple[float, float, float]:
 def lg_triple_correlations_from_state(amps: LGAmplitudes) -> tuple[float, float, float]:
     """The same correlations computed directly from the wave function."""
     probs = np.zeros(8)
-    probs[sign_codes(*_PROBE_ROWS.T)] = np.abs(amps.amplitudes) ** 2
+    probs[_PROBE_CODES] = np.abs(amps.amplitudes) ** 2
     return tuple(pair_coefficients(sign_transform(probs.reshape(2, 2, 2))).values())
 
 
@@ -151,13 +153,16 @@ def lg_sweep(points: int) -> GridSweep:
     return grid_sweep(LEGGETT_GARG, inputs, points * points)
 
 
-def sample_triples(p: LGParams, m: int, seed: int) -> DichotomicDataset:
-    """Draw M probe triples i.i.d. from the squared amplitudes, system spin
-    traced out.  Deterministic per seed; sampling is inverse-CDF over the
-    eight triple probabilities."""
+def sample_triples(p: LGParams, m: int, seed: int) -> CountTable:
+    """The counts of M probe triples drawn i.i.d. from the squared amplitudes,
+    system spin traced out.  Deterministic per seed; sampling is inverse-CDF
+    over the eight triple probabilities, SAMPLE_BLOCK draws at a time from one
+    generator, which gives the uniforms of a single draw of all M."""
     if m < 1:
         raise ValueError("need at least one sample")
     probs = np.abs(evolve_triple(p).amplitudes) ** 2
-    return DichotomicDataset(draw_rows(probs / probs.sum(), _PROBE_ROWS,
-                                       np.random.default_rng(seed), m))
+    probs, rng = probs / probs.sum(), np.random.default_rng(seed)
+    counts = sum(np.bincount(draw_rows(probs, _PROBE_CODES, rng, min(SAMPLE_BLOCK, m - lo)),
+                             minlength=8) for lo in range(0, m, SAMPLE_BLOCK))
+    return CountTable(counts.reshape(2, 2, 2))
 

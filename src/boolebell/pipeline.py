@@ -32,9 +32,9 @@ import numpy as np
 
 from .classical import FactorizableModel, sample_pair_arrays, station_orientations
 from .datasets import (InequalityReport, check_boole_triple, check_boole_triple_anticorrelated,
-                       check_pair_bound)
-from .tables import (FuncTable3, chain_coeffs, draw_rows, pair_coefficients, sign_codes,
-                     sign_rows, sign_transform)
+                       check_pair_bound, correlations)
+from .tables import (CountTable, FuncTable3, chain_coeffs, draw_rows, sign_codes, sign_rows,
+                     sign_transform)
 
 EVENT_PERIOD = 1.0
 # event pairs rendered per write by RawDataset.write_csv
@@ -361,11 +361,11 @@ def _float32_delay(x: np.ndarray, scaled: np.ndarray, exponent: float) -> np.nda
 
 
 def _window_counts(source, schedule: list[SettingPair], m: int, timing: TimingModel,
-                   seed: int, window: float) -> np.ndarray:
+                   seed: int, window: float) -> list[CountTable]:
     """The coincidences of ``generate_events(source, schedule, m, timing,
-    seed)`` per schedule index and outcome pair: one 2x2 count grid of
-    (S1, S2) per schedule index, in sign-grid order, over the event pairs
-    with |t1 - t2| <= window, a NaN gap dropped.  An entry at zero jitter or
+    seed)`` per schedule index and outcome pair: one ``CountTable`` of
+    (S1, S2) per schedule index over the event pairs with
+    |t1 - t2| <= window, a NaN gap dropped.  An entry at zero jitter or
     where ``_keeps_every_gap`` holds draws only its outcomes; any other makes
     the event log's draws, and ``_coincident`` decides the window in blocks
     of REDUCE_BLOCK pairs.  No event time is stored."""
@@ -384,7 +384,7 @@ def _window_counts(source, schedule: list[SettingPair], m: int, timing: TimingMo
                                                timing, window), 4)
             counts[p] += np.bincount(codes, minlength=5)
         del s1, s2, stations  # free this entry's draws before the next entry's
-    return counts[:, :4].reshape(n_pairs, 2, 2)
+    return [CountTable(grid[:4].reshape(2, 2)) for grid in counts]
 
 
 def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
@@ -413,14 +413,13 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
         raise ValueError("window must be positive (math.inf allowed)")
     schedule = three_settings_schedule(angle_a, angle_b, angle_c)
     counts, corr, empties = {}, {}, []
-    grids = _window_counts(source, schedule, m, timing, seed, window)
-    for pair, grid in zip(schedule, grids):
+    for pair, grid in zip(schedule, _window_counts(source, schedule, m, timing, seed, window)):
         key = "".join(pair.key)
-        counts[key] = kept = int(grid.sum())
-        if kept == 0:
+        counts[key] = grid.m
+        if grid.m == 0:
             empties.append(key)
         else:
-            corr[key] = pair_coefficients(sign_transform(grid))[(1, 2)] / kept
+            corr[key] = correlations(grid)[(1, 2)]
     if empties:
         return ThreeSettingsReport(counts, None, tuple(empties),
                                    None, None, None, None, None)

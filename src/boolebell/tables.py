@@ -20,11 +20,12 @@ marginals of one non-negative three-variable table; its verdict's
 single-parameter mixtures whose pair tables always pass that test.
 
 ``SignTable`` is the one table type: a function on {+1,-1}^n as a 2x..x2
-array indexed with 0 <-> S=+1 and 1 <-> S=-1, variable 1 slowest.
-``sign_codes`` alone maps sign patterns to grid positions.  Every expansion,
-synthesis and closed form goes through ``sign_transform``, which maps a table
-to its coefficients on the same grid and back; ``chain_coeffs`` gives the
-coefficients of every exact chain table.
+array indexed with 0 <-> S=+1 and 1 <-> S=-1, variable 1 slowest; its
+subclasses fix n, or hold counts (``CountTable``, the one form of sampled
+data) or probabilities.  ``sign_codes`` alone maps sign patterns to grid
+positions.  Every expansion, synthesis and closed form goes through
+``sign_transform``, which maps a table to its coefficients on the same grid
+and back; ``chain_coeffs`` gives the coefficients of every exact chain table.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ _FIELD_INDEX = {2 ** n: np.array([sum(1 << (n - i) for i in t) for r in range(n 
 @dataclass(frozen=True)
 class SignTable:
     """Real function on the sign grid of n variables: a read-only 2x..x2
-    float array, n its number of axes.  Subclasses may fix n."""
+    float array, n its number of axes.  Subclasses may fix n or the entries' kind."""
 
     values: np.ndarray
 
@@ -210,6 +211,24 @@ class FuncTable3(SignTable):
     def marginals(self) -> tuple[FuncTable2, FuncTable2, FuncTable2]:
         """Pair marginals over (S1,S2), (S1,S3), (S2,S3)."""
         return tuple(FuncTable2(self.values.sum(axis=ax)) for ax in (2, 1, 0))
+
+
+class CountTable(SignTable):
+    """The number of sampled +-1 tuples showing each sign pattern, M = ``m``
+    in all: non-negative integers, exact in float64 below 2^53, and so are
+    the numerators of their ``sign_transform``."""
+
+    m = property(lambda self: int(self.values.sum()))
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.all((self.values >= 0) & (self.values % 1 == 0)):
+            raise ValueError("counts must be non-negative integers")
+
+    @classmethod
+    def of_codes(cls, codes, n: int) -> CountTable:
+        """The counts of the grid positions ``codes`` (``sign_codes``) of n variables."""
+        return cls(np.bincount(codes, minlength=2 ** n).reshape((2,) * n))
 
 
 class _Coeffs:

@@ -1,15 +1,23 @@
 """Routes that only the tests read: the dense states, tables and searches the
 tests hold the package's closed forms and stacked kernels against, and the
 stored-event filters that the pipeline's counts and the dataset projections
-are held against."""
+are held against, and the row counts that every producer's CountTable is held
+against."""
 
 import numpy as np
 
 from boolebell import quantum as q
 from boolebell.classical import FactorizableModel, analytic_correlation
-from boolebell.datasets import DichotomicDataset
 from boolebell.reports import SLACK_TOL
-from boolebell.tables import ExpansionCoeffs2, marginals_compatible, sign_codes, synth2
+from boolebell.tables import (CountTable, ExpansionCoeffs2, marginals_compatible, sign_codes,
+                              synth2)
+
+
+def row_counts(rows) -> CountTable:
+    """The counts of +-1 rows of shape (M, n), through ``sign_codes``: the
+    rows the samplers and the reader built before they counted."""
+    rows = np.asarray(rows)
+    return CountTable.of_codes(sign_codes(*rows.T), rows.shape[1])
 
 
 def common_parameter_fit(model: FactorizableModel, a: float, b: float, c: float):
@@ -94,24 +102,26 @@ def coincidence_counts(raw, window: float) -> np.ndarray:
 def coincidence_filter(raw, window: float, setting_filter: tuple[str, str]):
     """Keep the pairs of every schedule entry whose key is the filter (left
     id, right id) and whose detection times differ by at most the window W
-    (positive or infinite).  Returns None when nothing survives (the
-    explicit empty-selection signal)."""
+    (positive or infinite), and count them.  Returns None when nothing
+    survives (the explicit empty-selection signal)."""
     if not (window > 0.0):
         raise ValueError("window must be positive (math.inf allowed)")
     entries = [k for k, pair in enumerate(raw.schedule) if pair.key == tuple(setting_filter)]
     mask = np.isin(raw.pair, entries) & (np.abs(raw.t1 - raw.t2) <= window)
     if not np.any(mask):
         return None
-    return DichotomicDataset(np.column_stack([raw.s1[mask], raw.s2[mask]]))
+    return row_counts(np.column_stack([raw.s1[mask], raw.s2[mask]]))
 
 
-def reduce_dataset(ds: DichotomicDataset, indices: tuple[int, ...]) -> DichotomicDataset:
-    """Project every row onto the given strictly increasing 1-based indices:
-    a dataset of 2 to 4 columns, like any other."""
+def reduce_dataset(rows: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
+    """Project every +-1 row onto the given strictly increasing 1-based
+    indices: rows of 2 to 4 columns, like any other dataset."""
     idx = tuple(int(i) for i in indices)
-    if any(i < 1 or i > ds.n for i in idx):
-        raise ValueError(f"indices must lie in 1..{ds.n}, got {idx}")
+    n = rows.shape[1]
+    if any(i < 1 or i > n for i in idx):
+        raise ValueError(f"indices must lie in 1..{n}, got {idx}")
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError(f"indices must be strictly increasing, got {idx}")
-    cols = [i - 1 for i in idx]
-    return DichotomicDataset(ds.data[:, cols])
+    if len(idx) not in (2, 3, 4):
+        raise ValueError(f"tuple arity must be 2, 3 or 4, got {len(idx)}")
+    return rows[:, [i - 1 for i in idx]]

@@ -8,7 +8,7 @@ import pytest
 from boolebell import classical as cl
 from boolebell import correlations
 from boolebell.datasets import check_boole_triple
-from oracles import common_parameter_fit
+from oracles import common_parameter_fit, row_counts
 
 KINDS = ("uniform", "delta_equal", "delta_opposite")
 
@@ -180,7 +180,7 @@ class TestSampling:
     def test_equal_thresholds_same_setting(self):
         m = cl.FactorizableModel("delta_equal")
         ds = cl.sample_pair(m, 1.2, 1.2, seed=4, count=2000)
-        assert np.all(ds.data[:, 0] == ds.data[:, 1])
+        assert ds.value(1, -1) == ds.value(-1, 1) == 0 and ds.m == 2000
 
     @pytest.mark.parametrize("kind, a, b, count", [
         *(pytest.param(kind, 0.3, 2.2, 50_000, id=kind) for kind in KINDS),
@@ -243,7 +243,15 @@ class TestSampling:
         m = cl.FactorizableModel("delta_opposite")
         a = cl.sample_pair(m, 0.1, 0.9, seed=5, count=500)
         b = cl.sample_pair(m, 0.1, 0.9, seed=5, count=500)
-        assert np.array_equal(a.data, b.data)
+        assert a == b
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("count", [1, 7, cl.SIGN_BLOCK + 1, 50_000])
+    def test_counts_are_those_of_the_drawn_columns(self, kind, count):
+        model = cl.FactorizableModel(kind)
+        _, s1, s2 = cl.sample_pair_arrays(model, 0.3, 2.2, np.random.default_rng(8), count)
+        table = cl.sample_pair(model, 0.3, 2.2, seed=8, count=count)
+        assert table == row_counts(np.column_stack([s1, s2])) and table.m == count
 
     @pytest.mark.parametrize("kind", ["uniform", "delta_equal", "delta_opposite"])
     def test_monte_carlo_matches_analytic(self, kind):

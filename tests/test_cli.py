@@ -18,7 +18,7 @@ import pytest
 import boolebell
 from boolebell import classical, cli, leggett_garg, pipeline, tables
 from boolebell.cli import main
-from boolebell.datasets import DichotomicDataset, write_dataset_csv
+from boolebell.datasets import dataset_csv_text
 
 UNIFORM_TABLE = {"++": 0.25, "+-": 0.25, "-+": 0.25, "--": 0.25}
 SCHEMA = json.loads(resources.files("boolebell.schemas")
@@ -50,7 +50,7 @@ class TestSubcommands:
     def test_dataset(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "ds.csv"
-        write_dataset_csv(DichotomicDataset(rng.choice([-1, 1], (20, 3))), path)
+        path.write_text(dataset_csv_text(rng.choice([-1, 1], (20, 3))), newline="")
         env = run_json(capsys, ["dataset", "--input", str(path)])
         assert env["reports"]["boole_triple"]["all_satisfied"] is True
 

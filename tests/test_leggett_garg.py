@@ -1,10 +1,14 @@
 """Three-probe temporal correlations: exact state, closed forms, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from boolebell import check_boole_triple, correlations
 from boolebell import leggett_garg as lg
+from boolebell.tables import draw_rows
+from oracles import row_counts
 
 
 class TestEvolve:
@@ -113,15 +117,15 @@ class TestInequalityCheck:
 class TestSampling:
     def test_deterministic_state(self):
         ds = lg.sample_triples(lg.LGParams(1.0, 0, 0, 0), 100, seed=5)
-        assert np.all(ds.data == 1)
+        assert ds.value(1, 1, 1) == ds.m == 100
 
     def test_seed_determinism(self):
         p = lg.LGParams(1.0, 0.3, 0.7, 0.2)
         a = lg.sample_triples(p, 1000, seed=9)
         b = lg.sample_triples(p, 1000, seed=9)
-        assert np.array_equal(a.data, b.data)
+        assert a == b
         c = lg.sample_triples(p, 1000, seed=10)
-        assert not np.array_equal(a.data, c.data)
+        assert a != c
 
     def test_empirical_matches_closed_form(self):
         p = lg.LGParams(1.0, 0.0, np.pi / 6, np.pi / 6)
@@ -142,6 +146,29 @@ class TestSampling:
                                      correlations(ds)[(1, 3)],
                                      correlations(ds)[(2, 3)])
             assert rep.all_satisfied
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("m", [1, 7, 8, 1000, lg.SAMPLE_BLOCK + 3])
+    def test_counts_are_those_of_one_draw_of_all_rows(self, monkeypatch, block, m):
+        # the rows that one draw of all M gives, from the same generator
+        if block:   # many blocks, the last one short
+            monkeypatch.setattr(lg, "SAMPLE_BLOCK", block)
+        p = lg.LGParams(1.0, 0.3, 0.7, 0.2)
+        probs = np.abs(lg.evolve_triple(p).amplitudes) ** 2
+        rows = draw_rows(probs / probs.sum(), np.array([b[1:] for b in lg.BASIS], dtype=np.int8),
+                         np.random.default_rng(4), m)
+        assert lg.sample_triples(p, m, seed=4) == row_counts(rows)
+
+    def test_memory_is_flat_in_the_samples(self):
+        p = lg.LGParams(1.0, 0.3, 0.7, 0.2)
+        for m in (10 ** 6, 10 ** 7):
+            tracemalloc.start()
+            try:
+                assert lg.sample_triples(p, m, seed=1).m == m
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20, m
 
     def test_requires_positive_count(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from boolebell.cli import main
-from boolebell.datasets import DichotomicDataset, write_dataset_csv
+from boolebell.datasets import dataset_csv_text
 from boolebell.tables import sign_rows
 
 # pair tables with correlations 0.6, 0.2, 0.4, marginals of one triple table
@@ -151,7 +151,7 @@ def write_inputs(directory):
     for n in (2, 3, 4):
         # every sign pattern once, then a fixed uneven tail
         rows = np.concatenate([sign_rows(n), sign_rows(n)[: 2 ** n - 3][::-1]])
-        write_dataset_csv(DichotomicDataset(rows), directory / f"ds{n}.csv")
+        (directory / f"ds{n}.csv").write_text(dataset_csv_text(rows), newline="")
 
 
 @pytest.mark.parametrize("name", list(INVOCATIONS))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from boolebell.cli import main
-from boolebell.datasets import DichotomicDataset, write_dataset_csv
+from boolebell.datasets import dataset_csv_text
 
 SEED = "2009"
 INF = ("inf",)
@@ -106,13 +106,15 @@ FACTORIZABLE_JSON_DIGESTS = {
     "equal": "d3c03c19f1c5cf75d8319b1238313751d2377192ab99a9924c854a9883255720",
     "opposite": "b927d191771c90b74f93a11cabcc7b4106242e7a1a850623cb2682cd63a39bc0",
 }
-# write_dataset_csv of 2,000 seeded rows of arity n
+# dataset_csv_text of 2,000 seeded rows of arity n, written as it is
 DATASET_CSV_DIGESTS = {
     2: "ad0ed068ff3cd75231860984015608487709bcf039a26b759ad56a91f36a5d73",
     3: "e50ebd84794d7286cfd4c1f6f4b46092d4abe6a4a67c34d910442867126e678b",
     4: "ad626decd5887782e33a570ea5251ea318b7dec772729c0b05a362fb98974d5d",
 }
 LEGGETT_GARG_DIGEST = "6352de1fcc7263fa274ed8604f2a475f61107527696d53355b70f8812bdfef13"
+# the same at 200,000 samples, which sample_triples draws in several blocks
+LEGGETT_GARG_BLOCKS_DIGEST = "e0e91fbf74404531177ffe313942462a8aace32991de699407ee041219316cc1"
 
 
 def sha256(path) -> str:
@@ -164,13 +166,22 @@ def test_factorizable_envelope_is_pinned(tmp_path, mu):
 @pytest.mark.parametrize("n", list(DATASET_CSV_DIGESTS))
 def test_dataset_csv_is_pinned(tmp_path, n):
     rng = np.random.default_rng(int(SEED))
-    write_dataset_csv(DichotomicDataset(rng.choice([-1, 1], (2000, n))), tmp_path / "ds.csv")
+    (tmp_path / "ds.csv").write_text(dataset_csv_text(rng.choice([-1, 1], (2000, n))),
+                                     newline="")
     assert sha256(tmp_path / "ds.csv") == DATASET_CSV_DIGESTS[n]
 
 
-def test_leggett_garg_samples_are_pinned(tmp_path):
+def leggett_garg_digest(tmp_path, samples: int) -> str:
     out = tmp_path / "out.json"
     assert main(["leggett-garg", "--omega", "1", "--dt", "0", repr(np.pi / 3),
-                 repr(np.pi / 3), "--samples", "5000", "--seed", SEED,
+                 repr(np.pi / 3), "--samples", str(samples), "--seed", SEED,
                  "--out", str(out)]) == 0
-    assert sha256(out) == LEGGETT_GARG_DIGEST
+    return sha256(out)
+
+
+def test_leggett_garg_samples_are_pinned(tmp_path):
+    assert leggett_garg_digest(tmp_path, 5000) == LEGGETT_GARG_DIGEST
+
+
+def test_leggett_garg_samples_over_several_blocks_are_pinned(tmp_path):
+    assert leggett_garg_digest(tmp_path, 200_000) == LEGGETT_GARG_BLOCKS_DIGEST
