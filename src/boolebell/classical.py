@@ -70,19 +70,17 @@ class AllergyScenario:
         return self.lookup[(birthplace, city, parity)]
 
 
-DAY_BLOCK = 1 << 20   # seeded days drawn at a time: bounds the schedule's memory
-
-
 def _even_days(n_days: int, seed: int | None) -> int:
     """Even days in the schedule: parity alternates from day 1 without a
-    seed, and each day is drawn from {1, 2} with one."""
+    seed; with one, each day is even with probability 1/2, so their number is
+    one binomial draw, whose domain ends at numpy's int64 range."""
     if n_days < 1:
         raise ValueError("need at least one day")
     if seed is None:
         return n_days // 2
-    rng = np.random.default_rng(seed)
-    return sum(int(np.count_nonzero(rng.integers(1, 3, size=min(DAY_BLOCK, n_days - start)) == 2))
-               for start in range(0, n_days, DAY_BLOCK))
+    if n_days > np.iinfo(np.int64).max:
+        raise ValueError(f"a seeded schedule takes at most 2^63 - 1 days, got {n_days}")
+    return int(np.random.default_rng(seed).binomial(n_days, 0.5))
 
 
 def _allergy_gamma(n_days, scenario, seed, products) -> float:

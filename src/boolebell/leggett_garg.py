@@ -23,8 +23,7 @@ import numpy as np
 
 from .datasets import require_in_unit_interval
 from .reports import ClauseFamily, GridSweep, InequalityReport, grid_sweep, product_axes
-from .tables import (EBBI, CountTable, chain_coeffs, draw_rows, pair_coefficients, sign_codes,
-                     sign_transform)
+from .tables import EBBI, CountTable, chain_coeffs, pair_coefficients, sign_codes, sign_transform
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,6 @@ BASIS: tuple[tuple[int, int, int, int], ...] = (
 )
 # the sign-grid positions of the probe triples of BASIS, in its order
 _PROBE_CODES = sign_codes(*np.array([basis[1:] for basis in BASIS]).T)
-# draws per block of sample_triples, whose memory is then flat in M
-SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -155,14 +152,13 @@ def lg_sweep(points: int) -> GridSweep:
 
 def sample_triples(p: LGParams, m: int, seed: int) -> CountTable:
     """The counts of M probe triples drawn i.i.d. from the squared amplitudes,
-    system spin traced out.  Deterministic per seed; sampling is inverse-CDF
-    over the eight triple probabilities, SAMPLE_BLOCK draws at a time from one
-    generator, which gives the uniforms of a single draw of all M."""
-    if m < 1:
-        raise ValueError("need at least one sample")
+    system spin traced out.  The counts of M i.i.d. draws are one multinomial
+    draw over the eight triples, so the cost does not grow with M, which runs
+    to 2^53, the largest count a CountTable holds exactly.  Deterministic per
+    seed."""
+    if not 1 <= m <= 2 ** 53:
+        raise ValueError(f"need 1 to 2^53 samples, got {m}")
     probs = np.abs(evolve_triple(p).amplitudes) ** 2
-    probs, rng = probs / probs.sum(), np.random.default_rng(seed)
-    counts = sum(np.bincount(draw_rows(probs, _PROBE_CODES, rng, min(SAMPLE_BLOCK, m - lo)),
-                             minlength=8) for lo in range(0, m, SAMPLE_BLOCK))
+    counts = np.zeros(8, dtype=np.int64)
+    counts[_PROBE_CODES] = np.random.default_rng(seed).multinomial(m, probs / probs.sum())
     return CountTable(counts.reshape(2, 2, 2))
-

@@ -1,11 +1,19 @@
 """Routes that only the tests read: the dense states, tables and searches the
 tests hold the package's closed forms and stacked kernels against, and the
 stored-event filters that the pipeline's counts and the dataset projections
-are held against, and the row counts that every producer's CountTable is held
-against."""
+are held against, the row counts that every producer's CountTable is held
+against, and a fresh interpreter that times the calls whose cost must not
+grow with a count."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import boolebell
 from boolebell import quantum as q
 from boolebell.classical import FactorizableModel, analytic_correlation
 from boolebell.reports import SLACK_TOL
@@ -125,3 +133,22 @@ def reduce_dataset(rows: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
     if len(idx) not in (2, 3, 4):
         raise ValueError(f"tuple arity must be 2, 3 or 4, got {len(idx)}")
     return rows[:, [i - 1 for i in idx]]
+
+
+def fresh_call(expr: str) -> tuple[object, float, int]:
+    """Evaluate ``expr`` (with ``np``, ``classical`` and ``leggett_garg`` in
+    scope) in a fresh interpreter: its JSON value, the seconds it took and
+    the peak of the memory tracemalloc traced meanwhile.  The timeout makes a
+    call whose cost grows with a huge count a failure, not a hang."""
+    probe = ("import json, time, tracemalloc\n"
+             "import numpy as np\n"
+             "from boolebell import classical, leggett_garg\n"
+             "tracemalloc.start()\n"
+             "start = time.perf_counter()\n"
+             f"value = {expr}\n"
+             "seconds = time.perf_counter() - start\n"
+             "print(json.dumps([value, seconds, tracemalloc.get_traced_memory()[1]]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(boolebell.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return tuple(json.loads(out.stdout))

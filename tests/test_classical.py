@@ -8,7 +8,7 @@ import pytest
 from boolebell import classical as cl
 from boolebell import correlations
 from boolebell.datasets import check_boole_triple
-from oracles import common_parameter_fit, row_counts
+from oracles import common_parameter_fit, fresh_call, row_counts
 
 KINDS = ("uniform", "delta_equal", "delta_opposite")
 
@@ -24,6 +24,16 @@ class TestAllergyTable:
             for l in (1, 2, 3):
                 assert (cl.AllergyScenario().outcome(o, l, 2)
                         == -cl.AllergyScenario().outcome(o, l, 3))
+
+    @pytest.mark.parametrize("entry", [None, 0, 2])
+    def test_each_lookup_entry_must_be_a_sign(self, entry):
+        lookup = dict(cl.STANDARD_ALLERGY_TABLE)
+        if entry is None:
+            del lookup[("b", 3, "odd")]
+        else:
+            lookup[("b", 3, "odd")] = entry
+        with pytest.raises(ValueError, match=r"missing or invalid entry \(b, 3, odd\)"):
+            cl.AllergyScenario(lookup)
 
     def test_invalid_labels(self):
         with pytest.raises(ValueError):
@@ -88,10 +98,13 @@ PRODUCTS = {cl.allergy_gamma_triples: ((("a", 1), ("b", 2)), (("a", 1), ("c", 3)
 
 def per_day_gamma(gamma, n_days, scenario, seed):
     """The average as a loop over the days of the schedule: days 1..n without
-    a seed, days drawn from {1, 2} with one."""
-    days = (range(1, n_days + 1) if seed is None
-            else np.random.default_rng(seed).integers(1, 3, size=n_days))
-    return sum(scenario.outcome(*x, int(day)) * scenario.outcome(*y, int(day))
+    a seed, and with one a schedule of as many even days as it drew."""
+    if seed is None:
+        days = range(1, n_days + 1)
+    else:
+        even = cl._even_days(n_days, seed)
+        days = [2] * even + [1] * (n_days - even)
+    return sum(scenario.outcome(*x, day) * scenario.outcome(*y, day)
                for day in days for x, y in PRODUCTS[gamma]) / n_days
 
 
@@ -120,20 +133,35 @@ class TestGammaFromParityCounts:
         assert len(calls) <= 12
 
 
-class TestBlockedSchedule:
-    def test_blocks_repeat_the_one_shot_draw(self, monkeypatch):
-        monkeypatch.setattr(cl, "DAY_BLOCK", 64)
-        rng = np.random.default_rng(11)
-        lookup = {(o, l, p): int(rng.choice([-1, 1]))
-                  for o in "abc" for l in (1, 2, 3) for p in ("even", "odd")}
-        sc = cl.AllergyScenario(lookup)
-        for seed in (0, 3, 7, 2009):
-            for n_days in range(1, 301):
-                draw = np.random.default_rng(seed).integers(1, 3, size=n_days)
-                assert cl._even_days(n_days, seed) == int(np.count_nonzero(draw == 2))
-            for n_days in (1, 63, 64, 65, 128, 129, 300):
-                for gamma in PRODUCTS:
-                    assert gamma(n_days, sc, seed) == per_day_gamma(gamma, n_days, sc, seed)
+class TestSeededSchedule:
+    def test_even_days_lie_within_a_binomial_bound_of_half(self):
+        n, seeds = 1000, range(200)
+        even = [cl._even_days(n, seed) for seed in seeds]
+        assert all(0 <= e <= n for e in even)
+        assert even == [cl._even_days(n, seed) for seed in seeds]
+        assert abs(np.mean(even) - n / 2) <= 5 * np.sqrt(n / 4 / len(seeds))
+        assert {cl._even_days(1, seed) for seed in seeds} == {0, 1}
+
+    def test_a_huge_schedule_returns_at_once(self):
+        (gamma, even), seconds, peak = fresh_call(
+            "[classical.allergy_gamma_pairs(10 ** 15, seed=1), "
+            "classical._even_days(10 ** 15, seed=1)]")
+        assert gamma == -3.0 and 0 <= even <= 10 ** 15
+        assert abs(even - 10 ** 15 / 2) <= 5 * np.sqrt(10 ** 15 / 4)
+        assert seconds < 1.0 and peak < 2 ** 20
+
+    def test_days_beyond_the_binomial_domain_are_refused(self):
+        # numpy's binomial takes an int64 count; without a seed any count is kept
+        big = 2 ** 63
+        assert cl._even_days(big - 1, seed=1) <= big - 1
+        with pytest.raises(ValueError, match=r"at most 2\^63 - 1 days"):
+            cl.allergy_gamma_pairs(big, seed=1)
+        assert cl.allergy_gamma_pairs(big) == -3.0
+
+    def test_requires_a_day(self):
+        for seed in (None, 1):
+            with pytest.raises(ValueError, match="need at least one day"):
+                cl._even_days(0, seed)
 
     def test_memory_stays_bounded(self):
         tracemalloc.start()
@@ -244,6 +272,12 @@ class TestSampling:
         a = cl.sample_pair(m, 0.1, 0.9, seed=5, count=500)
         b = cl.sample_pair(m, 0.1, 0.9, seed=5, count=500)
         assert a == b
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_requires_a_sample(self, count):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            cl.sample_pair_arrays(cl.FactorizableModel("uniform"), 0.0, 1.0,
+                                  np.random.default_rng(1), count)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("count", [1, 7, cl.SIGN_BLOCK + 1, 50_000])

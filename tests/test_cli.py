@@ -768,6 +768,11 @@ _HUGE_CORNER = {"++": 1.5e308, "+-": 0, "-+": 0, "--": 0}
      (classical, "sample_pair", _REFUSED), "error: the draws are refused\n"),
     (["leggett-garg", "--omega", "1", "--dt", "0", "1", "1", *_HUGE], None,
      (leggett_garg, "sample_triples", _REFUSED), "error: the draws are refused\n"),
+    # beyond the counts a CountTable holds exactly, and numpy's int64 binomial
+    (["leggett-garg", "--omega", "1", "--dt", "0", "1", "1", "--samples", str(2 ** 53 + 1),
+      "--seed", "1"], None, None, "error: need 1 to 2^53 samples, got 9007199254740993\n"),
+    (["allergy", "--variant", "pairs", "--days", str(2 ** 63), "--seed", "1"], None, None,
+     "error: a seeded schedule takes at most 2^63 - 1 days, got 9223372036854775808\n"),
     (_RECONSTRUCT, _tables(ftilde={"".join(k): 0.125 for k in product("+-", repeat=3)}),
      None, "error: --tables ftilde: FuncTable2 needs exactly the 4 sign keys of length 2: "),
     (_RECONSTRUCT, _tables(f=dict(UNIFORM_TABLE, **{"+-": "x"})), None,
@@ -803,6 +808,7 @@ _HUGE_CORNER = {"++": 1.5e308, "+-": 0, "-+": 0, "--": 0}
 ], ids=["sweep 10011 angles", "sweep 1010 angles", "sweep 1e292 angles",
         "pipeline memory", "factorizable memory", "leggett-garg memory",
         "pipeline refusal", "factorizable refusal", "leggett-garg refusal",
+        "leggett-garg beyond 2^53", "allergy beyond int64",
         "tables key length", "tables string entry", "tables bool entry",
         "tables numeric string", "tables overflow", "tables int overflow",
         "tables triple overflow", "tables clause overflow", "reconstruct without tables",
@@ -820,6 +826,20 @@ def test_edge_invocations_exit_2_with_one_error_line(capsys, tmp_path, monkeypat
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message.format(path=path) in captured.err
+
+
+def test_leggett_garg_draws_2_to_the_53_samples(capsys, monkeypatch):
+    drawn, sample_triples = [], leggett_garg.sample_triples
+
+    def recording(*args):
+        drawn.append(sample_triples(*args))
+        return drawn[-1]
+    monkeypatch.setattr(leggett_garg, "sample_triples", recording)
+    env = run_json(capsys, ["leggett-garg", "--omega", "1", "--dt", "0", "1", "1",
+                            "--samples", str(2 ** 53), "--seed", "1"])
+    assert [table.m for table in drawn] == [2 ** 53]
+    assert env["params"]["samples"] == 2 ** 53
+    assert all(abs(v) <= 1 for v in env["values"]["empirical_correlations"].values())
 
 
 def test_reconstruct_keeps_tables_at_the_edge_of_the_float_range(capsys, tmp_path):

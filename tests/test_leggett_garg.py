@@ -7,8 +7,7 @@ import pytest
 
 from boolebell import check_boole_triple, correlations
 from boolebell import leggett_garg as lg
-from boolebell.tables import draw_rows
-from oracles import row_counts
+from oracles import fresh_call
 
 
 class TestEvolve:
@@ -18,6 +17,15 @@ class TestEvolve:
         assert np.max(np.abs(amps.amplitudes[1:])) <= 1e-15
         probs = dict(zip((basis[1:] for basis in lg.BASIS), np.abs(amps.amplitudes) ** 2))
         assert probs[(1, 1, 1)] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("amplitudes, message", [
+        (np.eye(8)[0][:7], "need 8 amplitudes"),
+        (np.eye(2, 8), "need 8 amplitudes"),
+        (np.full(8, 0.5), r"amplitudes must be normalized, got norm\^2 2.0"),
+    ], ids=["7 amplitudes", "2x8 amplitudes", "norm 2"])
+    def test_amplitudes_are_eight_normalized_numbers(self, amplitudes, message):
+        with pytest.raises(ValueError, match=message):
+            lg.LGAmplitudes(amplitudes)
 
     def test_quarter_turn_first_interval(self):
         amps = lg.evolve_triple(lg.LGParams(1.0, np.pi / 2, 0, 0))
@@ -116,16 +124,28 @@ class TestInequalityCheck:
 
 class TestSampling:
     def test_deterministic_state(self):
-        ds = lg.sample_triples(lg.LGParams(1.0, 0, 0, 0), 100, seed=5)
-        assert ds.value(1, 1, 1) == ds.m == 100
+        # all the mass on +++: every sample lands there
+        for m in (1, 100, 2 ** 53):
+            ds = lg.sample_triples(lg.LGParams(1.0, 0, 0, 0), m, seed=5)
+            assert ds.value(1, 1, 1) == ds.m == m
+            assert np.count_nonzero(ds.values) == 1
 
     def test_seed_determinism(self):
         p = lg.LGParams(1.0, 0.3, 0.7, 0.2)
-        a = lg.sample_triples(p, 1000, seed=9)
-        b = lg.sample_triples(p, 1000, seed=9)
-        assert a == b
-        c = lg.sample_triples(p, 1000, seed=10)
-        assert a != c
+        for m in (1, 7, 1000, 10 ** 12):
+            a = lg.sample_triples(p, m, seed=9)
+            assert a == lg.sample_triples(p, m, seed=9) and a.m == m
+        assert lg.sample_triples(p, 1000, seed=9) != lg.sample_triples(p, 1000, seed=10)
+
+    def test_cell_means_lie_within_binomial_bounds(self):
+        p, m, seeds = lg.LGParams(1.0, 0.3, 0.7, 0.2), 1000, range(200)
+        probs = dict(zip((basis[1:] for basis in lg.BASIS),
+                         np.abs(lg.evolve_triple(p).amplitudes) ** 2))
+        tables = [lg.sample_triples(p, m, seed=seed) for seed in seeds]
+        for triple, prob in probs.items():
+            mean = np.mean([table.value(*triple) for table in tables])
+            sigma = np.sqrt(m * prob * (1 - prob) / len(seeds))
+            assert abs(mean - m * prob) <= 5 * sigma, triple
 
     def test_empirical_matches_closed_form(self):
         p = lg.LGParams(1.0, 0.0, np.pi / 6, np.pi / 6)
@@ -147,18 +167,6 @@ class TestSampling:
                                      correlations(ds)[(2, 3)])
             assert rep.all_satisfied
 
-    @pytest.mark.parametrize("block", [None, 7])
-    @pytest.mark.parametrize("m", [1, 7, 8, 1000, lg.SAMPLE_BLOCK + 3])
-    def test_counts_are_those_of_one_draw_of_all_rows(self, monkeypatch, block, m):
-        # the rows that one draw of all M gives, from the same generator
-        if block:   # many blocks, the last one short
-            monkeypatch.setattr(lg, "SAMPLE_BLOCK", block)
-        p = lg.LGParams(1.0, 0.3, 0.7, 0.2)
-        probs = np.abs(lg.evolve_triple(p).amplitudes) ** 2
-        rows = draw_rows(probs / probs.sum(), np.array([b[1:] for b in lg.BASIS], dtype=np.int8),
-                         np.random.default_rng(4), m)
-        assert lg.sample_triples(p, m, seed=4) == row_counts(rows)
-
     def test_memory_is_flat_in_the_samples(self):
         p = lg.LGParams(1.0, 0.3, 0.7, 0.2)
         for m in (10 ** 6, 10 ** 7):
@@ -170,9 +178,23 @@ class TestSampling:
                 tracemalloc.stop()
             assert peak < 2 * 2 ** 20, m
 
+    def test_a_huge_count_returns_at_once(self):
+        counts, seconds, peak = fresh_call(
+            "leggett_garg.sample_triples(leggett_garg.LGParams(1.0, 0.3, 0.7, 0.2), "
+            "10 ** 14, seed=1).values.ravel().tolist()")
+        assert sum(counts) == 10 ** 14 and all(c > 0 for c in counts)
+        assert seconds < 1.0 and peak < 2 ** 20
+
     def test_requires_positive_count(self):
         with pytest.raises(ValueError):
             lg.sample_triples(lg.LGParams(1.0, 0, 0, 0), 0, seed=1)
+
+    @pytest.mark.parametrize("m", [2 ** 53 + 1, 2 ** 63])
+    def test_counts_beyond_the_exact_range_are_refused(self, m):
+        # a CountTable holds counts exactly only to 2^53, and numpy's
+        # multinomial overflows from 2^63
+        with pytest.raises(ValueError, match=r"need 1 to 2\^53 samples"):
+            lg.sample_triples(lg.LGParams(1.0, 0, 0, 0), m, seed=1)
 
 
 class TestWitness:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from boolebell import classical as cl
 from boolebell import pipeline as pl
-from boolebell import construct_g3, correlations, expand3
+from boolebell import FuncTable3, construct_g3, correlations, expand3
 from oracles import coincidence_counts, coincidence_filter, row_counts
 
 
@@ -295,6 +295,16 @@ class TestGeneration:
         with pytest.raises(ValueError, match="must be non-negative"):
             pl.TimingModel(jitter, exponent)
 
+    @pytest.mark.parametrize("values, slots, message", [
+        (np.eye(8)[0] - np.eye(8)[5] / 2, {"a": 1, "b": 2, "c": 3}, "entrywise non-negative"),
+        (np.zeros(8), {"a": 1, "b": 2, "c": 3}, "positive mass"),
+        (np.full(8, 0.125), {"a": 1, "b": 1, "c": 3}, "distinct values in 1..3"),
+        (np.full(8, 0.125), {"a": 1, "b": 2, "c": 4}, "distinct values in 1..3"),
+    ], ids=["negative entry", "no mass", "shared slot", "slot 4"])
+    def test_triple_source_refusals(self, values, slots, message):
+        with pytest.raises(ValueError, match=message):
+            pl.TripleProcessSource(FuncTable3(values.reshape(2, 2, 2)), slots)
+
     def test_validation(self):
         source = pl.SingletSource()
         with pytest.raises(ValueError):
@@ -302,6 +312,10 @@ class TestGeneration:
         with pytest.raises(ValueError):
             pl.generate_events(source, standard_schedule(), 0,
                                pl.TimingModel(), seed=0)
+        empty = np.empty(0)
+        with pytest.raises(ValueError, match="at least one pair"):
+            pl.RawDataset(empty.astype(np.int8), empty, empty.astype(np.int8), empty,
+                          empty.astype(np.intp), tuple(standard_schedule()))
         ones = np.ones(2, dtype=np.int8)
         with pytest.raises(ValueError, match="index the schedule"):
             pl.RawDataset(ones, np.ones(2), ones, np.ones(2), np.array([0, 3]),

@@ -614,6 +614,43 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="negative"):
             q.DensityMatrix(np.diag([1.5, -0.5]).astype(complex), 1)
 
+    @pytest.mark.parametrize("mat, n", [(np.eye(2) / 2, 2), (np.eye(4) / 4, 1),
+                                        (np.full(2, 0.5), 1)],
+                             ids=["2x2 for n=2", "4x4 for n=1", "vector"])
+    def test_shape_must_match_the_spins(self, mat, n):
+        with pytest.raises(ValueError, match=f"state of {n} spins needs shape"):
+            q.DensityMatrix(mat, n)
+
+
+class TestArgumentRefusals:
+    @pytest.mark.parametrize("v", [[0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [[0.0, 0.0, 1.0]]],
+                             ids=["2", "4", "1x3"])
+    def test_direction_needs_three_components(self, v):
+        with pytest.raises(ValueError, match="direction must have 3 components"):
+            q.as_direction(v)
+
+    @pytest.mark.parametrize("amplitudes, n, message", [
+        ([1.0, 0.0], 2, "need 4 amplitudes for n=2"),
+        ([1.0, 0.0, 0.0, 0.0], 1, "need 2 amplitudes for n=1"),
+        ([1.0, 1.0], 1, r"state vector norm\^2 must be 1, got 2.0"),
+    ], ids=["2 for n=2", "4 for n=1", "norm 2"])
+    def test_pure_state_refusals(self, amplitudes, n, message):
+        with pytest.raises(ValueError, match=message):
+            q.pure_state(amplitudes, n)
+
+    def test_single_spin_chain_refuses_a_pair_state(self):
+        with pytest.raises(ValueError, match=r"acts on 1 spin\(s\), the state has 2"):
+            q.filter_prob2(q.singlet(), [0, 0, 1], [1, 0, 0])
+
+    def test_separable_components_are_single_spin_states(self):
+        with pytest.raises(ValueError, match="components must be single-spin states"):
+            q.separable_bound_check([(1.0, q.singlet())], [0, 0, 1], [1, 0, 0], [0, 1, 0])
+
+    def test_commutator_diagnostics_need_two_spins(self):
+        up = q.spin_half_state([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="need a two-spin state"):
+            q.commutator_diagnostics([0, 0, 1], [1, 0, 0], [0, 1, 0], up)
+
 
 def test_make_clause_is_called_only_by_the_clause_kernel():
     """Every clause report comes from a ClauseFamily: outside reports.py no

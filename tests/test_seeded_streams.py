@@ -112,9 +112,9 @@ DATASET_CSV_DIGESTS = {
     3: "e50ebd84794d7286cfd4c1f6f4b46092d4abe6a4a67c34d910442867126e678b",
     4: "ad626decd5887782e33a570ea5251ea318b7dec772729c0b05a362fb98974d5d",
 }
-LEGGETT_GARG_DIGEST = "6352de1fcc7263fa274ed8604f2a475f61107527696d53355b70f8812bdfef13"
-# the same at 200,000 samples, which sample_triples draws in several blocks
-LEGGETT_GARG_BLOCKS_DIGEST = "e0e91fbf74404531177ffe313942462a8aace32991de699407ee041219316cc1"
+LEGGETT_GARG_DIGEST = "a12be3c445f7cfade1ce5085d2c3f369c5b9bcf0a55e077031d6ee7eaeb382ba"
+# the same at 10^12 samples, a count no sampler of rows could reach
+LEGGETT_GARG_HUGE_DIGEST = "232a4f140fecb6f8fba4e67934a0091c7b86508bd399b03c22d12725decaf4b0"
 
 
 def sha256(path) -> str:
@@ -183,5 +183,5 @@ def test_leggett_garg_samples_are_pinned(tmp_path):
     assert leggett_garg_digest(tmp_path, 5000) == LEGGETT_GARG_DIGEST
 
 
-def test_leggett_garg_samples_over_several_blocks_are_pinned(tmp_path):
-    assert leggett_garg_digest(tmp_path, 200_000) == LEGGETT_GARG_BLOCKS_DIGEST
+def test_leggett_garg_huge_samples_are_pinned(tmp_path):
+    assert leggett_garg_digest(tmp_path, 10 ** 12) == LEGGETT_GARG_HUGE_DIGEST

@@ -1,6 +1,7 @@
 """Expansion coefficients, non-negativity criteria, marginal reconstruction
 and the factorized mixture class."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -253,6 +254,15 @@ class TestReconstruct:
         with pytest.raises(IncompatibleMarginalsError):
             reconstruct_f3(*tables_from_pair_coeffs(-0.9, -0.9, -0.9))
 
+    def test_coefficients_without_a_triple_coefficient_are_refused(self):
+        # a verdict marked compatible over coefficients that fail the clause
+        # family: no triple coefficient makes the table non-negative
+        verdict = marginals_compatible(*tables_from_pair_coeffs(-0.9, -0.9, -0.9))
+        forged = dataclasses.replace(verdict, compatible=True, failures=())
+        with pytest.raises(IncompatibleMarginalsError,
+                           match="empty admissible interval for the triple coefficient"):
+            forged.reconstruct()
+
     def test_marginals_reproduced_from_true_triple(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
@@ -341,6 +351,23 @@ class TestLambdaModel:
             LambdaModel(np.array([0.5, 0.6]), np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             LambdaModel(np.array([1.0]), np.array([1.5]), np.zeros(1), np.zeros(1))
+
+    def test_weights_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="weights must be non-negative"):
+            LambdaModel(np.array([1.5, -0.5]), np.zeros(2), np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("weights", [[], [[1.0]], 1.0], ids=["empty", "1x1", "scalar"])
+    def test_weights_are_a_non_empty_vector(self, weights):
+        e = np.zeros(np.size(weights))
+        with pytest.raises(ValueError, match="non-empty 1-d array"):
+            LambdaModel(np.array(weights), e, e, e)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_expectations_have_one_entry_per_weight(self, k):
+        e = [np.zeros(2)] * 3
+        e[k] = np.zeros(3)
+        with pytest.raises(ValueError, match=f"e_{'abc'[k]} must have the same length"):
+            LambdaModel(np.array([0.5, 0.5]), *e)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_are_refused_by_name(self, bad):
