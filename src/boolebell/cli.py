@@ -342,11 +342,15 @@ def cmd_epr_pipeline(args) -> dict:
     window = float(args.window)
     timing = pipeline.TimingModel(args.jitter, args.jitter_exponent)
     source = _make_source(args.source)
-    report = _sampled(pipeline.run_three_settings, a, b, c, source, timing,
-                      args.samples, window, args.seed)
-    if args.events_out:  # the event times are generated for the log alone
-        _sampled(pipeline.generate_events, source, pipeline.three_settings_schedule(a, b, c),
-                 args.samples, timing, args.seed).write_csv(args.events_out)
+    if args.events_out:  # one draw: the report counts the log's own times
+        schedule = pipeline.three_settings_schedule(a, b, c)
+        raw = _sampled(pipeline.generate_events, source, schedule, args.samples, timing,
+                       args.seed)
+        report = pipeline.three_settings_report(schedule, raw.window_counts(window))
+        raw.write_csv(args.events_out)
+    else:
+        report = _sampled(pipeline.run_three_settings, a, b, c, source, timing,
+                          args.samples, window, args.seed)
     reports = {name: getattr(report, name)
                for name in ("pair_bound", "boole_direct", "boole_anticorrelated")}
     return {"scenario": "epr-pipeline",

@@ -37,7 +37,9 @@ from .tables import (CountTable, FuncTable3, chain_coeffs, draw_rows, sign_codes
                      sign_transform)
 
 EVENT_PERIOD = 1.0
-# event pairs rendered per write by RawDataset.write_csv
+# event pairs rendered per write by RawDataset.write_csv: the block's byte
+# columns (about 60 a line) and the digit remainders of its times (8 bytes a
+# digit) stay inside the CPU caches, and its temporaries do not grow with M
 WRITE_BLOCK = 4096
 # event pairs per block of run_three_settings's counts pass: the block's
 # temporaries stay well inside the CPU caches
@@ -161,6 +163,76 @@ class PairModelSource:
         return s1, s2, lambda: station_orientations(self.model, phi)
 
 
+# ",station,s," for station 1 or 2 (first index) and s = 1 or -1 (last), NUL-padded
+_STATION_OUTCOME = np.array([[b",1,1,", b",1,-1,"], [b",2,1,", b",2,-1,"]],
+                            dtype="S6").view(np.uint8).reshape(2, 2, 6).transpose(0, 2, 1)
+
+
+def _int_columns(v: np.ndarray, width: int) -> np.ndarray:
+    """The positive integers ``v`` (below 10^width) in decimal, as a
+    (width, v.size) uint8 block of ASCII columns, right-aligned and
+    NUL-padded."""
+    out = np.empty((width, v.size), np.uint8)
+    for col in range(width - 1, -1, -1):
+        q = v // 10  # numpy divides by a scalar quickly, but its % is slow
+        out[col] = (v - q * 10 + 48) * (v != 0)  # a leading zero is padding
+        v = q
+    return out
+
+
+def _repr_columns(t: np.ndarray) -> np.ndarray:
+    """``repr`` of each double of the 1-d array ``t``: a (width, t.size)
+    uint8 block of NUL-padded ASCII columns.  Any value but a finite t in
+    [1, 2^32) takes repr() itself; those are rendered in exact integers.
+    With t in [2^j, 2^(j+1)), I = floor(t) and r_0 = (t - I) 2^53 below 2^53,
+    the fraction's d-th digit is 10 r_(d-1) >> 53, leaving r_d.  In units of
+    2^-53 10^-d the nearest d-digit decimal lies min(r_d, 2^53 - r_d) from t
+    and half an ulp is 2^j 10^d; repr takes the least d where the decimal
+    lies within it, and rounds the last digit half-even (it never carries).
+    A decimal exactly half an ulp away would need 53 - j >= 22 digits, so no
+    significand's parity decides, and at d = 0 only integers hit.  Hitting is
+    monotone in d and sure within repr's 17 significant digits: the test runs
+    from there down, on the values that still hit."""
+    fast = (t >= 1.0) & (t < 2.0 ** 32)
+    x = np.where(fast, t, 1.0)
+    whole = np.floor(x)
+    r = np.empty((17 - len(str(int(whole.min()))) + 1, t.size), np.uint64)
+    r[0] = (x - whole) * 2.0 ** 53
+    digits = np.empty((len(r) - 1, t.size), np.uint8)
+    for d in range(1, len(r)):
+        np.multiply(r[d - 1], 10, out=r[d])
+        np.right_shift(r[d], 53, out=digits[d - 1], casting="unsafe")
+        r[d] &= np.uint64(2 ** 53 - 1)
+    # the shortest length: 1 + the last d that misses
+    e = np.frexp(x)[1]  # j + 1
+    length = np.zeros(t.size, np.intp)
+    open_ = np.flatnonzero(r[0])
+    for d in range(len(digits) - 1, -1, -1):
+        if not open_.size:
+            break
+        rd = r[d].take(open_)
+        # the half-ulp in float64: exact, and it cannot wrap
+        miss = np.minimum(rd, 2 ** 53 - rd) > np.ldexp(0.5 * 10.0 ** d, e.take(open_))
+        length[open_[miss]] = d + 1
+        open_ = open_[~miss]
+    cut = np.flatnonzero(length)
+    last = cut + (length.take(cut) - 1) * t.size  # flat index into digits
+    last_digit = digits.take(last)
+    up = r.take(last + t.size) + (last_digit & 1) > np.uint64(2 ** 52)
+    digits.put(last, last_digit + up)
+    digits += 48
+    digits *= np.arange(len(digits))[:, None] < np.maximum(length, 1)
+    out = np.concatenate([_int_columns(whole.astype(np.uint32), len(str(int(whole.max())))),
+                          np.full((1, t.size), ord("."), np.uint8), digits])
+    escaped = np.flatnonzero(~fast)
+    if escaped.size:
+        text = [repr(v).encode() for v in t.take(escaped).tolist()]
+        width = max(len(out), *map(len, text))
+        out = np.concatenate([out, np.zeros((width - len(out), t.size), np.uint8)])
+        out[:, escaped] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width).T
+    return out
+
+
 @dataclass(frozen=True)
 class RawDataset:
     """M time-tagged event pairs, stored column-wise as read-only numpy
@@ -181,6 +253,11 @@ class RawDataset:
             raise ValueError("raw dataset must contain at least one pair")
         if self.pair.min() < 0 or self.pair.max() >= len(self.schedule):
             raise ValueError("pair indices must index the schedule")
+        if not all(np.issubdtype(s.dtype, np.integer) and np.all(np.abs(s) == 1)
+                   for s in (self.s1, self.s2)):
+            raise ValueError("outcomes must be integers +-1")
+        if not self.t1.dtype == self.t2.dtype == np.float64:
+            raise ValueError("detection times must be float64")
         for arr in (self.s1, self.t1, self.s2, self.t2, self.pair):
             arr.setflags(write=False)
 
@@ -203,27 +280,71 @@ class RawDataset:
     id2 = property(lambda self: self._per_pair(2, 0))
     angle2 = property(lambda self: self._per_pair(2, 1))
 
+    def window_counts(self, window: float) -> list[CountTable]:
+        """The coincidences per schedule index: one ``CountTable`` of
+        (S1, S2) per schedule index over the event pairs with
+        |t1 - t2| <= window (positive or infinite), a NaN gap dropped."""
+        if not (window > 0.0):
+            raise ValueError("window must be positive (math.inf allowed)")
+        n_pairs = len(self.schedule)
+        # codes 4 pair + sign_codes(S1, S2); code 4 n_pairs is the discard bin
+        counts = np.zeros(4 * n_pairs + 1, dtype=np.int64)
+        for lo in range(0, self.m, REDUCE_BLOCK):  # temporaries of one block
+            block = slice(lo, lo + REDUCE_BLOCK)
+            codes = self.pair[block].astype(np.min_scalar_type(4 * n_pairs))
+            codes *= 4
+            codes += sign_codes(self.s1[block], self.s2[block])
+            np.putmask(codes, ~(np.abs(self.t1[block] - self.t2[block]) <= window), 4 * n_pairs)
+            counts += np.bincount(codes, minlength=4 * n_pairs + 1)
+        return [CountTable(grid) for grid in counts[:-1].reshape(n_pairs, 2, 2)]
+
     def write_csv(self, path: str | Path) -> None:
-        """One line per event record (two per pair):
-        alpha,station,s,t,setting_id,angle."""
-        # the ",setting_id,angle" tail of each station and schedule entry,
-        # rendered once by the csv module, which quotes ids where needed
-        tails1, tails2 = [], []
-        for station, tails in ((1, tails1), (2, tails2)):
-            for setting_id, angle in zip(*self._settings(station)):
-                tail = io.StringIO()
-                csv.writer(tail).writerow(["", setting_id, repr(angle.item())])
-                tails.append(tail.getvalue())
+        """One line per event record (two per pair),
+        alpha,station,s,t,setting_id,angle: the csv module's bytes with t and
+        angle as ``repr`` floats.  numpy lays WRITE_BLOCK pairs at a time
+        into NUL-padded byte columns, column-major, and writes them
+        transposed with the padding removed.  The csv module renders the
+        ",setting_id,angle" tail once per station and schedule entry, and
+        each tail is kept by its length, so a NUL byte of an id stays."""
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(["alpha", "station", "s", "t", "setting_id", "angle"])
+            tails = []
+            for station in (1, 2):
+                for setting_id, angle in zip(*self._settings(station)):
+                    tail = io.StringIO()
+                    csv.writer(tail).writerow(["", setting_id, repr(angle.item())])
+                    tails.append(tail.getvalue().encode(fh.encoding))
+            width = max(map(len, tails))
+            # (station, byte, schedule index)
+            tail_cols = np.array(tails, dtype=f"S{width}").view(np.uint8).reshape(
+                2, -1, width).transpose(0, 2, 1)
+            # (schedule index, station, byte): the tail bytes to keep
+            kept = np.arange(width) < np.array([len(tail) for tail in tails])[:, None]
+            kept = kept.reshape(2, -1, width).swapaxes(0, 1)
+            fh.flush()
             for lo in range(0, self.m, WRITE_BLOCK):
-                block = slice(lo, lo + WRITE_BLOCK)
-                fh.write("".join([
-                    f"{i},1,{s1},{t1!r}{tails1[p]}{i},2,{s2},{t2!r}{tails2[p]}"
-                    for i, s1, t1, s2, t2, p in zip(
-                        range(lo + 1, lo + WRITE_BLOCK + 1),
-                        *(col[block].tolist() for col in
-                          (self.s1, self.t1, self.s2, self.t2, self.pair)))]))
+                fh.buffer.write(self._csv_block(slice(lo, lo + WRITE_BLOCK), tail_cols, kept))
+
+    def _csv_block(self, block: slice, tail_cols: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """The CSV bytes of the event pairs ``block``."""
+        p = self.pair[block]
+        n = p.size
+        alpha = _int_columns(np.arange(block.start + 1, block.start + n + 1,
+                                       dtype=np.min_scalar_type(self.m)), len(str(self.m)))
+        times = _repr_columns(np.concatenate([self.t1[block], self.t2[block]]))
+        tail = len(alpha) + 6 + len(times)
+        # column-major: (byte of the line, station, pair)
+        cols = np.empty((tail + tail_cols.shape[1], 2, n), np.uint8)
+        cols[:len(alpha)] = alpha[:, None]
+        cols[len(alpha) + 6:tail] = times.reshape(-1, 2, n)
+        for k, s in enumerate((self.s1, self.s2)):
+            cols[len(alpha):len(alpha) + 6, k] = _STATION_OUTCOME[k].take(
+                (s[block] < 0).view(np.uint8), axis=1)
+            cols[tail:, k] = tail_cols[k].take(p, axis=1)
+        rows = cols.transpose(2, 1, 0).copy()
+        keep = rows != 0
+        keep[:, :, tail:] = kept[p]
+        return rows[keep]
 
 
 def _entry_draws(source, pair: SettingPair, timing: TimingModel,
@@ -412,8 +533,17 @@ def run_three_settings(angle_a: float, angle_b: float, angle_c: float,
     if not (window > 0.0):
         raise ValueError("window must be positive (math.inf allowed)")
     schedule = three_settings_schedule(angle_a, angle_b, angle_c)
+    return three_settings_report(schedule,
+                                 _window_counts(source, schedule, m, timing, seed, window))
+
+
+def three_settings_report(schedule: list[SettingPair],
+                          grids: list[CountTable]) -> ThreeSettingsReport:
+    """The report of ``run_three_settings`` from the coincidence counts
+    ``grids`` of ``three_settings_schedule(a, b, c)``, one ``CountTable``
+    per entry: those of a run's event log are ``raw.window_counts(window)``."""
     counts, corr, empties = {}, {}, []
-    for pair, grid in zip(schedule, _window_counts(source, schedule, m, timing, seed, window)):
+    for pair, grid in zip(schedule, grids):
         key = "".join(pair.key)
         counts[key] = grid.m
         if grid.m == 0:

@@ -402,8 +402,10 @@ class CompatibilityResult:
         All coefficients except the triple one are fixed by the marginals.  The
         free triple coefficient is bounded entrywise; it is set to 0 when the
         admissible interval contains 0 and to the interval midpoint otherwise,
-        and the interval is returned alongside the table.  It is empty when
-        its ends cross by more than SLACK_TOL |e0|.
+        and the interval is returned alongside the table.  A clause of the
+        verdict that misses by d crosses the interval's ends by 2 d, so they
+        may cross by 2 SLACK_TOL |e0|, twice what the verdict forgives a
+        clause; beyond that the interval is empty.
         """
         if not self.compatible:
             raise IncompatibleMarginalsError(self.failures)
@@ -413,7 +415,7 @@ class CompatibilityResult:
         base = sign_transform(ExpansionCoeffs3(*fixed, 0.0).grid()).ravel()
         even = sign_rows(3).prod(axis=1) > 0
         lo, hi = float(np.max(-base[even])), float(np.min(base[~even]))
-        if lo > hi + SLACK_TOL * abs(c.e0):
+        if lo > hi + 2.0 * SLACK_TOL * abs(c.e0):
             raise IncompatibleMarginalsError(
                 (f"empty admissible interval for the triple coefficient "
                  f"[{lo}, {hi}]",))

@@ -1,10 +1,11 @@
 """Routes that only the tests read: the dense states, tables and searches the
-tests hold the package's closed forms and stacked kernels against, and the
-stored-event filters that the pipeline's counts and the dataset projections
-are held against, the row counts that every producer's CountTable is held
-against, and a fresh interpreter that times the calls whose cost must not
-grow with a count."""
+tests hold the package's closed forms and stacked kernels against, the
+stored-event filter that the pipeline's counts and the dataset projections
+are held against, the row-by-row event-log writer, the row counts that every
+producer's CountTable is held against, and a fresh interpreter that times the
+calls whose cost must not grow with a count."""
 
+import csv
 import json
 import os
 import subprocess
@@ -91,20 +92,18 @@ def chsh_slab_scan(emat):
     return count, best, where
 
 
-def coincidence_counts(raw, window: float) -> np.ndarray:
-    """Coincidences per schedule index and outcome pair, in one pass over the
-    stored event times: one 2x2 count grid of (S1, S2) per schedule index,
-    in sign-grid order, over the event pairs with |t1 - t2| <= window.  A
-    NaN gap fails the comparison and is dropped, as in
-    ``coincidence_filter``."""
-    # codes 4 pair + sign_codes(S1, S2); code 4 n_pairs is the discard bin
-    n_pairs = len(raw.schedule)
-    discard = 4 * n_pairs
-    codes = raw.pair.astype(np.min_scalar_type(discard))
-    codes *= 4
-    codes += sign_codes(raw.s1, raw.s2)
-    np.putmask(codes, ~(np.abs(raw.t1 - raw.t2) <= window), discard)
-    return np.bincount(codes, minlength=discard + 1)[:-1].reshape(n_pairs, 2, 2)
+def write_csv_rows(raw, path) -> None:
+    """The event log of ``raw``, one ``csv.writer`` row per event record with
+    ``repr`` floats: the reference that ``RawDataset.write_csv`` renders by
+    blocks of byte columns."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha", "station", "s", "t", "setting_id", "angle"])
+        columns = (raw.s1, raw.t1, raw.id1, raw.angle1, raw.s2, raw.t2, raw.id2, raw.angle2)
+        for i, (s1, t1, id1, a1, s2, t2, id2, a2) in enumerate(
+                zip(*(col.tolist() for col in columns)), 1):
+            writer.writerow([i, 1, s1, repr(t1), id1, repr(a1)])
+            writer.writerow([i, 2, s2, repr(t2), id2, repr(a2)])
 
 
 def coincidence_filter(raw, window: float, setting_filter: tuple[str, str]):

@@ -231,9 +231,9 @@ class TestSubcommands:
     @pytest.mark.parametrize("source", ["singlet", "triple", "pair:uniform", "pair:equal",
                                         "pair:opposite"])
     def test_event_log_recounts_to_the_report(self, capsys, tmp_path, source, window):
-        # the report counts without storing an event time, the log is written
-        # by a second generation: reading the log back and keeping its pairs
-        # with |t1 - t2| <= W gives the report's counts per setting pair
+        # with a log the report counts the log's own times: reading the log
+        # back and keeping its pairs with |t1 - t2| <= W gives the report's
+        # counts per setting pair
         events = tmp_path / "events.csv"
         env = run_json(capsys, ["epr-pipeline", "--source", source,
                                 "--angles", "0", "60", "120", "--window", window,

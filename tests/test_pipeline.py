@@ -1,6 +1,5 @@
 """Event generation, coincidence filtering and the three-setting runner."""
 
-import csv
 import math
 import tracemalloc
 
@@ -11,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from boolebell import classical as cl
 from boolebell import pipeline as pl
 from boolebell import FuncTable3, construct_g3, correlations, expand3
-from oracles import coincidence_counts, coincidence_filter, row_counts
+from oracles import coincidence_filter, row_counts, write_csv_rows
 
 
 def make_triple_source(rng=None):
@@ -112,7 +111,7 @@ def keep_all_threshold(pair, timing, m):
 
 
 def assert_counts_equal_the_oracle(rep, raw, window):
-    grids = coincidence_counts(raw, window)
+    grids = np.array([grid.values for grid in raw.window_counts(window)])
     kept = grids.sum(axis=(1, 2))
     assert rep.counts == dict(zip(("ab", "ac", "bc"), kept.tolist()))
     if rep.correlations is not None:
@@ -246,26 +245,66 @@ class TestGeneration:
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "1" and first[4] == "a"
 
-    def test_csv_log_matches_the_row_by_row_writer(self, tmp_path):
-        # ids that the csv module must quote, schedule indices in no order
-        # (as a log read back may hold them) and more pairs than one write block
-        a, b = pl.Setting("x,1", 0.1), pl.Setting('say "b"', 2)
+    @pytest.mark.parametrize("ids, m, offset", [
+        # ids that the csv module must quote, more pairs than one write block
+        (("x,1", 'say "b"'), pl.WRITE_BLOCK + 7, 0.0),
+        # a NUL byte is kept by the tail's length, not dropped as padding
+        (("a\0b", "ün-α"), pl.WRITE_BLOCK, 0.0),
+        (("", "c"), pl.WRITE_BLOCK + 1, 0.0),
+        (("a", "b"), 1, 0.0),
+        # times with 7 integer digits, beyond those of the alphas
+        (("a", "b"), 300, 4_000_000.0),
+    ], ids=["quoted-ids", "nul-and-non-ascii-ids", "empty-id", "one-pair", "seven-digit-times"])
+    def test_csv_log_matches_the_row_by_row_writer(self, tmp_path, ids, m, offset):
+        # schedule indices in no order, as a log read back may hold them
+        a, b = pl.Setting(ids[0], 0.1), pl.Setting(ids[1], 2)
         schedule = [pl.SettingPair(a, b), pl.SettingPair(b, a), pl.SettingPair(a, a)]
-        rng, m = np.random.default_rng(9), pl.WRITE_BLOCK + 7
+        rng = np.random.default_rng(9)
         s1, s2 = rng.choice(np.int8([-1, 1]), (2, m))
-        t1, t2 = np.arange(1.0, m + 1) + rng.uniform(0.0, 0.7, (2, m))
+        t1, t2 = offset + np.arange(1.0, m + 1) + rng.uniform(0.0, 0.7, (2, m))
         pair = rng.permutation(np.arange(m) % 3).astype(np.uint8)
         raw = pl.RawDataset(s1, t1, s2, t2, pair, tuple(schedule))
         raw.write_csv(tmp_path / "events.csv")
-        with open(tmp_path / "reference.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "station", "s", "t", "setting_id", "angle"])
-            columns = (raw.s1, raw.t1, raw.id1, raw.angle1, raw.s2, raw.t2, raw.id2, raw.angle2)
-            for i, (s1, t1, id1, a1, s2, t2, id2, a2) in enumerate(
-                    zip(*(col.tolist() for col in columns)), 1):
-                writer.writerow([i, 1, s1, repr(t1), id1, repr(a1)])
-                writer.writerow([i, 2, s2, repr(t2), id2, repr(a2)])
+        write_csv_rows(raw, tmp_path / "reference.csv")
         assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_csv_log_writes_other_times_by_repr(self, tmp_path):
+        # values beyond the integer renderer's domain, among ordinary ones,
+        # in the first and in a later block
+        odd = [math.nan, math.inf, -math.inf, 0.5, -1.0, 0.0, 2.0 ** 32, 1e16, 1e300, 5e-324,
+               -1.2345678901234567e-300]
+        m = pl.WRITE_BLOCK + len(odd)
+        t1 = np.arange(1.0, m + 1) + 0.25
+        t2 = t1.copy()
+        t1[:len(odd)] = t2[-len(odd):] = odd
+        ones = np.ones(m, dtype=np.int8)
+        raw = pl.RawDataset(ones, t1, -ones, t2, np.arange(m) % 3, tuple(standard_schedule()))
+        raw.write_csv(tmp_path / "events.csv")
+        write_csv_rows(raw, tmp_path / "reference.csv")
+        assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_csv_writer_memory_does_not_grow_with_the_log(self, tmp_path):
+        timing = pl.TimingModel(1.0, 2.7)
+        peaks = []
+        for m in (20_000, 200_000):
+            raw = pl.generate_events(pl.SingletSource(), standard_schedule(), m, timing, seed=1)
+            peaks.append(traced_peak(lambda: raw.write_csv(tmp_path / "events.csv")))
+        assert abs(peaks[1] - peaks[0]) < 2 ** 20
+        assert max(peaks) < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("column, value, match", [
+        ("s1", np.zeros(3, dtype=np.int8), "outcomes"),
+        ("s2", np.ones(3), "outcomes"),
+        ("t1", np.arange(1, 4), "float64"),
+        ("t2", np.arange(1.0, 4.0, dtype=np.float32), "float64"),
+    ])
+    def test_raw_dataset_columns_are_checked(self, column, value, match):
+        ones = np.ones(3, dtype=np.int8)
+        columns = dict(s1=ones, t1=np.arange(1.0, 4.0), s2=-ones, t2=np.arange(1.0, 4.0),
+                       pair=np.arange(3))
+        columns[column] = value
+        with pytest.raises(ValueError, match=match):
+            pl.RawDataset(**columns, schedule=tuple(standard_schedule()))
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_pair_count_is_checked_before_any_draw(self, monkeypatch, m):
@@ -372,6 +411,9 @@ class TestCoincidenceFilter:
                                  pl.TimingModel(), seed=0)
         with pytest.raises(ValueError):
             coincidence_filter(raw, 0.0, ("a", "b"))
+        for window in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="window must be positive"):
+                raw.window_counts(window)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -619,7 +661,7 @@ class TestRunThreeSettings:
     def test_counts_are_sign_grids_per_schedule_entry(self):
         raw = pl.generate_events(pl.SingletSource(), standard_schedule(), 300,
                                  pl.TimingModel(1.0, 1.0), seed=3)
-        counts = coincidence_counts(raw, 0.5)
+        counts = np.array([grid.values for grid in raw.window_counts(0.5)])
         assert counts.shape == (3, 2, 2)
         kept = np.abs(raw.t1 - raw.t2) <= 0.5
         for p in range(3):
@@ -638,6 +680,7 @@ class TestRunThreeSettings:
                                  60, timing, seed=27)
         assert np.isnan(raw.t1[raw.id1 == "a"]).all()
         assert coincidence_filter(raw, math.inf, ("a", "b")) is None
+        assert [grid.m for grid in raw.window_counts(math.inf)] == [0, 0, 20]
         assert rep.empty_pairs == ("ab", "ac")
         assert rep.counts == {"ab": 0, "ac": 0, "bc": 20}
 
@@ -710,3 +753,49 @@ class TestRunThreeSettings:
         assert narrow.counts["ab"] < wide.counts["ab"]
         # trend is reported, not asserted: both remain valid reports
         assert narrow.pair_bound.all_satisfied
+
+
+def rendered_times(values) -> list[str]:
+    """The strings of ``pl._repr_columns``, its NUL padding removed."""
+    columns = pl._repr_columns(np.array(values, dtype=np.float64))
+    return [bytes(col[col != 0]).decode() for col in columns.T]
+
+
+def half_way_ties(draw):
+    """t = 2^j + k + odd / 2^(d+1) with 0 <= k < 2^j: exactly half-way
+    between two d-digit decimals, where repr rounds half-even."""
+    j = draw(st.integers(0, 31))
+    d = draw(st.integers(0, 51 - j))
+    k = draw(st.integers(0, 2 ** j - 1))
+    odd = 2 * draw(st.integers(0, 2 ** d - 1)) + 1
+    return math.ldexp(((2 ** j + k) << (d + 1)) + odd, -(d + 1))
+
+
+def integer_neighbours(draw):
+    """An integer in [1, 2^32] or a double next to one (those below 1 and from
+    2^32 on take the repr escape)."""
+    whole = float(draw(st.integers(1, 2 ** 32)))
+    return draw(st.sampled_from([whole, math.nextafter(whole, 0.0),
+                                 math.nextafter(whole, math.inf)]))
+
+
+TIMES = st.one_of(st.floats(1.0, 2.0 ** 32, exclude_max=True), st.composite(half_way_ties)(),
+                  st.composite(integer_neighbours)(),
+                  st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -1.0, 2.0 ** 32, 1e16,
+                                   1e300]))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(TIMES, min_size=1, max_size=40))
+def test_time_renderer_is_repr(values):
+    assert rendered_times(values) == [repr(v) for v in values]
+
+
+def test_time_renderer_is_repr_on_every_binade():
+    # random significands in every binade of [1, 2^32), and the ties the
+    # docstring names, in one block that mixes their lengths
+    rng = np.random.default_rng(2)
+    bits = rng.integers(0x3FF0_0000_0000_0000, 0x41F0_0000_0000_0000, 100_000, dtype=np.uint64)
+    values = bits.view(np.float64).tolist() + [524288 + 1 / 2048, 1.5, 2.0 ** 32 - 2.0 ** -21]
+    assert rendered_times(values) == [repr(v) for v in values]
+    assert rendered_times([524288 + 1 / 2048]) == ["524288.0004882812"]

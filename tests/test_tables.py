@@ -263,6 +263,27 @@ class TestReconstruct:
                            match="empty admissible interval for the triple coefficient"):
             forged.reconstruct()
 
+    @pytest.mark.parametrize("deficit", [6e-13, 9e-13, 9.9e-13])
+    def test_a_forgiven_clause_deficit_reconstructs(self, deficit):
+        # three copies of e12 = -(1 + d) / 3: each clause |e + ehat| <= e0 +
+        # etilde misses by d, which the verdict forgives, and the triple
+        # coefficient's interval crosses by 2 d
+        c = synth2(ExpansionCoeffs2(1.0, 0.0, 0.0, -(1.0 + deficit) / 3.0))
+        verdict = marginals_compatible(c, c, c)
+        assert verdict.compatible
+        rec = verdict.reconstruct()
+        lo, hi = rec.e123_interval
+        assert lo - hi == pytest.approx(2 * deficit, rel=1e-3)
+        assert rec.e123 == (lo + hi) / 2 and rec.table.is_nonnegative()
+
+    @pytest.mark.parametrize("deficit", [1.1e-12, 2e-12, 1e-9])
+    def test_a_deficit_beyond_the_tolerance_is_incompatible(self, deficit):
+        c = synth2(ExpansionCoeffs2(1.0, 0.0, 0.0, -(1.0 + deficit) / 3.0))
+        verdict = marginals_compatible(c, c, c)
+        assert not verdict.compatible
+        with pytest.raises(IncompatibleMarginalsError, match="clause failed"):
+            verdict.reconstruct()
+
     def test_marginals_reproduced_from_true_triple(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
