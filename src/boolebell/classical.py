@@ -32,7 +32,7 @@ import numpy as np
 
 from .datasets import BOOLE_TRIPLE, BOOLE_TRIPLE_ANTICORRELATED
 from .reports import SLACK_TOL, grid_sweep
-from .tables import CountTable, sign_codes
+from .tables import CountTable, blocks, code_signs, stream_cursors
 
 MuKind = Literal["uniform", "delta_equal", "delta_opposite"]
 
@@ -123,67 +123,83 @@ class FactorizableModel:
         if self.mu_kind not in ("uniform", "delta_equal", "delta_opposite"):
             raise ValueError(f"unknown mu_kind {self.mu_kind!r}")
 
+    # whole draws of doubles per sample: phi, r and the uniform law's r'
+    streams = property(lambda self: 3 if self.mu_kind == "uniform" else 2)
+
 
 def sample_pair_arrays(model: FactorizableModel, a: float, b: float,
                        rng: np.random.Generator, count: int,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized draw of (phi, S, S') for `count` emissions.
-
-    phi ~ U[0, 2pi); r ~ U[-1, 1]; S = sign(cos(phi - a) - r).  Station 2:
-    identical thresholds use r' = r, opposite thresholds r' = -r, both with
-    orientation phi; the uniform law draws an independent r' and the source
-    is anti-aligned, so station 2 responds to orientation phi + pi.
-    """
-    if count < 1:
-        raise ValueError("need at least one sample")
-    phi = rng.uniform(0.0, 2.0 * np.pi, count)
-    r = rng.uniform(-1.0, 1.0, count)
-    s1 = _threshold_signs(phi, a, r)
-    if model.mu_kind == "uniform":
-        del r  # station 1's thresholds are spent: free them before drawing r'
-        s2 = _threshold_signs(phi, b, rng.uniform(-1.0, 1.0, count), anti_aligned=True)
-    elif model.mu_kind == "delta_equal":
-        s2 = _threshold_signs(phi, b, r)
-    else:  # delta_opposite: cos(phi - b) + r >= 0, i.e. cos(phi - b) >= -r
-        s2 = _threshold_signs(phi, b, np.negative(r, out=r))
+    """(phi, S, S') for `count` emissions as whole arrays, S and S' the int8
+    +-1 columns of ``threshold_codes``: phi, r and r' are rng's next whole
+    draws of count doubles, drawn block by block from its stream cursors."""
+    pairs = _pair_blocks(model, a, b, rng, count)
+    phi = np.empty(count)
+    s1, s2 = np.empty((2, count), dtype=np.int8)
+    for block, phi[block], codes in pairs:
+        s1[block], s2[block] = code_signs(codes, 2)
     return phi, s1, s2
 
 
-# samples per block of _threshold_signs: its temporaries stay inside the CPU caches
-SIGN_BLOCK = 1 << 15
+def _pair_blocks(model: FactorizableModel, a: float, b: float,
+                 rng: np.random.Generator, count: int):
+    """Checks the count, then yields lazily each block of the count
+    emissions, its phi and its sign codes."""
+    if count < 1:
+        raise ValueError("need at least one sample")
+    if count > 2 ** 53:  # the largest count a CountTable holds exactly
+        raise ValueError(f"need 1 to 2^53 samples, got {count}")
+    cursors = stream_cursors(rng, count, model.streams)
+    return ((block, *threshold_codes(model, a, b, cursors, block.stop - block.start))
+            for block in blocks(count))
 
 
-def _threshold_signs(phi: np.ndarray, setting: float, r: np.ndarray,
-                     anti_aligned: bool = False) -> np.ndarray:
-    """int8 outcomes, +1 where cos(x) >= r and -1 elsewhere, for
-    x = phi - setting, or x = (phi + pi) - setting at an anti-aligned station.
+def threshold_codes(model: FactorizableModel, a: float, b: float,
+                    cursors: list[np.random.Generator], size: int,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """phi and the sign codes (S, S') of ``size`` emissions from the model's
+    stream cursors: phi ~ U[0, 2pi) from the first, r ~ U[-1, 1] from the
+    second, S = sign(cos(phi - a) - r).  Station 2: identical thresholds use
+    r' = r, opposite thresholds r' = -r, both with orientation phi; the
+    uniform law draws r' from the third cursor and the source is
+    anti-aligned, so station 2 responds to orientation phi + pi."""
+    phi = cursors[0].uniform(0.0, 2.0 * np.pi, size)
+    r = cursors[1].uniform(-1.0, 1.0, size)
+    up1 = _threshold_up(phi, a, r)
+    if model.mu_kind == "uniform":
+        up2 = _threshold_up(phi, b, cursors[2].uniform(-1.0, 1.0, size), anti_aligned=True)
+    elif model.mu_kind == "delta_equal":
+        up2 = _threshold_up(phi, b, r)
+    else:  # delta_opposite: cos(phi - b) + r >= 0, i.e. cos(phi - b) >= -r
+        up2 = _threshold_up(phi, b, np.negative(r, out=r))
+    codes = np.invert(up1, out=up1).view(np.uint8) << 1
+    codes |= np.invert(up2, out=up2)
+    return phi, codes
 
-    Per block of SIGN_BLOCK samples, the sign of the float32 screen
-    d = cos(fl32(x)) - fl32(r) decides wherever |d| > tol, with
-    tol = 2^-20 max|x| + 2^-18: rounding x moves the cosine by at most
-    2^-24 |x|, and the rest of the float32 error is a few ulps.  Every other
-    event (a NaN d included), and every event of a block whose tol is not
-    below 2 or is NaN (there x may lie beyond the float32 range), takes the
-    float64 rule np.cos(x) >= r, so the outcomes are that rule's bit for bit.
+
+def _threshold_up(phi: np.ndarray, setting: float, r: np.ndarray,
+                  anti_aligned: bool = False) -> np.ndarray:
+    """cos(x) >= r for one block, x = phi - setting, or x = (phi + pi) -
+    setting at an anti-aligned station.
+
+    The sign of the float32 screen d = cos(fl32(x)) - fl32(r) decides
+    wherever |d| > tol, with tol = 2^-20 max|x| + 2^-18 over the block:
+    rounding x moves the cosine by at most 2^-24 |x|, and the rest of the
+    float32 error is a few ulps.  Every other event (a NaN d included), and
+    every event of a block whose tol is not below 2 or is NaN (there x may
+    lie beyond the float32 range), takes the float64 rule np.cos(x) >= r, so
+    the outcomes are that rule's bit for bit.
     """
-    out = np.empty(phi.size, dtype=np.int8)
-    for lo in range(0, phi.size, SIGN_BLOCK):
-        block = slice(lo, lo + SIGN_BLOCK)
-        x = (phi[block] + np.pi if anti_aligned else phi[block]) - setting
-        rb = r[block]
-        tol = 2.0 ** -20 * float(np.abs(x).max()) + 2.0 ** -18
-        if tol < 2.0:
-            d = np.cos(x.astype(np.float32))
-            np.subtract(d, rb, out=d, dtype=np.float32, casting="same_kind")
-            up = d > 0.0
-            near = np.flatnonzero(~(np.abs(d) > tol))
-            up[near] = np.cos(x[near]) >= rb[near]
-        else:
-            up = np.cos(x, out=x) >= rb
-        out[block] = up
-    out *= 2
-    out -= 1
-    return out
+    x = (phi + np.pi if anti_aligned else phi) - setting
+    tol = 2.0 ** -20 * float(np.abs(x).max()) + 2.0 ** -18
+    if not tol < 2.0:
+        return np.cos(x, out=x) >= r
+    d = np.cos(x.astype(np.float32))
+    np.subtract(d, r, out=d, dtype=np.float32, casting="same_kind")
+    up = d > 0.0
+    near = np.flatnonzero(~(np.abs(d) > tol))
+    up[near] = np.cos(x[near]) >= r[near]
+    return up
 
 
 def station_orientations(model: FactorizableModel, phi: np.ndarray,
@@ -196,9 +212,13 @@ def station_orientations(model: FactorizableModel, phi: np.ndarray,
 
 def sample_pair(model: FactorizableModel, a: float, b: float,
                 seed: int, count: int) -> CountTable:
-    """The counts of a seeded pair sample drawn from the model at settings (a, b)."""
-    _, s1, s2 = sample_pair_arrays(model, a, b, np.random.default_rng(seed), count)
-    return CountTable.of_codes(sign_codes(s1, s2), 2)
+    """The counts of a seeded pair sample drawn from the model at settings
+    (a, b): those of ``sample_pair_arrays`` from ``default_rng(seed)``,
+    counted block by block, so memory does not grow with the count."""
+    counts = np.zeros(4, dtype=np.int64)
+    for _, _, codes in _pair_blocks(model, a, b, np.random.default_rng(seed), count):
+        counts += np.bincount(codes, minlength=4)
+    return CountTable(counts.reshape(2, 2))
 
 
 def correlation_law(mu_kind: str, d):

@@ -51,8 +51,9 @@ def _flag_value(flag: str, check, *values):
 
 
 def _sampled(draw, *args):
-    """draw(*args), an allocation numpy refuses for the draws prefixed by the
-    flag that sized them."""
+    """draw(*args) for a route that holds whole per-sample columns (the
+    event log, the csv rows), an allocation numpy refuses for them prefixed
+    by the flag that sized them."""
     try:
         return draw(*args)
     except MemoryError as exc:
@@ -152,12 +153,12 @@ def cmd_theorem(args) -> dict:
                 "values": {}, "reports": {"theorem3": rep.to_dict()}}
     elif which == "construct":
         a0, a12, a13, a23 = args.coeffs
-        table = _flag_value("--coeffs", tables.construct_g3, a0, a12, a13, a23)
+        table, report = _flag_value("--coeffs", tables.construction_g3, a0, a12, a13, a23)
         return {"scenario": "theorem-construct",
                 "params": {"a0": a0, "a12": a12, "a13": a13, "a23": a23},
                 "values": {"table": table.to_dict(),
                            "min_entry": float(np.min(table.values))},
-                "reports": {"ebbi": tables.ebbi_check(a0, a12, a13, a23).to_dict()}}
+                "reports": {"ebbi": report.to_dict()}}
     else:  # reconstruct
         if not args.tables:
             raise CliError("--tables FILE is required for reconstruct")
@@ -255,7 +256,7 @@ def cmd_leggett_garg(args) -> dict:
         "pair_correlations": {"E": pe, "Ehat": pehat, "Etilde": petilde},
     }
     if args.samples:
-        counts = _sampled(lg.sample_triples, p, args.samples, args.seed)
+        counts = lg.sample_triples(p, args.samples, args.seed)
         values["empirical_correlations"] = {
             f"E{i}{j}": value for (i, j), value in correlations(counts).items()}
     return {"scenario": "leggett-garg",
@@ -313,7 +314,7 @@ def cmd_factorizable(args) -> dict | str:
         _, s1, s2 = _sampled(classical.sample_pair_arrays, model, a, b,
                              np.random.default_rng(args.seed), args.samples)
         return dataset_csv_text(np.column_stack([s1, s2]), newline="\n")
-    counts = _sampled(classical.sample_pair, model, a, b, args.seed, args.samples)
+    counts = classical.sample_pair(model, a, b, args.seed, args.samples)
     analytic = classical.analytic_correlation(model, a, b)
     emp = correlations(counts)[(1, 2)]
     sigma = math.sqrt(max(1.0 - analytic ** 2, 1e-30) / args.samples)
@@ -349,8 +350,8 @@ def cmd_epr_pipeline(args) -> dict:
         report = pipeline.three_settings_report(schedule, raw.window_counts(window))
         raw.write_csv(args.events_out)
     else:
-        report = _sampled(pipeline.run_three_settings, a, b, c, source, timing,
-                          args.samples, window, args.seed)
+        report = pipeline.run_three_settings(a, b, c, source, timing, args.samples, window,
+                                             args.seed)
     reports = {name: getattr(report, name)
                for name in ("pair_bound", "boole_direct", "boole_anticorrelated")}
     return {"scenario": "epr-pipeline",

@@ -30,20 +30,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import FactorizableModel, sample_pair_arrays, station_orientations
+from .classical import FactorizableModel, station_orientations, threshold_codes
 from .datasets import (InequalityReport, check_boole_triple, check_boole_triple_anticorrelated,
                        check_pair_bound, correlations)
-from .tables import (CountTable, FuncTable3, chain_coeffs, draw_rows, sign_codes, sign_rows,
-                     sign_transform)
+from .tables import (CountTable, FuncTable3, blocks, chain_coeffs, code_signs, draw_codes,
+                     sign_codes, sign_transform, stream_cursors)
 
 EVENT_PERIOD = 1.0
 # event pairs rendered per write by RawDataset.write_csv: the block's byte
 # columns (about 60 a line) and the digit remainders of its times (8 bytes a
 # digit) stay inside the CPU caches, and its temporaries do not grow with M
 WRITE_BLOCK = 4096
-# event pairs per block of run_three_settings's counts pass: the block's
-# temporaries stay well inside the CPU caches
-REDUCE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -130,9 +127,14 @@ class TripleProcessSource:
             raise ValueError("slots must map setting ids to distinct values in 1..3")
         self.slots = dict(slots)
 
-    def draw(self, left: Setting, right: Setting, rng: np.random.Generator, count: int):
-        triples = draw_rows(self.probs, sign_rows(3), rng, count)
-        return triples[:, self.slots[left.id] - 1], triples[:, self.slots[right.id] - 1], None
+    def sampler(self, left: Setting, right: Setting):
+        """See ``_entry_draws``: a table of 8 projects the code of a triple
+        onto the setting pair's slots."""
+        codes = np.arange(8, dtype=np.uint8)
+        i, j = (3 - self.slots[s.id] for s in (left, right))  # the bit of each slot
+        project = (codes >> i & 1) << 1 | codes >> j & 1
+        return 2, lambda cursors, size: (project.take(draw_codes(self.probs, cursors[0], size)),
+                                         _shared_angle(cursors[1], size))
 
 
 class SingletSource:
@@ -140,15 +142,22 @@ class SingletSource:
     -cos(angle_left - angle_right):
     P(S1, S2) = (1 - S1 S2 cos(angle_left - angle_right)) / 4."""
 
-    def draw(self, left: Setting, right: Setting, rng: np.random.Generator, count: int):
+    def sampler(self, left: Setting, right: Setting):
+        """See ``_entry_draws``: the inverse-CDF index of a pair is its code."""
         # Python float arithmetic overflows to inf without a numpy warning
         d = float(left.angle) - float(right.angle)
         if not math.isfinite(d):
             raise ValueError(f"singlet setting angles and their difference must be "
                              f"finite, got {left.angle} and {right.angle}")
-        e = chain_coeffs(0.0, (-np.cos(d),))
-        pairs = draw_rows(sign_transform(e).ravel() / 4.0, sign_rows(2), rng, count)
-        return pairs[:, 0], pairs[:, 1], None
+        probs = sign_transform(chain_coeffs(0.0, (-np.cos(d),))).ravel() / 4.0
+        return 2, lambda cursors, size: (draw_codes(probs, cursors[0], size),
+                                         _shared_angle(cursors[1], size))
+
+
+def _shared_angle(cursor: np.random.Generator, size: int):
+    """Forms a block's orientations: one uniform angle on [0, 2pi) per pair,
+    drawn from ``cursor``, that both stations share."""
+    return lambda: (cursor.uniform(0.0, 2.0 * np.pi, size),) * 2
 
 
 class PairModelSource:
@@ -158,9 +167,12 @@ class PairModelSource:
     def __init__(self, model: FactorizableModel):
         self.model = model
 
-    def draw(self, left: Setting, right: Setting, rng: np.random.Generator, count: int):
-        phi, s1, s2 = sample_pair_arrays(self.model, left.angle, right.angle, rng, count)
-        return s1, s2, lambda: station_orientations(self.model, phi)
+    def sampler(self, left: Setting, right: Setting):
+        """See ``_entry_draws``: ``classical.threshold_codes``."""
+        def draw(cursors, size):
+            phi, codes = threshold_codes(self.model, left.angle, right.angle, cursors, size)
+            return codes, lambda: station_orientations(self.model, phi)
+        return self.model.streams, draw
 
 
 # ",station,s," for station 1 or 2 (first index) and s = 1 or -1 (last), NUL-padded
@@ -289,8 +301,7 @@ class RawDataset:
         n_pairs = len(self.schedule)
         # codes 4 pair + sign_codes(S1, S2); code 4 n_pairs is the discard bin
         counts = np.zeros(4 * n_pairs + 1, dtype=np.int64)
-        for lo in range(0, self.m, REDUCE_BLOCK):  # temporaries of one block
-            block = slice(lo, lo + REDUCE_BLOCK)
+        for block in blocks(self.m):  # temporaries of one block
             codes = self.pair[block].astype(np.min_scalar_type(4 * n_pairs))
             codes *= 4
             codes += sign_codes(self.s1[block], self.s2[block])
@@ -349,20 +360,26 @@ class RawDataset:
 
 def _entry_draws(source, pair: SettingPair, timing: TimingModel,
                  rng: np.random.Generator, count: int, timed: bool):
-    """The draws of one schedule entry's count event pairs, in the stream
-    order that every route shares: the outcomes, the hidden orientations,
-    then each station's scaled uniforms jitter * u.  The source draws the
-    outcomes and gives the orientations as None, for one uniform angle that
-    both stations share, or as a callable that forms them.  An entry that
-    forms no delay (not ``timed``) stops after the outcomes.  Returns s1, s2
-    and an iterator of one (hidden, setting angle, jitter * u) per station,
-    which draws each station's uniforms when it reaches it."""
-    s1, s2, orientations = source.draw(pair.left, pair.right, rng, count)
-    if not timed:
-        return s1, s2, iter(())
-    h1, h2 = orientations() if orientations else (rng.uniform(0.0, 2.0 * np.pi, count),) * 2
-    return s1, s2, ((hidden, setting.angle, rng.random(count) * timing.jitter)
-                    for hidden, setting in ((h1, pair.left), (h2, pair.right)))
+    """The draws of one schedule entry's count event pairs, block by block,
+    in the stream order that every route shares: the outcomes, the hidden
+    orientations, then each station's uniforms u, each a whole draw of count
+    doubles from rng and one of its ``stream_cursors``.  The source's
+    ``sampler(left, right)`` gives its k cursors (the singlet and triple
+    sources' second holds the hidden angle that both stations share) and a
+    function drawing a block's sign codes and a callable that forms their
+    orientations.  Yields each block's slice of the entry's pairs, codes and
+    one (hidden, setting angle, jitter * u) per station, from the cursors k
+    and k + 1.  An entry that forms no delay (not ``timed``) yields no
+    station and draws only the outcomes; at exponent 0 hidden is None."""
+    k, draw = source.sampler(pair.left, pair.right)
+    cursors = stream_cursors(rng, count, k + 2 if timed else k)
+    for block in blocks(count):
+        size = block.stop - block.start
+        codes, orientations = draw(cursors, size)
+        hidden = orientations() if timed and timing.exponent else (None, None)
+        yield block, codes, [(h, setting.angle, cursor.random(size) * timing.jitter)
+                             for h, setting, cursor in zip(hidden, (pair.left, pair.right),
+                                                           cursors[k:])]
 
 
 def _entries(source, schedule: list[SettingPair], m: int, timing: TimingModel,
@@ -373,12 +390,14 @@ def _entries(source, schedule: list[SettingPair], m: int, timing: TimingModel,
     alphas p + 1 + n j.  ``timed(pair)`` says whether an entry forms delays."""
     if m < 1:
         raise ValueError("need at least one event pair")
+    if m > 2 ** 53:  # the largest count a CountTable holds exactly
+        raise ValueError(f"need 1 to 2^53 event pairs, got {m}")
     if not schedule:
         raise ValueError("schedule must not be empty")
     n = len(schedule)
     children = np.random.SeedSequence(int(seed)).spawn(n)
-    return ((p, *_entry_draws(source, pair, timing, np.random.default_rng(child),
-                              len(range(p, m, n)), timed(pair)))
+    return ((p, _entry_draws(source, pair, timing, np.random.default_rng(child),
+                             len(range(p, m, n)), timed(pair)))
             for p, (pair, child) in enumerate(zip(schedule, children)) if p < m)
 
 
@@ -395,13 +414,13 @@ def generate_events(source, schedule: list[SettingPair], m: int,
     # detection time = alpha * period + delay
     t1 = np.arange(1, m + 1) * EVENT_PERIOD
     t2 = t1.copy()
-    for p, e1, e2, stations in entries:
-        rows = slice(p, None, n_pairs)
-        s1[rows], s2[rows] = e1, e2
-        # one station's uniforms and delays at a time
-        for t, station in zip((t1, t2), stations):
-            t[rows] += timing.delays(*station)
-        e1 = e2 = stations = station = None  # free this entry's draws before the next entry's
+    for p, draws in entries:
+        # entry p's pairs, every n-th from p on
+        columns = [col[p::n_pairs] for col in (s1, s2, t1, t2)]
+        for block, codes, stations in draws:
+            columns[0][block], columns[1][block] = code_signs(codes, 2)
+            for t, station in zip(columns[2:], stations):
+                t[block] += timing.delays(*station)
     index = np.tile(np.arange(n_pairs, dtype=code), -(-m // n_pairs))[:m]
     return RawDataset(s1, t1, s2, t2, index, tuple(schedule))
 
@@ -441,19 +460,20 @@ def _coincident(stations, block: slice, first: int, step: int,
     """|t1 - t2| <= window for the event pairs ``block`` of one schedule
     entry, whose j-th pair has alpha = first + step * j, by the float64 rule
     on the times of ``generate_events`` (a NaN gap dropped), behind the
-    float32 screen that ``TimingModel`` describes."""
-    j = np.arange(block.start, block.start + stations[0][2][block].size)
+    float32 screen that ``TimingModel`` describes.  The stations' arrays
+    hold the pairs of the block."""
+    j = np.arange(block.start, block.start + stations[0][2].size)
     jitter, e = timing.jitter, timing.exponent
 
-    def exact(rows):
-        alpha = (rows * step + first) * EVENT_PERIOD
+    def exact(rows):  # indices into the block, or all of it
+        alpha = (j[rows] * step + first) * EVENT_PERIOD
         t1, t2 = (alpha + timing.delays(h[rows] if e else None, angle, v[rows])
                   for h, angle, v in stations)  # at exponent 0 no hidden angle is read
         return np.abs(t1 - t2) <= window
 
     if e == 0.0:  # the delays are the scaled uniforms: no sine to screen
-        return exact(j)
-    xs = [np.subtract(h[block], angle) for h, angle, _ in stations]
+        return exact(slice(None))
+    xs = [np.subtract(h, angle) for h, angle, _ in stations]
 
     def power_error(x):
         delta = 2.0 ** -22 * float(np.abs(x).max()) + 2.0 ** -20
@@ -462,13 +482,13 @@ def _coincident(stations, block: slice, first: int, step: int,
     bound = jitter * (power_error(xs[0]) + power_error(xs[1]) + 2.0 ** -20) \
         + 2.0 ** -50 * ((j[-1] * step + first) * EVENT_PERIOD + jitter)
     if not (bound < jitter / 4 and jitter < 2.0 ** 100):
-        return exact(j)
-    d1, d2 = (_float32_delay(x, v[block], e) for x, (_, _, v) in zip(xs, stations))
+        return exact(slice(None))
+    d1, d2 = (_float32_delay(x, v, e) for x, (_, _, v) in zip(xs, stations))
     np.subtract(d1, d2, out=d1)
     np.abs(d1, out=d1)
     keep = d1 <= np.float32(window - bound)
-    near = j[~keep & (d1 <= np.float32(window + bound))]
-    keep[near - block.start] = exact(near)
+    near = np.flatnonzero(~keep & (d1 <= np.float32(window + bound)))
+    keep[near] = exact(near)
     return keep
 
 
@@ -488,23 +508,19 @@ def _window_counts(source, schedule: list[SettingPair], m: int, timing: TimingMo
     (S1, S2) per schedule index over the event pairs with
     |t1 - t2| <= window, a NaN gap dropped.  An entry at zero jitter or
     where ``_keeps_every_gap`` holds draws only its outcomes; any other makes
-    the event log's draws, and ``_coincident`` decides the window in blocks
-    of REDUCE_BLOCK pairs.  No event time is stored."""
+    the event log's draws, and ``_coincident`` decides the window, block by
+    block.  No event time and no whole-entry array is stored."""
     entries = _entries(source, schedule, m, timing, seed, lambda pair: (
         timing.jitter != 0.0 and not _keeps_every_gap(pair, timing, m, window)))
     n_pairs = len(schedule)
     # code 4 is the discard bin
     counts = np.zeros((n_pairs, 5), dtype=np.int64)
-    for p, s1, s2, stations in entries:
-        stations = list(stations)
-        for lo in range(0, s1.size, REDUCE_BLOCK):
-            block = slice(lo, lo + REDUCE_BLOCK)
-            codes = sign_codes(s1[block], s2[block])
+    for p, draws in entries:
+        for block, codes, stations in draws:
             if stations:
                 np.putmask(codes, ~_coincident(stations, block, p + 1, n_pairs,
                                                timing, window), 4)
             counts[p] += np.bincount(codes, minlength=5)
-        del s1, s2, stations  # free this entry's draws before the next entry's
     return [CountTable(grid[:4].reshape(2, 2)) for grid in counts]
 
 

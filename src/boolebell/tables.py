@@ -93,17 +93,55 @@ def sign_rows(n: int) -> np.ndarray:
     return rows
 
 
-def draw_rows(probs, rows: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw count rows i.i.d., row k with probability probs[k], by inverse
-    CDF over one uniform per draw: the row index is the number of CDF
-    entries at or below the uniform."""
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
+def code_signs(codes: np.ndarray, n: int) -> list[np.ndarray]:
+    """The int8 +-1 columns (S1, .., Sn) of the grid positions ``codes``:
+    the inverse of ``sign_codes``."""
+    return [col.take(codes) for col in sign_rows(n).T]
+
+
+# items per block of every seeded sampler and counts pass: no temporary grows
+# with the count, and a float64 one (64 KiB) stays below glibc's mmap
+# threshold, above which each allocation is paged in afresh
+BLOCK = 1 << 13
+
+
+def blocks(count: int):
+    """The slices of BLOCK items that cover range(count), the last one short."""
+    return (slice(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK))
+
+
+def draw_codes(probs, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw count indices i.i.d., k with probability probs[k], by inverse CDF
+    over one uniform per draw: the index is the number of CDF entries but the
+    last at or below the uniform, so rounding never draws past the last.  An
+    index into ``sign_rows(n)`` is a sign code."""
     u = rng.random(count)
-    index = np.zeros(count, dtype=np.min_scalar_type(cdf.size - 1))
-    for edge in cdf[:-1]:
+    index = np.zeros(count, dtype=np.min_scalar_type(len(probs) - 1))
+    for edge in np.cumsum(probs)[:-1]:
         index += u >= edge
-    return rows.take(index, axis=0)
+    return index
+
+
+def stream_cursors(rng: np.random.Generator, count: int, k: int) -> list[np.random.Generator]:
+    """k generators whose draws are those of k consecutive whole draws of
+    count doubles from rng, which is advanced past all k count draws.
+    ``random`` and ``uniform`` take one 64-bit PCG64 output per double, so
+    cursor i is a copy of rng's bit generator advanced by i count; each can
+    be drawn block by block, in any interleaving with the others."""
+    bit = rng.bit_generator
+    if type(bit) is not np.random.PCG64:
+        raise TypeError(f"stream cursors need a PCG64 generator, got {type(bit).__name__}")
+    state = bit.state
+    cursors = []
+    for i in range(k):
+        cursor = np.random.PCG64(bit.seed_seq)
+        cursor.state = state
+        cursor.advance(i * count)
+        cursors.append(np.random.Generator(cursor))
+    # advance() drops a buffered 32-bit output, which draws of doubles keep
+    bit.advance(k * count)
+    bit.state = {**bit.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return cursors
 
 
 @cache
@@ -333,12 +371,19 @@ def construct_g3(a0: float, a12: float, a13: float, a23: float) -> FuncTable3:
     """Explicit non-negative table with pair coefficients (a0, a12, a13, a23)
     and all other coefficients zero:
     g(S1,S2,S3) = (a0 + S1 S2 a12 + S1 S3 a13 + S2 S3 a23) / 8."""
+    return construction_g3(a0, a12, a13, a23)[0]
+
+
+def construction_g3(a0: float, a12: float, a13: float, a23: float,
+                    ) -> tuple[FuncTable3, InequalityReport]:
+    """``construct_g3``'s table and the ``ebbi_check`` report that admitted
+    its coefficients, decided once."""
     report = ebbi_check(a0, a12, a13, a23)
     if not report.all_satisfied:
         bad = report.violated_clauses()[0]
         raise ValueError(f"inadmissible coefficients, violated: {bad.description} "
                          f"(lhs={bad.lhs}, rhs={bad.rhs})")
-    return synth3(ExpansionCoeffs3(a0, 0.0, 0.0, 0.0, a12, a13, a23, 0.0))
+    return synth3(ExpansionCoeffs3(a0, 0.0, 0.0, 0.0, a12, a13, a23, 0.0)), report
 
 
 _E_INTERCHANGES = (("e", "ehat", "etilde"), ("e", "etilde", "ehat"), ("etilde", "ehat", "e"))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from boolebell import classical as cl
-from boolebell import correlations
+from boolebell import correlations, tables
 from boolebell.datasets import check_boole_triple
 from oracles import common_parameter_fit, fresh_call, row_counts
 
@@ -214,7 +214,7 @@ class TestSampling:
         *(pytest.param(kind, 0.3, 2.2, 50_000, id=kind) for kind in KINDS),
         *(pytest.param(kind, a, b, count, id=f"{kind}-{a:g}-{b:g}-{count}")
           for kind in KINDS for a, b, count in (
-              (0.3, 2.2, 1), (0.3, 2.2, cl.SIGN_BLOCK - 1), (0.3, 2.2, cl.SIGN_BLOCK + 1),
+              (0.3, 2.2, 1), (0.3, 2.2, tables.BLOCK - 1), (0.3, 2.2, tables.BLOCK + 1),
               (1e3, -1e3, 50_000), (-1e6, 1e6, 50_000),
               (1e7, -1e7, 5_000)))])  # tol = 2^-20 max|x| + 2^-18 reaches 2: float64 only
     def test_int8_outcomes_match_the_difference_rule(self, kind, a, b, count):
@@ -238,7 +238,7 @@ class TestSampling:
         # every threshold is the float64 cosine or one of its two neighbours,
         # so the float32 screen can decide none of them
         if block:   # many blocks, the last one short
-            monkeypatch.setattr(cl, "SIGN_BLOCK", block)
+            monkeypatch.setattr(tables, "BLOCK", block)
         rng = np.random.default_rng(12)
         phi = np.concatenate([rng.uniform(-10.0, 10.0, 30_000),
                               rng.uniform(-1e3, 1e3, 5000), rng.uniform(-1e6, 1e6, 5000),
@@ -251,21 +251,24 @@ class TestSampling:
         r = np.choose(rng.integers(0, 3, phi.size),
                       [cos, np.nextafter(cos, 2.0), np.nextafter(cos, -2.0)])
         r[:5] = np.nan
-        got = cl._threshold_signs(phi, 2.2, r, anti_aligned=anti_aligned)
-        assert got.dtype == np.int8
-        assert np.array_equal(got, np.where(np.cos(x) >= r, 1, -1))
-        assert 0 < np.count_nonzero(got == 1) < phi.size
+        # one screen per block of the samplers
+        got = np.concatenate([cl._threshold_up(phi[b], 2.2, r[b], anti_aligned=anti_aligned)
+                              for b in tables.blocks(phi.size)])
+        assert got.dtype == bool
+        assert np.array_equal(got, np.cos(x) >= r)
+        assert 0 < np.count_nonzero(got) < phi.size
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_sample_pair_memory_per_sample(self, kind):
-        count = 10 ** 6
-        tracemalloc.start()
-        try:
-            cl.sample_pair(cl.FactorizableModel(kind), 0.3, 2.2, seed=1, count=count)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 30 * count
+    def test_sample_pair_memory_is_flat_in_the_count(self, kind):
+        # one block of draws and temporaries, whatever the count
+        for count in (10 ** 5, 10 ** 6, 10 ** 7):
+            tracemalloc.start()
+            try:
+                table = cl.sample_pair(cl.FactorizableModel(kind), 0.3, 2.2, seed=1, count=count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert table.m == count and peak < 4 * 2 ** 20, count
 
     def test_seed_determinism(self):
         m = cl.FactorizableModel("delta_opposite")
@@ -279,8 +282,19 @@ class TestSampling:
             cl.sample_pair_arrays(cl.FactorizableModel("uniform"), 0.0, 1.0,
                                   np.random.default_rng(1), count)
 
+    @pytest.mark.parametrize("count", [2 ** 53 + 1, 2 ** 63, 10 ** 30])
+    def test_counts_beyond_2_to_the_53_are_refused_before_any_draw(self, monkeypatch, count):
+        def no_draw(*args):
+            raise AssertionError("drew samples before the count was checked")
+        monkeypatch.setattr(cl, "stream_cursors", no_draw)
+        model = cl.FactorizableModel("uniform")
+        with pytest.raises(ValueError, match=rf"need 1 to 2\^53 samples, got {count}"):
+            cl.sample_pair(model, 0.0, 1.0, seed=1, count=count)
+        with pytest.raises(ValueError, match=rf"need 1 to 2\^53 samples, got {count}"):
+            cl.sample_pair_arrays(model, 0.0, 1.0, np.random.default_rng(1), count)
+
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("count", [1, 7, cl.SIGN_BLOCK + 1, 50_000])
+    @pytest.mark.parametrize("count", [1, 7, tables.BLOCK + 1, 50_000])
     def test_counts_are_those_of_the_drawn_columns(self, kind, count):
         model = cl.FactorizableModel(kind)
         _, s1, s2 = cl.sample_pair_arrays(model, 0.3, 2.2, np.random.default_rng(8), count)

@@ -71,6 +71,19 @@ class TestSubcommands:
         code = main(["theorem", "--which", "construct",
                      "--coeffs", "1", "-1", "-1", "-1"])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --coeffs: inadmissible coefficients, violated: |e12 + e13| <= e0 + e23 "
+            "(lhs=2.0, rhs=0.0)\n")
+
+    @pytest.mark.parametrize("coeffs", [["1", "0.5", "0.5", "0"], ["1", "-1", "-1", "-1"]])
+    def test_theorem_construct_decides_the_coefficients_once(self, capsys, monkeypatch,
+                                                             coeffs):
+        calls = []
+        ebbi_check = tables.ebbi_check
+        monkeypatch.setattr(tables, "ebbi_check",
+                            lambda *e: calls.append(e) or ebbi_check(*e))
+        main(["theorem", "--which", "construct", "--coeffs", *coeffs])
+        assert calls == [tuple(map(float, coeffs))]
 
     def test_theorem_reconstruct(self, capsys, tmp_path):
         from boolebell import ExpansionCoeffs2, synth2
@@ -727,6 +740,7 @@ def _raises(exc):
 _SWEEP_RAN = (classical, "model_inequality_sweep",
               _raises(AssertionError("the sweep ran past the size check")))
 _HUGE = ["--seed", "1", "--samples", "100000000000000"]
+_BEYOND_2_53 = ["--seed", "1", "--samples", str(2 ** 53 + 1)]
 _NO_MEMORY = _raises(MemoryError("Unable to allocate 728. TiB for an array with shape "
                                  "(100000000000000,) and data type float64"))
 _REFUSED = _raises(ValueError("the draws are refused"))
@@ -753,13 +767,23 @@ _HUGE_CORNER = {"++": 1.5e308, "+-": 0, "-+": 0, "--": 0}
     (["sweep", "--what", "factorizable", "--grid", "0", "1e-300", "1e-301"], None,
      _SWEEP_RAN, "error: --grid: the factorizable sweep is limited to 300 points per axis, "
                  "asked for 1e+292\n"),
-    (["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120", *_HUGE], None,
-     (pipeline, "run_three_settings", _NO_MEMORY),
-     "error: --samples: Unable to allocate 728. TiB"),
-    (["factorizable", "--mu", "uniform", "--angles", "0", "60", *_HUGE], None,
-     (classical, "sample_pair", _NO_MEMORY), "error: --samples: Unable to allocate 728. TiB"),
+    # the counts hold no per-pair column: beyond the counts a CountTable
+    # holds exactly, the library refuses before any draw
+    (["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120", *_BEYOND_2_53],
+     None, (pipeline, "_entry_draws", _raises(AssertionError("drew events"))),
+     "error: need 1 to 2^53 event pairs, got 9007199254740993\n"),
+    (["factorizable", "--mu", "uniform", "--angles", "0", "60", *_BEYOND_2_53], None,
+     (classical, "stream_cursors", _raises(AssertionError("drew samples"))),
+     "error: need 1 to 2^53 samples, got 9007199254740993\n"),
+    # any other allocation numpy refuses keeps its own text
     (["leggett-garg", "--omega", "1", "--dt", "0", "1", "1", *_HUGE], None,
-     (leggett_garg, "sample_triples", _NO_MEMORY),
+     (leggett_garg, "sample_triples", _NO_MEMORY), "error: Unable to allocate 728. TiB"),
+    # the routes that hold whole columns name the flag that sized them
+    (["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120", *_HUGE,
+      "--events-out", "{input}"], None, (pipeline, "generate_events", _NO_MEMORY),
+     "error: --samples: Unable to allocate 728. TiB"),
+    (["factorizable", "--mu", "uniform", "--angles", "0", "60", *_HUGE, "--format", "csv"],
+     None, (classical, "sample_pair_arrays", _NO_MEMORY),
      "error: --samples: Unable to allocate 728. TiB"),
     # a library refusal from the same draws keeps its own text
     (["epr-pipeline", "--source", "singlet", "--angles", "0", "60", "120", *_HUGE], None,
@@ -806,7 +830,8 @@ _HUGE_CORNER = {"++": 1.5e308, "+-": 0, "-+": 0, "--": 0}
      (cli, "cmd_ebbi", lambda args: tables.FuncTable2([[1, 2], [3, 4]]).value(1, 0)),
      "error: expected 2 signs, each +1 or -1, got (1, 0)\n"),
 ], ids=["sweep 10011 angles", "sweep 1010 angles", "sweep 1e292 angles",
-        "pipeline memory", "factorizable memory", "leggett-garg memory",
+        "pipeline beyond 2^53", "factorizable beyond 2^53", "leggett-garg memory",
+        "pipeline log memory", "factorizable csv memory",
         "pipeline refusal", "factorizable refusal", "leggett-garg refusal",
         "leggett-garg beyond 2^53", "allergy beyond int64",
         "tables key length", "tables string entry", "tables bool entry",

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from boolebell import classical as cl
 from boolebell import pipeline as pl
+from boolebell import tables
 from boolebell import FuncTable3, construct_g3, correlations, expand3
 from oracles import coincidence_filter, row_counts, write_csv_rows
 
@@ -55,11 +56,12 @@ def reference_events(source, schedule, m, timing, seed):
         if rows.size == 0:
             continue
         rng = np.random.default_rng(children[p])
-        s1[rows], s2[rows], orientations = source.draw(pair.left, pair.right, rng, rows.size)
-        if orientations is None:  # one hidden angle that both stations share
-            h1 = h2 = rng.uniform(0.0, 2.0 * np.pi, rows.size)
-        else:
-            h1, h2 = orientations()
+        # the source's draws in one block from rng itself: its whole draws
+        # one after another, the hidden angles after the outcomes
+        k, draw = source.sampler(pair.left, pair.right)
+        codes, orientations = draw([rng] * k, rows.size)
+        s1[rows], s2[rows] = tables.sign_rows(2)[codes].T
+        h1, h2 = orientations()
         t1[rows] += delays(h1, pair.left.angle, rng)
         t2[rows] += delays(h2, pair.right.angle, rng)
     return s1, t1, s2, t2, assignment
@@ -78,14 +80,43 @@ def _no_draw(*args):
 
 
 class RecordingGenerator:
-    """A numpy Generator that records the name of every method drawn from it."""
+    """A numpy Generator, the index-th stream cursor of its entry, that
+    records (index, method, size) for every draw from it."""
 
-    def __init__(self, rng, calls):
-        self._rng, self._calls = rng, calls
+    def __init__(self, rng, index, calls):
+        self._rng, self._index, self._calls = rng, index, calls
 
     def __getattr__(self, name):
-        self._calls.append(name)
-        return getattr(self._rng, name)
+        method = getattr(self._rng, name)
+
+        def draw(*args):
+            self._calls.append((self._index, name, args[-1]))
+            return method(*args)
+        return draw
+
+
+def record_streams(monkeypatch):
+    """The (count, k, draws) of every stream_cursors call of the pipeline,
+    its cursors recording their draws as RecordingGenerator does."""
+    streams, make = [], pl.stream_cursors
+
+    def recording(rng, count, k):
+        streams.append((count, k, []))
+        return [RecordingGenerator(cursor, i, streams[-1][2])
+                for i, cursor in enumerate(make(rng, count, k))]
+    monkeypatch.setattr(pl, "stream_cursors", recording)
+    return streams
+
+
+def drawn_whole(draws, count) -> dict:
+    """The method that drew each stream offset of ``draws``, checking that
+    it drew exactly count doubles there, block after block."""
+    methods = {}
+    for index, method, size in draws:
+        assert methods.setdefault(index, method) == method
+    for index in methods:
+        assert sum(size for i, _, size in draws if i == index) == count
+    return methods
 
 
 def traced_peak(run):
@@ -188,9 +219,12 @@ class TestGeneration:
                 (left.id, left.angle, right.id, right.angle)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
-    def test_entry_p_draws_from_the_pth_seed_child_for_pairs_p_plus_n_j(self, n):
+    def test_entry_p_draws_from_the_pth_seed_child_for_pairs_p_plus_n_j(self, monkeypatch, n):
         # every m up to past two rounds of the schedule: an entry p >= m has
-        # no pairs and is skipped, and an untimed entry yields no station
+        # no pairs and is skipped, and an untimed entry yields no station;
+        # its codes, in blocks of 2, are the source's draw of all its pairs
+        # at the start of the p-th child's stream
+        monkeypatch.setattr(tables, "BLOCK", 2)
         settings = [pl.Setting(f"s{k}", 0.4 * k) for k in range(n + 1)]
         schedule = [pl.SettingPair(settings[k], settings[k + 1]) for k in range(n)]
         source, timing = pl.SingletSource(), pl.TimingModel()
@@ -198,11 +232,13 @@ class TestGeneration:
             children = np.random.SeedSequence(5).spawn(n)
             entries = list(pl._entries(source, schedule, m, timing, 5, lambda pair: False))
             assert [entry[0] for entry in entries] == list(range(min(n, m)))
-            for p, s1, s2, stations in entries:
-                want = source.draw(schedule[p].left, schedule[p].right,
-                                   np.random.default_rng(children[p]), len(range(p, m, n)))
-                assert np.array_equal(s1, want[0]) and np.array_equal(s2, want[1])
-                assert list(stations) == []
+            for p, draws in entries:
+                draws, count = list(draws), len(range(p, m, n))
+                k, draw = source.sampler(schedule[p].left, schedule[p].right)
+                want = draw([np.random.default_rng(children[p])] * k, count)[0]
+                assert [block for block, _, _ in draws] == list(tables.blocks(count))
+                assert np.array_equal(np.concatenate([codes for _, codes, _ in draws]), want)
+                assert all(stations == [] for _, _, stations in draws)
             raw = pl.generate_events(source, schedule, m, timing, seed=5)
             assert np.array_equal(raw.pair, np.arange(m) % n)
             assert np.array_equal(raw.t1, np.arange(1.0, m + 1.0))
@@ -441,27 +477,47 @@ def test_keep_all_predicate_implies_the_float64_rule(data):
 
 
 class TestRunThreeSettings:
-    def test_peak_memory_per_pair(self):
-        # the screened route (a window below the jitter); no event time is
-        # stored: one schedule entry's draws (a third of the pairs, 26 bytes
-        # each: two outcomes, the hidden angle and two scaled uniforms) plus
-        # one block's temporaries
-        m = 10 ** 6
-        peak = traced_peak(lambda: pl.run_three_settings(
-            0.0, np.pi / 3, 2 * np.pi / 3, pl.SingletSource(), pl.TimingModel(0.5, 1.0), m, 0.3,
-            seed=1))
-        assert peak < 11.5 * m
-
+    @pytest.mark.parametrize("window", [math.inf, 0.3])
     @pytest.mark.parametrize("name", ["singlet", "uniform"])
-    def test_peak_memory_per_pair_when_the_window_keeps_every_gap(self, name):
-        # no delay and no hidden angle is drawn: one schedule entry's outcomes
-        # and the uniforms they are drawn from; an entry that keeps the pair
-        # model's source angle past its outcomes adds about 2.7 bytes a pair
-        m = 10 ** 6
-        peak = traced_peak(lambda: pl.run_three_settings(
-            0.0, np.pi / 3, 2 * np.pi / 3, SOURCES[name], pl.TimingModel(0.5, 1.0), m,
-            math.inf, seed=1))
-        assert peak < 8.5 * m
+    def test_counts_memory_is_flat_in_the_pairs(self, name, window):
+        # no event time and no whole-entry array is stored: one block's draws
+        # and temporaries, whether the window keeps every gap undrawn or the
+        # delays are screened
+        for m in (10 ** 5, 10 ** 6, 10 ** 7):
+            grids = []
+            peak = traced_peak(lambda: grids.extend(pl._window_counts(
+                SOURCES[name], standard_schedule(), m, pl.TimingModel(1.0, 2.7), 1, window)))
+            kept = sum(grid.m for grid in grids)
+            assert peak < 4 * 2 ** 20, m
+            assert kept == m if window == math.inf else 0 < kept < m
+
+    @pytest.mark.parametrize("m", [2 ** 53 + 1, 2 ** 63, 10 ** 30])
+    def test_pair_counts_beyond_2_to_the_53_are_refused_before_any_draw(self, monkeypatch, m):
+        monkeypatch.setattr(pl, "_entry_draws", _no_draw)
+        timing = pl.TimingModel(1.0, 1.0)
+        message = rf"need 1 to 2\^53 event pairs, got {m}"
+        with pytest.raises(ValueError, match=message):
+            pl.run_three_settings(0.0, 1.0, 2.0, pl.SingletSource(), timing, m, 0.3, seed=0)
+        with pytest.raises(ValueError, match=message):
+            pl.generate_events(pl.SingletSource(), standard_schedule(), m, timing, seed=0)
+
+    @pytest.mark.parametrize("jitter, exponent, window", [
+        pytest.param(0.0, 0.0, 0.3, id="zero-jitter"),
+        pytest.param(1.0, 2.7, math.inf, id="keeps-every-gap"),
+        pytest.param(1.0, 2.7, 0.3, id="screened"),
+        pytest.param(1.0, 0.0, 0.3, id="exponent-0")])
+    @pytest.mark.parametrize("name", list(SOURCES))
+    def test_counts_over_many_blocks_equal_the_filter_oracle(self, name, jitter, exponent,
+                                                            window):
+        # each entry's pairs span two full blocks and a short one
+        m = 3 * (2 * tables.BLOCK + 5) - 1
+        timing, angles = pl.TimingModel(jitter, exponent), (0.3, 1.4, -2.0)
+        rep = pl.run_three_settings(*angles, SOURCES[name], timing, m, window, seed=19)
+        raw = pl.generate_events(SOURCES[name], standard_schedule(angles), m, timing, seed=19)
+        for pair in standard_schedule(angles):
+            kept = coincidence_filter(raw, window, pair.key)
+            assert rep.counts["".join(pair.key)] == kept.m
+            assert rep.correlations["".join(pair.key)] == correlations(kept)[(1, 2)]
 
     # 2^-40 jitter covers 2^-50 (m + jitter) from a jitter of about m / 1023 up
     @pytest.mark.parametrize("jitter, exponent, window", [
@@ -472,51 +528,76 @@ class TestRunThreeSettings:
     def test_no_delay_formed_draws_only_the_outcomes(self, monkeypatch, name, jitter, exponent,
                                                      window):
         # a window that keeps every gap, or zero jitter: no station uniform,
-        # no delay, no screen and no hidden angle
-        calls = []
-        entry_draws = pl._entry_draws
-        monkeypatch.setattr(pl, "_entry_draws", lambda source, pair, timing, rng, *rest:
-                            entry_draws(source, pair, timing, RecordingGenerator(rng, calls), *rest))
+        # no delay, no screen and no hidden angle; each entry draws only the
+        # outcome streams at the start of its stream, each whole
+        monkeypatch.setattr(tables, "BLOCK", 300)
+        streams = record_streams(monkeypatch)
         monkeypatch.setattr(pl.TimingModel, "delays", _never)
         monkeypatch.setattr(pl, "_coincident", _never)
         monkeypatch.setattr(pl, "station_orientations", _never)
         angles, timing = (0.3, 1.4, -2.0), pl.TimingModel(jitter, exponent)
         rep = pl.run_three_settings(*angles, SOURCES[name], timing, 3000, window, seed=5)
-        if name in ("singlet", "triple"):  # only the outcomes' inverse-CDF uniforms
-            assert calls == ["random"] * 3
-        else:  # the model's angle and thresholds, drawn by rng.uniform
-            assert set(calls) == {"uniform"}
+        assert [count for count, _, _ in streams] == [1000] * 3
+        for count, k, draws in streams:
+            if name in ("singlet", "triple"):  # only the outcomes' inverse-CDF uniforms
+                assert drawn_whole(draws, count) == {0: "random"}
+            else:  # the model's angle and thresholds, drawn by uniform
+                assert drawn_whole(draws, count) == dict.fromkeys(range(k), "uniform")
         monkeypatch.undo()
         raw = pl.generate_events(SOURCES[name], standard_schedule(angles), 3000, timing, seed=5)
         assert_counts_equal_the_oracle(rep, raw, window)
         assert sum(rep.counts.values()) == 3000
 
+    @pytest.mark.parametrize("exponent", [2.7, 0.0])
     @pytest.mark.parametrize("name", list(SOURCES))
-    def test_a_timed_entry_draws_its_hidden_angles_after_the_outcomes(self, name):
-        # the same entry untimed and timed: untimed, only the outcomes' draws;
-        # timed, a singlet or triple entry adds one uniform of hidden angles,
-        # which both stations share, and a pair-model entry reads the model's
-        # source angle; each station's uniforms come last
+    def test_a_timed_entry_draws_its_hidden_angles_after_the_outcomes(self, monkeypatch, name,
+                                                                      exponent):
+        # the same entry untimed and timed, in blocks of 7: untimed, only the
+        # outcomes' draws; timed, a singlet or triple entry adds one whole
+        # draw of hidden angles, which both stations share, and a pair-model
+        # entry reads the model's source angle; each station's uniforms come
+        # last.  At exponent 0 no hidden angle is read, so none is drawn, and
+        # the stations' uniforms keep their place in the stream
+        monkeypatch.setattr(tables, "BLOCK", 7)
+        streams = record_streams(monkeypatch)
         source, pair, count = SOURCES[name], standard_schedule()[0], 100
-        calls, stations = {}, {}
-        for timed in (False, True):
-            calls[timed] = []
-            rng = RecordingGenerator(np.random.default_rng(5), calls[timed])
-            *_, draws = pl._entry_draws(source, pair, pl.TimingModel(1.0, 2.7), rng, count, timed)
-            stations[timed] = list(draws)
-        assert stations[False] == []
-        (h1, _, _), (h2, _, _) = stations[True]
+        timing = pl.TimingModel(0.5, exponent)
+        blocks = {timed: list(pl._entry_draws(source, pair, timing, np.random.default_rng(5),
+                                              count, timed))
+                  for timed in (False, True)}
+        assert all(stations == [] for _, _, stations in blocks[False])
+        # the whole draws of the entry's stream, one after another
+        rng = np.random.default_rng(5)
         if name in ("singlet", "triple"):
-            assert calls[False] == ["random"]
-            assert calls[True] == ["random", "uniform", "random", "random"]
-            assert h1 is h2 and h1.size == count and np.all((0.0 <= h1) & (h1 < 2.0 * np.pi))
+            rng.random(count)  # the outcomes' inverse-CDF uniforms
+            want_hidden = (rng.uniform(0.0, 2.0 * np.pi, count),) * 2
+            outcomes = {0: "random"}
         else:
-            assert set(calls[False]) == {"uniform"}
-            assert calls[True] == calls[False] + ["random", "random"]
-            phi = cl.sample_pair_arrays(source.model, pair.left.angle, pair.right.angle,
-                                        np.random.default_rng(5), count)[0]
-            want = cl.station_orientations(source.model, phi)
-            assert np.array_equal(h1, want[0]) and np.array_equal(h2, want[1])
+            phi = rng.uniform(0.0, 2.0 * np.pi, count)
+            for _ in range(source.model.streams - 1):
+                rng.uniform(-1.0, 1.0, count)  # the thresholds
+            want_hidden = cl.station_orientations(source.model, phi)
+            outcomes = dict.fromkeys(range(source.model.streams), "uniform")
+        want_scaled = [rng.random(count) * 0.5 for _ in range(2)]
+        (_, _, untimed), (_, k, timed) = streams
+        assert drawn_whole(untimed, count) == outcomes
+        stations = {k - 2: "random", k - 1: "random"}  # the last two cursors
+        if exponent == 0.0:
+            assert drawn_whole(timed, count) == {**outcomes, **stations}
+            assert all(h is None for _, _, st in blocks[True] for h, _, _ in st)
+        else:
+            hidden = {1: "uniform"} if name in ("singlet", "triple") else {}
+            assert drawn_whole(timed, count) == {**outcomes, **hidden, **stations}
+            for station, want in enumerate(want_hidden):
+                got = np.concatenate([st[station][0] for _, _, st in blocks[True]])
+                assert np.array_equal(got, want)
+            if name in ("singlet", "triple"):
+                assert all(st[0][0] is st[1][0] for _, _, st in blocks[True])
+        for station, want in enumerate(want_scaled):
+            got = np.concatenate([st[station][2] for _, _, st in blocks[True]])
+            assert np.array_equal(got, want)
+        assert all([st[0][1], st[1][1]] == [pair.left.angle, pair.right.angle]
+                   for _, _, st in blocks[True])
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [name for name in SOURCES if name != "singlet"])
@@ -561,7 +642,7 @@ class TestRunThreeSettings:
     @pytest.mark.parametrize("block", [None, 7])
     def test_reduction_matches_the_filter_oracle(self, monkeypatch, block, name, window):
         if block:   # reduce in several blocks, the last one short
-            monkeypatch.setattr(pl, "REDUCE_BLOCK", block)
+            monkeypatch.setattr(tables, "BLOCK", block)
         timing = pl.TimingModel(1.0, 0.0)
         rep = pl.run_three_settings(0.0, 1.0, 2.0, SOURCES[name], timing, 60, window, seed=27)
         raw = pl.generate_events(SOURCES[name], pl.three_settings_schedule(0.0, 1.0, 2.0), 60,
@@ -587,7 +668,7 @@ class TestRunThreeSettings:
         # the delay screen against the stored float64 times: a window equal to
         # a real gap keeps that pair, and the float below it drops it
         if block:   # screen in several blocks, the last one short
-            monkeypatch.setattr(pl, "REDUCE_BLOCK", block)
+            monkeypatch.setattr(tables, "BLOCK", block)
         angles, m, seed = (0.3, 1.4, -2.0), 400, 31
         for jitter in (1e-9, 1.0, 1e300):
             if jitter == 1e300:  # beyond float32: every block takes the float64 rule

@@ -407,7 +407,7 @@ def _leggett_garg(rng):
 class TestChainTables:
     """Three routes to every exact table: closed form, dense oracle (the
     projector chain, the loop reference, or ``evolve_triple``), and seeded
-    ``draw_rows`` frequencies from the closed table."""
+    ``draw_codes`` frequencies from the closed table."""
 
     DRAWS = 20000
 
@@ -419,8 +419,7 @@ class TestChainTables:
             closed, oracle = routes(rng)
             assert np.allclose(closed, oracle, rtol=0, atol=TOL)
             p = np.clip(closed.ravel(), 0.0, 1.0)
-            rows = tables.draw_rows(p, tables.sign_rows(closed.ndim), rng, self.DRAWS)
-            freq = np.bincount(tables.sign_codes(*rows.T), minlength=p.size) / self.DRAWS
+            freq = np.bincount(tables.draw_codes(p, rng, self.DRAWS), minlength=p.size) / self.DRAWS
             stderr = np.sqrt(p * (1.0 - p) / self.DRAWS)
             assert np.all(np.abs(freq - p) <= 5.0 * stderr + 1e-12)
 
@@ -434,29 +433,74 @@ class TestSignRowSampler:
 
     def test_draw_is_the_inverse_cdf_of_one_uniform_per_row(self):
         probs = np.array([0.1, 0.0, 0.25, 0.65])
-        got = tables.draw_rows(probs, tables.sign_rows(2), np.random.default_rng(4), 1000)
+        got = tables.draw_codes(probs, np.random.default_rng(4), 1000)
         u = np.random.default_rng(4).random(1000)
         idx = np.searchsorted(np.cumsum(probs), u, side="right")
-        assert np.array_equal(got, tables.sign_rows(2)[idx])
-        assert not np.any(np.all(got == (1, -1), axis=1))  # zero-probability row
+        assert np.array_equal(got, idx)
+        assert not np.any(got == 1)  # zero-probability row
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_draw_equals_the_fancy_index_gather(self, n):
-        rows = tables.sign_rows(n)
+    def test_draw_is_the_searchsorted_index_on_the_sign_grid(self, n):
         probs = np.random.default_rng(n).dirichlet(np.ones(2 ** n))
-        got = tables.draw_rows(probs, rows, np.random.default_rng(10 + n), 5000)
+        got = tables.draw_codes(probs, np.random.default_rng(10 + n), 5000)
         rng = np.random.default_rng(10 + n)
         cdf = np.cumsum(probs)
         cdf[-1] = 1.0
-        want = rows[np.searchsorted(cdf[:-1], rng.random(5000), side="right")]
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        want = np.searchsorted(cdf[:-1], rng.random(5000), side="right")
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        # the index of a row is its sign code, and code_signs inverts sign_codes
+        rows = tables.sign_rows(n)[got]
+        assert np.array_equal(tables.sign_codes(*rows.T), got)
+        assert all(np.array_equal(col, want_col)
+                   for col, want_col in zip(tables.code_signs(got, n), rows.T))
 
     def test_rounding_never_draws_past_the_last_row(self):
         # cumulative sums that fall short of 1 still map every uniform to a row
         probs = np.full(3, 0.333)
-        rows = np.arange(3)
         rng = np.random.default_rng(5)
-        assert set(tables.draw_rows(probs, rows, rng, 20_000).tolist()) == {0, 1, 2}
+        assert set(tables.draw_codes(probs, rng, 20_000).tolist()) == {0, 1, 2}
+
+
+B = tables.BLOCK
+
+
+class TestStreamCursors:
+    @pytest.mark.parametrize("count", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_cursors_draw_the_whole_draws_block_by_block(self, count):
+        # three whole draws from one generator, then one more double: the
+        # cursors, drawn a block at a time and interleaved, give the same
+        # bits, and the generator goes on where the whole draws left it
+        seed = np.random.SeedSequence(count).spawn(2)[1]
+        whole = np.random.default_rng(seed)
+        want = [whole.random(count), whole.uniform(0.0, 2.0 * np.pi, count),
+                whole.uniform(-1.0, 1.0, count), whole.random(1)]
+        rng = np.random.default_rng(seed)
+        cursors = tables.stream_cursors(rng, count, 3)
+        got = [[], [], []]
+        for block in tables.blocks(count):
+            size = block.stop - block.start
+            got[2].append(cursors[2].uniform(-1.0, 1.0, size))
+            got[0].append(cursors[0].random(size))
+            got[1].append(cursors[1].uniform(0.0, 2.0 * np.pi, size))
+        got = [np.concatenate(parts) for parts in got] + [rng.random(1)]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_a_buffered_32_bit_output_is_kept(self):
+        # the half of a 64-bit output left by a uint32 draw is drawn next,
+        # before and after the cursors alike
+        rng, whole = np.random.default_rng(3), np.random.default_rng(3)
+        rng.integers(0, 2 ** 32, dtype=np.uint32)
+        whole.integers(0, 2 ** 32, dtype=np.uint32)
+        whole.random(2 * 10)
+        tables.stream_cursors(rng, 10, 2)
+        assert rng.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist() == \
+            whole.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist()
+
+    @pytest.mark.parametrize("bit", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM,
+                                     np.random.SFC64])
+    def test_other_bit_generators_are_refused(self, bit):
+        with pytest.raises(TypeError, match="need a PCG64 generator, got " + bit.__name__):
+            tables.stream_cursors(np.random.Generator(bit(1)), 10, 2)
 
 
 class TestSignCodes:
