@@ -32,7 +32,7 @@ import numpy as np
 
 from .datasets import BOOLE_TRIPLE, BOOLE_TRIPLE_ANTICORRELATED
 from .reports import SLACK_TOL, grid_sweep
-from .tables import CountTable, blocks, code_signs, stream_cursors
+from .tables import CountTable, blocks, code_signs, draw_uniform, stream_cursors
 
 MuKind = Literal["uniform", "delta_equal", "delta_opposite"]
 
@@ -163,11 +163,11 @@ def threshold_codes(model: FactorizableModel, a: float, b: float,
     r' = r, opposite thresholds r' = -r, both with orientation phi; the
     uniform law draws r' from the third cursor and the source is
     anti-aligned, so station 2 responds to orientation phi + pi."""
-    phi = cursors[0].uniform(0.0, 2.0 * np.pi, size)
-    r = cursors[1].uniform(-1.0, 1.0, size)
+    phi = draw_uniform(cursors[0], 0.0, 2.0 * np.pi, size)
+    r = draw_uniform(cursors[1], -1.0, 1.0, size)
     up1 = _threshold_up(phi, a, r)
     if model.mu_kind == "uniform":
-        up2 = _threshold_up(phi, b, cursors[2].uniform(-1.0, 1.0, size), anti_aligned=True)
+        up2 = _threshold_up(phi, b, draw_uniform(cursors[2], -1.0, 1.0, size), anti_aligned=True)
     elif model.mu_kind == "delta_equal":
         up2 = _threshold_up(phi, b, r)
     else:  # delta_opposite: cos(phi - b) + r >= 0, i.e. cos(phi - b) >= -r

@@ -34,7 +34,7 @@ from .classical import FactorizableModel, station_orientations, threshold_codes
 from .datasets import (InequalityReport, check_boole_triple, check_boole_triple_anticorrelated,
                        check_pair_bound, correlations)
 from .tables import (CountTable, FuncTable3, blocks, chain_coeffs, code_signs, draw_codes,
-                     sign_codes, sign_transform, stream_cursors)
+                     draw_uniform, sign_codes, sign_transform, stream_cursors)
 
 EVENT_PERIOD = 1.0
 # event pairs rendered per write by RawDataset.write_csv: the block's byte
@@ -157,7 +157,7 @@ class SingletSource:
 def _shared_angle(cursor: np.random.Generator, size: int):
     """Forms a block's orientations: one uniform angle on [0, 2pi) per pair,
     drawn from ``cursor``, that both stations share."""
-    return lambda: (cursor.uniform(0.0, 2.0 * np.pi, size),) * 2
+    return lambda: (draw_uniform(cursor, 0.0, 2.0 * np.pi, size),) * 2
 
 
 class PairModelSource:

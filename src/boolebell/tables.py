@@ -122,6 +122,17 @@ def draw_codes(probs, rng: np.random.Generator, count: int) -> np.ndarray:
     return index
 
 
+def draw_uniform(rng: np.random.Generator, low: float, high: float, size: int) -> np.ndarray:
+    """``rng.uniform(low, high, size)`` bit for bit, for low = 0 or high - low
+    a power of two, at less cost per call: numpy forms low + (high - low) u
+    from the doubles u of ``rng.random``, and one of the product and the sum
+    is exact here, so one rounding remains whether or not they are fused."""
+    u = rng.random(size)
+    u *= high - low
+    u += low
+    return u
+
+
 def stream_cursors(rng: np.random.Generator, count: int, k: int) -> list[np.random.Generator]:
     """k generators whose draws are those of k consecutive whole draws of
     count doubles from rng, which is advanced past all k count draws.

@@ -541,8 +541,8 @@ class TestRunThreeSettings:
         for count, k, draws in streams:
             if name in ("singlet", "triple"):  # only the outcomes' inverse-CDF uniforms
                 assert drawn_whole(draws, count) == {0: "random"}
-            else:  # the model's angle and thresholds, drawn by uniform
-                assert drawn_whole(draws, count) == dict.fromkeys(range(k), "uniform")
+            else:  # the model's angle and thresholds
+                assert drawn_whole(draws, count) == dict.fromkeys(range(k), "random")
         monkeypatch.undo()
         raw = pl.generate_events(SOURCES[name], standard_schedule(angles), 3000, timing, seed=5)
         assert_counts_equal_the_oracle(rep, raw, window)
@@ -577,7 +577,7 @@ class TestRunThreeSettings:
             for _ in range(source.model.streams - 1):
                 rng.uniform(-1.0, 1.0, count)  # the thresholds
             want_hidden = cl.station_orientations(source.model, phi)
-            outcomes = dict.fromkeys(range(source.model.streams), "uniform")
+            outcomes = dict.fromkeys(range(source.model.streams), "random")
         want_scaled = [rng.random(count) * 0.5 for _ in range(2)]
         (_, _, untimed), (_, k, timed) = streams
         assert drawn_whole(untimed, count) == outcomes
@@ -586,7 +586,7 @@ class TestRunThreeSettings:
             assert drawn_whole(timed, count) == {**outcomes, **stations}
             assert all(h is None for _, _, st in blocks[True] for h, _, _ in st)
         else:
-            hidden = {1: "uniform"} if name in ("singlet", "triple") else {}
+            hidden = {1: "random"} if name in ("singlet", "triple") else {}
             assert drawn_whole(timed, count) == {**outcomes, **hidden, **stations}
             for station, want in enumerate(want_hidden):
                 got = np.concatenate([st[station][0] for _, _, st in blocks[True]])

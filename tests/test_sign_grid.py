@@ -469,7 +469,8 @@ class TestStreamCursors:
     def test_cursors_draw_the_whole_draws_block_by_block(self, count):
         # three whole draws from one generator, then one more double: the
         # cursors, drawn a block at a time and interleaved, give the same
-        # bits, and the generator goes on where the whole draws left it
+        # bits, and the generator goes on where the whole draws left it;
+        # draw_uniform gives the bits of uniform
         seed = np.random.SeedSequence(count).spawn(2)[1]
         whole = np.random.default_rng(seed)
         want = [whole.random(count), whole.uniform(0.0, 2.0 * np.pi, count),
@@ -479,9 +480,9 @@ class TestStreamCursors:
         got = [[], [], []]
         for block in tables.blocks(count):
             size = block.stop - block.start
-            got[2].append(cursors[2].uniform(-1.0, 1.0, size))
+            got[2].append(tables.draw_uniform(cursors[2], -1.0, 1.0, size))
             got[0].append(cursors[0].random(size))
-            got[1].append(cursors[1].uniform(0.0, 2.0 * np.pi, size))
+            got[1].append(tables.draw_uniform(cursors[1], 0.0, 2.0 * np.pi, size))
         got = [np.concatenate(parts) for parts in got] + [rng.random(1)]
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
