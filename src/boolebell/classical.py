@@ -31,7 +31,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .datasets import BOOLE_TRIPLE, BOOLE_TRIPLE_ANTICORRELATED
-from .reports import SLACK_TOL, grid_sweep
+from .reports import SLACK_TOL, grid_sweep, require_finite_span
 from .tables import CountTable, blocks, code_signs, draw_uniform, stream_cursors
 
 MuKind = Literal["uniform", "delta_equal", "delta_opposite"]
@@ -396,10 +396,7 @@ def model_inequality_sweep(model: FactorizableModel, grid: Iterable[float],
     angles = np.array([float(x) for x in grid])
     if not angles.size:
         raise ValueError("grid must contain at least one angle")
-    # a NaN or infinite angle or difference makes the span NaN or infinite
-    if not math.isfinite(float(angles.max()) - float(angles.min())):
-        raise ValueError(f"the angles and their differences must be finite, got "
-                         f"angles from {angles.min()} to {angles.max()}")
+    require_finite_span(angles)
     emat = correlation_law(model.mu_kind, angles[:, None] - angles[None, :])
     n = len(angles)
     le = np.less_equal.outer(np.arange(n), np.arange(n))

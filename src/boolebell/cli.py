@@ -3,6 +3,11 @@
 Output is a JSON envelope {scenario, params, values, reports} validating
 against ``schemas/report.schema.json``; ``--format table`` renders the same
 content as text, and ``factorizable --format csv`` writes the sampled pairs.
+Every handler returns its envelope through ``_envelope``, the one code that
+writes it: the scenario is the subcommand, suffixed ``-MODE`` by the value of
+``--which``, ``--scenario`` or ``--what``; every envelope carries all four
+keys; and each report, an InequalityReport or None, is serialized there, None
+as null.
 Each subcommand declares only flags that one of its modes reads, so a flag
 no mode reads, or an invalid value, exits 2 at argument parsing, before any
 work is done.  The modes chosen by ``--which``, ``--scenario`` and ``--what``
@@ -98,6 +103,18 @@ def _emit(result: dict | str, args) -> None:
         sys.stdout.write(text)
 
 
+def _envelope(args, params: dict, values: dict | None = None,
+              reports: dict | None = None) -> dict:
+    """The envelope of a handler's answer (see the module docstring): absent
+    values or reports are {}, and each report is serialized, None as null."""
+    mode = next((getattr(args, flag) for flag in ("which", "scenario", "what")
+                 if hasattr(args, flag)), None)
+    return {"scenario": args.command if mode is None else f"{args.command}-{mode}",
+            "params": params, "values": values or {},
+            "reports": {name: None if rep is None else rep.to_dict()
+                        for name, rep in (reports or {}).items()}}
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -107,30 +124,21 @@ def cmd_dataset(args) -> dict:
     corr = {f"F{i}{j}": value for (i, j), value in correlations(counts).items()}
     reports = {}
     if counts.n == 3:
-        reports["boole_triple"] = check_boole_triple(
-            corr["F12"], corr["F13"], corr["F23"]).to_dict()
-        reports["pair_bound"] = check_pair_bound(
-            corr["F12"], corr["F13"], corr["F23"]).to_dict()
+        reports["boole_triple"] = check_boole_triple(corr["F12"], corr["F13"], corr["F23"])
+        reports["pair_bound"] = check_pair_bound(corr["F12"], corr["F13"], corr["F23"])
     elif counts.n == 4:
-        reports["chsh"] = check_chsh(corr["F13"], corr["F23"],
-                                     corr["F14"], corr["F24"]).to_dict()
-    return {"scenario": "dataset", "params": {"input": args.input, "n": counts.n,
-                                              "m": counts.m},
-            "values": corr, "reports": reports}
+        reports["chsh"] = check_chsh(corr["F13"], corr["F23"], corr["F14"], corr["F24"])
+    return _envelope(args, {"input": args.input, "n": counts.n, "m": counts.m}, corr, reports)
 
 
 def cmd_ebbi(args) -> dict:
     e0, e12, e13, e23 = args.e
-    report = _flag_value("--e", tables.ebbi_check, e0, e12, e13, e23)
-    reports = {"ebbi": report.to_dict()}
+    reports = {"ebbi": _flag_value("--e", tables.ebbi_check, e0, e12, e13, e23)}
     if e0 > 0:
         ratios = (e12 / e0, e13 / e0, e23 / e0)
         require_in_unit_interval(zip(("--e E12/E0", "--e E13/E0", "--e E23/E0"), ratios))
-        reports["boole_anticorrelated"] = check_boole_triple_anticorrelated(
-            *ratios).to_dict()
-    return {"scenario": "ebbi",
-            "params": {"e0": e0, "e12": e12, "e13": e13, "e23": e23},
-            "values": {}, "reports": reports}
+        reports["boole_anticorrelated"] = check_boole_triple_anticorrelated(*ratios)
+    return _envelope(args, {"e0": e0, "e12": e12, "e13": e13, "e23": e23}, reports=reports)
 
 
 def cmd_theorem(args) -> dict:
@@ -138,27 +146,21 @@ def cmd_theorem(args) -> dict:
     if which != "reconstruct" and args.coeffs is None:
         raise CliError(f"--coeffs is required for --which {which}")
     if which == "1":
-        e0, e1, e2, e12 = args.coeffs
-        c = tables.ExpansionCoeffs2(e0, e1, e2, e12)
+        c = tables.ExpansionCoeffs2(*args.coeffs)
         rep = tables.theorem1_check(c)
-        return {"scenario": "theorem-1",
-                "params": c.to_dict(),
-                "values": {"table": tables.synth2(c).to_dict()},
-                "reports": {"theorem1": rep.to_dict()}}
+        return _envelope(args, c.to_dict(), {"table": tables.synth2(c).to_dict()},
+                         {"theorem1": rep})
     elif which == "3":
         e, ehat, etilde, e0 = args.coeffs
         rep = _flag_value("--coeffs", tables.theorem3_check, e, ehat, etilde, e0)
-        return {"scenario": "theorem-3",
-                "params": {"e": e, "ehat": ehat, "etilde": etilde, "e0": e0},
-                "values": {}, "reports": {"theorem3": rep.to_dict()}}
+        return _envelope(args, {"e": e, "ehat": ehat, "etilde": etilde, "e0": e0},
+                         reports={"theorem3": rep})
     elif which == "construct":
         a0, a12, a13, a23 = args.coeffs
         table, report = _flag_value("--coeffs", tables.construction_g3, a0, a12, a13, a23)
-        return {"scenario": "theorem-construct",
-                "params": {"a0": a0, "a12": a12, "a13": a13, "a23": a23},
-                "values": {"table": table.to_dict(),
-                           "min_entry": float(np.min(table.values))},
-                "reports": {"ebbi": report.to_dict()}}
+        return _envelope(args, {"a0": a0, "a12": a12, "a13": a13, "a23": a23},
+                         {"table": table.to_dict(), "min_entry": float(np.min(table.values))},
+                         {"ebbi": report})
     else:  # reconstruct
         if not args.tables:
             raise CliError("--tables FILE is required for reconstruct")
@@ -184,22 +186,18 @@ def cmd_theorem(args) -> dict:
         if rec is not None:
             values.update(table=rec.table.to_dict(), e123=rec.e123,
                           e123_interval=list(rec.e123_interval))
-        return {"scenario": "theorem-reconstruct", "params": {"tables": args.tables},
-                "values": values,
-                "reports": {"compatibility": compat.clause_report.to_dict()}}
+        return _envelope(args, {"tables": args.tables}, values,
+                         {"compatibility": compat.clause_report})
 
 
 def cmd_quantum(args) -> dict:
     rad = args.radians
     if args.scenario == "singlet":
         a, b = _directions(args, "ab")
-        rho = quantum.singlet()
-        e = quantum.expectation(rho, quantum.correlation_operator(a, b))
-        return {"scenario": "quantum-singlet",
-                "params": {"a": list(a), "b": list(b)},
-                "values": {"correlation": e, "minus_a_dot_b": float(-(a @ b)),
-                           "table": quantum.singlet_pair_table(a, b).to_dict()},
-                "reports": {}}
+        e = quantum.expectation(quantum.singlet(), quantum.correlation_operator(a, b))
+        return _envelope(args, {"a": list(a), "b": list(b)},
+                         {"correlation": e, "minus_a_dot_b": float(-(a @ b)),
+                          "table": quantum.singlet_pair_table(a, b).to_dict()})
     elif args.scenario in ("filter2", "filter3"):
         x = np.asarray(args.x, dtype=float)
         rho = _flag_value("--x", quantum.spin_half_state, x)
@@ -211,40 +209,32 @@ def cmd_quantum(args) -> dict:
             a, b, c = _directions(args, "abc")
             chain = quantum.filter_prob3(rho, a, b, c)
             closed = quantum.filter_prob3_closed(x, a, b, c)
-        return {"scenario": f"quantum-{args.scenario}",
-                "params": {"x": list(x), "a": args.a, "b": args.b,
-                           **({"c": args.c} if args.scenario == "filter3" else {})},
-                "values": {"chain": chain.to_dict(), "closed_form": closed.to_dict(),
-                           "max_gap": float(np.max(np.abs(chain.p - closed.p)))},
-                "reports": {}}
+        return _envelope(args, {"x": list(x), "a": args.a, "b": args.b,
+                                **({"c": args.c} if args.scenario == "filter3" else {})},
+                         {"chain": chain.to_dict(), "closed_form": closed.to_dict(),
+                          "max_gap": float(np.max(np.abs(chain.p - closed.p)))})
     elif args.scenario == "substitution":
         ta, tb, tc = (_to_rad(v, rad) for v in args.angles)
         dirs = [quantum.coplanar_direction(t) for t in (ta, tb, tc)]
         rep = quantum.eprb_substitution_report(*dirs)
-        return {"scenario": "quantum-substitution",
-                "params": {"angles": list(args.angles), "radians": rad},
-                "values": {"E": rep.e, "Ehat": rep.ehat, "Etilde": rep.etilde,
-                           "marginals_direct": rep.marginals_direct.to_dict(),
-                           "marginals_anticorrelated":
-                               rep.marginals_anticorrelated.to_dict()},
-                "reports": {"boole_direct": rep.boole_direct.to_dict(),
-                            "boole_anticorrelated":
-                                rep.boole_anticorrelated.to_dict()}}
+        return _envelope(args, {"angles": list(args.angles), "radians": rad},
+                         {"E": rep.e, "Ehat": rep.ehat, "Etilde": rep.etilde,
+                          "marginals_direct": rep.marginals_direct.to_dict(),
+                          "marginals_anticorrelated": rep.marginals_anticorrelated.to_dict()},
+                         {"boole_direct": rep.boole_direct,
+                          "boole_anticorrelated": rep.boole_anticorrelated})
     elif args.scenario == "commutators":
         diag = quantum.commutator_diagnostics(*_directions(args, "abc"), quantum.singlet())
-        return {"scenario": "quantum-commutators",
-                "params": {"a": args.a, "b": args.b, "c": args.c,
-                           "state": "singlet"},
-                "values": diag.to_dict(), "reports": {}}
+        return _envelope(args, {"a": args.a, "b": args.b, "c": args.c, "state": "singlet"},
+                         diag.to_dict())
     else:  # separable
         up = quantum.spin_half_state([0.0, 0.0, 1.0])
         down = quantum.spin_half_state([0.0, 0.0, -1.0])
         comps = [(0.5, up), (0.5, down)]
         rep = quantum.separable_bound_check(comps, *_directions(args, "abc"))
-        return {"scenario": "quantum-separable",
-                "params": {"components": "equal mix of up/up and down/down",
-                           "a": args.a, "b": args.b, "c": args.c},
-                "values": {}, "reports": {"separable": rep.to_dict()}}
+        return _envelope(args, {"components": "equal mix of up/up and down/down",
+                                "a": args.a, "b": args.b, "c": args.c},
+                         reports={"separable": rep})
 
 
 def cmd_leggett_garg(args) -> dict:
@@ -259,34 +249,25 @@ def cmd_leggett_garg(args) -> dict:
         counts = lg.sample_triples(p, args.samples, args.seed)
         values["empirical_correlations"] = {
             f"E{i}{j}": value for (i, j), value in correlations(counts).items()}
-    return {"scenario": "leggett-garg",
-            "params": {"omega": args.omega, "dt": list(args.dt),
-                       "samples": args.samples, "seed": args.seed},
-            "values": values,
-            "reports": {"triple": lg.lg_inequality_check(e12, e13, e23).to_dict(),
-                        "pair_substitution":
-                            lg.lg_inequality_check(pe, pehat, petilde).to_dict()}}
+    return _envelope(args, {"omega": args.omega, "dt": list(args.dt),
+                            "samples": args.samples, "seed": args.seed}, values,
+                     {"triple": lg.lg_inequality_check(e12, e13, e23),
+                      "pair_substitution": lg.lg_inequality_check(pe, pehat, petilde)})
 
 
 def cmd_extended_eprb(args) -> dict:
-    rad = args.radians
-    angles = [_to_rad(v, rad) for v in args.angles]
+    angles = [_to_rad(v, args.radians) for v in args.angles]
+    params = {"angles": list(args.angles), "radians": args.radians}
     if len(angles) == 3:
         table, coeffs = quantum.extended_eprb_prob3(*angles)
-        rep = tables.ebbi_check(1.0, coeffs.e12, coeffs.e13, coeffs.e23)
-        return {"scenario": "extended-eprb",
-                "params": {"angles": list(args.angles), "radians": rad},
-                "values": {"table": table.to_dict(), "coeffs": coeffs.to_dict()},
-                "reports": {"ebbi": rep.to_dict()}}
+        return _envelope(args, params, {"table": table.to_dict(), "coeffs": coeffs.to_dict()},
+                         {"ebbi": tables.ebbi_check(1.0, coeffs.e12, coeffs.e13, coeffs.e23)})
     elif len(angles) == 4:
         dirs = [quantum.coplanar_direction(t) for t in angles]
         pairs = quantum.extended_eprb_prob4_chain(*dirs)[1]
         closed = quantum.extended_eprb_prob4(*dirs)[1]
-        rep = quantum.check_chsh_quadruple(pairs)
-        return {"scenario": "extended-eprb",
-                "params": {"angles": list(args.angles), "radians": rad},
-                "values": {"pair_correlations": pairs, "closed_forms": closed},
-                "reports": {"chsh": rep.to_dict()}}
+        return _envelope(args, params, {"pair_correlations": pairs, "closed_forms": closed},
+                         {"chsh": quantum.check_chsh_quadruple(pairs)})
     else:
         raise CliError("--angles takes 3 (triple) or 4 (quadruple) values")
 
@@ -295,13 +276,10 @@ def cmd_allergy(args) -> dict:
     gamma = (classical.allergy_gamma_triples if args.variant == "triples"
              else classical.allergy_gamma_pairs)(args.days, seed=args.seed)
     bound = -1.0
-    return {"scenario": "allergy",
-            "params": {"variant": args.variant, "days": args.days,
-                       "seed": args.seed},
-            "values": {"gamma": gamma, "triples_bound": bound,
-                       "bound_applies": args.variant == "triples",
-                       "apparent_violation": gamma < bound - SLACK_TOL},
-            "reports": {}}
+    return _envelope(args, {"variant": args.variant, "days": args.days, "seed": args.seed},
+                     {"gamma": gamma, "triples_bound": bound,
+                      "bound_applies": args.variant == "triples",
+                      "apparent_violation": gamma < bound - SLACK_TOL})
 
 
 _MU = {"uniform": "uniform", "equal": "delta_equal", "opposite": "delta_opposite"}
@@ -314,18 +292,14 @@ def cmd_factorizable(args) -> dict | str:
         _, s1, s2 = _sampled(classical.sample_pair_arrays, model, a, b,
                              np.random.default_rng(args.seed), args.samples)
         return dataset_csv_text(np.column_stack([s1, s2]), newline="\n")
-    counts = classical.sample_pair(model, a, b, args.seed, args.samples)
-    analytic = classical.analytic_correlation(model, a, b)
-    emp = correlations(counts)[(1, 2)]
+    analytic = classical.analytic_correlation(model, a, b)  # decided before any draw
+    emp = correlations(classical.sample_pair(model, a, b, args.seed, args.samples))[(1, 2)]
     sigma = math.sqrt(max(1.0 - analytic ** 2, 1e-30) / args.samples)
-    return {"scenario": "factorizable",
-            "params": {"mu": model.mu_kind, "angles": list(args.angles),
-                       "radians": args.radians, "samples": args.samples,
-                       "seed": args.seed},
-            "values": {"analytic": analytic, "empirical": emp,
-                       "abs_error": abs(emp - analytic),
-                       "four_sigma": 4.0 * sigma},
-            "reports": {}}
+    return _envelope(args, {"mu": model.mu_kind, "angles": list(args.angles),
+                            "radians": args.radians, "samples": args.samples,
+                            "seed": args.seed},
+                     {"analytic": analytic, "empirical": emp,
+                      "abs_error": abs(emp - analytic), "four_sigma": 4.0 * sigma})
 
 
 def _make_source(spec: str):
@@ -352,20 +326,16 @@ def cmd_epr_pipeline(args) -> dict:
     else:
         report = pipeline.run_three_settings(a, b, c, source, timing, args.samples, window,
                                              args.seed)
-    reports = {name: getattr(report, name)
-               for name in ("pair_bound", "boole_direct", "boole_anticorrelated")}
-    return {"scenario": "epr-pipeline",
-            "params": {"source": args.source, "angles": list(args.angles),
-                       "radians": args.radians, "window": args.window,
-                       "samples": args.samples, "seed": args.seed,
-                       "jitter": args.jitter,
-                       "jitter_exponent": args.jitter_exponent},
-            "values": {"counts": report.counts, "correlations": report.correlations,
-                       "empty_pairs": list(report.empty_pairs),
-                       "verdict_direct": report.verdict_direct,
-                       "verdict_anticorrelated": report.verdict_anticorrelated},
-            "reports": {name: rep.to_dict() if rep else None
-                        for name, rep in reports.items()}}
+    return _envelope(args, {"source": args.source, "angles": list(args.angles),
+                            "radians": args.radians, "window": args.window,
+                            "samples": args.samples, "seed": args.seed,
+                            "jitter": args.jitter, "jitter_exponent": args.jitter_exponent},
+                     {"counts": report.counts, "correlations": report.correlations,
+                      "empty_pairs": list(report.empty_pairs),
+                      "verdict_direct": report.verdict_direct,
+                      "verdict_anticorrelated": report.verdict_anticorrelated},
+                     {name: getattr(report, name)
+                      for name in ("pair_bound", "boole_direct", "boole_anticorrelated")})
 
 
 # model_inequality_sweep peaks at about 6 n^3 bytes for n angles (7 n^3 on a
@@ -412,23 +382,17 @@ def cmd_sweep(args) -> dict:
         grid = [_to_rad(v, rad) for v in np.arange(*arange)]
         summary = _flag_value("--grid", classical.model_inequality_sweep, model, grid,
                               not args.no_chsh)
-        return {"scenario": "sweep-factorizable",
-                "params": {"mu": model.mu_kind, "grid": list(args.grid),
-                           "radians": rad},
-                "values": summary.to_dict(), "reports": {}}
+        return _envelope(args, {"mu": model.mu_kind, "grid": list(args.grid), "radians": rad},
+                         summary.to_dict())
     elif args.what == "extended-eprb":
         s = _flag_value("--grid", quantum.extended_eprb_sweep, np.arange(*arange))
-        return {"scenario": "sweep-extended-eprb",
-                "params": {"grid": list(args.grid), "radians": rad},
-                "values": {"points": s.points, "violations": s.violations,
-                           "worst_slack": s.worst_slack},
-                "reports": {}}
+        return _envelope(args, {"grid": list(args.grid), "radians": rad},
+                         {"points": s.points, "violations": s.violations,
+                          "worst_slack": s.worst_slack})
     else:  # leggett-garg
         s = _flag_value("--points", lg.lg_sweep, args.points)
-        return {"scenario": "sweep-leggett-garg",
-                "params": {"points": args.points},
-                "values": {"violations": s.violations, "worst_slack": s.worst_slack},
-                "reports": {}}
+        return _envelope(args, {"points": args.points},
+                         {"violations": s.violations, "worst_slack": s.worst_slack})
 
 
 # ---------------------------------------------------------------------------

@@ -358,20 +358,20 @@ class RawDataset:
         return rows[keep]
 
 
-def _entry_draws(source, pair: SettingPair, timing: TimingModel,
+def _entry_draws(sampler, pair: SettingPair, timing: TimingModel,
                  rng: np.random.Generator, count: int, timed: bool):
     """The draws of one schedule entry's count event pairs, block by block,
     in the stream order that every route shares: the outcomes, the hidden
     orientations, then each station's uniforms u, each a whole draw of count
-    doubles from rng and one of its ``stream_cursors``.  The source's
-    ``sampler(left, right)`` gives its k cursors (the singlet and triple
-    sources' second holds the hidden angle that both stations share) and a
-    function drawing a block's sign codes and a callable that forms their
-    orientations.  Yields each block's slice of the entry's pairs, codes and
-    one (hidden, setting angle, jitter * u) per station, from the cursors k
-    and k + 1.  An entry that forms no delay (not ``timed``) yields no
-    station and draws only the outcomes; at exponent 0 hidden is None."""
-    k, draw = source.sampler(pair.left, pair.right)
+    doubles from rng and one of its ``stream_cursors``.  ``sampler`` is the
+    source's ``sampler(pair.left, pair.right)``: its k cursors (the singlet
+    and triple sources' second holds the hidden angle both stations share)
+    and a function drawing a block's sign codes and a callable that forms
+    their orientations.  Yields each block's slice of the entry's pairs,
+    codes and one (hidden, setting angle, jitter * u) per station, from the
+    cursors k and k + 1.  An entry that forms no delay (not ``timed``) yields
+    no station and draws only the outcomes; at exponent 0 hidden is None."""
+    k, draw = sampler
     cursors = stream_cursors(rng, count, k + 2 if timed else k)
     for block in blocks(count):
         size = block.stop - block.start
@@ -384,8 +384,9 @@ def _entry_draws(source, pair: SettingPair, timing: TimingModel,
 
 def _entries(source, schedule: list[SettingPair], m: int, timing: TimingModel,
              seed: int, timed):
-    """Checks the arguments, then yields, lazily and in order, p and the
-    ``_entry_draws`` of every schedule entry p of n that has pairs: from the
+    """Checks the arguments and builds the sampler of every schedule entry p
+    of n that has pairs, so a refused entry stops the run before any draw;
+    then yields, lazily and in order, p and its ``_entry_draws``: from the
     p-th child of ``SeedSequence(seed)``, for its pairs p, p + n, ... at
     alphas p + 1 + n j.  ``timed(pair)`` says whether an entry forms delays."""
     if m < 1:
@@ -395,10 +396,11 @@ def _entries(source, schedule: list[SettingPair], m: int, timing: TimingModel,
     if not schedule:
         raise ValueError("schedule must not be empty")
     n = len(schedule)
+    samplers = [source.sampler(pair.left, pair.right) for pair in schedule[:m]]
     children = np.random.SeedSequence(int(seed)).spawn(n)
-    return ((p, _entry_draws(source, pair, timing, np.random.default_rng(child),
+    return ((p, _entry_draws(sampler, pair, timing, np.random.default_rng(child),
                              len(range(p, m, n)), timed(pair)))
-            for p, (pair, child) in enumerate(zip(schedule, children)) if p < m)
+            for p, (pair, sampler, child) in enumerate(zip(schedule, samplers, children)))
 
 
 def generate_events(source, schedule: list[SettingPair], m: int,

@@ -31,7 +31,7 @@ import numpy as np
 from .datasets import (InequalityReport, check_boole_triple,
                        check_boole_triple_anticorrelated)
 from .reports import (ClauseFamily, GridSweep, boole_terms, grid_sweep, product_axes,
-                      six_descriptions)
+                      require_finite_span, six_descriptions)
 from .tables import (EBBI, CompatibilityResult, ExpansionCoeffs3, FuncTable2,
                      SignTable, chain_coeffs, check_weights, marginals_compatible,
                      pair_coefficients, sign_rows, sign_transform)
@@ -342,10 +342,7 @@ def extended_eprb_sweep(thetas) -> GridSweep:
     """The ``ebbi`` family on the coefficients (1, -cba, -cba ccb, ccb) of
     ``extended_eprb_prob3`` with theta_a = 0, over thetas x thetas."""
     thetas = np.asarray(thetas, dtype=float)
-    # a NaN or infinite angle or difference makes the span NaN or infinite
-    if thetas.size and not math.isfinite(float(thetas.max()) - float(thetas.min())):
-        raise ValueError(f"the angles and their differences must be finite, got "
-                         f"angles from {thetas.min()} to {thetas.max()}")
+    require_finite_span(thetas)
 
     def inputs(points):
         tb, tc = product_axes(thetas, thetas, points)

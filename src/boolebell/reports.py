@@ -137,6 +137,14 @@ def product_axes(x: np.ndarray, y: np.ndarray, points: slice):
     return np.repeat(rows, len(y))[skip:stop], np.tile(y, len(rows))[skip:stop]
 
 
+def require_finite_span(angles: np.ndarray) -> None:
+    """Refuses a grid of angles holding a NaN or infinite angle or difference,
+    any of which makes the span NaN or infinite; an empty grid passes."""
+    if angles.size and not math.isfinite(float(angles.max()) - float(angles.min())):
+        raise ValueError(f"the angles and their differences must be finite, got "
+                         f"angles from {angles.min()} to {angles.max()}")
+
+
 def grid_sweep(family: ClauseFamily, inputs, points: int) -> GridSweep:
     """Summary of ``family`` over ``points`` points, GRID_BLOCK at a time,
     ``inputs(point_slice)`` giving its inputs; slacks are reduced one clause

@@ -741,6 +741,7 @@ _SWEEP_RAN = (classical, "model_inequality_sweep",
               _raises(AssertionError("the sweep ran past the size check")))
 _HUGE = ["--seed", "1", "--samples", "100000000000000"]
 _BEYOND_2_53 = ["--seed", "1", "--samples", str(2 ** 53 + 1)]
+_AT_2_53 = ["--seed", "1", "--samples", str(2 ** 53)]
 _NO_MEMORY = _raises(MemoryError("Unable to allocate 728. TiB for an array with shape "
                                  "(100000000000000,) and data type float64"))
 _REFUSED = _raises(ValueError("the draws are refused"))
@@ -775,6 +776,15 @@ _HUGE_CORNER = {"++": 1.5e308, "+-": 0, "-+": 0, "--": 0}
     (["factorizable", "--mu", "uniform", "--angles", "0", "60", *_BEYOND_2_53], None,
      (classical, "stream_cursors", _raises(AssertionError("drew samples"))),
      "error: need 1 to 2^53 samples, got 9007199254740993\n"),
+    # an angle difference that the analytic value or a schedule entry
+    # refuses is refused before any draw, even at 2^53 samples
+    (["factorizable", "--mu", "uniform", "--radians", "--angles", "1e308", "-1e308",
+      *_AT_2_53], None, (classical, "stream_cursors", _raises(AssertionError("drew samples"))),
+     "error: angles and their difference must be finite, got a=1e+308, b=-1e+308\n"),
+    (["epr-pipeline", "--source", "singlet", "--radians", "--angles", "0", "1e308", "-1e308",
+      *_AT_2_53], None, (pipeline, "_entry_draws", _raises(AssertionError("drew events"))),
+     "error: singlet setting angles and their difference must be finite, got 1e+308 and "
+     "-1e+308\n"),
     # any other allocation numpy refuses keeps its own text
     (["leggett-garg", "--omega", "1", "--dt", "0", "1", "1", *_HUGE], None,
      (leggett_garg, "sample_triples", _NO_MEMORY), "error: Unable to allocate 728. TiB"),
@@ -830,7 +840,8 @@ _HUGE_CORNER = {"++": 1.5e308, "+-": 0, "-+": 0, "--": 0}
      (cli, "cmd_ebbi", lambda args: tables.FuncTable2([[1, 2], [3, 4]]).value(1, 0)),
      "error: expected 2 signs, each +1 or -1, got (1, 0)\n"),
 ], ids=["sweep 10011 angles", "sweep 1010 angles", "sweep 1e292 angles",
-        "pipeline beyond 2^53", "factorizable beyond 2^53", "leggett-garg memory",
+        "pipeline beyond 2^53", "factorizable beyond 2^53",
+        "factorizable infinite difference", "pipeline infinite difference", "leggett-garg memory",
         "pipeline log memory", "factorizable csv memory",
         "pipeline refusal", "factorizable refusal", "leggett-garg refusal",
         "leggett-garg beyond 2^53", "allergy beyond int64",

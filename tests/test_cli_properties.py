@@ -1,7 +1,8 @@
 """Property tests for the CLI's exit contract.
 
 An invocation inside every subcommand's domain exits 0 with a strict,
-schema-valid JSON envelope.  An invocation the parser must refuse (a flag the
+schema-valid JSON envelope, whose scenario is the subcommand suffixed by the
+mode that --which, --scenario or --what chooses.  An invocation the parser must refuse (a flag the
 subcommand does not declare, a non-finite float, a value outside a choice
 list) exits 2 with exactly one `error:` line and nothing on stdout; stderr
 holds nothing else but argparse's usage.  Any invocation the parser accepts
@@ -246,11 +247,22 @@ def _refuse_constant(name):
     raise AssertionError(f"{name} is not strict JSON")
 
 
-def assert_envelope(out, fmt):
-    if fmt == "table":
+def scenario_of(argv):
+    """The scenario an envelope names: the subcommand, suffixed by the mode
+    that --which, --scenario or --what chooses."""
+    modes = [argv[i + 1] for i, t in enumerate(argv) if t in ("--which", "--scenario", "--what")]
+    return "-".join([argv[0], *modes])
+
+
+def assert_envelope(out, argv):
+    if argv.format == "table":
         assert out.startswith("scenario: ") and out.endswith("\n")
+        scenario = out.splitlines()[0].removeprefix("scenario: ")
     else:
-        SCHEMA.validate(json.loads(out, parse_constant=_refuse_constant))
+        envelope = json.loads(out, parse_constant=_refuse_constant)
+        SCHEMA.validate(envelope)
+        scenario = envelope["scenario"]
+    assert scenario == scenario_of(argv)
 
 
 def assert_one_error_line(code, out, err):
@@ -269,7 +281,7 @@ def test_valid_invocations_exit_0_with_strict_json(command, data, workdir):
     argv = data.draw(valid_argv(command))
     code, out, err = run(argv, workdir)
     assert code == 0, err
-    assert_envelope(out, argv.format)
+    assert_envelope(out, argv)
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -296,6 +308,6 @@ def test_accepted_invocations_never_end_in_a_traceback(command, data, workdir):
     argv = data.draw(loose_argv(command))
     code, out, err = run(argv, workdir)
     if code == 0:
-        assert_envelope(out, argv.format)
+        assert_envelope(out, argv)
     else:
         assert_one_error_line(code, out, err)

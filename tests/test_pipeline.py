@@ -562,7 +562,8 @@ class TestRunThreeSettings:
         streams = record_streams(monkeypatch)
         source, pair, count = SOURCES[name], standard_schedule()[0], 100
         timing = pl.TimingModel(0.5, exponent)
-        blocks = {timed: list(pl._entry_draws(source, pair, timing, np.random.default_rng(5),
+        sampler = source.sampler(pair.left, pair.right)
+        blocks = {timed: list(pl._entry_draws(sampler, pair, timing, np.random.default_rng(5),
                                               count, timed))
                   for timed in (False, True)}
         assert all(stations == [] for _, _, stations in blocks[False])
